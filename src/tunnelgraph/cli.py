@@ -31,7 +31,7 @@ from . import fileio
 from . import optimizer as opt
 from . import pipeline
 from . import simulate as sim
-from .config import parse_config, format_config
+from .config import parse_config
 from .optimizer import ConditioningError, SolverSettings
 from .sync import DataError, DOF_MODES
 

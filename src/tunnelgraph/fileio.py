@@ -13,18 +13,15 @@ write/read cycle is bit-faithful.
 from __future__ import annotations
 
 import csv
-import io
 import json
-import os
 
 import numpy as np
 
-from . import geometry as geom
-from .graph import PoseGraph
+from .graph import GROUPS, PoseGraph
 from .metrics import ErrorReport
 from .optimizer import SolveStats
 from .simulate import NoiseInjection
-from .sync import FULL3D, PLANAR, DOF_MODES, DataError, LandmarkObservation, OdometryTrack
+from .sync import PLANAR, DOF_MODES, DataError, LandmarkObservation, OdometryTrack
 
 FLOAT_FMT = "%.17g"
 
@@ -140,17 +137,26 @@ def read_track(path) -> OdometryTrack:
 
 
 def write_observations(path, observations) -> None:
+    """Uniform weights go in a header; mixed weights get per-line columns."""
+    per_line = len({(_fmt(o.weight_trans), _fmt(o.weight_rot)) for o in observations}) > 1
+    columns = "timestamp pole_id tx ty tz qx qy qz qw"
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# columns: timestamp pole_id tx ty tz qx qy qz qw\n")
-        if observations:
-            fh.write(f"# weight_trans: {_fmt(observations[0].weight_trans)}\n")
-            fh.write(f"# weight_rot: {_fmt(observations[0].weight_rot)}\n")
+        if per_line:
+            fh.write(f"# columns: {columns} weight_trans weight_rot\n")
+        else:
+            fh.write(f"# columns: {columns}\n")
+            if observations:
+                fh.write(f"# weight_trans: {_fmt(observations[0].weight_trans)}\n")
+                fh.write(f"# weight_rot: {_fmt(observations[0].weight_rot)}\n")
         for obs in observations:
             fields = [_fmt(obs.timestamp), str(obs.pole_id)] + _pose_fields(obs.rel)
+            if per_line:
+                fields += [_fmt(obs.weight_trans), _fmt(obs.weight_rot)]
             fh.write(" ".join(fields) + "\n")
 
 
 def read_observations(path):
+    """Reads either layout: 9 fields with header weights, or 11 with per-line weights."""
     headers, content = _split_headers(_read_lines(path), path)
     try:
         w_trans = float(headers.get("weight_trans", "1"))
@@ -159,19 +165,21 @@ def read_observations(path):
         raise DataError(f"{path}: malformed weight header") from None
     out = []
     for lineno, parts in content:
-        if len(parts) != 9:
-            raise DataError(f"{path}:{lineno}: expected 9 fields, got {len(parts)}")
+        if len(parts) not in (9, 11):
+            raise DataError(f"{path}:{lineno}: expected 9 or 11 fields, got {len(parts)}")
         try:
             timestamp = float(parts[0])
             pole_id = int(parts[1])
+            weights = [float(p) for p in parts[9:]] or [w_trans, w_rot]
         except ValueError:
-            raise DataError(f"{path}:{lineno}: malformed timestamp or pole id") from None
+            raise DataError(f"{path}:{lineno}: malformed number") from None
         if pole_id < 0:
             raise DataError(f"{path}:{lineno}: pole id must be non-negative")
-        rel = _parse_pose_fields(parts[2:], path, lineno)
-        out.append(
-            LandmarkObservation(pole_id, timestamp, rel, w_trans, w_rot)
-        )
+        rel = _parse_pose_fields(parts[2:9], path, lineno)
+        try:
+            out.append(LandmarkObservation(pole_id, timestamp, rel, *weights))
+        except DataError as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from None
     return out
 
 
@@ -263,7 +271,7 @@ def read_graph(path) -> PoseGraph:
     dof = headers["dof_mode"]
     if dof not in DOF_MODES:
         raise DataError(f"{path}: unknown dof_mode {dof!r}")
-    dim = 3 if dof == PLANAR else 7
+    dim = GROUPS[dof].packed_dim
     pose_of = (
         (lambda parts, ln: np.array([float(p) for p in parts]))
         if dof == PLANAR

@@ -17,11 +17,20 @@ Conventions used throughout the package:
 
 All array functions broadcast over leading axes, so the same code serves
 single poses and whole edge sets.
+
+The two pose families are :data:`SE2` and :data:`SE3`, instances of one
+:class:`Group` table carrying compose, inverse, exp, log, adjoint, the
+inverse right Jacobian and the conversions to and from packed SE(3), plus
+the derived ``relative``, ``retract`` and ``between`` (the one edge
+residual).  Code that serves both families takes a group and never
+branches on which one it has.  :class:`Pose3` is the small immutable
+value type used for single placements.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -220,12 +229,6 @@ def so3_left_jacobian_inv(r):
 POSE3_IDENTITY = np.array([0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0])
 
 
-def pose3_pack(t, q):
-    return np.concatenate(
-        [np.asarray(t, dtype=float), np.asarray(q, dtype=float)], axis=-1
-    )
-
-
 def pose3_compose(a, b):
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -242,12 +245,6 @@ def pose3_inverse(p):
 def pose3_relative(a, b):
     """Transform taking frame a to frame b: a^-1 * b."""
     return pose3_compose(pose3_inverse(a), b)
-
-
-def pose3_apply(p, v):
-    """Map point(s) v through pose(s) p."""
-    p = np.asarray(p, dtype=float)
-    return p[..., :3] + quat_rotate(p[..., 3:], v)
 
 
 def se3_exp(xi):
@@ -419,28 +416,95 @@ def se2_right_jacobian_inv(xi):
     return np.linalg.inv(se2_right_jacobian(xi))
 
 
+def pose2_to_pose3_packed(p2):
+    """Embed packed planar poses (..., 3) in 3D (..., 7): z = 0, yaw-only rotation."""
+    p2 = np.asarray(p2, dtype=float)
+    half = 0.5 * p2[..., 2]
+    zeros = np.zeros_like(half)
+    return np.concatenate(
+        [
+            p2[..., :2],
+            zeros[..., None],
+            np.stack([np.cos(half), zeros, zeros, np.sin(half)], axis=-1),
+        ],
+        axis=-1,
+    )
+
+
+def pose3_to_pose2_packed(p3):
+    """Drop packed 3D poses (..., 7) to the plane (..., 3): xy and heading."""
+    p3 = np.asarray(p3, dtype=float)
+    yaw = quat_yaw(p3[..., 3:])
+    return np.concatenate([p3[..., :2], np.asarray(yaw)[..., None]], axis=-1)
+
+
+def pose3_interpolate(a, b, alpha):
+    """Point(s) at fraction alpha along the single geodesic from a to b.
+
+    ``alpha`` broadcasts against the leading axes of the packed poses.
+    """
+    step = se3_log(pose3_relative(a, b))
+    alpha = np.asarray(alpha, dtype=float)
+    return pose3_compose(a, se3_exp(alpha[..., None] * step))
+
+
 # ---------------------------------------------------------------------------
-# value types
+# pose families
 
 
-@dataclass(frozen=True)
-class Twist3:
-    """Tangent element: translational part rho, rotational part theta."""
+def _copy(p):
+    return np.array(p, dtype=float)
 
-    rho: np.ndarray
-    theta: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "rho", np.array(self.rho, dtype=float))
-        object.__setattr__(self, "theta", np.array(self.theta, dtype=float))
+@dataclass(frozen=True, eq=False)
+class Group:
+    """Vectorized operations of one pose family over packed arrays.
 
-    @classmethod
-    def from_array(cls, xi) -> "Twist3":
-        xi = np.asarray(xi, dtype=float)
-        return cls(xi[:3], xi[3:])
+    ``from_pose3``/``to_pose3`` convert to and from packed SE(3) poses,
+    the layout every track and observation is stored in.  Tangent
+    vectors put the ``trans_dim`` translation components first.
+    """
 
-    def as_array(self) -> np.ndarray:
-        return np.concatenate([self.rho, self.theta])
+    packed_dim: int
+    tangent_dim: int
+    trans_dim: int
+    identity: np.ndarray
+    compose: Callable
+    inverse: Callable
+    exp: Callable
+    log: Callable
+    adjoint: Callable
+    jr_inv: Callable
+    from_pose3: Callable
+    to_pose3: Callable
+
+    def relative(self, a, b):
+        """Transform taking frame a to frame b: a^-1 * b."""
+        return self.compose(self.inverse(a), b)
+
+    def retract(self, x, delta):
+        """Right-multiplicative update x * exp(delta)."""
+        return self.compose(x, self.exp(delta))
+
+    def between(self, meas, a, b):
+        """Tangent residual of a measured a -> b transform: log(meas^-1 * (a^-1 * b))."""
+        return self.log(self.compose(self.inverse(meas), self.relative(a, b)))
+
+
+SE2 = Group(
+    3, 3, 2, POSE2_IDENTITY,
+    pose2_compose, pose2_inverse, se2_exp, se2_log, se2_adjoint,
+    se2_right_jacobian_inv, pose3_to_pose2_packed, pose2_to_pose3_packed,
+)
+SE3 = Group(
+    7, 6, 3, POSE3_IDENTITY,
+    pose3_compose, pose3_inverse, se3_exp, se3_log, se3_adjoint,
+    se3_right_jacobian_inv, _copy, _copy,
+)
+
+
+# ---------------------------------------------------------------------------
+# value type
 
 
 @dataclass(frozen=True)
@@ -467,94 +531,13 @@ class Pose3:
         arr = np.asarray(arr, dtype=float)
         return cls(arr[3:], arr[:3])
 
-    @classmethod
-    def from_rotvec(cls, r, t=(0.0, 0.0, 0.0)) -> "Pose3":
-        return cls(quat_from_rotvec(np.asarray(r, dtype=float)), t)
-
-    @classmethod
-    def from_yaw(cls, yaw: float, t=(0.0, 0.0, 0.0)) -> "Pose3":
-        half = 0.5 * yaw
-        return cls(np.array([np.cos(half), 0.0, 0.0, np.sin(half)]), t)
-
     @property
     def packed(self) -> np.ndarray:
         return np.concatenate([self.t, self.q])
 
-    def rotation_matrix(self) -> np.ndarray:
-        return quat_to_matrix(self.q)
 
-    def apply(self, point) -> np.ndarray:
-        return self.t + quat_rotate(self.q, np.asarray(point, dtype=float))
-
-
-@dataclass(frozen=True)
-class Pose2:
-    """Planar rigid transform: heading yaw in (-pi, pi] plus xy translation."""
-
-    xy: np.ndarray
-    yaw: float
-
-    def __post_init__(self):
-        xy = np.array(self.xy, dtype=float)
-        xy.setflags(write=False)
-        object.__setattr__(self, "xy", xy)
-        object.__setattr__(self, "yaw", wrap_angle(float(self.yaw)))
-
-    @classmethod
-    def identity(cls) -> "Pose2":
-        return cls(np.zeros(2), 0.0)
-
-    @classmethod
-    def from_packed(cls, arr) -> "Pose2":
-        arr = np.asarray(arr, dtype=float)
-        return cls(arr[:2], float(arr[2]))
-
-    @property
-    def packed(self) -> np.ndarray:
-        return np.array([self.xy[0], self.xy[1], self.yaw])
-
-
-# ---------------------------------------------------------------------------
-# operations over the value types (dispatch on pose dimension)
-
-
-def compose(a, b):
-    if isinstance(a, Pose2):
-        return Pose2.from_packed(pose2_compose(a.packed, b.packed))
-    return Pose3.from_packed(pose3_compose(a.packed, b.packed))
-
-
-def inverse(p):
-    if isinstance(p, Pose2):
-        return Pose2.from_packed(pose2_inverse(p.packed))
-    return Pose3.from_packed(pose3_inverse(p.packed))
-
-
-def relative(a, b):
-    """Transform expressed in frame a that reaches frame b."""
-    if isinstance(a, Pose2):
-        return Pose2.from_packed(pose2_relative(a.packed, b.packed))
-    return Pose3.from_packed(pose3_relative(a.packed, b.packed))
-
-
-def exp(tw):
-    if isinstance(tw, Twist3):
-        return Pose3.from_packed(se3_exp(tw.as_array()))
-    xi = np.asarray(tw, dtype=float)
-    if xi.shape[-1] == 3:
-        return Pose2.from_packed(se2_exp(xi))
-    return Pose3.from_packed(se3_exp(xi))
-
-
-def log(p):
-    """Principal-branch twist of a pose (rotation magnitude <= pi)."""
-    if isinstance(p, Pose2):
-        return se2_log(p.packed)
-    return Twist3.from_array(se3_log(p.packed))
-
-
-def interpolate(a, b, alpha: float):
-    """Point at fraction alpha along the single geodesic from a to b.
+def interpolate(a: Pose3, b: Pose3, alpha: float) -> Pose3:
+    """Pose3 wrapper of :func:`pose3_interpolate`.
 
     Endpoints are returned as-is, so alpha = 0 and alpha = 1 reproduce the
     inputs bit for bit.
@@ -563,46 +546,4 @@ def interpolate(a, b, alpha: float):
         return a
     if alpha == 1.0:
         return b
-    if isinstance(a, Pose2):
-        step = alpha * se2_log(pose2_relative(a.packed, b.packed))
-        return Pose2.from_packed(pose2_compose(a.packed, se2_exp(step)))
-    step = alpha * se3_log(pose3_relative(a.packed, b.packed))
-    return Pose3.from_packed(pose3_compose(a.packed, se3_exp(step)))
-
-
-def rotation_angle_deg(p) -> float:
-    if isinstance(p, Pose2):
-        return float(np.degrees(abs(p.yaw)))
-    return float(np.degrees(rotation_angle(p.q)))
-
-
-def project_planar(p: Pose3) -> Pose2:
-    """Drop to the plane: keep xy and the heading about the vertical axis."""
-    return Pose2(p.t[:2], quat_yaw(p.q))
-
-
-def lift_planar(p: Pose2) -> Pose3:
-    """Embed a planar pose in 3D with z = 0 and a yaw-only rotation."""
-    return Pose3.from_yaw(p.yaw, np.array([p.xy[0], p.xy[1], 0.0]))
-
-
-def pose2_to_pose3_packed(p2):
-    """Array version of lift_planar for packed (..., 3) -> (..., 7)."""
-    p2 = np.asarray(p2, dtype=float)
-    half = 0.5 * p2[..., 2]
-    zeros = np.zeros_like(half)
-    return np.concatenate(
-        [
-            p2[..., :2],
-            zeros[..., None],
-            np.stack([np.cos(half), zeros, zeros, np.sin(half)], axis=-1),
-        ],
-        axis=-1,
-    )
-
-
-def pose3_to_pose2_packed(p3):
-    """Array version of project_planar for packed (..., 7) -> (..., 3)."""
-    p3 = np.asarray(p3, dtype=float)
-    yaw = quat_yaw(p3[..., 3:])
-    return np.concatenate([p3[..., :2], np.asarray(yaw)[..., None]], axis=-1)
+    return Pose3.from_packed(pose3_interpolate(a.packed, b.packed, alpha))

@@ -6,10 +6,12 @@ that placement is optimized; inter-pole spacing and collinearity are
 exact by construction.  Node 0 is gauge-fixed by default, so a problem
 with no observations keeps the raw trajectory.
 
-States are packed arrays: ``(N, 7)`` rigid transforms in full-3D mode,
-``(N, 3)`` ``[x, y, yaw]`` in planar mode.  The same packing is used for
-the landmark frame, the template, and every edge measurement, which
-keeps residual evaluation a handful of vectorized group operations.
+States are packed arrays of the graph's pose family, ``GROUPS[dof_mode]``:
+``(N, 7)`` rigid transforms (:data:`~tunnelgraph.geometry.SE3`) in
+full-3D mode, ``(N, 3)`` ``[x, y, yaw]`` (:data:`~tunnelgraph.geometry.SE2`)
+in planar mode.  The same packing is used for the landmark frame, the
+template, and every edge measurement, and every residual is the group's
+``between``, so no code below branches on the mode.
 """
 
 from __future__ import annotations
@@ -21,33 +23,7 @@ import numpy as np
 from . import geometry as geom
 from .sync import FULL3D, PLANAR, AlignedSequence, DataError
 
-ODOMETRY = "odometry"
-OBSERVATION = "observation"
-
-
-def _group(dof_mode):
-    """Vectorized group ops for the mode: (dim, compose, inverse, relative, log, exp)."""
-    if dof_mode == PLANAR:
-        return (
-            3,
-            geom.pose2_compose,
-            geom.pose2_inverse,
-            geom.pose2_relative,
-            geom.se2_log,
-            geom.se2_exp,
-        )
-    return (
-        7,
-        geom.pose3_compose,
-        geom.pose3_inverse,
-        geom.pose3_relative,
-        geom.se3_log,
-        geom.se3_exp,
-    )
-
-
-def tangent_dim(dof_mode: str) -> int:
-    return 3 if dof_mode == PLANAR else 6
+GROUPS = {PLANAR: geom.SE2, FULL3D: geom.SE3}
 
 
 @dataclass
@@ -117,16 +93,16 @@ class PoseGraph:
         return int(self.obs_meas.shape[0])
 
     @property
-    def block_dim(self) -> int:
-        return tangent_dim(self.dof_mode)
+    def group(self) -> geom.Group:
+        return GROUPS[self.dof_mode]
 
     def with_solution(self, states: np.ndarray, landmark: np.ndarray) -> "PoseGraph":
         return replace(self, states=states, landmark=landmark, raw_states=self.raw_states)
 
     def pole_world_poses(self, landmark=None) -> np.ndarray:
         """World pose of every pole under the (given) template placement."""
-        _, compose, *_ = _group(self.dof_mode)
-        return compose(self.landmark if landmark is None else landmark, self.template)
+        lf = self.landmark if landmark is None else landmark
+        return self.group.compose(lf, self.template)
 
 
 def is_connected(graph: PoseGraph) -> bool:
@@ -166,26 +142,20 @@ def build_graph(
     """Assemble the optimization problem from an aligned sequence.
 
     ``layout`` provides the fixed pole template (``layout.template()``
-    packed (P, 7)).  In planar mode every pose is projected to
-    ``[x, y, yaw]`` first.  The landmark frame starts where the first
-    observation says it is: the predicted and measured relative pose of
-    that pole coincide exactly at the initial estimate.
+    packed (P, 7)).  Every pose is converted to the mode's group first.
+    The landmark frame starts where the first observation says it is:
+    the predicted and measured relative pose of that pole coincide
+    exactly at the initial estimate.
     """
-    if mode not in (PLANAR, FULL3D):
+    if mode not in GROUPS:
         raise DataError(f"unknown graph mode {mode!r}")
     if aligned.node_count < 2:
         raise DataError("aligned sequence too short to build a graph")
 
-    template3 = layout.template()
-    planar = mode == PLANAR
-    if planar:
-        states = geom.pose3_to_pose2_packed(aligned.poses)
-        template = geom.pose3_to_pose2_packed(template3)
-        odo_meas = geom.pose3_to_pose2_packed(aligned.meas)
-    else:
-        states = aligned.poses.copy()
-        template = template3
-        odo_meas = aligned.meas.copy()
+    group = GROUPS[mode]
+    states = group.from_pose3(aligned.poses)
+    template = group.from_pose3(layout.template())
+    odo_meas = group.from_pose3(aligned.meas)
 
     n = aligned.node_count
     odo_i = np.arange(n - 1, dtype=int)
@@ -194,27 +164,21 @@ def build_graph(
     attachments = aligned.attachments
     obs_node = np.array([a[0] for a in attachments], dtype=int)
     obs_pole = np.array([a[1].pole_id for a in attachments], dtype=int)
-    if attachments:
-        rel3 = np.stack([a[1].rel for a in attachments])
-        obs_meas = geom.pose3_to_pose2_packed(rel3) if planar else rel3
-        obs_w_trans = np.array([a[1].weight_trans for a in attachments])
-        obs_w_rot = np.array([a[1].weight_rot for a in attachments])
-    else:
-        dim = 3 if planar else 7
-        obs_meas = np.zeros((0, dim))
-        obs_w_trans = np.zeros(0)
-        obs_w_rot = np.zeros(0)
-
     if np.any(obs_pole >= template.shape[0]):
         raise DataError("observed pole id missing from the template")
-
-    _, compose, inverse, _, _, _ = _group(mode)
     if attachments:
+        obs_meas = group.from_pose3(np.stack([a[1].rel for a in attachments]))
+        obs_w_trans = np.array([a[1].weight_trans for a in attachments])
+        obs_w_rot = np.array([a[1].weight_rot for a in attachments])
         node, obs = attachments[0]
-        first_rel = obs_meas[0]
-        landmark = compose(compose(states[node], first_rel), inverse(template[obs.pole_id]))
+        landmark = group.compose(
+            group.compose(states[node], obs_meas[0]), group.inverse(template[obs.pole_id])
+        )
     else:
-        landmark = (geom.POSE2_IDENTITY if planar else geom.POSE3_IDENTITY).copy()
+        obs_meas = np.zeros((0, group.packed_dim))
+        obs_w_trans = np.zeros(0)
+        obs_w_rot = np.zeros(0)
+        landmark = group.identity.copy()
 
     graph = PoseGraph(
         source=aligned.source,
@@ -251,27 +215,22 @@ def build_graph(
 def odometry_residuals(graph: PoseGraph, states=None) -> np.ndarray:
     """Tangent residual per odometry edge: log(meas^-1 * (s_i^-1 * s_j))."""
     s = graph.states if states is None else states
-    _, compose, inverse, rel, logm, _ = _group(graph.dof_mode)
-    return logm(compose(inverse(graph.odo_meas), rel(s[graph.odo_i], s[graph.odo_j])))
+    return graph.group.between(graph.odo_meas, s[graph.odo_i], s[graph.odo_j])
 
 
 def observation_residuals(graph: PoseGraph, states=None, landmark=None) -> np.ndarray:
     """Tangent residual per observation edge against the placed template."""
     s = graph.states if states is None else states
     lf = graph.landmark if landmark is None else landmark
-    _, compose, inverse, rel, logm, _ = _group(graph.dof_mode)
-    target = compose(lf, graph.template[graph.obs_pole])
-    return logm(compose(inverse(graph.obs_meas), rel(s[graph.obs_node], target)))
+    target = graph.group.compose(lf, graph.template[graph.obs_pole])
+    return graph.group.between(graph.obs_meas, s[graph.obs_node], target)
 
 
 def _split_weights(graph, residuals, w_trans, w_rot, rotation_counts: bool):
     """Per-edge weighted squared norm, translation and rotation parts."""
-    if graph.dof_mode == PLANAR:
-        sq_t = np.sum(residuals[:, :2] ** 2, axis=-1)
-        sq_r = residuals[:, 2] ** 2
-    else:
-        sq_t = np.sum(residuals[:, :3] ** 2, axis=-1)
-        sq_r = np.sum(residuals[:, 3:] ** 2, axis=-1)
+    k = graph.group.trans_dim
+    sq_t = np.sum(residuals[:, :k] ** 2, axis=-1)
+    sq_r = np.sum(residuals[:, k:] ** 2, axis=-1)
     if not rotation_counts:
         sq_r = np.zeros_like(sq_r)
     return w_trans * sq_t + w_rot * sq_r
@@ -299,30 +258,9 @@ def total_cost(graph: PoseGraph, states=None, landmark=None) -> float:
     return float(np.sum(odo)) + float(np.sum(obs))
 
 
-def edge_residual(graph: PoseGraph, kind: str, index: int):
-    """One edge's tangent residual and its cost contribution."""
-    if kind == ODOMETRY:
-        r = odometry_residuals(graph)[index]
-        contrib = _split_weights(
-            graph, r[None], graph.odo_w_trans[index : index + 1],
-            graph.odo_w_rot[index : index + 1], True,
-        )
-    elif kind == OBSERVATION:
-        r = observation_residuals(graph)[index]
-        contrib = _split_weights(
-            graph, r[None], graph.obs_w_trans[index : index + 1],
-            graph.obs_w_rot[index : index + 1], not graph.position_only,
-        )
-    else:
-        raise DataError(f"unknown edge kind {kind!r}")
-    return r, float(contrib[0])
-
-
 def retract(graph: PoseGraph, states, landmark, node_delta, landmark_delta):
     """Right-multiplicative update of all free variables."""
-    _, compose, _, _, _, expm = _group(graph.dof_mode)
-    new_states = compose(states, expm(node_delta))
-    new_landmark = (
-        landmark if landmark_delta is None else compose(landmark, expm(landmark_delta))
-    )
-    return new_states, new_landmark
+    group = graph.group
+    if landmark_delta is not None:
+        landmark = group.retract(landmark, landmark_delta)
+    return group.retract(states, node_delta), landmark

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import geometry as geom
 from .sync import PLANAR, DataError
 
 
@@ -50,8 +49,7 @@ def merged_measurements(graph):
     """Measured per-frame increments with observation splits re-composed."""
     frames = frame_node_indices(graph)
     starts, ends = frames[:-1], frames[1:]
-    planar = graph.dof_mode == PLANAR
-    compose = geom.pose2_compose if planar else geom.pose3_compose
+    compose = graph.group.compose
     merged = graph.odo_meas[starts].copy()
     for k in np.flatnonzero(ends - starts > 1):
         step = graph.odo_meas[starts[k]]
@@ -65,22 +63,16 @@ def frame_corrections(graph, states=None) -> np.ndarray:
     """Tangent correction per sensor frame: log(measured^-1 * optimized)."""
     s = graph.states if states is None else states
     merged, frames = merged_measurements(graph)
-    planar = graph.dof_mode == PLANAR
-    if planar:
-        opt_rel = geom.pose2_relative(s[frames[:-1]], s[frames[1:]])
-        return geom.se2_log(geom.pose2_compose(geom.pose2_inverse(merged), opt_rel))
-    opt_rel = geom.pose3_relative(s[frames[:-1]], s[frames[1:]])
-    return geom.se3_log(geom.pose3_compose(geom.pose3_inverse(merged), opt_rel))
+    return graph.group.between(merged, s[frames[:-1]], s[frames[1:]])
 
 
 def correction_magnitudes(graph, states=None):
     """Per-frame (translation meters, rotation degrees) correction norms."""
     corr = frame_corrections(graph, states)
-    if graph.dof_mode == PLANAR:
-        return np.linalg.norm(corr[:, :2], axis=1), np.degrees(np.abs(corr[:, 2]))
+    k = graph.group.trans_dim
     return (
-        np.linalg.norm(corr[:, :3], axis=1),
-        np.degrees(np.linalg.norm(corr[:, 3:], axis=1)),
+        np.linalg.norm(corr[:, :k], axis=1),
+        np.degrees(np.linalg.norm(corr[:, k:], axis=1)),
     )
 
 

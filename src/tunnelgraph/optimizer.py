@@ -20,9 +20,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from . import geometry as geom
 from . import graph as gmod
-from .sync import PLANAR, DataError
+from .sync import DataError
 
 ANALYTIC = "analytic"
 NUMERIC = "numeric"
@@ -82,116 +81,58 @@ class SolveStats:
 # residuals and jacobian blocks over gathered edge arrays
 
 
-def _odo_residual(planar, meas, si, sj):
-    if planar:
-        return geom.se2_log(
-            geom.pose2_compose(geom.pose2_inverse(meas), geom.pose2_relative(si, sj))
-        )
-    return geom.se3_log(
-        geom.pose3_compose(geom.pose3_inverse(meas), geom.pose3_relative(si, sj))
-    )
+def _between_blocks(group, meas, a, b):
+    """Residual ``group.between(meas, a, b)`` and its Jacobians in a and b."""
+    r = group.between(meas, a, b)
+    jb = group.jr_inv(r)
+    ja = -np.einsum("...ij,...jk->...ik", jb, group.adjoint(group.relative(b, a)))
+    return r, ja, jb
 
 
-def _obs_residual(planar, meas, si, landmark, pole):
-    if planar:
-        target = geom.pose2_compose(landmark, pole)
-        return geom.se2_log(
-            geom.pose2_compose(geom.pose2_inverse(meas), geom.pose2_relative(si, target))
-        )
-    target = geom.pose3_compose(landmark, pole)
-    return geom.se3_log(
-        geom.pose3_compose(geom.pose3_inverse(meas), geom.pose3_relative(si, target))
-    )
-
-
-def _odo_blocks_analytic(planar, meas, si, sj):
-    r = _odo_residual(planar, meas, si, sj)
-    if planar:
-        jr_inv = geom.se2_right_jacobian_inv(r)
-        adj = geom.se2_adjoint(geom.pose2_relative(sj, si))
-    else:
-        jr_inv = geom.se3_right_jacobian_inv(r)
-        adj = geom.se3_adjoint(geom.pose3_relative(sj, si))
-    jj = jr_inv
-    ji = -np.einsum("...ij,...jk->...ik", jr_inv, adj)
-    return r, ji, jj
-
-
-def _obs_blocks_analytic(planar, meas, si, landmark, pole):
-    r = _obs_residual(planar, meas, si, landmark, pole)
-    if planar:
-        target = geom.pose2_compose(landmark, pole)
-        jr_inv = geom.se2_right_jacobian_inv(r)
-        adj_i = geom.se2_adjoint(geom.pose2_relative(target, si))
-        adj_lm = geom.se2_adjoint(geom.pose2_inverse(pole))
-    else:
-        target = geom.pose3_compose(landmark, pole)
-        jr_inv = geom.se3_right_jacobian_inv(r)
-        adj_i = geom.se3_adjoint(geom.pose3_relative(target, si))
-        adj_lm = geom.se3_adjoint(geom.pose3_inverse(pole))
-    ji = -np.einsum("...ij,...jk->...ik", jr_inv, adj_i)
-    jl = np.einsum("...ij,...jk->...ik", jr_inv, adj_lm)
+def _obs_blocks_analytic(group, meas, si, landmark, pole):
+    r, ji, jt = _between_blocks(group, meas, si, group.compose(landmark, pole))
+    # landmark * exp(d) * pole = (landmark * pole) * exp(Ad(pole^-1) d)
+    jl = np.einsum("...ij,...jk->...ik", jt, group.adjoint(group.inverse(pole)))
     return r, ji, jl
 
 
-def _perturb(planar, state, delta):
-    if planar:
-        return geom.pose2_compose(state, geom.se2_exp(delta))
-    return geom.pose3_compose(state, geom.se3_exp(delta))
-
-
-def _odo_blocks_numeric(planar, meas, si, sj, step=FD_STEP):
-    r = _odo_residual(planar, meas, si, sj)
-    d = 3 if planar else 6
-    count = meas.shape[0]
-    ji = np.zeros((count, d, d))
-    jj = np.zeros((count, d, d))
+def _central_difference(group, residual, x, step):
+    """Jacobian of residual(x) under the right perturbation x * exp(delta)."""
+    d = group.tangent_dim
+    columns = []
     for k in range(d):
         e = np.zeros(d)
         e[k] = step
-        ji[:, :, k] = (
-            _odo_residual(planar, meas, _perturb(planar, si, e), sj)
-            - _odo_residual(planar, meas, _perturb(planar, si, -e), sj)
-        ) / (2.0 * step)
-        jj[:, :, k] = (
-            _odo_residual(planar, meas, si, _perturb(planar, sj, e))
-            - _odo_residual(planar, meas, si, _perturb(planar, sj, -e))
-        ) / (2.0 * step)
+        plus = residual(group.retract(x, e))
+        minus = residual(group.retract(x, -e))
+        columns.append((plus - minus) / (2.0 * step))
+    return np.stack(columns, axis=-1)
+
+
+def _odo_blocks_numeric(group, meas, si, sj, step=FD_STEP):
+    r = group.between(meas, si, sj)
+    ji = _central_difference(group, lambda x: group.between(meas, x, sj), si, step)
+    jj = _central_difference(group, lambda x: group.between(meas, si, x), sj, step)
     return r, ji, jj
 
 
-def _obs_blocks_numeric(planar, meas, si, landmark, pole, step=FD_STEP):
-    r = _obs_residual(planar, meas, si, landmark, pole)
-    d = 3 if planar else 6
-    count = meas.shape[0]
-    ji = np.zeros((count, d, d))
-    jl = np.zeros((count, d, d))
-    for k in range(d):
-        e = np.zeros(d)
-        e[k] = step
-        ji[:, :, k] = (
-            _obs_residual(planar, meas, _perturb(planar, si, e), landmark, pole)
-            - _obs_residual(planar, meas, _perturb(planar, si, -e), landmark, pole)
-        ) / (2.0 * step)
-        jl[:, :, k] = (
-            _obs_residual(planar, meas, si, _perturb(planar, landmark, e), pole)
-            - _obs_residual(planar, meas, si, _perturb(planar, landmark, -e), pole)
-        ) / (2.0 * step)
+def _obs_blocks_numeric(group, meas, si, landmark, pole, step=FD_STEP):
+    def residual(s, lm):
+        return group.between(meas, s, group.compose(lm, pole))
+
+    r = residual(si, landmark)
+    ji = _central_difference(group, lambda x: residual(x, landmark), si, step)
+    jl = _central_difference(group, lambda x: residual(si, x), landmark, step)
     return r, ji, jl
 
 
 def _weight_vectors(graph):
     """Per-component information weights, (E, d) and (M, d)."""
-    if graph.dof_mode == PLANAR:
-        odo = np.stack(
-            [graph.odo_w_trans, graph.odo_w_trans, graph.odo_w_rot], axis=-1
-        )
-        obs_rot = np.zeros_like(graph.obs_w_rot) if graph.position_only else graph.obs_w_rot
-        obs = np.stack([graph.obs_w_trans, graph.obs_w_trans, obs_rot], axis=-1)
-    else:
-        odo = np.stack([graph.odo_w_trans] * 3 + [graph.odo_w_rot] * 3, axis=-1)
-        obs_rot = np.zeros_like(graph.obs_w_rot) if graph.position_only else graph.obs_w_rot
-        obs = np.stack([graph.obs_w_trans] * 3 + [obs_rot] * 3, axis=-1)
+    k = graph.group.trans_dim
+    n_rot = graph.group.tangent_dim - k
+    obs_rot = np.zeros_like(graph.obs_w_rot) if graph.position_only else graph.obs_w_rot
+    odo = np.stack([graph.odo_w_trans] * k + [graph.odo_w_rot] * n_rot, axis=-1)
+    obs = np.stack([graph.obs_w_trans] * k + [obs_rot] * n_rot, axis=-1)
     return odo, obs
 
 
@@ -230,7 +171,7 @@ class _Assembler:
 
     def __init__(self, graph):
         n = graph.node_count
-        d = graph.block_dim
+        d = graph.group.tangent_dim
         self.d = d
         bid = np.arange(n, dtype=int)
         bid[graph.gauge_index] = -1
@@ -349,23 +290,19 @@ class _Assembler:
 
 
 def _linearize(graph, states, landmark, numeric: bool):
-    planar = graph.dof_mode == PLANAR
-    si = states[graph.odo_i]
-    sj = states[graph.odo_j]
-    if numeric:
-        r_odo, ji_o, jj_o = _odo_blocks_numeric(planar, graph.odo_meas, si, sj)
-    else:
-        r_odo, ji_o, jj_o = _odo_blocks_analytic(planar, graph.odo_meas, si, sj)
-
+    group = graph.group
+    odo_blocks = _odo_blocks_numeric if numeric else _between_blocks
+    obs_blocks = _obs_blocks_numeric if numeric else _obs_blocks_analytic
+    r_odo, ji_o, jj_o = odo_blocks(
+        group, graph.odo_meas, states[graph.odo_i], states[graph.odo_j]
+    )
     if graph.obs_count:
-        so = states[graph.obs_node]
-        pole = graph.template[graph.obs_pole]
-        if numeric:
-            r_obs, ji_s, jl_s = _obs_blocks_numeric(planar, graph.obs_meas, so, landmark, pole)
-        else:
-            r_obs, ji_s, jl_s = _obs_blocks_analytic(planar, graph.obs_meas, so, landmark, pole)
+        r_obs, ji_s, jl_s = obs_blocks(
+            group, graph.obs_meas, states[graph.obs_node], landmark,
+            graph.template[graph.obs_pole],
+        )
     else:
-        d = graph.block_dim
+        d = group.tangent_dim
         r_obs = np.zeros((0, d))
         ji_s = jl_s = np.zeros((0, d, d))
     return r_odo, ji_o, jj_o, r_obs, ji_s, jl_s
@@ -488,12 +425,12 @@ def check_jacobians(graph, probe_count: int = 100, seed: int = 0, step: float = 
     generic operating points rather than the near-identity regime.
     """
     rng = np.random.default_rng(seed)
-    planar = graph.dof_mode == PLANAR
-    d = graph.block_dim
+    group = graph.group
+    d = group.tangent_dim
     n = graph.node_count
 
     # rotational spread stays well below pi so the log map is smooth at probes
-    spread = np.array([0.5] * (2 if planar else 3) + [0.25] * (1 if planar else 3))
+    spread = np.array([0.5] * group.trans_dim + [0.25] * (d - group.trans_dim))
     node_delta = rng.uniform(-1.0, 1.0, (n, d)) * spread
     lm_delta = rng.uniform(-1.0, 1.0, d) * spread
     states, landmark = gmod.retract(
@@ -507,17 +444,19 @@ def check_jacobians(graph, probe_count: int = 100, seed: int = 0, step: float = 
 
     worst = 0.0
     if odo_idx.size:
-        meas = graph.odo_meas[odo_idx]
-        si = states[graph.odo_i[odo_idx]]
-        sj = states[graph.odo_j[odo_idx]]
-        _, ji_a, jj_a = _odo_blocks_analytic(planar, meas, si, sj)
-        _, ji_n, jj_n = _odo_blocks_numeric(planar, meas, si, sj, step)
+        args = (
+            group, graph.odo_meas[odo_idx],
+            states[graph.odo_i[odo_idx]], states[graph.odo_j[odo_idx]],
+        )
+        _, ji_a, jj_a = _between_blocks(*args)
+        _, ji_n, jj_n = _odo_blocks_numeric(*args, step)
         worst = max(worst, float(np.abs(ji_a - ji_n).max()), float(np.abs(jj_a - jj_n).max()))
     if obs_idx.size:
-        meas = graph.obs_meas[obs_idx]
-        si = states[graph.obs_node[obs_idx]]
-        pole = graph.template[graph.obs_pole[obs_idx]]
-        _, ji_a, jl_a = _obs_blocks_analytic(planar, meas, si, landmark, pole)
-        _, ji_n, jl_n = _obs_blocks_numeric(planar, meas, si, landmark, pole, step)
+        args = (
+            group, graph.obs_meas[obs_idx], states[graph.obs_node[obs_idx]],
+            landmark, graph.template[graph.obs_pole[obs_idx]],
+        )
+        _, ji_a, jl_a = _obs_blocks_analytic(*args)
+        _, ji_n, jl_n = _obs_blocks_numeric(*args, step)
         worst = max(worst, float(np.abs(ji_a - ji_n).max()), float(np.abs(jl_a - jl_n).max()))
     return worst

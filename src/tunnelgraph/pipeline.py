@@ -28,7 +28,7 @@ from . import optimizer as opt
 from . import simulate as sim
 from . import sync
 from .config import ScenarioConfig, format_config, parse_config
-from .sync import DataError, PLANAR
+from .sync import DataError
 
 GROUND_TRUTH_FILE = "ground_truth.txt"
 OBSERVATIONS_FILE = "observations.txt"
@@ -204,10 +204,7 @@ def node_track(graph: gmod.PoseGraph, source: str, rate: float) -> sync.Odometry
     Planar states gain z = 0 and a yaw-only quaternion so every track
     file shares one shape regardless of mode.
     """
-    if graph.dof_mode == PLANAR:
-        poses = geom.pose2_to_pose3_packed(graph.states)
-    else:
-        poses = graph.states
+    poses = graph.group.to_pose3(graph.states)
     return sync.OdometryTrack(source, rate, graph.dof_mode, graph.times.copy(), poses)
 
 
@@ -322,27 +319,7 @@ def report_run(run_dir, out_dir=None, written=None):
 
 
 # ---------------------------------------------------------------------------
-# convenience wrappers used by tests
-
-
-def run_scenario(cfg: ScenarioConfig, out_dir):
-    """simulate + optimize every source + report, all through the files."""
-    written = []
-    artifacts = simulate_scenario(cfg, out_dir, written)
-    results = {}
-    for name, src in artifacts.sources.items():
-        result = optimize_track(
-            src.track,
-            artifacts.observations,
-            mode=src.noise.dof_mode,
-            layout=cfg.layout,
-            settings=cfg.solver,
-            position_only=cfg.position_only,
-        )
-        write_optimization(out_dir, name, result, written)
-        results[name] = result
-    reports, _ = report_run(out_dir, written=written)
-    return artifacts, results, reports
+# calibration recovery
 
 
 def recovery_run(noise: sim.NoiseProfile, seed: int, profile=None, layout=None):

@@ -355,10 +355,7 @@ def simulate_landmark_observations(
             alpha = (tick - track.times[left]) / (
                 track.times[right] - track.times[left]
             )
-            step = geom.se3_log(
-                geom.pose3_relative(track.poses[left], track.poses[right])
-            )
-            robot = geom.pose3_compose(track.poses[left], geom.se3_exp(alpha * step))
+            robot = geom.pose3_interpolate(track.poses[left], track.poses[right], alpha)
 
         rel = geom.pose3_relative(robot, pole_world)
         dist = np.linalg.norm(rel[:, :3], axis=1)

@@ -11,6 +11,7 @@ per-frame statistics later undo the split by re-merging.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -21,8 +22,9 @@ PLANAR = "planar"
 FULL3D = "full3d"
 DOF_MODES = (PLANAR, FULL3D)
 
-# a frame gap longer than this multiple of the nominal period is a dropout
-DROPOUT_FACTOR = 1.25
+# largest accepted | |q| - 1 | of an input quaternion; inputs are not
+# renormalized, so a 17-digit write/read cycle stays bit-faithful
+QUAT_NORM_TOLERANCE = 1.0e-6
 
 
 class DataError(ValueError):
@@ -57,6 +59,12 @@ class OdometryTrack:
             raise DataError(f"track {self.source!r}: needs at least two frames")
         if np.any(np.diff(times) <= 0.0):
             raise DataError(f"track {self.source!r}: timestamps must strictly increase")
+        # NaN norms pass: a poisoned pose is a numerical failure, reported downstream
+        gap = np.abs(np.linalg.norm(poses[:, 3:], axis=1) - 1.0)
+        if np.any(gap > QUAT_NORM_TOLERANCE):
+            raise DataError(
+                f"track {self.source!r}: quaternion norm off unit by {np.nanmax(gap):.3g}"
+            )
         times.setflags(write=False)
         poses.setflags(write=False)
         object.__setattr__(self, "times", times)
@@ -69,9 +77,6 @@ class OdometryTrack:
     @property
     def duration(self) -> float:
         return float(self.times[-1] - self.times[0])
-
-    def pose(self, index: int) -> geom.Pose3:
-        return geom.Pose3.from_packed(self.poses[index])
 
 
 @dataclass(frozen=True)
@@ -90,6 +95,9 @@ class LandmarkObservation:
             raise DataError("observation pose must be packed (7,)")
         if self.weight_trans < 0.0 or self.weight_rot < 0.0:
             raise DataError("observation information weights must be non-negative")
+        gap = abs(math.hypot(*rel[3:].tolist()) - 1.0)
+        if gap > QUAT_NORM_TOLERANCE:
+            raise DataError(f"observation quaternion norm off unit by {gap:.3g}")
         rel.setflags(write=False)
         object.__setattr__(self, "rel", rel)
         object.__setattr__(self, "pole_id", int(self.pole_id))
@@ -159,11 +167,8 @@ def align(
         right = np.searchsorted(track.times, extra)
         left = right - 1
         alpha = (extra - track.times[left]) / (track.times[right] - track.times[left])
-        step = geom.se3_log(
-            geom.pose3_relative(track.poses[left], track.poses[right])
-        )
-        poses[~is_frame] = geom.pose3_compose(
-            track.poses[left], geom.se3_exp(alpha[:, None] * step)
+        poses[~is_frame] = geom.pose3_interpolate(
+            track.poses[left], track.poses[right], alpha
         )
 
     meas = geom.pose3_relative(poses[:-1], poses[1:])
@@ -185,14 +190,6 @@ def align(
         meas_weight_rot=w_rot,
         attachments=attachments,
     )
-
-
-def detect_dropouts(track: OdometryTrack, factor: float = DROPOUT_FACTOR):
-    """Frame gaps longer than ``factor`` nominal periods: (start_time, gap)."""
-    gaps = np.diff(track.times)
-    threshold = factor / track.rate
-    hits = np.flatnonzero(gaps > threshold)
-    return [(float(track.times[k]), float(gaps[k])) for k in hits]
 
 
 def with_weights(obs: LandmarkObservation, weight_trans: float, weight_rot: float):

@@ -192,6 +192,26 @@ class TestExitCodes:
         assert "numerical" in proc.stderr
 
 
+    def test_non_unit_quaternion_exits_2(self, tmp_path):
+        cfg = write_config(tmp_path, SMALL_CONFIG)
+        out = tmp_path / "run"
+        run_cli("simulate", "--config", cfg, "--out", str(out))
+        lines = (out / "dvso_raw.txt").read_text().splitlines()
+        row = next(k for k, ln in enumerate(lines) if not ln.startswith("#"))
+        fields = lines[row].split()
+        fields[7] = "2"  # qw, scalar-last on disk
+        lines[row] = " ".join(fields)
+        (out / "dvso_raw.txt").write_text("\n".join(lines) + "\n")
+        proc = run_cli(
+            "optimize",
+            "--track", str(out / "dvso_raw.txt"),
+            "--observations", str(out / "observations.txt"),
+            "--out", str(out),
+        )
+        assert proc.returncode == 2
+        assert "quaternion" in proc.stderr
+
+
 class TestCleanup:
     def test_failed_simulate_removes_partial_outputs(self, tmp_path, monkeypatch):
         # fail after some files were already written

@@ -125,6 +125,21 @@ class TestObservations:
             assert b.weight_trans == a.weight_trans
             assert b.weight_rot == a.weight_rot
 
+    def test_mixed_weights_round_trip(self, tmp_path):
+        rel = np.array([1.0, -0.5, 0.0, 1.0, 0.0, 0.0, 0.0])
+        observations = [
+            sync.LandmarkObservation(0, 0.5, rel, 5.0, 6.0),
+            sync.LandmarkObservation(1, 1.0, rel, 7.0, 8.0),
+        ]
+        path = tmp_path / "obs.txt"
+        fileio.write_observations(path, observations)
+        back = fileio.read_observations(path)
+        assert [(o.weight_trans, o.weight_rot) for o in back] == [(5.0, 6.0), (7.0, 8.0)]
+        # uniform weights keep the header-only layout of nine fields per line
+        fileio.write_observations(path, observations[:1])
+        assert "# weight_trans: 5" in path.read_text()
+        assert len(path.read_text().splitlines()[-1].split()) == 9
+
     def test_hand_written(self, tmp_path):
         path = tmp_path / "obs.txt"
         path.write_text("3.5 2 1.0 -0.5 0.0 0.0 0.0 0.0 1.0\n")

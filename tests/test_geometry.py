@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tunnelgraph import geometry as g
-from tunnelgraph.geometry import Pose2, Pose3, Twist3
+from tunnelgraph.geometry import SE2, SE3, Pose3
 
 
 def rodrigues(axis, angle):
@@ -23,7 +25,13 @@ def random_pose(rng, trans_scale=5.0, max_angle=3.0):
     axis = rng.normal(size=3)
     axis /= np.linalg.norm(axis)
     angle = rng.uniform(0.0, max_angle)
-    return Pose3.from_rotvec(axis * angle, rng.normal(size=3) * trans_scale)
+    return Pose3(g.quat_from_rotvec(axis * angle), rng.normal(size=3) * trans_scale)
+
+
+def random_pose2(rng, count, trans_scale=5.0):
+    return np.column_stack(
+        [rng.normal(size=(count, 2)) * trans_scale, rng.uniform(-np.pi, np.pi, count)]
+    )
 
 
 def test_wrap_angle_half_open_interval():
@@ -40,7 +48,7 @@ def test_quaternion_normalized_after_operations():
     rng = np.random.default_rng(1)
     p = Pose3.identity()
     for _ in range(200):
-        p = g.compose(p, random_pose(rng))
+        p = Pose3.from_packed(g.pose3_compose(p.packed, random_pose(rng).packed))
         assert abs(np.linalg.norm(p.q) - 1.0) < 1e-9
     assert p.q[0] >= 0.0
 
@@ -48,58 +56,52 @@ def test_quaternion_normalized_after_operations():
 def test_compose_identity_and_inverse():
     rng = np.random.default_rng(2)
     for _ in range(50):
-        p = random_pose(rng)
-        e = g.compose(p, g.inverse(p))
-        assert np.linalg.norm(e.t) < 1e-12
-        assert g.rotation_angle(e.q) < 1e-12
-        i = g.compose(p, Pose3.identity())
-        assert np.allclose(i.t, p.t, atol=1e-15)
+        p = random_pose(rng).packed
+        e = g.pose3_compose(p, g.pose3_inverse(p))
+        assert np.linalg.norm(e[:3]) < 1e-12
+        assert g.rotation_angle(e[3:]) < 1e-12
+        i = g.pose3_compose(p, g.POSE3_IDENTITY)
+        assert np.allclose(i, p, atol=1e-15)
 
 
 def test_compose_associative():
     rng = np.random.default_rng(3)
     for _ in range(30):
-        a, b, c = (random_pose(rng) for _ in range(3))
-        lhs = g.compose(g.compose(a, b), c)
-        rhs = g.compose(a, g.compose(b, c))
-        assert np.allclose(lhs.t, rhs.t, atol=1e-9)
-        assert np.allclose(lhs.q, rhs.q, atol=1e-12)
+        a, b, c = (random_pose(rng).packed for _ in range(3))
+        lhs = g.pose3_compose(g.pose3_compose(a, b), c)
+        rhs = g.pose3_compose(a, g.pose3_compose(b, c))
+        assert np.allclose(lhs[:3], rhs[:3], atol=1e-9)
+        assert np.allclose(lhs[3:], rhs[3:], atol=1e-12)
 
 
 def test_relative_reaches_target():
     rng = np.random.default_rng(4)
     for _ in range(50):
-        a, b = random_pose(rng), random_pose(rng)
-        back = g.compose(a, g.relative(a, b))
-        assert np.allclose(back.t, b.t, atol=1e-9)
-        assert np.allclose(back.q, b.q, atol=1e-12)
+        a, b = random_pose(rng).packed, random_pose(rng).packed
+        back = g.pose3_compose(a, g.pose3_relative(a, b))
+        assert np.allclose(back[:3], b[:3], atol=1e-9)
+        assert np.allclose(back[3:], b[3:], atol=1e-12)
 
 
 def test_exp_log_roundtrip_1000_twists():
     rng = np.random.default_rng(5)
-    worst = 0.0
-    for _ in range(1000):
-        axis = rng.normal(size=3)
-        axis /= np.linalg.norm(axis)
-        theta = axis * rng.uniform(0.0, 3.0)
-        rho = rng.normal(size=3) * rng.uniform(0.0, 10.0)
-        tw = Twist3(rho, theta)
-        back = g.log(g.exp(tw))
-        worst = max(worst, np.abs(back.as_array() - tw.as_array()).max())
-    assert worst < 1e-9
+    axis = rng.normal(size=(1000, 3))
+    axis /= np.linalg.norm(axis, axis=1, keepdims=True)
+    theta = axis * rng.uniform(0.0, 3.0, (1000, 1))
+    rho = rng.normal(size=(1000, 3)) * rng.uniform(0.0, 10.0, (1000, 1))
+    xi = np.concatenate([rho, theta], axis=1)
+    assert np.abs(g.se3_log(g.se3_exp(xi)) - xi).max() < 1e-9
 
 
 def test_log_zero_rotation_small_angle_branch():
-    tw = Twist3([1.0, -2.0, 0.5], [0.0, 0.0, 0.0])
-    p = g.exp(tw)
-    assert np.allclose(p.t, tw.rho, atol=1e-15)
-    back = g.log(p)
-    assert np.allclose(back.as_array(), tw.as_array(), atol=1e-12)
+    xi = np.array([1.0, -2.0, 0.5, 0.0, 0.0, 0.0])
+    p = g.se3_exp(xi)
+    assert np.allclose(p[:3], xi[:3], atol=1e-15)
+    assert np.allclose(g.se3_log(p), xi, atol=1e-12)
     # continuity across the series cutoff
     for mag in (1e-9, 1e-6, 9e-5, 2e-4, 1e-2):
-        tw = Twist3([0.3, 0.1, -0.2], np.array([0.6, -0.8, 0.0]) * mag)
-        back = g.log(g.exp(tw))
-        assert np.abs(back.as_array() - tw.as_array()).max() < 1e-12
+        xi = np.array([0.3, 0.1, -0.2, 0.6 * mag, -0.8 * mag, 0.0])
+        assert np.abs(g.se3_log(g.se3_exp(xi)) - xi).max() < 1e-12
 
 
 def test_log_at_pi_deterministic_branch():
@@ -123,10 +125,10 @@ def test_rotation_angle_matches_trace_oracle():
     for _ in range(100):
         axis = rng.normal(size=3)
         angle = rng.uniform(0.0, np.pi)
-        p = Pose3.from_rotvec(axis / np.linalg.norm(axis) * angle)
+        q = g.quat_from_rotvec(axis / np.linalg.norm(axis) * angle)
         R = rodrigues(axis, angle)
         oracle = np.degrees(np.arccos(np.clip((np.trace(R) - 1.0) / 2.0, -1.0, 1.0)))
-        assert g.rotation_angle_deg(p) == pytest.approx(oracle, abs=1e-6)
+        assert np.degrees(g.rotation_angle(q)) == pytest.approx(oracle, abs=1e-6)
 
 
 def test_rotation_matrix_matches_rodrigues():
@@ -134,8 +136,8 @@ def test_rotation_matrix_matches_rodrigues():
     for _ in range(50):
         axis = rng.normal(size=3)
         angle = rng.uniform(0.0, np.pi)
-        p = Pose3.from_rotvec(axis / np.linalg.norm(axis) * angle)
-        assert np.allclose(p.rotation_matrix(), rodrigues(axis, angle), atol=1e-12)
+        q = g.quat_from_rotvec(axis / np.linalg.norm(axis) * angle)
+        assert np.allclose(g.quat_to_matrix(q), rodrigues(axis, angle), atol=1e-12)
 
 
 def test_interpolate_endpoints_bit_exact():
@@ -151,15 +153,20 @@ def test_interpolate_is_single_geodesic():
     # quarter-turn plus offset: the screw path is a circular arc, so the
     # midpoint bulges sideways where separate-lerp of parts would give y = 0
     a = Pose3.identity()
-    b = Pose3.from_yaw(np.pi / 2.0, [1.0, 0.0, 0.0])
+    b = Pose3.from_packed(SE2.to_pose3([1.0, 0.0, np.pi / 2.0]))
     mid = g.interpolate(a, b, 0.5)
-    step = g.log(g.relative(a, b)).as_array()
+    step = g.se3_log(g.pose3_relative(a.packed, b.packed))
     expect = g.se3_exp(0.5 * step)
     assert np.allclose(mid.packed, expect, atol=1e-12)
     assert abs(mid.t[1]) > 0.1
     # consistency: two half steps chain to the endpoint
-    end = g.compose(mid, g.exp(Twist3.from_array(0.5 * step)))
-    assert np.allclose(end.t, b.t, atol=1e-12)
+    end = g.pose3_compose(mid.packed, g.se3_exp(0.5 * step))
+    assert np.allclose(end[:3], b.t, atol=1e-12)
+    # the array form takes one fraction per pose pair
+    batch = g.pose3_interpolate(
+        np.stack([a.packed] * 3), np.stack([b.packed] * 3), [0.0, 0.5, 1.0]
+    )
+    assert np.allclose(batch, [a.packed, mid.packed, b.packed], atol=1e-12)
 
 
 def test_interpolate_monotone_along_straight_line():
@@ -175,43 +182,42 @@ def test_yaw_projection_matches_euler_oracle():
     rng = np.random.default_rng(9)
     for _ in range(100):
         p = random_pose(rng)
-        R = p.rotation_matrix()
+        R = g.quat_to_matrix(p.q)
         oracle = np.arctan2(R[1, 0], R[0, 0])
-        assert g.project_planar(p).yaw == pytest.approx(oracle, abs=1e-12)
-    roll5_yaw30 = g.compose(
-        Pose3.from_yaw(np.radians(30.0)),
-        Pose3.from_rotvec([np.radians(5.0), 0.0, 0.0]),
+        assert SE2.from_pose3(p.packed)[2] == pytest.approx(oracle, abs=1e-12)
+    roll5_yaw30 = g.pose3_compose(
+        SE2.to_pose3([0.0, 0.0, np.radians(30.0)]),
+        np.concatenate([np.zeros(3), g.quat_from_rotvec([np.radians(5.0), 0.0, 0.0])]),
     )
-    assert g.project_planar(roll5_yaw30).yaw == pytest.approx(np.radians(30.0), abs=1e-6)
+    assert SE2.from_pose3(roll5_yaw30)[2] == pytest.approx(np.radians(30.0), abs=1e-6)
 
 
 def test_project_lift_identity_for_planar_poses():
     rng = np.random.default_rng(10)
-    for _ in range(30):
-        p2 = Pose2(rng.normal(size=2) * 10.0, rng.uniform(-np.pi, np.pi))
-        back = g.project_planar(g.lift_planar(p2))
-        assert np.allclose(back.xy, p2.xy, atol=1e-12)
-        assert back.yaw == pytest.approx(p2.yaw, abs=1e-12)
+    p2 = random_pose2(rng, 30, trans_scale=10.0)
+    lifted = SE2.to_pose3(p2)
+    np.testing.assert_array_equal(lifted[:, 2], 0.0)  # z
+    np.testing.assert_array_equal(lifted[:, 4:6], 0.0)  # qx, qy
+    back = SE2.from_pose3(lifted)
+    assert np.allclose(back[:, :2], p2[:, :2], atol=1e-12)
+    assert np.abs(g.wrap_angle(back[:, 2] - p2[:, 2])).max() < 1e-12
 
 
 def test_pose2_ops_agree_with_projected_pose3():
     rng = np.random.default_rng(11)
-    for _ in range(50):
-        a2 = Pose2(rng.normal(size=2) * 5.0, rng.uniform(-np.pi, np.pi))
-        b2 = Pose2(rng.normal(size=2) * 5.0, rng.uniform(-np.pi, np.pi))
-        via2 = g.compose(a2, b2)
-        via3 = g.project_planar(g.compose(g.lift_planar(a2), g.lift_planar(b2)))
-        assert np.allclose(via2.xy, via3.xy, atol=1e-9)
-        assert g.wrap_angle(via2.yaw - via3.yaw) == pytest.approx(0.0, abs=1e-9)
-        r2 = g.relative(a2, b2)
-        r3 = g.project_planar(g.relative(g.lift_planar(a2), g.lift_planar(b2)))
-        assert np.allclose(r2.xy, r3.xy, atol=1e-9)
-        mid2 = g.interpolate(a2, b2, 0.37)
-        mid3 = g.project_planar(
-            g.interpolate(g.lift_planar(a2), g.lift_planar(b2), 0.37)
-        )
-        assert np.allclose(mid2.xy, mid3.xy, atol=1e-9)
-        assert g.wrap_angle(mid2.yaw - mid3.yaw) == pytest.approx(0.0, abs=1e-9)
+    a2, b2 = random_pose2(rng, 50), random_pose2(rng, 50)
+    a3, b3 = SE2.to_pose3(a2), SE2.to_pose3(b2)
+
+    def same_planar(x2, x3):
+        y2 = SE2.from_pose3(x3)
+        assert np.allclose(x2[:, :2], y2[:, :2], atol=1e-9)
+        assert np.abs(g.wrap_angle(x2[:, 2] - y2[:, 2])).max() < 1e-9
+
+    same_planar(SE2.compose(a2, b2), SE3.compose(a3, b3))
+    same_planar(SE2.relative(a2, b2), SE3.relative(a3, b3))
+    # geodesic point at 0.37: planar exp/log against the lifted screw motion
+    mid2 = SE2.retract(a2, 0.37 * SE2.log(SE2.relative(a2, b2)))
+    same_planar(mid2, g.pose3_interpolate(a3, b3, 0.37))
 
 
 def test_se2_exp_log_roundtrip():
@@ -283,3 +289,31 @@ def test_pose_values_immutable():
         p.t[0] = 1.0
     with pytest.raises(AttributeError):
         p.q = np.zeros(4)
+
+
+def tangent(group):
+    """Tangent vectors with translation up to 7.5 and rotation well below pi."""
+    d, k = group.tangent_dim, group.trans_dim
+    scale = np.array([5.0] * k + [1.0] * (d - k))
+    component = st.floats(-1.5, 1.5, allow_nan=False, allow_infinity=False)
+    return st.lists(component, min_size=d, max_size=d).map(lambda v: np.array(v) * scale)
+
+
+@pytest.mark.parametrize("group", [pytest.param(SE2, id="SE2"), pytest.param(SE3, id="SE3")])
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_group_identities(group, data):
+    xi, eta, zeta = (data.draw(tangent(group)) for _ in range(3))
+    assert np.allclose(group.log(group.exp(xi)), xi, atol=1e-9)
+
+    a, meas = group.exp(eta), group.exp(zeta)
+    assert np.abs(group.between(meas, a, group.compose(a, meas))).max() < 1e-9
+
+    # x * exp(xi) * x^-1 = exp(Ad_x xi)
+    lhs = group.compose(group.compose(a, group.exp(xi)), group.inverse(a))
+    rhs = group.exp(group.adjoint(a) @ xi)
+    assert np.abs(group.between(lhs, group.identity, rhs)).max() < 1e-9
+
+    back = group.from_pose3(group.to_pose3(a))
+    assert back.shape == (group.packed_dim,)
+    assert np.abs(group.log(group.relative(a, back))).max() < 1e-12

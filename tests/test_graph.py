@@ -144,10 +144,12 @@ class TestResiduals:
             obs_meas=np.zeros((0, 7)),
             obs_w_trans=np.array([]), obs_w_rot=np.array([]),
         )
-        r, cost = gmod.edge_residual(graph, gmod.ODOMETRY, 0)
+        (r,) = gmod.odometry_residuals(graph)
         np.testing.assert_allclose(r, [-0.1, 0, 0, 0, 0, 0], atol=1e-15)
-        assert cost == pytest.approx(4.0 * 0.1 * 0.1)
-        assert gmod.total_cost(graph) == pytest.approx(cost)
+        odo, obs = gmod.per_edge_costs(graph)
+        assert odo[0] == pytest.approx(4.0 * 0.1 * 0.1)
+        assert obs.size == 0
+        assert gmod.total_cost(graph) == pytest.approx(odo[0])
 
     def test_residual_matches_direct_log(self):
         rng = np.random.default_rng(5)

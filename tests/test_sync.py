@@ -10,7 +10,6 @@ from tunnelgraph.sync import (
     LandmarkObservation,
     OdometryTrack,
     align,
-    detect_dropouts,
     with_weights,
 )
 
@@ -83,7 +82,7 @@ class TestAlign:
         times = np.array([0.0, 1.0])
         poses = np.stack([
             geom.POSE3_IDENTITY,
-            geom.Pose3.from_yaw(np.pi / 2, (1.0, 1.0, 0.0)).packed,
+            geom.SE2.to_pose3([1.0, 1.0, np.pi / 2]),
         ])
         track = OdometryTrack("arc", 1.0, "full3d", times, poses)
         out = align(track, [obs_at(0.5)])
@@ -108,24 +107,6 @@ class TestAlign:
         assert np.all(out.meas_weight_rot == 9.0)
 
 
-class TestDropouts:
-    def test_clean_track_has_none(self):
-        assert detect_dropouts(small_track()) == []
-
-    def test_missing_frame_is_flagged(self):
-        track = small_track(rate=5.0, frames=11)
-        keep = np.ones(11, dtype=bool)
-        keep[4] = False
-        holey = OdometryTrack(
-            "holey", 5.0, "planar", track.times[keep], track.poses[keep]
-        )
-        hits = detect_dropouts(holey)
-        assert len(hits) == 1
-        start, gap = hits[0]
-        assert start == track.times[3]
-        assert abs(gap - 0.4) < 1e-12
-
-
 class TestTypes:
     def test_track_validation(self):
         times = np.array([0.0, 0.1])
@@ -140,6 +121,13 @@ class TestTypes:
             OdometryTrack("x", 5.0, "planar", times[::-1], poses)
         with pytest.raises(DataError):
             OdometryTrack("x", 5.0, "planar", times, poses[:, :3])
+        off_unit = poses.copy()
+        off_unit[1, 3] = 1.0 + 2e-6
+        with pytest.raises(DataError):
+            OdometryTrack("x", 5.0, "planar", times, off_unit)
+        # within tolerance: accepted and stored unchanged, not renormalized
+        off_unit[1, 3] = 1.0 + 5e-7
+        assert OdometryTrack("x", 5.0, "planar", times, off_unit).poses[1, 3] == 1.0 + 5e-7
 
     def test_track_is_write_protected(self):
         track = small_track()
@@ -152,14 +140,14 @@ class TestTypes:
         track = small_track(rate=5.0, frames=11)
         assert track.frame_count == 11
         assert abs(track.duration - 2.0) < 1e-12
-        assert isinstance(track.pose(3), geom.Pose3)
-        assert abs(track.pose(3).t[0] - 0.3) < 1e-12
 
     def test_observation_validation(self):
         with pytest.raises(DataError):
             LandmarkObservation(0, 0.0, np.zeros(6))
         with pytest.raises(DataError):
             LandmarkObservation(0, 0.0, geom.POSE3_IDENTITY, weight_trans=-1.0)
+        with pytest.raises(DataError):
+            LandmarkObservation(0, 0.0, [0, 0, 0, 2.0, 0, 0, 0])
         # zero weight is a legal informationless probe
         probe = LandmarkObservation(0, 0.0, geom.POSE3_IDENTITY, weight_trans=0.0)
         assert probe.weight_trans == 0.0
