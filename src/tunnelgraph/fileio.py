@@ -21,7 +21,7 @@ from .graph import GROUPS, PoseGraph
 from .metrics import ErrorReport
 from .optimizer import SolveStats
 from .simulate import NoiseInjection
-from .sync import PLANAR, DOF_MODES, DataError, LandmarkObservation, OdometryTrack
+from .sync import PLANAR, DOF_MODES, DataError, ObservationSet, OdometryTrack, SightingError
 
 FLOAT_FMT = "%.17g"
 
@@ -136,51 +136,56 @@ def read_track(path) -> OdometryTrack:
 # landmark observations
 
 
-def write_observations(path, observations) -> None:
+def write_observations(path, observations: ObservationSet) -> None:
     """Uniform weights go in a header; mixed weights get per-line columns."""
-    per_line = len({(_fmt(o.weight_trans), _fmt(o.weight_rot)) for o in observations}) > 1
+    weights = list(zip(map(_fmt, observations.w_trans), map(_fmt, observations.w_rot)))
+    per_line = len(set(weights)) > 1
     columns = "timestamp pole_id tx ty tz qx qy qz qw"
     with open(path, "w", encoding="utf-8") as fh:
         if per_line:
             fh.write(f"# columns: {columns} weight_trans weight_rot\n")
         else:
             fh.write(f"# columns: {columns}\n")
-            if observations:
-                fh.write(f"# weight_trans: {_fmt(observations[0].weight_trans)}\n")
-                fh.write(f"# weight_rot: {_fmt(observations[0].weight_rot)}\n")
-        for obs in observations:
-            fields = [_fmt(obs.timestamp), str(obs.pole_id)] + _pose_fields(obs.rel)
+            if weights:
+                fh.write(f"# weight_trans: {weights[0][0]}\n")
+                fh.write(f"# weight_rot: {weights[0][1]}\n")
+        rows = zip(observations.times, observations.pole_ids, observations.rel, weights)
+        for t, pole_id, rel, pair in rows:
+            fields = [_fmt(t), str(pole_id)] + _pose_fields(rel)
             if per_line:
-                fields += [_fmt(obs.weight_trans), _fmt(obs.weight_rot)]
+                fields += list(pair)
             fh.write(" ".join(fields) + "\n")
 
 
-def read_observations(path):
+def read_observations(path) -> ObservationSet:
     """Reads either layout: 9 fields with header weights, or 11 with per-line weights."""
     headers, content = _split_headers(_read_lines(path), path)
     try:
-        w_trans = float(headers.get("weight_trans", "1"))
-        w_rot = float(headers.get("weight_rot", "1"))
+        header_weights = [float(headers.get(k, "1")) for k in ("weight_trans", "weight_rot")]
     except ValueError:
         raise DataError(f"{path}: malformed weight header") from None
-    out = []
-    for lineno, parts in content:
+    count = len(content)
+    times = np.empty(count)
+    pole_ids = np.empty(count, dtype=int)
+    rel = np.empty((count, 7))
+    weights = np.empty((count, 2))
+    for row, (lineno, parts) in enumerate(content):
         if len(parts) not in (9, 11):
             raise DataError(f"{path}:{lineno}: expected 9 or 11 fields, got {len(parts)}")
         try:
-            timestamp = float(parts[0])
-            pole_id = int(parts[1])
-            weights = [float(p) for p in parts[9:]] or [w_trans, w_rot]
-        except ValueError:
+            times[row] = float(parts[0])
+            pole_ids[row] = int(parts[1])
+            weights[row] = [float(p) for p in parts[9:]] or header_weights
+        except (ValueError, OverflowError):
             raise DataError(f"{path}:{lineno}: malformed number") from None
-        if pole_id < 0:
+        if pole_ids[row] < 0:
             raise DataError(f"{path}:{lineno}: pole id must be non-negative")
-        rel = _parse_pose_fields(parts[2:9], path, lineno)
-        try:
-            out.append(LandmarkObservation(pole_id, timestamp, rel, *weights))
-        except DataError as exc:
-            raise DataError(f"{path}:{lineno}: {exc}") from None
-    return out
+        rel[row] = _parse_pose_fields(parts[2:9], path, lineno)
+    try:
+        return ObservationSet(times, pole_ids, rel, weights[:, 0], weights[:, 1])
+    except SightingError as exc:
+        lineno = content[exc.row][0]
+        raise DataError(f"{path}:{lineno}: observation {exc.reason}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -208,8 +213,11 @@ def read_injection(path) -> NoiseInjection:
     for row, (lineno, parts) in enumerate(content):
         if len(parts) != 10:
             raise DataError(f"{path}:{lineno}: expected 10 fields, got {len(parts)}")
-        trans[row] = float(parts[1])
-        rot[row] = float(parts[2])
+        try:
+            trans[row] = float(parts[1])
+            rot[row] = float(parts[2])
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: malformed number") from None
         err[row] = _parse_pose_fields(parts[3:], path, lineno)
     return NoiseInjection(trans, rot, err)
 
@@ -222,6 +230,12 @@ def _state_fields(graph, packed):
     if graph.dof_mode == PLANAR:
         return [_fmt(v) for v in packed]
     return _pose_fields(packed)
+
+
+def _parse_state(dof, parts, path, lineno):
+    if dof == PLANAR:
+        return np.array([float(p) for p in parts])
+    return _parse_pose_fields(parts, path, lineno)
 
 
 def write_graph(path, graph: PoseGraph) -> None:
@@ -271,12 +285,19 @@ def read_graph(path) -> PoseGraph:
     dof = headers["dof_mode"]
     if dof not in DOF_MODES:
         raise DataError(f"{path}: unknown dof_mode {dof!r}")
+    try:
+        rate = float(headers["rate_hz"])
+    except ValueError:
+        raise DataError(f"{path}: malformed rate_hz header") from None
     dim = GROUPS[dof].packed_dim
-    pose_of = (
-        (lambda parts, ln: np.array([float(p) for p in parts]))
-        if dof == PLANAR
-        else (lambda parts, ln: _parse_pose_fields(parts, path, ln))
-    )
+    field_counts = {
+        "GAUGE": 2,
+        "NODE": 4 + dim,
+        "LANDMARK_FRAME": 1 + dim,
+        "POLE": 2 + dim,
+        "EDGE_ODOM": 5 + dim,
+        "EDGE_OBS": 5 + dim,
+    }
 
     gauge = 0
     nodes, lm = {}, None
@@ -284,42 +305,32 @@ def read_graph(path) -> PoseGraph:
     odo, obs = [], []
     for lineno, parts in content:
         tag = parts[0]
-        if tag == "GAUGE":
-            gauge = int(parts[1])
-        elif tag == "NODE":
-            if len(parts) != 4 + dim:
-                raise DataError(f"{path}:{lineno}: bad NODE line")
-            nodes[int(parts[1])] = (
-                float(parts[2]),
-                bool(int(parts[3])),
-                pose_of(parts[4:], lineno),
-            )
-        elif tag == "LANDMARK_FRAME":
-            lm = pose_of(parts[1:], lineno)
-        elif tag == "POLE":
-            poles[int(parts[1])] = pose_of(parts[2:], lineno)
-        elif tag == "EDGE_ODOM":
-            odo.append(
-                (
-                    int(parts[1]),
-                    int(parts[2]),
-                    pose_of(parts[3 : 3 + dim], lineno),
-                    float(parts[3 + dim]),
-                    float(parts[4 + dim]),
-                )
-            )
-        elif tag == "EDGE_OBS":
-            obs.append(
-                (
-                    int(parts[1]),
-                    int(parts[2]),
-                    pose_of(parts[3 : 3 + dim], lineno),
-                    float(parts[3 + dim]),
-                    float(parts[4 + dim]),
-                )
-            )
-        else:
+        if tag not in field_counts:
             raise DataError(f"{path}:{lineno}: unknown record {tag!r}")
+        if len(parts) != field_counts[tag]:
+            raise DataError(
+                f"{path}:{lineno}: {tag} needs {field_counts[tag]} fields, got {len(parts)}"
+            )
+        try:
+            if tag == "GAUGE":
+                gauge = int(parts[1])
+            elif tag == "NODE":
+                state = _parse_state(dof, parts[4:], path, lineno)
+                nodes[int(parts[1])] = (float(parts[2]), bool(int(parts[3])), state)
+            elif tag == "LANDMARK_FRAME":
+                lm = _parse_state(dof, parts[1:], path, lineno)
+            elif tag == "POLE":
+                poles[int(parts[1])] = _parse_state(dof, parts[2:], path, lineno)
+            else:
+                (odo if tag == "EDGE_ODOM" else obs).append((
+                    int(parts[1]),
+                    int(parts[2]),
+                    _parse_state(dof, parts[3 : 3 + dim], path, lineno),
+                    float(parts[3 + dim]),
+                    float(parts[4 + dim]),
+                ))
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: malformed number in {tag} record") from None
     if not nodes or lm is None or not poles:
         raise DataError(f"{path}: incomplete graph file")
 
@@ -332,7 +343,7 @@ def read_graph(path) -> PoseGraph:
     template = np.stack([poles[k] for k in sorted(poles)])
     return PoseGraph(
         source=headers["source"],
-        rate=float(headers["rate_hz"]),
+        rate=rate,
         dof_mode=dof,
         times=times,
         is_frame=is_frame,
@@ -461,7 +472,10 @@ def write_stats_json(path, stats: SolveStats, report: ErrorReport, extras=None) 
 
 def read_stats_json(path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{path}:{exc.lineno}: malformed JSON: {exc.msg}") from None
 
 
 def write_xy_csv(path, times, raw_xy, opt_xy) -> None:

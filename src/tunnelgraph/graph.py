@@ -19,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse import csgraph
 
 from . import geometry as geom
 from .sync import FULL3D, PLANAR, AlignedSequence, DataError
@@ -113,23 +115,12 @@ def is_connected(graph: PoseGraph) -> bool:
     them.
     """
     n = graph.node_count
-    adj = [[] for _ in range(n + 1)]  # index n is the landmark frame
-    for i, j in zip(graph.odo_i, graph.odo_j):
-        adj[int(i)].append(int(j))
-        adj[int(j)].append(int(i))
-    for i in graph.obs_node:
-        adj[int(i)].append(n)
-        adj[n].append(int(i))
-    seen = np.zeros(n + 1, dtype=bool)
-    stack = [graph.gauge_index]
-    seen[graph.gauge_index] = True
-    while stack:
-        k = stack.pop()
-        for nxt in adj[k]:
-            if not seen[nxt]:
-                seen[nxt] = True
-                stack.append(nxt)
-    return bool(np.all(seen[:n]))
+    rows = np.concatenate([graph.odo_i, graph.obs_node])
+    cols = np.concatenate([graph.odo_j, np.full(graph.obs_node.size, n)])
+    # index n is the landmark frame
+    adjacency = sp.coo_matrix((np.ones(rows.size), (rows, cols)), shape=(n + 1, n + 1))
+    _, labels = csgraph.connected_components(adjacency, directed=False)
+    return bool(np.all(labels[:n] == labels[graph.gauge_index]))
 
 
 def build_graph(
@@ -161,23 +152,19 @@ def build_graph(
     odo_i = np.arange(n - 1, dtype=int)
     odo_j = odo_i + 1
 
-    attachments = aligned.attachments
-    obs_node = np.array([a[0] for a in attachments], dtype=int)
-    obs_pole = np.array([a[1].pole_id for a in attachments], dtype=int)
+    obs = aligned.observations
+    order = aligned.obs_order
+    obs_node = aligned.obs_node
+    obs_pole = obs.pole_ids[order]
     if np.any(obs_pole >= template.shape[0]):
         raise DataError("observed pole id missing from the template")
-    if attachments:
-        obs_meas = group.from_pose3(np.stack([a[1].rel for a in attachments]))
-        obs_w_trans = np.array([a[1].weight_trans for a in attachments])
-        obs_w_rot = np.array([a[1].weight_rot for a in attachments])
-        node, obs = attachments[0]
+    obs_meas = group.from_pose3(obs.rel[order])
+    if obs_node.size:
         landmark = group.compose(
-            group.compose(states[node], obs_meas[0]), group.inverse(template[obs.pole_id])
+            group.compose(states[obs_node[0]], obs_meas[0]),
+            group.inverse(template[obs_pole[0]]),
         )
     else:
-        obs_meas = np.zeros((0, group.packed_dim))
-        obs_w_trans = np.zeros(0)
-        obs_w_rot = np.zeros(0)
         landmark = group.identity.copy()
 
     graph = PoseGraph(
@@ -197,9 +184,9 @@ def build_graph(
         obs_node=obs_node,
         obs_pole=obs_pole,
         obs_meas=obs_meas,
-        obs_w_trans=obs_w_trans,
-        obs_w_rot=obs_w_rot,
-        unconstrained=not attachments,
+        obs_w_trans=obs.w_trans[order],
+        obs_w_rot=obs.w_rot[order],
+        unconstrained=not obs_node.size,
         landmark_fixed=landmark_fixed,
         position_only=position_only,
     )

@@ -103,7 +103,7 @@ class SimulatedSource:
 class SimulationArtifacts:
     config: ScenarioConfig
     ground_truth: sync.OdometryTrack
-    observations: list
+    observations: sync.ObservationSet
     sources: dict
     paths: list
 
@@ -174,7 +174,7 @@ class OptimizationResult:
 
 def optimize_track(
     track: sync.OdometryTrack,
-    observations,
+    observations: sync.ObservationSet,
     mode: str = None,
     layout: sim.LandmarkLayout = None,
     odom_weights=(1.0, 1.0),
@@ -342,7 +342,7 @@ def recovery_run(noise: sim.NoiseProfile, seed: int, profile=None, layout=None):
         derive_seed(seed, OBSERVATION_STREAM),
     )
     w_t, w_r = recovery_obs_weights(noise)
-    observations = [sync.with_weights(o, w_t, w_r) for o in observations]
+    observations = sync.with_weights(observations, w_t, w_r)
     result = optimize_track(
         track,
         observations,

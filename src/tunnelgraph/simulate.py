@@ -12,6 +12,14 @@ random direction and whose rotation has an exactly fixed angle about a
 uniformly random axis.  Fixed magnitudes make the injected per-frame
 error equal to the configured calibration value by construction, so a
 recovery pipeline can be checked against it tightly.
+
+Synthesis is array code with no loop over frames or ticks: ``corrupt``
+chains the perturbed increments with a parallel prefix scan over pose
+composition, and the detector gates every tick against every pole at
+once and returns its sightings as one
+:class:`~tunnelgraph.sync.ObservationSet`.  Both draw their random
+numbers in the same order a per-frame or per-tick loop would, so a seed
+gives the same scenario.
 """
 
 from __future__ import annotations
@@ -21,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry as geom
-from .sync import FULL3D, PLANAR, DataError, LandmarkObservation, OdometryTrack
+from .sync import FULL3D, PLANAR, DataError, ObservationSet, OdometryTrack
 
 GROUND_TRUTH_SOURCE = "ground_truth"
 
@@ -245,6 +253,24 @@ def _unit_directions(rng, count: int, planar: bool) -> np.ndarray:
     return out
 
 
+def _prefix_compose(steps: np.ndarray) -> np.ndarray:
+    """Inclusive prefix products ``steps[0] * ... * steps[k]`` of packed
+    SE(3) poses.
+
+    A Hillis-Steele scan: pass ``d`` composes every element with the one
+    ``2**d`` places before it, so ceil(log2 N) batched composes replace N
+    sequential ones.  Quaternions are renormalized after every pass.
+    """
+    out = np.array(steps, dtype=float)
+    shift = 1
+    while shift < out.shape[0]:
+        combined = geom.pose3_compose(out[:-shift], out[shift:])
+        combined[:, 3:] = geom.quat_normalize(combined[:, 3:])
+        out[shift:] = combined
+        shift *= 2
+    return out
+
+
 def corrupt(track: OdometryTrack, noise: NoiseProfile, seed: int):
     """Perturb every frame-to-frame increment of a track.
 
@@ -298,14 +324,10 @@ def corrupt(track: OdometryTrack, noise: NoiseProfile, seed: int):
 
     poses = np.empty_like(track.poses)
     poses[0] = track.poses[0]
-    for k in range(steps):
-        nxt = geom.pose3_compose(poses[k], measured[k])
-        nxt[3:] = geom.quat_normalize(nxt[3:])
-        if planar:
-            nxt[2] = 0.0
-            nxt[4] = 0.0
-            nxt[5] = 0.0
-        poses[k + 1] = nxt
+    poses[1:] = geom.pose3_compose(track.poses[0], _prefix_compose(measured))
+    poses[1:, 3:] = geom.quat_normalize(poses[1:, 3:])
+    if planar:
+        poses[1:, [2, 4, 5]] = 0.0
 
     out = OdometryTrack(
         noise.source, noise.frame_rate, noise.dof_mode, track.times, poses
@@ -326,13 +348,17 @@ def simulate_landmark_observations(
     placement: geom.Pose3,
     model: DetectionModel,
     seed: int,
-):
+) -> ObservationSet:
     """Sweep the detector over a trajectory at the detection cadence.
 
     At every tick, each pole inside the range and bearing gates yields
     one observation of its pose relative to the robot, perturbed by the
-    detector's Gaussian noise.  The robot pose at a tick is interpolated
-    geodesically between the bracketing frames.
+    detector's Gaussian noise.  The robot pose at a tick is its frame
+    where one falls on the tick, else interpolated geodesically between
+    the bracketing frames.  All ticks are gated against all poles in one
+    array pass; sightings come out in (tick, pole) order, and the noise
+    is one (sightings, 6) draw in that order, translation before
+    rotation (3 columns when one of the two sigmas is zero).
     """
     rng = np.random.default_rng(seed)
     template = layout.template()
@@ -342,43 +368,36 @@ def simulate_landmark_observations(
     tick_count = int(np.floor(span * model.rate + 1e-9)) + 1
     ticks = track.times[0] + np.arange(tick_count, dtype=float) / model.rate
 
-    max_bearing = np.radians(model.max_bearing_deg)
+    right = np.searchsorted(track.times, ticks)
+    hit = np.minimum(right, track.frame_count - 1)
+    exact = track.times[hit] == ticks
+    robot = np.empty((tick_count, 7))
+    robot[exact] = track.poses[hit[exact]]
+    if not np.all(exact):
+        r = right[~exact]
+        left = r - 1
+        alpha = (ticks[~exact] - track.times[left]) / (track.times[r] - track.times[left])
+        robot[~exact] = geom.pose3_interpolate(track.poses[left], track.poses[r], alpha)
+
+    rel = geom.pose3_relative(robot[:, None], pole_world[None])  # (ticks, poles, 7)
+    dist = np.linalg.norm(rel[..., :3], axis=-1)
+    with np.errstate(invalid="ignore"):
+        bearing = np.arccos(
+            np.clip(rel[..., 0] / np.where(dist == 0.0, 1.0, dist), -1.0, 1.0)
+        )
+    visible = (dist <= model.max_range) & (bearing <= np.radians(model.max_bearing_deg))
+    tick_index, pole_ids = np.nonzero(visible)
+    measured = rel[tick_index, pole_ids]
+
     sigma_rot = np.radians(model.sigma_rot_deg)
-
-    observations = []
-    for tick in ticks:
-        right = int(np.searchsorted(track.times, tick))
-        if right < track.times.size and track.times[right] == tick:
-            robot = track.poses[right]
-        else:
-            left = right - 1
-            alpha = (tick - track.times[left]) / (
-                track.times[right] - track.times[left]
-            )
-            robot = geom.pose3_interpolate(track.poses[left], track.poses[right], alpha)
-
-        rel = geom.pose3_relative(robot, pole_world)
-        dist = np.linalg.norm(rel[:, :3], axis=1)
-        with np.errstate(invalid="ignore"):
-            bearing = np.arccos(
-                np.clip(rel[:, 0] / np.where(dist == 0.0, 1.0, dist), -1.0, 1.0)
-            )
-        visible = (dist <= model.max_range) & (bearing <= max_bearing)
-
-        for pole_id in np.flatnonzero(visible):
-            measured = rel[pole_id].copy()
-            if model.sigma_trans > 0.0:
-                measured[:3] += rng.normal(0.0, model.sigma_trans, 3)
-            if sigma_rot > 0.0:
-                wobble = geom.quat_from_rotvec(rng.normal(0.0, sigma_rot, 3))
-                measured[3:] = geom.quat_mul(measured[3:], wobble)
-            observations.append(
-                LandmarkObservation(
-                    pole_id=int(pole_id),
-                    timestamp=float(tick),
-                    rel=measured,
-                    weight_trans=model.weight_trans(),
-                    weight_rot=model.weight_rot(),
-                )
-            )
-    return observations
+    sigmas = [sigma for sigma in (model.sigma_trans, sigma_rot) if sigma > 0.0]
+    if sigmas:
+        noise = rng.normal(0.0, np.repeat(sigmas, 3), (pole_ids.size, 3 * len(sigmas)))
+        if model.sigma_trans > 0.0:
+            measured[:, :3] += noise[:, :3]
+        if sigma_rot > 0.0:
+            wobble = geom.quat_from_rotvec(noise[:, -3:])
+            measured[:, 3:] = geom.quat_mul(measured[:, 3:], wobble)
+    return ObservationSet(
+        ticks[tick_index], pole_ids, measured, model.weight_trans(), model.weight_rot()
+    )

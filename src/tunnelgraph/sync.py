@@ -1,4 +1,10 @@
-"""Multi-rate track alignment on a shared timeline.
+"""Input types and multi-rate track alignment on a shared timeline.
+
+An :class:`OdometryTrack` is one source's timestamped poses.  An
+:class:`ObservationSet` holds every pole sighting as read-only columns
+(timestamps, pole ids, packed relative poses, information weights), so
+synthesis, alignment, graph building and file I/O pass whole arrays and
+never one object per sighting.
 
 Sensor tracks arrive at different frame rates and landmark sightings at
 yet another rate.  ``align`` merges one track with the sighting
@@ -11,8 +17,8 @@ per-frame statistics later undo the split by re-merging.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -79,29 +85,106 @@ class OdometryTrack:
         return float(self.times[-1] - self.times[0])
 
 
-@dataclass(frozen=True)
-class LandmarkObservation:
-    """One pole sighting: the pole's pose relative to the robot."""
+class Sighting(NamedTuple):
+    """One row of an :class:`ObservationSet`: the pole's pose relative to
+    the robot at one instant."""
 
     pole_id: int
     timestamp: float
     rel: np.ndarray  # packed (7,) robot -> pole
-    weight_trans: float = 1.0
-    weight_rot: float = 1.0
+    weight_trans: float
+    weight_rot: float
+
+
+class SightingError(DataError):
+    """A :class:`DataError` about one sighting; ``row`` is its index."""
+
+    def __init__(self, row: int, reason: str):
+        super().__init__(f"sighting {row}: {reason}")
+        self.row = row
+        self.reason = reason
+
+
+def _column(values, dtype, count: int) -> np.ndarray:
+    """A read-only (count,) column from one value per row or one for all."""
+    out = np.asarray(values, dtype=dtype)
+    if out.ndim == 0:
+        out = np.full(count, out)
+    elif out.shape == (count,):
+        out = out.copy()
+    else:
+        raise DataError("observation columns must hold one value per sighting")
+    out.setflags(write=False)
+    return out
+
+
+@dataclass(frozen=True, eq=False)
+class ObservationSet:
+    """Pole sightings as read-only columns, one row per sighting.
+
+    ``rel`` is packed ``(M, 7)`` robot -> pole; the weights broadcast from
+    scalars.  Validation matches the file boundary: packed shapes,
+    non-negative weights, and quaternion norms within
+    ``QUAT_NORM_TOLERANCE`` of one (a NaN pose passes, to be reported as a
+    numerical failure downstream).  ``len``, iteration and integer
+    indexing give :class:`Sighting` rows; any other index gives the
+    selected rows as a new set.
+    """
+
+    times: np.ndarray
+    pole_ids: np.ndarray
+    rel: np.ndarray
+    w_trans: np.ndarray = 1.0
+    w_rot: np.ndarray = 1.0
 
     def __post_init__(self):
+        times = np.array(self.times, dtype=float)
         rel = np.array(self.rel, dtype=float)
-        if rel.shape != (7,):
-            raise DataError("observation pose must be packed (7,)")
-        if self.weight_trans < 0.0 or self.weight_rot < 0.0:
-            raise DataError("observation information weights must be non-negative")
-        gap = abs(math.hypot(*rel[3:].tolist()) - 1.0)
-        if gap > QUAT_NORM_TOLERANCE:
-            raise DataError(f"observation quaternion norm off unit by {gap:.3g}")
+        if rel.size == 0:
+            rel = rel.reshape(0, 7)
+        if times.ndim != 1 or rel.shape != (times.size, 7):
+            raise DataError("observation poses must be packed (M, 7), one per timestamp")
+        count = times.size
+        pole_ids = _column(self.pole_ids, int, count)
+        w_trans = _column(self.w_trans, float, count)
+        w_rot = _column(self.w_rot, float, count)
+        negative = (w_trans < 0.0) | (w_rot < 0.0)
+        if np.any(negative):
+            raise SightingError(
+                int(np.argmax(negative)), "information weights must be non-negative"
+            )
+        gap = np.abs(np.linalg.norm(rel[:, 3:], axis=1) - 1.0)
+        off_unit = gap > QUAT_NORM_TOLERANCE
+        if np.any(off_unit):
+            row = int(np.argmax(off_unit))
+            raise SightingError(row, f"quaternion norm off unit by {gap[row]:.3g}")
+        times.setflags(write=False)
         rel.setflags(write=False)
-        object.__setattr__(self, "rel", rel)
-        object.__setattr__(self, "pole_id", int(self.pole_id))
-        object.__setattr__(self, "timestamp", float(self.timestamp))
+        for name, value in (
+            ("times", times), ("pole_ids", pole_ids), ("rel", rel),
+            ("w_trans", w_trans), ("w_rot", w_rot),
+        ):
+            object.__setattr__(self, name, value)
+
+    def __len__(self) -> int:
+        return int(self.times.size)
+
+    def __getitem__(self, index):
+        if isinstance(index, (int, np.integer)):
+            return Sighting(
+                int(self.pole_ids[index]),
+                float(self.times[index]),
+                self.rel[index],
+                float(self.w_trans[index]),
+                float(self.w_rot[index]),
+            )
+        return ObservationSet(
+            self.times[index], self.pole_ids[index], self.rel[index],
+            self.w_trans[index], self.w_rot[index],
+        )
+
+    def __iter__(self):
+        return (self[k] for k in range(len(self)))
 
 
 @dataclass(frozen=True)
@@ -111,8 +194,9 @@ class AlignedSequence:
     Nodes are the union of sensor frames and sighting instants;
     ``is_frame`` marks the original frames.  ``meas`` holds the measured
     relative transform between consecutive nodes (split parts of a frame
-    step compose back to the raw step).  ``attachments`` pairs node
-    indices with the observations anchored there.
+    step compose back to the raw step).  ``obs_order`` lists the rows of
+    ``observations`` by (timestamp, pole id), and ``obs_node[k]`` is the
+    node that sighting ``obs_order[k]`` is anchored at.
     """
 
     source: str
@@ -124,7 +208,9 @@ class AlignedSequence:
     meas: np.ndarray
     meas_weight_trans: np.ndarray
     meas_weight_rot: np.ndarray
-    attachments: list = field(default_factory=list)
+    observations: ObservationSet
+    obs_order: np.ndarray
+    obs_node: np.ndarray
 
     @property
     def node_count(self) -> int:
@@ -133,7 +219,7 @@ class AlignedSequence:
 
 def align(
     track: OdometryTrack,
-    observations,
+    observations: ObservationSet,
     odom_weights=(1.0, 1.0),
 ) -> AlignedSequence:
     """Merge a track with observation timestamps into one node sequence.
@@ -143,23 +229,24 @@ def align(
     node is inserted on the geodesic between the bracketing frames and
     the frame's measured step is split at that point.
     """
-    observations = sorted(observations, key=lambda o: (o.timestamp, o.pole_id))
+    order = np.lexsort((observations.pole_ids, observations.times))
+    obs_times = observations.times[order]
     t0, t1 = float(track.times[0]), float(track.times[-1])
-    for obs in observations:
-        if obs.timestamp < t0 or obs.timestamp > t1:
-            raise DataError(
-                f"observation at t={obs.timestamp} outside track span [{t0}, {t1}]"
-            )
+    outside = ~((obs_times >= t0) & (obs_times <= t1))
+    if np.any(outside):
+        raise DataError(
+            f"observation at t={obs_times[np.argmax(outside)]} outside track span "
+            f"[{t0}, {t1}]"
+        )
 
-    obs_times = np.array([o.timestamp for o in observations], dtype=float)
     extra = np.unique(obs_times[~np.isin(obs_times, track.times)])
 
     times = np.concatenate([track.times, extra])
-    order = np.argsort(times, kind="stable")
-    times = times[order]
+    node_order = np.argsort(times, kind="stable")
+    times = times[node_order]
     is_frame = np.concatenate(
         [np.ones(track.times.size, dtype=bool), np.zeros(extra.size, dtype=bool)]
-    )[order]
+    )[node_order]
 
     poses = np.empty((times.size, 7))
     poses[is_frame] = track.poses
@@ -175,9 +262,6 @@ def align(
     w_trans = np.full(times.size - 1, float(odom_weights[0]))
     w_rot = np.full(times.size - 1, float(odom_weights[1]))
 
-    node_of_time = {t: i for i, t in enumerate(times)}
-    attachments = [(node_of_time[o.timestamp], o) for o in observations]
-
     return AlignedSequence(
         source=track.source,
         rate=track.rate,
@@ -188,10 +272,15 @@ def align(
         meas=meas,
         meas_weight_trans=w_trans,
         meas_weight_rot=w_rot,
-        attachments=attachments,
+        observations=observations,
+        obs_order=order,
+        obs_node=np.searchsorted(times, obs_times),
     )
 
 
-def with_weights(obs: LandmarkObservation, weight_trans: float, weight_rot: float):
-    """Copy an observation with different information weights."""
-    return replace(obs, weight_trans=weight_trans, weight_rot=weight_rot)
+def with_weights(observations: ObservationSet, weight_trans: float, weight_rot: float):
+    """The same sightings with every information weight replaced."""
+    return ObservationSet(
+        observations.times, observations.pole_ids, observations.rel,
+        weight_trans, weight_rot,
+    )

@@ -191,6 +191,32 @@ class TestExitCodes:
         assert proc.returncode == 3
         assert "numerical" in proc.stderr
 
+    @pytest.mark.parametrize("name", ["dvso_graph.txt", "dvso_stats.json"])
+    def test_malformed_solver_output_exits_2(self, tmp_path, capsys, name):
+        out = tmp_path / "run"
+        cfg = write_config(tmp_path, SMALL_CONFIG)
+        assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        assert cli.main([
+            "optimize",
+            "--track", str(out / "dvso_raw.txt"),
+            "--observations", str(out / "observations.txt"),
+            "--out", str(out),
+        ]) == 0
+        lines = (out / name).read_text().splitlines()
+        if name.endswith(".txt"):
+            row = next(k for k, ln in enumerate(lines) if ln.startswith("NODE 1 "))
+            fields = lines[row].split()
+            fields[2] = "abc"  # the node's timestamp
+            lines[row] = " ".join(fields)
+        else:
+            row = len(lines) // 2  # truncated mid-object
+            lines = lines[:row]
+        (out / name).write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert cli.main(["report", "--dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "data error" in err
+        assert f"{name}:{row + 1}:" in err
 
     def test_non_unit_quaternion_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, SMALL_CONFIG)

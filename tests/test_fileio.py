@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import tunnelgraph.fileio as fileio
 import tunnelgraph.graph as gmod
@@ -11,6 +14,40 @@ import tunnelgraph.simulate as sim
 import tunnelgraph.sync as sync
 from tunnelgraph.metrics import ErrorReport
 from tunnelgraph.sync import DataError, FULL3D, PLANAR
+
+# every strategy draws finite float64 values, subnormals and -0.0 included;
+# the 17-digit text format must give each one back bit for bit
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+ROUND_TRIP = settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+
+@st.composite
+def unit_quaternions(draw, count, planar=False):
+    """(count, 4) unit quaternions; yaw-only when planar."""
+    raw = draw(hnp.arrays(float, (count, 4), elements=st.floats(-1.0, 1.0)))
+    if planar:
+        raw[:, 1:3] = 0.0
+    raw[np.linalg.norm(raw, axis=1) < 1e-3] = [1.0, 0.0, 0.0, 0.0]
+    return raw / np.linalg.norm(raw, axis=1, keepdims=True)
+
+
+@st.composite
+def packed_poses(draw, count, planar=False):
+    """(count, 7) packed SE(3) poses with finite translations."""
+    t = draw(hnp.arrays(float, (count, 3), elements=FINITE))
+    if planar:
+        t[:, 2] = 0.0
+    return np.concatenate([t, draw(unit_quaternions(count, planar))], axis=1)
+
+
+def states_for(draw, mode, count):
+    if mode == PLANAR:
+        return draw(hnp.arrays(float, (count, 3), elements=FINITE))
+    return draw(packed_poses(count))
 
 
 @pytest.fixture
@@ -127,10 +164,9 @@ class TestObservations:
 
     def test_mixed_weights_round_trip(self, tmp_path):
         rel = np.array([1.0, -0.5, 0.0, 1.0, 0.0, 0.0, 0.0])
-        observations = [
-            sync.LandmarkObservation(0, 0.5, rel, 5.0, 6.0),
-            sync.LandmarkObservation(1, 1.0, rel, 7.0, 8.0),
-        ]
+        observations = sync.ObservationSet(
+            [0.5, 1.0], [0, 1], [rel, rel], [5.0, 7.0], [6.0, 8.0]
+        )
         path = tmp_path / "obs.txt"
         fileio.write_observations(path, observations)
         back = fileio.read_observations(path)
@@ -154,6 +190,111 @@ class TestObservations:
             fileio.read_observations(path)
 
 
+class TestPropertyRoundTrips:
+    """Every write -> read pair gives back what was written, bit for bit."""
+
+    @pytest.mark.parametrize("mode", [FULL3D, PLANAR])
+    @ROUND_TRIP
+    @given(data=st.data())
+    def test_track(self, tmp_path, mode, data):
+        count = data.draw(st.integers(2, 12))
+        start = data.draw(st.floats(-1e6, 1e6))
+        steps = data.draw(hnp.arrays(float, count - 1, elements=st.floats(1e-3, 1e3)))
+        times = start + np.concatenate([[0.0], np.cumsum(steps)])
+        rate = data.draw(st.floats(1e-3, 1e3))
+        poses = data.draw(packed_poses(count, planar=mode == PLANAR))
+        track = sync.OdometryTrack("src", rate, mode, times, poses)
+        path = tmp_path / "track.txt"
+        fileio.write_track(path, track)
+        back = fileio.read_track(path)
+        assert (back.source, back.rate, back.dof_mode) == ("src", rate, mode)
+        np.testing.assert_array_equal(back.times, track.times)
+        np.testing.assert_array_equal(back.poses, track.poses)
+
+    @pytest.mark.parametrize("weights", ["uniform", "mixed", "empty"])
+    @ROUND_TRIP
+    @given(data=st.data())
+    def test_observations(self, tmp_path, weights, data):
+        count = 0 if weights == "empty" else data.draw(st.integers(1, 12))
+        times = data.draw(hnp.arrays(float, count, elements=FINITE))
+        poles = data.draw(hnp.arrays(int, count, elements=st.integers(0, 1000)))
+        weight = st.floats(0.0, 1e12)
+        if weights == "mixed":
+            w_trans = data.draw(hnp.arrays(float, count, elements=weight))
+            w_rot = data.draw(hnp.arrays(float, count, elements=weight))
+        else:
+            w_trans, w_rot = data.draw(weight), data.draw(weight)
+        obs = sync.ObservationSet(times, poles, data.draw(packed_poses(count)), w_trans, w_rot)
+        path = tmp_path / "obs.txt"
+        fileio.write_observations(path, obs)
+        back = fileio.read_observations(path)
+        for name in ("times", "pole_ids", "rel", "w_trans", "w_rot"):
+            np.testing.assert_array_equal(getattr(back, name), getattr(obs, name), err_msg=name)
+        # the layout is chosen by the weights: header-only unless they differ
+        per_line = len(set(zip(obs.w_trans, obs.w_rot))) > 1
+        assert ("weight_trans weight_rot" in path.read_text()) == per_line
+
+    @ROUND_TRIP
+    @given(data=st.data())
+    def test_injection(self, tmp_path, data):
+        count = data.draw(st.integers(0, 12))
+        record = sim.NoiseInjection(
+            data.draw(hnp.arrays(float, count, elements=FINITE)),
+            data.draw(hnp.arrays(float, count, elements=FINITE)),
+            data.draw(packed_poses(count)),
+        )
+        path = tmp_path / "inj.txt"
+        fileio.write_injection(path, record)
+        back = fileio.read_injection(path)
+        np.testing.assert_array_equal(back.trans_magnitudes, record.trans_magnitudes)
+        np.testing.assert_array_equal(back.rot_magnitudes_deg, record.rot_magnitudes_deg)
+        np.testing.assert_array_equal(back.error_poses, record.error_poses)
+
+    @pytest.mark.parametrize("mode", [FULL3D, PLANAR])
+    @ROUND_TRIP
+    @given(data=st.data())
+    def test_graph(self, tmp_path, mode, data):
+        n = data.draw(st.integers(1, 8))
+        poles = data.draw(st.integers(1, 4))
+        odo = data.draw(st.integers(0, 8))
+        obs = data.draw(st.integers(0, 8))
+        dim = gmod.GROUPS[mode].packed_dim
+        node = st.integers(0, n - 1)
+        weight = st.floats(0.0, 1e12)
+        graph = gmod.PoseGraph(
+            source="src",
+            rate=data.draw(st.floats(1e-3, 1e3)),
+            dof_mode=mode,
+            times=data.draw(hnp.arrays(float, n, elements=FINITE)),
+            is_frame=data.draw(hnp.arrays(bool, n)),
+            states=states_for(data.draw, mode, n),
+            landmark=states_for(data.draw, mode, 1)[0],
+            template=states_for(data.draw, mode, poles),
+            odo_i=data.draw(hnp.arrays(int, odo, elements=node)),
+            odo_j=data.draw(hnp.arrays(int, odo, elements=node)),
+            odo_meas=states_for(data.draw, mode, odo).reshape(odo, dim),
+            odo_w_trans=data.draw(hnp.arrays(float, odo, elements=weight)),
+            odo_w_rot=data.draw(hnp.arrays(float, odo, elements=weight)),
+            obs_node=data.draw(hnp.arrays(int, obs, elements=node)),
+            obs_pole=data.draw(hnp.arrays(int, obs, elements=st.integers(0, poles - 1))),
+            obs_meas=states_for(data.draw, mode, obs).reshape(obs, dim),
+            obs_w_trans=data.draw(hnp.arrays(float, obs, elements=weight)),
+            obs_w_rot=data.draw(hnp.arrays(float, obs, elements=weight)),
+            gauge_index=data.draw(node),
+        )
+        path = tmp_path / "graph.txt"
+        fileio.write_graph(path, graph)
+        back = fileio.read_graph(path)
+        assert (back.source, back.rate, back.dof_mode) == ("src", graph.rate, mode)
+        assert back.gauge_index == graph.gauge_index
+        for name in (
+            "times", "is_frame", "states", "landmark", "template",
+            "odo_i", "odo_j", "odo_meas", "odo_w_trans", "odo_w_rot",
+            "obs_node", "obs_pole", "obs_meas", "obs_w_trans", "obs_w_rot",
+        ):
+            np.testing.assert_array_equal(getattr(back, name), getattr(graph, name), err_msg=name)
+
+
 class TestInjection:
     def test_round_trip(self, tmp_path, scenario):
         _, _, injection = scenario
@@ -165,6 +306,16 @@ class TestInjection:
             back.rot_magnitudes_deg, injection.rot_magnitudes_deg
         )
         np.testing.assert_array_equal(back.error_poses, injection.error_poses)
+
+    def test_malformed_number_names_the_line(self, tmp_path):
+        path = tmp_path / "inj.txt"
+        path.write_text(
+            "# columns: frame trans_m rot_deg tx ty tz qx qy qz qw\n"
+            "0 0.001 0.04 0.001 0 0 0 0 0 1\n"
+            "1 0.001 fast 0.001 0 0 0 0 0 1\n"
+        )
+        with pytest.raises(DataError, match=r"inj\.txt:3: malformed number"):
+            fileio.read_injection(path)
 
 
 class TestGraphs:
@@ -199,6 +350,28 @@ class TestGraphs:
         fileio.write_graph(path, graph)
         back = fileio.read_graph(path)
         assert gmod.total_cost(back) == gmod.total_cost(graph)
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            "GAUGE zero",
+            "GAUGE",
+            "NODE 0 0.0 1",
+            "NODE x 0.0 1 0 0 0 0 0 0 1",
+            "POLE 0 0 0 0 0 0 0 one",
+            "EDGE_ODOM 0 1 0 0 0 0 0 0 1 1.0 heavy",
+            "EDGE_OBS 0 0 0 0 0 0 0 0 1 1.0",
+        ],
+    )
+    def test_malformed_record_names_the_line(self, tmp_path, record):
+        path = tmp_path / "graph.txt"
+        path.write_text(
+            "# source: x\n# rate_hz: 5\n# dof_mode: full3d\n"
+            "NODE 1 0.2 1 0 0 0 0 0 0 1\n"
+            f"{record}\n"
+        )
+        with pytest.raises(DataError, match=r"graph\.txt:5: "):
+            fileio.read_graph(path)
 
     def test_incomplete_file_rejected(self, tmp_path):
         path = tmp_path / "graph.txt"
@@ -237,6 +410,12 @@ class TestReports:
         path.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(DataError):
             fileio.read_report_csv(path)
+
+    def test_truncated_stats_json_names_the_line(self, tmp_path):
+        path = tmp_path / "stats.json"
+        path.write_text('{\n  "source": "dvso",\n  "frames": ')
+        with pytest.raises(DataError, match=r"stats\.json:3: malformed JSON"):
+            fileio.read_stats_json(path)
 
     def test_stats_json_round_trip(self, tmp_path):
         stats = opt.SolveStats(3, 10.0, 0.5, "cost-threshold", [10.0, 1.0, 0.5])

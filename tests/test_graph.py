@@ -18,9 +18,15 @@ def straight_track(frames=11, rate=2.0, speed=0.5):
     return sync.OdometryTrack("sim", rate, FULL3D, times, poses)
 
 
-def obs_at(timestamp, pole_id, rel_xyz, wt=1.0, wr=1.0):
-    rel = np.array([*rel_xyz, 1.0, 0.0, 0.0, 0.0])
-    return sync.LandmarkObservation(pole_id, timestamp, rel, wt, wr)
+def sightings(*rows):
+    """ObservationSet of (timestamp, pole_id, rel_xyz) rows, identity rotations."""
+    times, poles, xyz = zip(*rows)
+    rel = np.tile(geom.POSE3_IDENTITY, (len(rows), 1))
+    rel[:, :3] = xyz
+    return sync.ObservationSet(times, poles, rel)
+
+
+NO_SIGHTINGS = sync.ObservationSet([], [], [])
 
 
 def small_problem(mode=FULL3D, position_only=False, landmark_fixed=False):
@@ -28,11 +34,11 @@ def small_problem(mode=FULL3D, position_only=False, landmark_fixed=False):
     # robot drives x = 0.5 t, so every measurement below is exactly
     # consistent and the assembled problem has zero cost
     track = straight_track()
-    observations = [
-        obs_at(0.25, 0, (2.0, 1.0, 0.0)),
-        obs_at(2.0, 1, (3.125, 1.0, 0.0)),
-        obs_at(3.75, 2, (4.25, 1.0, 0.0)),
-    ]
+    observations = sightings(
+        (0.25, 0, (2.0, 1.0, 0.0)),
+        (2.0, 1, (3.125, 1.0, 0.0)),
+        (3.75, 2, (4.25, 1.0, 0.0)),
+    )
     aligned = sync.align(track, observations)
     layout = sim.LandmarkLayout(count=3, spacing=2.0)
     graph = gmod.build_graph(
@@ -67,7 +73,7 @@ class TestBuild:
 
     def test_no_observations_flags_unconstrained(self):
         track = straight_track()
-        aligned = sync.align(track, [])
+        aligned = sync.align(track, NO_SIGHTINGS)
         graph = gmod.build_graph(aligned, sim.LandmarkLayout(), FULL3D)
         assert graph.unconstrained
         assert graph.obs_count == 0
@@ -80,7 +86,7 @@ class TestBuild:
 
     def test_rejects_unknown_mode(self):
         track = straight_track()
-        aligned = sync.align(track, [])
+        aligned = sync.align(track, NO_SIGHTINGS)
         with pytest.raises(DataError):
             gmod.build_graph(aligned, sim.LandmarkLayout(), "spherical")
 
@@ -97,7 +103,7 @@ class TestConnectivity:
     def test_chain_gap_detected(self):
         # without observations nothing can bridge a cut odometry chain
         track = straight_track()
-        graph = gmod.build_graph(sync.align(track, []), sim.LandmarkLayout(), FULL3D)
+        graph = gmod.build_graph(sync.align(track, NO_SIGHTINGS), sim.LandmarkLayout(), FULL3D)
         keep = graph.odo_i != 4
         graph.odo_i = graph.odo_i[keep]
         graph.odo_j = graph.odo_j[keep]

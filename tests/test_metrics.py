@@ -18,16 +18,14 @@ def corrupted_scenario(seed=0, rate=5.0, with_obs=True, obs_weight=None):
     truth = sim.generate_ground_truth(profile, rate)
     noise = sim.NoiseProfile("sim", rate, 0.002, 0.03)
     track, injection = sim.corrupt(truth, noise, seed)
-    observations = []
+    observations = sync.ObservationSet([], [], [])
     if with_obs:
         observations = sim.simulate_landmark_observations(
             truth, sim.LandmarkLayout(), sim.default_placement(),
             sim.DetectionModel(), seed + 1,
         )
         if obs_weight is not None:
-            observations = [
-                sync.with_weights(o, obs_weight, obs_weight) for o in observations
-            ]
+            observations = sync.with_weights(observations, obs_weight, obs_weight)
     aligned = sync.align(track, observations)
     graph = gmod.build_graph(aligned, sim.LandmarkLayout(), FULL3D)
     return graph, track, truth, injection

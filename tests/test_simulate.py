@@ -34,6 +34,58 @@ def reference_pose(profile, t):
     )
 
 
+def loop_corrupt_poses(track, noise, record):
+    """Oracle: integrate the measured increments one frame at a time, as
+    corrupt() did before its prefix scan."""
+    true_rel = geom.pose3_relative(track.poses[:-1], track.poses[1:])
+    measured = geom.pose3_compose(true_rel, record.error_poses)
+    poses = np.empty_like(track.poses)
+    poses[0] = track.poses[0]
+    for k in range(measured.shape[0]):
+        nxt = geom.pose3_compose(poses[k], measured[k])
+        nxt[3:] = geom.quat_normalize(nxt[3:])
+        if noise.dof_mode == PLANAR:
+            nxt[[2, 4, 5]] = 0.0
+        poses[k + 1] = nxt
+    return poses
+
+
+def loop_detect(track, layout, placement, model, seed):
+    """Oracle: the per-tick, per-sighting detector the array sweep
+    replaced.  Returns (timestamp, pole_id, rel) triples."""
+    rng = np.random.default_rng(seed)
+    pole_world = geom.pose3_compose(placement.packed, layout.template())
+    span = float(track.times[-1] - track.times[0])
+    tick_count = int(np.floor(span * model.rate + 1e-9)) + 1
+    ticks = track.times[0] + np.arange(tick_count, dtype=float) / model.rate
+    sigma_rot = np.radians(model.sigma_rot_deg)
+    out = []
+    for tick in ticks:
+        right = int(np.searchsorted(track.times, tick))
+        if right < track.times.size and track.times[right] == tick:
+            robot = track.poses[right]
+        else:
+            left = right - 1
+            alpha = (tick - track.times[left]) / (track.times[right] - track.times[left])
+            robot = geom.pose3_interpolate(track.poses[left], track.poses[right], alpha)
+        rel = geom.pose3_relative(robot, pole_world)
+        dist = np.linalg.norm(rel[:, :3], axis=1)
+        with np.errstate(invalid="ignore"):
+            bearing = np.arccos(
+                np.clip(rel[:, 0] / np.where(dist == 0.0, 1.0, dist), -1.0, 1.0)
+            )
+        visible = (dist <= model.max_range) & (bearing <= np.radians(model.max_bearing_deg))
+        for pole_id in np.flatnonzero(visible):
+            measured = rel[pole_id].copy()
+            if model.sigma_trans > 0.0:
+                measured[:3] += rng.normal(0.0, model.sigma_trans, 3)
+            if sigma_rot > 0.0:
+                wobble = geom.quat_from_rotvec(rng.normal(0.0, sigma_rot, 3))
+                measured[3:] = geom.quat_mul(measured[3:], wobble)
+            out.append((float(tick), int(pole_id), measured))
+    return out
+
+
 def quat_angle_deg(q):
     """Rotation angle of a unit quaternion, recomputed from scratch."""
     w = min(1.0, abs(float(q[0])))
@@ -172,6 +224,23 @@ class TestCorrupt:
         assert np.array_equal(a.poses, b.poses)
         assert not np.array_equal(a.poses, c.poses)
 
+    @pytest.mark.parametrize("preset", ["dvso", "wheel", "lidar"])
+    def test_scan_matches_per_frame_loop(self, preset):
+        noise = sim.PRESETS[preset]()
+        gt = sim.generate_ground_truth(sim.TrajectoryProfile(), noise.frame_rate)
+        track, rec = sim.corrupt(gt, noise, seed=13)
+        ref = loop_corrupt_poses(gt, noise, rec)
+        np.testing.assert_array_equal(track.poses[0], ref[0])
+        assert np.abs(track.poses[:, :3] - ref[:, :3]).max() <= 1e-12
+        # the scan composes in another order: quaternions agree up to the
+        # double-cover sign, which canonicalization may pick differently
+        # where w is within rounding of zero
+        q, q_ref = track.poses[:, 3:], ref[:, 3:]
+        gap = np.minimum(np.abs(q - q_ref).max(axis=1), np.abs(q + q_ref).max(axis=1))
+        assert gap.max() <= 1e-12
+        if noise.dof_mode == PLANAR:
+            assert np.all(track.poses[:, [2, 4, 5]] == 0.0)
+
     def test_rejects_rate_mismatch(self):
         gt = sim.generate_ground_truth(sim.TrajectoryProfile(), 5.0)
         with pytest.raises(DataError):
@@ -244,6 +313,33 @@ class TestDetection:
         assert np.all(np.linalg.norm(deltas, axis=1) > 0.0)
         assert np.all(np.abs(deltas) < 8.0 * model.sigma_trans)
         assert abs(deltas.mean()) < 2.0 * model.sigma_trans
+
+    @pytest.mark.parametrize(
+        "rate, sigma_trans, sigma_rot_deg",
+        [
+            (2.0, 0.005, 0.2),  # both sigmas: six draws per sighting
+            (2.0, 0.0, 0.2),  # rotation only
+            (2.0, 0.005, 0.0),  # translation only
+            (2.0, 0.0, 0.0),  # noiseless: no draws
+            (3.0, 0.005, 0.2),  # ticks between frames: interpolated robot poses
+        ],
+    )
+    def test_sweep_matches_per_tick_oracle(self, rate, sigma_trans, sigma_rot_deg):
+        noise = sim.dvso_preset()
+        gt = sim.generate_ground_truth(sim.TrajectoryProfile(), noise.frame_rate)
+        track, _ = sim.corrupt(gt, noise, seed=2)  # full 3D poses
+        model = sim.DetectionModel(
+            rate=rate, sigma_trans=sigma_trans, sigma_rot_deg=sigma_rot_deg
+        )
+        args = (track, sim.LandmarkLayout(), sim.default_placement(), model, 17)
+        got = sim.simulate_landmark_observations(*args)
+        want = loop_detect(*args)
+        assert len(got) == len(want) > 100
+        np.testing.assert_array_equal(got.times, [w[0] for w in want])
+        np.testing.assert_array_equal(got.pole_ids, [w[1] for w in want])
+        np.testing.assert_array_equal(got.rel, np.stack([w[2] for w in want]))
+        assert np.all(got.w_trans == model.weight_trans())
+        assert np.all(got.w_rot == model.weight_rot())
 
     def test_weights_follow_sigma(self):
         model = sim.DetectionModel(sigma_trans=0.005, sigma_rot_deg=0.2)

@@ -7,8 +7,9 @@ from tunnelgraph import geometry as geom
 from tunnelgraph import simulate as sim
 from tunnelgraph.sync import (
     DataError,
-    LandmarkObservation,
+    ObservationSet,
     OdometryTrack,
+    SightingError,
     align,
     with_weights,
 )
@@ -22,41 +23,52 @@ def small_track(rate=5.0, frames=11):
     return OdometryTrack("toy", rate, "planar", times, poses)
 
 
-def obs_at(t, pole=0, rel=None):
-    if rel is None:
-        rel = geom.POSE3_IDENTITY
-    return LandmarkObservation(pole, t, rel)
+def obs_at(*times, poles=None):
+    """Sightings at the given timestamps, identity relative poses."""
+    count = len(times)
+    poles = np.zeros(count, dtype=int) if poles is None else poles
+    return ObservationSet(times, poles, np.tile(geom.POSE3_IDENTITY, (count, 1)))
 
 
 class TestAlign:
     def test_inserted_node_interpolates_the_gap(self):
         track = small_track()
-        out = align(track, [obs_at(0.3)])
+        out = align(track, obs_at(0.3))
         assert out.node_count == track.frame_count + 1
         k = int(np.flatnonzero(~out.is_frame)[0])
         assert out.times[k] == 0.3
         # halfway between the frames at 0.2 and 0.4, straight-line motion
         assert abs(out.poses[k, 0] - 0.15) < 1e-12
-        assert out.attachments == [(k, out.attachments[0][1])]
-        assert out.attachments[0][1].timestamp == 0.3
+        assert out.obs_node.tolist() == [k]
+        assert out.observations.times[out.obs_order[0]] == 0.3
 
     def test_exact_timestamp_reuses_frame_node(self):
         track = small_track()
-        out = align(track, [obs_at(0.4)])
+        out = align(track, obs_at(0.4))
         assert out.node_count == track.frame_count
-        node, _ = out.attachments[0]
+        (node,) = out.obs_node
         assert out.times[node] == 0.4
         assert out.is_frame[node]
         assert np.array_equal(out.poses, track.poses)
 
     def test_shared_timestamp_inserts_one_node(self):
         track = small_track()
-        out = align(track, [obs_at(0.3, pole=1), obs_at(0.3, pole=0)])
+        out = align(track, obs_at(0.3, 0.3, poles=[1, 0]))
         assert out.node_count == track.frame_count + 1
-        assert len(out.attachments) == 2
-        assert out.attachments[0][0] == out.attachments[1][0]
+        assert out.obs_node.size == 2
+        assert out.obs_node[0] == out.obs_node[1]
         # sorted by (timestamp, pole)
-        assert [a[1].pole_id for a in out.attachments] == [0, 1]
+        assert out.observations.pole_ids[out.obs_order].tolist() == [0, 1]
+
+    def test_sightings_sorted_by_time_then_pole(self):
+        track = small_track()
+        obs = obs_at(0.6, 0.3, 0.4, 0.3, 0.6, poles=[0, 2, 1, 1, 3])
+        out = align(track, obs)
+        order = out.obs_order
+        assert obs.times[order].tolist() == [0.3, 0.3, 0.4, 0.6, 0.6]
+        assert obs.pole_ids[order].tolist() == [1, 2, 1, 0, 3]
+        # every sighting sits on the node at its own timestamp
+        np.testing.assert_array_equal(out.times[out.obs_node], obs.times[order])
 
     def test_split_parts_compose_to_raw_step(self):
         prof = sim.TrajectoryProfile()
@@ -85,7 +97,7 @@ class TestAlign:
             geom.SE2.to_pose3([1.0, 1.0, np.pi / 2]),
         ])
         track = OdometryTrack("arc", 1.0, "full3d", times, poses)
-        out = align(track, [obs_at(0.5)])
+        out = align(track, obs_at(0.5))
         mid = out.poses[~out.is_frame][0]
         expected = geom.interpolate(
             geom.Pose3.from_packed(poses[0]), geom.Pose3.from_packed(poses[1]), 0.5
@@ -94,14 +106,16 @@ class TestAlign:
 
     def test_observation_outside_span_raises(self):
         track = small_track()
-        with pytest.raises(DataError):
-            align(track, [obs_at(-0.1)])
-        with pytest.raises(DataError):
-            align(track, [obs_at(track.times[-1] + 0.01)])
+        with pytest.raises(DataError, match="t=-0.1 "):
+            align(track, obs_at(0.2, -0.1))
+        with pytest.raises(DataError, match="t=2.01 "):
+            align(track, obs_at(0.2, track.times[-1] + 0.01))
+        with pytest.raises(DataError, match="t=nan "):
+            align(track, obs_at(0.2, np.nan))
 
     def test_odometry_weights_fill_all_edges(self):
         track = small_track()
-        out = align(track, [obs_at(0.3)], odom_weights=(4.0, 9.0))
+        out = align(track, obs_at(0.3), odom_weights=(4.0, 9.0))
         assert out.meas.shape == (out.node_count - 1, 7)
         assert np.all(out.meas_weight_trans == 4.0)
         assert np.all(out.meas_weight_rot == 9.0)
@@ -142,19 +156,52 @@ class TestTypes:
         assert abs(track.duration - 2.0) < 1e-12
 
     def test_observation_validation(self):
+        ident = geom.POSE3_IDENTITY
         with pytest.raises(DataError):
-            LandmarkObservation(0, 0.0, np.zeros(6))
+            ObservationSet([0.0], [0], np.zeros((1, 6)))
         with pytest.raises(DataError):
-            LandmarkObservation(0, 0.0, geom.POSE3_IDENTITY, weight_trans=-1.0)
-        with pytest.raises(DataError):
-            LandmarkObservation(0, 0.0, [0, 0, 0, 2.0, 0, 0, 0])
+            ObservationSet([0.0, 1.0], [0], [ident, ident])
+        with pytest.raises(SightingError) as err:
+            ObservationSet([0.0, 1.0], [0, 0], [ident, ident], w_trans=[1.0, -1.0])
+        assert err.value.row == 1
+        with pytest.raises(SightingError) as err:
+            ObservationSet([0.0, 1.0], [0, 0], [ident, [0, 0, 0, 2.0, 0, 0, 0]])
+        assert err.value.row == 1 and "norm off unit" in str(err.value)
         # zero weight is a legal informationless probe
-        probe = LandmarkObservation(0, 0.0, geom.POSE3_IDENTITY, weight_trans=0.0)
-        assert probe.weight_trans == 0.0
+        probe = ObservationSet([0.0], [0], [ident], w_trans=0.0)
+        assert probe[0].weight_trans == 0.0
+        # within tolerance: stored unchanged; NaN passes to fail numerically later
+        near = ObservationSet([0.0], [0], [[0, 0, 0, 1.0 + 5e-7, 0, 0, 0]])
+        assert near.rel[0, 3] == 1.0 + 5e-7
+        assert np.isnan(ObservationSet([0.0], [0], [[np.nan] * 7]).rel).all()
+
+    def test_observation_set_rows_and_columns(self):
+        obs = ObservationSet(
+            [0.5, 0.25], [3, 1], np.tile(geom.POSE3_IDENTITY, (2, 1)), [4.0, 5.0], 6.0
+        )
+        assert len(obs) == 2
+        row = obs[1]
+        assert (row.pole_id, row.timestamp, row.weight_trans, row.weight_rot) == (
+            1, 0.25, 5.0, 6.0,
+        )
+        assert [r.pole_id for r in obs] == [3, 1]
+        np.testing.assert_array_equal(obs.w_rot, [6.0, 6.0])
+        sub = obs[1:]
+        assert isinstance(sub, ObservationSet) and sub.times.tolist() == [0.25]
+        with pytest.raises(ValueError):
+            obs.rel[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            obs.w_trans[0] = 1.0
+        empty = ObservationSet([], [], [])
+        assert len(empty) == 0 and empty.rel.shape == (0, 7)
+        assert list(empty) == []
 
     def test_with_weights(self):
-        o = obs_at(0.2)
+        o = obs_at(0.2, 0.4, poles=[0, 1])
         o2 = with_weights(o, 25.0, 49.0)
-        assert o2.weight_trans == 25.0 and o2.weight_rot == 49.0
-        assert o2.timestamp == o.timestamp and o2.pole_id == o.pole_id
-        assert o.weight_trans == 1.0
+        np.testing.assert_array_equal(o2.w_trans, [25.0, 25.0])
+        np.testing.assert_array_equal(o2.w_rot, [49.0, 49.0])
+        np.testing.assert_array_equal(o2.times, o.times)
+        np.testing.assert_array_equal(o2.pole_ids, o.pole_ids)
+        np.testing.assert_array_equal(o2.rel, o.rel)
+        np.testing.assert_array_equal(o.w_trans, [1.0, 1.0])
