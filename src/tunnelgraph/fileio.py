@@ -60,13 +60,10 @@ def _parse_pose_fields(parts, path, lineno):
     return np.array([tx, ty, tz, qw, qx, qy, qz])
 
 
-def _read_lines(path):
-    """Yields (lineno, headers-so-far unaffected content line split)."""
+def _read_table(path):
+    """Header comments (``# key: value``, first wins) and (lineno, fields) rows."""
     with open(path, "r", encoding="utf-8") as fh:
-        return fh.read().splitlines()
-
-
-def _split_headers(lines, path):
+        lines = fh.read().splitlines()
     headers = {}
     content = []
     for lineno, line in enumerate(lines, start=1):
@@ -81,6 +78,20 @@ def _split_headers(lines, path):
             continue
         content.append((lineno, stripped.split()))
     return headers, content
+
+
+def _source_headers(headers, path):
+    """(dof_mode, rate) from the headers every track and graph file carries."""
+    for required in ("source", "rate_hz", "dof_mode"):
+        if required not in headers:
+            raise DataError(f"{path}: missing '# {required}:' header")
+    dof = headers["dof_mode"]
+    if dof not in DOF_MODES:
+        raise DataError(f"{path}: unknown dof_mode {dof!r}")
+    try:
+        return dof, float(headers["rate_hz"])
+    except ValueError:
+        raise DataError(f"{path}: malformed rate_hz header") from None
 
 
 # ---------------------------------------------------------------------------
@@ -98,17 +109,8 @@ def write_track(path, track: OdometryTrack) -> None:
 
 
 def read_track(path) -> OdometryTrack:
-    headers, content = _split_headers(_read_lines(path), path)
-    for required in ("source", "rate_hz", "dof_mode"):
-        if required not in headers:
-            raise DataError(f"{path}: missing '# {required}:' header")
-    dof = headers["dof_mode"]
-    if dof not in DOF_MODES:
-        raise DataError(f"{path}: unknown dof_mode {dof!r}")
-    try:
-        rate = float(headers["rate_hz"])
-    except ValueError:
-        raise DataError(f"{path}: malformed rate_hz header") from None
+    headers, content = _read_table(path)
+    dof, rate = _source_headers(headers, path)
 
     times = np.empty(len(content))
     poses = np.empty((len(content), 7))
@@ -159,7 +161,7 @@ def write_observations(path, observations: ObservationSet) -> None:
 
 def read_observations(path) -> ObservationSet:
     """Reads either layout: 9 fields with header weights, or 11 with per-line weights."""
-    headers, content = _split_headers(_read_lines(path), path)
+    headers, content = _read_table(path)
     try:
         header_weights = [float(headers.get(k, "1")) for k in ("weight_trans", "weight_rot")]
     except ValueError:
@@ -205,7 +207,7 @@ def write_injection(path, record: NoiseInjection) -> None:
 
 
 def read_injection(path) -> NoiseInjection:
-    _, content = _split_headers(_read_lines(path), path)
+    _, content = _read_table(path)
     count = len(content)
     trans = np.empty(count)
     rot = np.empty(count)
@@ -278,17 +280,8 @@ def write_graph(path, graph: PoseGraph) -> None:
 
 
 def read_graph(path) -> PoseGraph:
-    headers, content = _split_headers(_read_lines(path), path)
-    for required in ("source", "rate_hz", "dof_mode"):
-        if required not in headers:
-            raise DataError(f"{path}: missing '# {required}:' header")
-    dof = headers["dof_mode"]
-    if dof not in DOF_MODES:
-        raise DataError(f"{path}: unknown dof_mode {dof!r}")
-    try:
-        rate = float(headers["rate_hz"])
-    except ValueError:
-        raise DataError(f"{path}: malformed rate_hz header") from None
+    headers, content = _read_table(path)
+    dof, rate = _source_headers(headers, path)
     dim = GROUPS[dof].packed_dim
     field_counts = {
         "GAUGE": 2,
@@ -461,6 +454,7 @@ def write_stats_json(path, stats: SolveStats, report: ErrorReport, extras=None) 
             "final_cost": stats.final_cost,
             "reason": stats.reason,
             "cost_trace": list(stats.cost_trace),
+            "per_iteration": list(stats.per_iteration),
         },
     }
     if extras:
@@ -470,12 +464,36 @@ def write_stats_json(path, stats: SolveStats, report: ErrorReport, extras=None) 
         fh.write("\n")
 
 
+# keys the report is rebuilt from and the JSON type each holds (float:
+# any number); the three optional ones default when absent
+STATS_KEYS = {
+    "source": str, "rate_hz": float, "frames": int, "trans_m_per_frame": float,
+    "rot_deg_per_frame": float, "closure_raw_m": float, "closure_opt_m": float,
+}
+STATS_OPTIONAL_KEYS = {
+    "closure_raw_z_m": float, "closure_opt_z_m": float, "unconstrained": bool,
+}
+
+
 def read_stats_json(path) -> dict:
+    """Solver stats file; the keys the report needs are checked for presence and type."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            payload = json.load(fh)
         except json.JSONDecodeError as exc:
             raise DataError(f"{path}:{exc.lineno}: malformed JSON: {exc.msg}") from None
+    if not isinstance(payload, dict):
+        raise DataError(f"{path}: expected a JSON object, got {type(payload).__name__}")
+    for key, kind in {**STATS_KEYS, **STATS_OPTIONAL_KEYS}.items():
+        if key in STATS_KEYS and key not in payload:
+            raise DataError(f"{path}: missing key {key!r}")
+        value = payload.get(key, kind())  # an absent optional key passes as kind()
+        accepted = (int, float) if kind is float else kind
+        # bool is an int subclass in Python but not a number in JSON
+        if not isinstance(value, accepted) or isinstance(value, bool) != (kind is bool):
+            name = "number" if kind is float else kind.__name__
+            raise DataError(f"{path}: key {key!r} must be a {name}, got {value!r}")
+    return payload
 
 
 def write_xy_csv(path, times, raw_xy, opt_xy) -> None:

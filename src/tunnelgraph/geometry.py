@@ -20,7 +20,8 @@ single poses and whole edge sets.
 
 The two pose families are :data:`SE2` and :data:`SE3`, instances of one
 :class:`Group` table carrying compose, inverse, exp, log, adjoint, the
-inverse right Jacobian and the conversions to and from packed SE(3), plus
+inverse right Jacobian (in closed form, no matrix inversion) and the
+conversions to and from packed SE(3), plus
 the derived ``relative``, ``retract`` and ``between`` (the one edge
 residual).  Code that serves both families takes a group and never
 branches on which one it has.  :class:`Pose3` is the small immutable
@@ -206,18 +207,21 @@ def so3_left_jacobian(r):
     return eye + a[..., None, None] * hat + b[..., None, None] * (hat @ hat)
 
 
-def so3_left_jacobian_inv(r):
-    r = np.asarray(r, dtype=float)
-    angle = np.linalg.norm(r, axis=-1)
+def _half_cot_coeff(angle):
+    """(1 - (t/2) cot(t/2)) / t^2 for t >= 0, by its series below 1e-2."""
     t2 = angle * angle
     small = angle < 1e-2
     safe = np.where(small, 1.0, angle)
-    # (1 - (t/2) cot(t/2)) / t^2, series 1/12 + t^2/720 + t^4/30240
-    c = np.where(
+    return np.where(
         small,
         1.0 / 12.0 + t2 / 720.0 + t2 * t2 / 30240.0,
         (1.0 - 0.5 * safe / np.tan(0.5 * safe)) / (safe * safe),
     )
+
+
+def so3_left_jacobian_inv(r):
+    r = np.asarray(r, dtype=float)
+    c = _half_cot_coeff(np.linalg.norm(r, axis=-1))
     hat = so3_hat(r)
     eye = np.broadcast_to(np.eye(3), hat.shape)
     return eye - 0.5 * hat + c[..., None, None] * (hat @ hat)
@@ -298,23 +302,20 @@ def _se3_q_matrix(rho, theta):
     return term1 + term2 + term3 + term4
 
 
-def se3_left_jacobian(xi):
-    xi = np.asarray(xi, dtype=float)
-    rho, theta = xi[..., :3], xi[..., 3:]
-    jl = so3_left_jacobian(theta)
-    out = np.zeros(xi.shape[:-1] + (6, 6))
-    out[..., :3, :3] = jl
-    out[..., 3:, 3:] = jl
-    out[..., :3, 3:] = _se3_q_matrix(rho, theta)
-    return out
-
-
-def se3_right_jacobian(xi):
-    return se3_left_jacobian(-np.asarray(xi, dtype=float))
-
-
 def se3_right_jacobian_inv(xi):
-    return np.linalg.inv(se3_right_jacobian(xi))
+    """Closed-form inverse of the SE(3) right Jacobian Jr(xi) = Jl(-xi).
+
+    Jl = [[J, Q], [0, J]] (Sola et al., arXiv:1812.01537), so
+    Jl^-1 = [[J^-1, -J^-1 Q J^-1], [0, J^-1]] with J^-1 in closed form.
+    """
+    xi = np.asarray(xi, dtype=float)
+    rho, theta = -xi[..., :3], -xi[..., 3:]
+    j_inv = so3_left_jacobian_inv(theta)
+    out = np.zeros(xi.shape[:-1] + (6, 6))
+    out[..., :3, :3] = j_inv
+    out[..., 3:, 3:] = j_inv
+    out[..., :3, 3:] = -(j_inv @ _se3_q_matrix(rho, theta) @ j_inv)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -323,27 +324,21 @@ def se3_right_jacobian_inv(xi):
 POSE2_IDENTITY = np.array([0.0, 0.0, 0.0])
 
 
-def _rot2(yaw):
-    c, s = np.cos(yaw), np.sin(yaw)
-    return np.stack(
-        [np.stack([c, -s], axis=-1), np.stack([s, c], axis=-1)], axis=-2
-    )
-
-
 def pose2_compose(a, b):
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    xy = a[..., :2] + np.einsum("...ij,...j->...i", _rot2(a[..., 2]), b[..., :2])
-    yaw = wrap_angle(a[..., 2] + b[..., 2])
-    return np.concatenate([xy, np.asarray(yaw)[..., None]], axis=-1)
+    c, s = np.cos(a[..., 2]), np.sin(a[..., 2])
+    x = a[..., 0] + (c * b[..., 0] - s * b[..., 1])
+    y = a[..., 1] + (s * b[..., 0] + c * b[..., 1])
+    return np.stack([x, y, wrap_angle(a[..., 2] + b[..., 2])], axis=-1)
 
 
 def pose2_inverse(p):
     p = np.asarray(p, dtype=float)
-    rot_t = np.swapaxes(_rot2(p[..., 2]), -1, -2)
-    xy = -np.einsum("...ij,...j->...i", rot_t, p[..., :2])
-    yaw = wrap_angle(-p[..., 2])
-    return np.concatenate([xy, np.asarray(yaw)[..., None]], axis=-1)
+    c, s = np.cos(p[..., 2]), np.sin(p[..., 2])
+    x = -(c * p[..., 0] + s * p[..., 1])
+    y = -(-s * p[..., 0] + c * p[..., 1])
+    return np.stack([x, y, wrap_angle(-p[..., 2])], axis=-1)
 
 
 def pose2_relative(a, b):
@@ -379,41 +374,35 @@ def se2_log(p):
 
 def se2_adjoint(p):
     p = np.asarray(p, dtype=float)
+    c, s = np.cos(p[..., 2]), np.sin(p[..., 2])
     out = np.zeros(p.shape[:-1] + (3, 3))
-    out[..., :2, :2] = _rot2(p[..., 2])
+    out[..., 0, 0] = c
+    out[..., 0, 1] = -s
+    out[..., 1, 0] = s
+    out[..., 1, 1] = c
     out[..., 0, 2] = p[..., 1]
     out[..., 1, 2] = -p[..., 0]
     out[..., 2, 2] = 1.0
     return out
 
 
-def se2_right_jacobian(xi):
+def se2_right_jacobian_inv(xi):
+    """Closed-form inverse of the SE(2) right Jacobian.
+
+    With c = (1 - (g/2) cot(g/2)) / g^2 and p = (g/2) cot(g/2) = 1 - c g^2,
+    Jr^-1 = [[p, -g/2, c g x + y/2], [g/2, p, c g y - x/2], [0, 0, 1]].
+    """
     xi = np.asarray(xi, dtype=float)
-    rho, gamma = xi[..., :2], xi[..., 2]
-    g2 = gamma * gamma
-    half_sinc = np.sinc(gamma / (2.0 * np.pi))
-    a = 0.5 * half_sinc * half_sinc
-    small = np.abs(gamma) < 1e-2
-    safe = np.where(small, 1.0, gamma)
-    b = np.where(
-        small,
-        gamma / 6.0 - gamma * g2 / 120.0 + gamma * g2 * g2 / 5040.0,
-        (safe - np.sin(safe)) / (safe * safe),
-    )
+    x, y, gamma = xi[..., 0], xi[..., 1], xi[..., 2]
+    cg = _half_cot_coeff(np.abs(gamma)) * gamma
     out = np.zeros(xi.shape[:-1] + (3, 3))
-    alpha, beta = _se2_v_coeffs(-gamma)
-    out[..., 0, 0] = alpha
-    out[..., 0, 1] = -beta
-    out[..., 1, 0] = beta
-    out[..., 1, 1] = alpha
-    out[..., 0, 2] = b * rho[..., 0] - a * rho[..., 1]
-    out[..., 1, 2] = a * rho[..., 0] + b * rho[..., 1]
+    out[..., 0, 0] = out[..., 1, 1] = 1.0 - cg * gamma
+    out[..., 0, 1] = -0.5 * gamma
+    out[..., 1, 0] = 0.5 * gamma
+    out[..., 0, 2] = cg * x + 0.5 * y
+    out[..., 1, 2] = cg * y - 0.5 * x
     out[..., 2, 2] = 1.0
     return out
-
-
-def se2_right_jacobian_inv(xi):
-    return np.linalg.inv(se2_right_jacobian(xi))
 
 
 def pose2_to_pose3_packed(p2):

@@ -209,7 +209,7 @@ def observation_residuals(graph: PoseGraph, states=None, landmark=None) -> np.nd
     """Tangent residual per observation edge against the placed template."""
     s = graph.states if states is None else states
     lf = graph.landmark if landmark is None else landmark
-    target = graph.group.compose(lf, graph.template[graph.obs_pole])
+    target = graph.pole_world_poses(lf)[graph.obs_pole]
     return graph.group.between(graph.obs_meas, s[graph.obs_node], target)
 
 

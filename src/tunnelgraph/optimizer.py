@@ -10,10 +10,17 @@ the cost raise it tenfold; accepted steps relax it.
 The node chain gives a block-tridiagonal Hessian with one extra
 row/column coupling every observing node to the landmark frame, so a
 general sparse factorization stays near linear time in the node count.
+
+Per iteration: observation targets and adjoints are computed once per
+pole and gathered per sighting; the per-edge blocks J_a^T W J_b are batched
+``matmul`` products of sqrt(W)-scaled Jacobians (exactly symmetric); and
+the node Hessian's CSR pattern (sorted, duplicate-free) is built once, so
+assembly only sums values into it by a precomputed gather order.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,6 +82,15 @@ class SolveStats:
     final_cost: float
     reason: str
     cost_trace: list = field(default_factory=list)
+    # per iteration: accepted damping, rejected trials, step norm, and seconds
+    # in linearize, products, assemble, factor + solve and cost (all trials)
+    per_iteration: list = field(default_factory=list)
+
+
+def _timed(fn, *args):
+    start = time.perf_counter()
+    out = fn(*args)
+    return out, time.perf_counter() - start
 
 
 # ---------------------------------------------------------------------------
@@ -85,14 +101,16 @@ def _between_blocks(group, meas, a, b):
     """Residual ``group.between(meas, a, b)`` and its Jacobians in a and b."""
     r = group.between(meas, a, b)
     jb = group.jr_inv(r)
-    ja = -np.einsum("...ij,...jk->...ik", jb, group.adjoint(group.relative(b, a)))
+    ja = -(jb @ group.adjoint(group.relative(b, a)))
     return r, ja, jb
 
 
-def _obs_blocks_analytic(group, meas, si, landmark, pole):
-    r, ji, jt = _between_blocks(group, meas, si, group.compose(landmark, pole))
+def _obs_blocks_analytic(group, meas, si, landmark, template, pole):
+    """Observation blocks; targets and adjoints are computed once per pole."""
+    target = group.compose(landmark, template)[pole]
+    r, ji, jt = _between_blocks(group, meas, si, target)
     # landmark * exp(d) * pole = (landmark * pole) * exp(Ad(pole^-1) d)
-    jl = np.einsum("...ij,...jk->...ik", jt, group.adjoint(group.inverse(pole)))
+    jl = jt @ group.adjoint(group.inverse(template))[pole]
     return r, ji, jl
 
 
@@ -116,9 +134,9 @@ def _odo_blocks_numeric(group, meas, si, sj, step=FD_STEP):
     return r, ji, jj
 
 
-def _obs_blocks_numeric(group, meas, si, landmark, pole, step=FD_STEP):
+def _obs_blocks_numeric(group, meas, si, landmark, template, pole, step=FD_STEP):
     def residual(s, lm):
-        return group.between(meas, s, group.compose(lm, pole))
+        return group.between(meas, s, group.compose(lm, template)[pole])
 
     r = residual(si, landmark)
     ji = _central_difference(group, lambda x: residual(x, landmark), si, step)
@@ -176,70 +194,53 @@ class _Assembler:
         bid = np.arange(n, dtype=int)
         bid[graph.gauge_index] = -1
         bid[graph.gauge_index + 1 :] -= 1
-        self.node_bid = bid
+        self.gauge_index = graph.gauge_index
         self.landmark_free = graph.obs_count > 0 and not graph.landmark_fixed
         self.node_dim = (n - 1) * d
+        self.shape = (self.node_dim, self.node_dim)
 
-        obs_bid = bid[graph.obs_node] if graph.obs_count else np.zeros(0, dtype=int)
-        # node-node products entering the sparse matrix
-        self.a_parts = [
-            ("oii", bid[graph.odo_i], bid[graph.odo_i]),
-            ("oij", bid[graph.odo_i], bid[graph.odo_j]),
-            ("oji", bid[graph.odo_j], bid[graph.odo_i]),
-            ("ojj", bid[graph.odo_j], bid[graph.odo_j]),
-            ("sii", obs_bid, obs_bid),
-        ]
-        self.g_parts = [
-            ("oi", bid[graph.odo_i]),
-            ("oj", bid[graph.odo_j]),
-            ("si", obs_bid),
-        ]
-
+        obs_bid = bid[graph.obs_node]
+        oi, oj = bid[graph.odo_i], bid[graph.odo_j]
         offsets = np.arange(d)
-        self.a_masks, rows, cols = {}, [], []
-        for name, a, b in self.a_parts:
-            mask = (a >= 0) & (b >= 0)
-            self.a_masks[name] = mask
-            ra = a[mask][:, None, None] * d + offsets[None, :, None]
-            cb = b[mask][:, None, None] * d + offsets[None, None, :]
-            block = np.broadcast_arrays(ra, cb)
-            rows.append(block[0].ravel())
-            cols.append(block[1].ravel())
-        self.rows = np.concatenate(rows)
-        self.cols = np.concatenate(cols)
 
-        self.g_masks, self.g_indices = {}, {}
-        for name, a in self.g_parts:
-            mask = a >= 0
-            self.g_masks[name] = mask
-            self.g_indices[name] = (a[mask][:, None] * d + offsets[None, :]).ravel()
+        # block row and column of every entry of the node-node products, in
+        # assemble's order; the gauge node's blocks are negative and left out
+        a = np.concatenate([oi, oi, oj, oj, obs_bid])[:, None, None]
+        b = np.concatenate([oi, oj, oi, oj, obs_bid])[:, None, None]
+        rows, cols = np.broadcast_arrays(a * d + offsets[:, None], b * d + offsets)
+        free = np.broadcast_to((a >= 0) & (b >= 0), rows.shape).ravel()
+        keys = rows.ravel()[free] * self.node_dim + cols.ravel()[free]
+        order = np.argsort(keys, kind="stable")
+        self.a_gather = np.flatnonzero(free)[order]
+        keys = keys[order]
+        self.a_starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+        key_rows, key_cols = np.divmod(keys[self.a_starts], self.node_dim)
+        indptr = np.searchsorted(key_rows, np.arange(self.node_dim + 1))
+        # scipy picks the index dtype once; every iteration reuses these arrays
+        pattern = sp.csr_matrix((np.zeros(key_cols.size), key_cols, indptr), shape=self.shape)
+        self.indices, self.indptr = pattern.indices, pattern.indptr
 
-        self.obs_mask = obs_bid >= 0
-        self.b_rows = (obs_bid[self.obs_mask][:, None] * d + offsets[None, :]).ravel()
+        g_rows = (np.concatenate([oi, oj, obs_bid])[:, None] * d + offsets).ravel()
+        self.g_gather = np.flatnonzero(g_rows >= 0)
+        self.g_rows = g_rows[self.g_gather]
+        # flat index into the (node_dim, d) block column B
+        b_cells = (obs_bid[:, None] * d * d + np.arange(d * d)).ravel()
+        self.b_gather = np.flatnonzero(b_cells >= 0)
+        self.b_cells = b_cells[self.b_gather]
 
     def assemble(self, products, gvecs):
         """Returns (A sparse, B dense, C dense, g_nodes, g_landmark)."""
-        d = self.d
-        vals = np.concatenate(
-            [products[name][self.a_masks[name]].ravel() for name, _, _ in self.a_parts]
-        )
-        a_mat = sp.coo_matrix(
-            (vals, (self.rows, self.cols)), shape=(self.node_dim, self.node_dim)
-        ).tocsr()
-
-        g_nodes = np.zeros(self.node_dim)
-        for name, _ in self.g_parts:
-            np.add.at(
-                g_nodes, self.g_indices[name], gvecs[name][self.g_masks[name]].ravel()
-            )
+        blocks = ("oii", "oij", "oji", "ojj", "sii")
+        vals = np.concatenate([products[k].ravel() for k in blocks])
+        data = np.add.reduceat(vals[self.a_gather], self.a_starts)
+        a_mat = sp.csr_matrix((data, self.indices, self.indptr), shape=self.shape)
+        gvals = np.concatenate([gvecs[k].ravel() for k in ("oi", "oj", "si")])
+        g_nodes = np.bincount(self.g_rows, gvals[self.g_gather], minlength=self.node_dim)
 
         if self.landmark_free:
-            b_mat = np.zeros((self.node_dim, d))
-            np.add.at(
-                b_mat,
-                self.b_rows,
-                products["sil"][self.obs_mask].reshape(-1, d),
-            )
+            b_vals = products["sil"].ravel()[self.b_gather]
+            b_mat = np.bincount(self.b_cells, b_vals, minlength=self.node_dim * self.d)
+            b_mat = b_mat.reshape(self.node_dim, self.d)
             c_mat = products["sll"].sum(axis=0)
             g_lm = gvecs["sl"].sum(axis=0)
         else:
@@ -252,12 +253,7 @@ class _Assembler:
         """One damped solve; returns (node delta flat, landmark delta) or None."""
         diag_a = a_mat.diagonal()
         diag_c = np.diag(c_mat) if self.landmark_free else np.zeros(0)
-        top = max(
-            float(diag_a.max()) if diag_a.size else 1.0,
-            float(diag_c.max()) if diag_c.size else 0.0,
-            1.0,
-        )
-        floor = 1e-12 * top
+        floor = 1e-12 * max(float(diag_a.max()), float(diag_c.max(initial=0.0)), 1.0)
         a_damped = a_mat + sp.diags(damping * np.maximum(diag_a, floor))
         try:
             lu = spla.splu(a_damped.tocsc())
@@ -269,8 +265,8 @@ class _Assembler:
                 return None
             return delta_n, None
         c_damped = c_mat + np.diag(damping * np.maximum(diag_c, floor))
-        x0 = lu.solve(g_nodes)
-        y_mat = lu.solve(b_mat)
+        x_y = lu.solve(np.column_stack([g_nodes, b_mat]))  # one pass, d + 1 columns
+        x0, y_mat = x_y[:, 0], x_y[:, 1:]
         schur = c_damped - b_mat.T @ y_mat
         try:
             delta_l = np.linalg.solve(schur, -g_lm + b_mat.T @ x0)
@@ -281,12 +277,9 @@ class _Assembler:
             return None
         return delta_n, delta_l
 
-    def split_delta(self, delta_n, delta_l, node_count):
-        d = self.d
-        node_delta = np.zeros((node_count, d))
-        free = self.node_bid >= 0
-        node_delta[free] = delta_n.reshape(-1, d)[self.node_bid[free]]
-        return node_delta, delta_l
+    def node_delta(self, delta_n):
+        """Per-node steps from the flat free-node solution; zero at the gauge."""
+        return np.insert(delta_n.reshape(-1, self.d), self.gauge_index, 0.0, axis=0)
 
 
 def _linearize(graph, states, landmark, numeric: bool):
@@ -296,19 +289,15 @@ def _linearize(graph, states, landmark, numeric: bool):
     r_odo, ji_o, jj_o = odo_blocks(
         group, graph.odo_meas, states[graph.odo_i], states[graph.odo_j]
     )
-    if graph.obs_count:
-        r_obs, ji_s, jl_s = obs_blocks(
-            group, graph.obs_meas, states[graph.obs_node], landmark,
-            graph.template[graph.obs_pole],
-        )
-    else:
-        d = group.tangent_dim
-        r_obs = np.zeros((0, d))
-        ji_s = jl_s = np.zeros((0, d, d))
+    r_obs, ji_s, jl_s = obs_blocks(
+        group, graph.obs_meas, states[graph.obs_node], landmark,
+        graph.template, graph.obs_pole,
+    )
     return r_odo, ji_o, jj_o, r_obs, ji_s, jl_s
 
 
 def _products(graph, lin, huber_delta):
+    """Per-edge normal-equation blocks J_a^T W J_b and gradients J^T W r."""
     r_odo, ji_o, jj_o, r_obs, ji_s, jl_s = lin
     w_odo, w_obs = _weight_vectors(graph)
     if huber_delta > 0.0:
@@ -318,27 +307,37 @@ def _products(graph, lin, huber_delta):
         _, f_obs = _robust_costs(sq_obs, huber_delta)
         w_odo = w_odo * f_odo[:, None]
         w_obs = w_obs * f_obs[:, None]
+    sw_odo, sw_obs = np.sqrt(w_odo), np.sqrt(w_obs)
 
-    def wjtj(ja, w, jb):
-        return np.einsum("eki,ek,ekj->eij", ja, w, jb)
+    def scaled(jac, sw):
+        # sqrt(W) J and its contiguous transpose: (sqrt(W) J)^T (sqrt(W) J)
+        # sums the same products in the same order for (a, b) and (b, a),
+        # so every block of A comes out exactly symmetric
+        s = jac * sw[:, :, None]
+        return s, np.ascontiguousarray(np.swapaxes(s, 1, 2))
 
-    def wjtr(ja, w, r):
-        return np.einsum("eki,ek,ek->ei", ja, w, r)
+    def times_r(s, sw, r):
+        return np.einsum("eki,ek->ei", s, sw * r)
 
+    si_o, ti_o = scaled(ji_o, sw_odo)
+    sj_o, tj_o = scaled(jj_o, sw_odo)
+    si_s, ti_s = scaled(ji_s, sw_obs)
+    sl_s, tl_s = scaled(jl_s, sw_obs)
+    oij = ti_o @ sj_o
     products = {
-        "oii": wjtj(ji_o, w_odo, ji_o),
-        "oij": wjtj(ji_o, w_odo, jj_o),
-        "oji": wjtj(jj_o, w_odo, ji_o),
-        "ojj": wjtj(jj_o, w_odo, jj_o),
-        "sii": wjtj(ji_s, w_obs, ji_s),
-        "sil": wjtj(ji_s, w_obs, jl_s),
-        "sll": wjtj(jl_s, w_obs, jl_s),
+        "oii": ti_o @ si_o,
+        "oij": oij,
+        "oji": np.swapaxes(oij, 1, 2),
+        "ojj": tj_o @ sj_o,
+        "sii": ti_s @ si_s,
+        "sil": ti_s @ sl_s,
+        "sll": tl_s @ sl_s,
     }
     gvecs = {
-        "oi": wjtr(ji_o, w_odo, r_odo),
-        "oj": wjtr(jj_o, w_odo, r_odo),
-        "si": wjtr(ji_s, w_obs, r_obs),
-        "sl": wjtr(jl_s, w_obs, r_obs),
+        "oi": times_r(si_o, sw_odo, r_odo),
+        "oj": times_r(sj_o, sw_odo, r_odo),
+        "si": times_r(si_s, sw_obs, r_obs),
+        "sl": times_r(sl_s, sw_obs, r_obs),
     }
     return products, gvecs
 
@@ -362,31 +361,38 @@ def optimize(graph, settings: SolverSettings = None):
 
     cost = _total_cost(graph, states, landmark, settings.huber_delta)
     trace = [cost]
+    per_iteration = []
     damping = settings.initial_damping
     reason = MAX_ITERATIONS
     iterations = 0
 
     for iteration in range(1, settings.max_iterations + 1):
         iterations = iteration
-        lin = _linearize(graph, states, landmark, numeric)
-        products, gvecs = _products(graph, lin, settings.huber_delta)
-        a_mat, b_mat, c_mat, g_nodes, g_lm = assembler.assemble(products, gvecs)
+        record = {"rejected": 0, "solve_s": 0.0, "cost_s": 0.0}
+        lin, record["linearize_s"] = _timed(_linearize, graph, states, landmark, numeric)
+        (products, gvecs), record["products_s"] = _timed(
+            _products, graph, lin, settings.huber_delta
+        )
+        system, record["assemble_s"] = _timed(assembler.assemble, products, gvecs)
 
         while True:
-            solution = assembler.solve(a_mat, b_mat, c_mat, g_nodes, g_lm, damping)
+            solution, seconds = _timed(assembler.solve, *system, damping)
+            record["solve_s"] += seconds  # factor and solve, all trials
             if solution is not None:
                 delta_n, delta_l = solution
-                node_delta, lm_delta = assembler.split_delta(
-                    delta_n, delta_l, graph.node_count
-                )
                 cand_states, cand_lm = gmod.retract(
-                    graph, states, landmark, node_delta, lm_delta
+                    graph, states, landmark, assembler.node_delta(delta_n), delta_l
                 )
                 cand_states[graph.gauge_index] = gauge_state
-                cand_cost = _total_cost(graph, cand_states, cand_lm, settings.huber_delta)
+                cand_cost, seconds = _timed(
+                    _total_cost, graph, cand_states, cand_lm, settings.huber_delta
+                )
+                record["cost_s"] += seconds
                 if cand_cost <= cost:
+                    record["damping"] = damping
                     damping = max(damping * settings.damping_decrease, 1e-12)
                     break
+            record["rejected"] += 1
             damping *= settings.damping_increase
             if damping > DAMPING_CEILING:
                 raise ConditioningError(
@@ -396,6 +402,8 @@ def optimize(graph, settings: SolverSettings = None):
         step_norm = float(np.linalg.norm(delta_n))
         if delta_l is not None:
             step_norm = float(np.hypot(step_norm, np.linalg.norm(delta_l)))
+        record["step_norm"] = step_norm
+        per_iteration.append(record)
         decrease = cost - cand_cost
         states, landmark = cand_states, cand_lm
         trace.append(cand_cost)
@@ -414,6 +422,7 @@ def optimize(graph, settings: SolverSettings = None):
         final_cost=cost,
         reason=reason,
         cost_trace=trace,
+        per_iteration=per_iteration,
     )
     return graph.with_solution(states, landmark), stats
 
@@ -454,7 +463,7 @@ def check_jacobians(graph, probe_count: int = 100, seed: int = 0, step: float = 
     if obs_idx.size:
         args = (
             group, graph.obs_meas[obs_idx], states[graph.obs_node[obs_idx]],
-            landmark, graph.template[graph.obs_pole[obs_idx]],
+            landmark, graph.template, graph.obs_pole[obs_idx],
         )
         _, ji_a, jl_a = _obs_blocks_analytic(*args)
         _, ji_n, jl_n = _obs_blocks_numeric(*args, step)

@@ -191,8 +191,8 @@ class TestExitCodes:
         assert proc.returncode == 3
         assert "numerical" in proc.stderr
 
-    @pytest.mark.parametrize("name", ["dvso_graph.txt", "dvso_stats.json"])
-    def test_malformed_solver_output_exits_2(self, tmp_path, capsys, name):
+    @staticmethod
+    def optimized_run(tmp_path):
         out = tmp_path / "run"
         cfg = write_config(tmp_path, SMALL_CONFIG)
         assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 0
@@ -202,6 +202,11 @@ class TestExitCodes:
             "--observations", str(out / "observations.txt"),
             "--out", str(out),
         ]) == 0
+        return out
+
+    @pytest.mark.parametrize("name", ["dvso_graph.txt", "dvso_stats.json"])
+    def test_malformed_solver_output_exits_2(self, tmp_path, capsys, name):
+        out = self.optimized_run(tmp_path)
         lines = (out / name).read_text().splitlines()
         if name.endswith(".txt"):
             row = next(k for k, ln in enumerate(lines) if ln.startswith("NODE 1 "))
@@ -217,6 +222,28 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "data error" in err
         assert f"{name}:{row + 1}:" in err
+
+    @pytest.mark.parametrize("case", ["missing-key", "not-an-object", "text-frames"])
+    def test_schema_broken_stats_exits_2(self, tmp_path, capsys, case):
+        out = self.optimized_run(tmp_path)
+        path = out / "dvso_stats.json"
+        payload = json.loads(path.read_text())
+        if case == "missing-key":
+            del payload["closure_raw_m"]
+            named = "'closure_raw_m'"
+        elif case == "not-an-object":
+            payload = [1, 2]
+            named = "JSON object"
+        else:
+            payload["frames"] = "many"
+            named = "'frames'"
+        path.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert cli.main(["report", "--dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "data error" in err
+        assert "dvso_stats.json" in err
+        assert named in err
 
     def test_non_unit_quaternion_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, SMALL_CONFIG)

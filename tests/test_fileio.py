@@ -418,7 +418,8 @@ class TestReports:
             fileio.read_stats_json(path)
 
     def test_stats_json_round_trip(self, tmp_path):
-        stats = opt.SolveStats(3, 10.0, 0.5, "cost-threshold", [10.0, 1.0, 0.5])
+        record = {"damping": 1e-6, "rejected": 0, "step_norm": 0.25, "solve_s": 0.01}
+        stats = opt.SolveStats(3, 10.0, 0.5, "cost-threshold", [10.0, 1.0, 0.5], [record])
         report = ErrorReport("dvso", 5.0, 100, 0.001, 0.01, 0.5, 0.1)
         path = tmp_path / "stats.json"
         fileio.write_stats_json(path, stats, report)
@@ -427,3 +428,4 @@ class TestReports:
         assert back["trans_m_per_s"] == pytest.approx(0.005)
         assert back["solver"]["iterations"] == 3
         assert back["solver"]["cost_trace"] == [10.0, 1.0, 0.5]
+        assert back["solver"]["per_iteration"] == [record]

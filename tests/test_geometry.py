@@ -239,6 +239,48 @@ def _fd_jacobian(exp_fn, log_fn, comp_fn, inv_fn, xi, n, h=1e-6):
     return J
 
 
+# Reference right Jacobians, assembled blockwise and inverted with
+# np.linalg.inv, against which the closed-form jr_inv is checked.
+
+
+def se3_right_jacobian(xi):
+    """Jr(xi) = Jl(-xi) = [[J, Q], [0, J]] at (rho, theta) = -xi."""
+    xi = np.asarray(xi, dtype=float)
+    rho, theta = -xi[..., :3], -xi[..., 3:]
+    jl = g.so3_left_jacobian(theta)
+    out = np.zeros(xi.shape[:-1] + (6, 6))
+    out[..., :3, :3] = jl
+    out[..., 3:, 3:] = jl
+    out[..., :3, 3:] = g._se3_q_matrix(rho, theta)
+    return out
+
+
+def se2_right_jacobian(xi):
+    """Jr = [[M, c], [0, 1]], M the V matrix of -gamma."""
+    xi = np.asarray(xi, dtype=float)
+    rho, gamma = xi[..., :2], xi[..., 2]
+    g2 = gamma * gamma
+    half_sinc = np.sinc(gamma / (2.0 * np.pi))
+    a = 0.5 * half_sinc * half_sinc
+    small = np.abs(gamma) < 1e-2
+    safe = np.where(small, 1.0, gamma)
+    b = np.where(
+        small,
+        gamma / 6.0 - gamma * g2 / 120.0 + gamma * g2 * g2 / 5040.0,
+        (safe - np.sin(safe)) / (safe * safe),
+    )
+    out = np.zeros(xi.shape[:-1] + (3, 3))
+    alpha, beta = g._se2_v_coeffs(-gamma)
+    out[..., 0, 0] = alpha
+    out[..., 0, 1] = -beta
+    out[..., 1, 0] = beta
+    out[..., 1, 1] = alpha
+    out[..., 0, 2] = b * rho[..., 0] - a * rho[..., 1]
+    out[..., 1, 2] = a * rho[..., 0] + b * rho[..., 1]
+    out[..., 2, 2] = 1.0
+    return out
+
+
 def test_se3_right_jacobian_matches_finite_differences():
     rng = np.random.default_rng(13)
     worst = 0.0
@@ -246,7 +288,7 @@ def test_se3_right_jacobian_matches_finite_differences():
         xi = rng.normal(size=6)
         xi[3:] *= rng.uniform(0.0, 2.9) / max(np.linalg.norm(xi[3:]), 1e-12)
         fd = _fd_jacobian(g.se3_exp, g.se3_log, g.pose3_compose, g.pose3_inverse, xi, 6)
-        worst = max(worst, np.abs(g.se3_right_jacobian(xi) - fd).max())
+        worst = max(worst, np.abs(se3_right_jacobian(xi) - fd).max())
     assert worst < 1e-6
 
 
@@ -256,8 +298,57 @@ def test_se2_right_jacobian_matches_finite_differences():
     for _ in range(60):
         xi = np.array([rng.normal() * 3, rng.normal() * 3, rng.uniform(-2.9, 2.9)])
         fd = _fd_jacobian(g.se2_exp, g.se2_log, g.pose2_compose, g.pose2_inverse, xi, 3)
-        worst = max(worst, np.abs(g.se2_right_jacobian(xi) - fd).max())
+        worst = max(worst, np.abs(se2_right_jacobian(xi) - fd).max())
     assert worst < 1e-6
+
+
+RIGHT_JACOBIANS = {"SE2": se2_right_jacobian, "SE3": se3_right_jacobian}
+
+# rotation angles on every branch of the closed forms: the series below
+# 1e-2, both sides of that cutoff, generic angles, and angles near pi
+ANGLES = st.one_of(
+    st.floats(0.0, 1e-2 * 0.999),
+    st.floats(1e-2 * 0.95, 1e-2 * 1.05),
+    st.floats(1e-2, 3.0),
+    st.floats(np.pi - 1e-2, np.pi - 1e-3),
+)
+
+
+@pytest.mark.parametrize("name", ["SE2", "SE3"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_jr_inv_closed_form(name, data):
+    group = {"SE2": SE2, "SE3": SE3}[name]
+    d, k = group.tangent_dim, group.trans_dim
+    unit = st.floats(-1.0, 1.0, allow_nan=False)
+    rho = 5.0 * np.array(data.draw(st.lists(unit, min_size=k, max_size=k)))
+    if d - k == 1:
+        axis = np.array([data.draw(st.sampled_from([-1.0, 1.0]))])
+    else:
+        polar = data.draw(st.floats(0.0, np.pi))
+        azimuth = data.draw(st.floats(0.0, 2.0 * np.pi))
+        axis = np.array([
+            np.sin(polar) * np.cos(azimuth), np.sin(polar) * np.sin(azimuth), np.cos(polar)
+        ])
+    xi = np.concatenate([rho, data.draw(ANGLES) * axis])
+    jr_inv = group.jr_inv(xi)
+
+    # log(exp(xi) * exp(delta)) = xi + Jr^-1(xi) delta + O(|delta|^2)
+    h = 1e-6
+    fd = np.empty((d, d))
+    for col in range(d):
+        step = np.zeros(d)
+        step[col] = h
+        plus = group.log(group.retract(group.exp(xi), step))
+        minus = group.log(group.retract(group.exp(xi), -step))
+        fd[:, col] = (plus - minus) / (2.0 * h)
+    scale = 1.0 + np.abs(jr_inv).max()
+    assert np.abs(jr_inv - fd).max() < 1e-6 * scale
+
+    reference = np.linalg.inv(RIGHT_JACOBIANS[name](xi))
+    assert np.abs(jr_inv - reference).max() < 1e-12 * scale
+    # batched rows agree with the single evaluation
+    assert np.array_equal(group.jr_inv(np.stack([xi, xi]))[1], jr_inv)
 
 
 def test_adjoint_identity():

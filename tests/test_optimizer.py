@@ -7,8 +7,11 @@ bookkeeping, the numeric Jacobian path, robust weighting and failure
 modes.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import tunnelgraph.geometry as geom
 import tunnelgraph.graph as gmod
@@ -25,6 +28,7 @@ from tunnelgraph.optimizer import (
 from tunnelgraph.sync import DataError, FULL3D, PLANAR
 
 from planar_oracle import coordinate_descent, oracle_cost, planar_problem
+from test_graph import small_problem
 
 
 def simulated_graph(mode=FULL3D, seed=0, frames=60, rate=5.0):
@@ -182,3 +186,152 @@ class TestSettings:
             SolverSettings(jacobian_mode="symbolic")
         with pytest.raises(DataError):
             SolverSettings(huber_delta=-1.0)
+
+
+# ---------------------------------------------------------------------------
+# normal-equation products and assembly against the einsum/COO reference
+
+
+def einsum_products(graph, lin, huber_delta):
+    """Reference products: three-operand einsum per block."""
+    r_odo, ji_o, jj_o, r_obs, ji_s, jl_s = lin
+    w_odo, w_obs = opt._weight_vectors(graph)
+    if huber_delta > 0.0:
+        _, f_odo = opt._robust_costs(np.einsum("ek,ek->e", w_odo, r_odo**2), huber_delta)
+        _, f_obs = opt._robust_costs(np.einsum("ek,ek->e", w_obs, r_obs**2), huber_delta)
+        w_odo = w_odo * f_odo[:, None]
+        w_obs = w_obs * f_obs[:, None]
+
+    def wjtj(ja, w, jb):
+        return np.einsum("eki,ek,ekj->eij", ja, w, jb)
+
+    def wjtr(ja, w, r):
+        return np.einsum("eki,ek,ek->ei", ja, w, r)
+
+    products = {
+        "oii": wjtj(ji_o, w_odo, ji_o), "oij": wjtj(ji_o, w_odo, jj_o),
+        "oji": wjtj(jj_o, w_odo, ji_o), "ojj": wjtj(jj_o, w_odo, jj_o),
+        "sii": wjtj(ji_s, w_obs, ji_s), "sil": wjtj(ji_s, w_obs, jl_s),
+        "sll": wjtj(jl_s, w_obs, jl_s),
+    }
+    gvecs = {
+        "oi": wjtr(ji_o, w_odo, r_odo), "oj": wjtr(jj_o, w_odo, r_odo),
+        "si": wjtr(ji_s, w_obs, r_obs), "sl": wjtr(jl_s, w_obs, r_obs),
+    }
+    return products, gvecs
+
+
+def coo_assemble(graph, products, gvecs):
+    """Reference assembly: COO triplets summed by tocsr, np.add.at scatters."""
+    d = graph.group.tangent_dim
+    bid = np.arange(graph.node_count)
+    bid[graph.gauge_index] = -1
+    bid[graph.gauge_index + 1:] -= 1
+    size = (graph.node_count - 1) * d
+    oi, oj, si = bid[graph.odo_i], bid[graph.odo_j], bid[graph.obs_node]
+    offsets = np.arange(d)
+    rows, cols, vals = [], [], []
+    for name, a, b in (("oii", oi, oi), ("oij", oi, oj), ("oji", oj, oi),
+                       ("ojj", oj, oj), ("sii", si, si)):
+        keep = (a >= 0) & (b >= 0)
+        r, c = np.broadcast_arrays(
+            a[keep][:, None, None] * d + offsets[:, None],
+            b[keep][:, None, None] * d + offsets,
+        )
+        rows.append(r.ravel())
+        cols.append(c.ravel())
+        vals.append(products[name][keep].ravel())
+    triplets = (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols)))
+    a_mat = sp.coo_matrix(triplets, shape=(size, size)).tocsr()
+    g_nodes = np.zeros(size)
+    for name, a in (("oi", oi), ("oj", oj), ("si", si)):
+        keep = a >= 0
+        cells = (a[keep][:, None] * d + offsets).ravel()
+        np.add.at(g_nodes, cells, gvecs[name][keep].ravel())
+    if graph.obs_count and not graph.landmark_fixed:
+        b_mat = np.zeros((size, d))
+        keep = si >= 0
+        np.add.at(b_mat, (si[keep][:, None] * d + offsets).ravel(),
+                  products["sil"][keep].reshape(-1, d))
+        return a_mat, b_mat, products["sll"].sum(axis=0), g_nodes, gvecs["sl"].sum(axis=0)
+    return a_mat, np.zeros((size, 0)), np.zeros((0, 0)), g_nodes, np.zeros(0)
+
+
+def oracle_case(case):
+    mode = PLANAR if case == "planar" else FULL3D
+    graph, _, _, _ = small_problem(
+        mode, position_only=case == "position-only", landmark_fixed=case == "landmark-fixed"
+    )
+    if case == "gauge-middle":
+        graph = dataclasses.replace(graph, gauge_index=graph.node_count // 2)
+    if case == "no-observations":
+        graph = dataclasses.replace(
+            graph, obs_node=graph.obs_node[:0], obs_pole=graph.obs_pole[:0],
+            obs_meas=graph.obs_meas[:0], obs_w_trans=graph.obs_w_trans[:0],
+            obs_w_rot=graph.obs_w_rot[:0],
+        )
+    huber = 0.05 if case == "huber" else 0.0
+    return graph, huber
+
+
+def perturbed(graph, seed):
+    """States and landmark moved off the zero-cost start, so every residual counts."""
+    rng = np.random.default_rng(seed)
+    d = graph.group.tangent_dim
+    return gmod.retract(
+        graph, graph.states, graph.landmark,
+        rng.normal(0.0, 0.1, (graph.node_count, d)), rng.normal(0.0, 0.1, d),
+    )
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["planar", "full3d", "gauge-middle", "landmark-fixed", "position-only",
+     "no-observations", "huber"],
+)
+def test_products_and_assembly_match_reference(case):
+    graph, huber = oracle_case(case)
+    assembler = opt._Assembler(graph)
+    patterns = []
+    for seed in (0, 1):  # two iterates: the pattern must not move between them
+        states, landmark = perturbed(graph, seed)
+        lin = opt._linearize(graph, states, landmark, numeric=False)
+        got = assembler.assemble(*opt._products(graph, lin, huber))
+        want = coo_assemble(graph, *einsum_products(graph, lin, huber))
+
+        a_mat = got[0]
+        # column indices strictly increase within each row: sorted, no duplicates
+        row_of = np.repeat(np.arange(a_mat.shape[0]), np.diff(a_mat.indptr))
+        assert np.all(np.diff(row_of * a_mat.shape[1] + a_mat.indices) > 0)
+        patterns.append((a_mat.indptr.copy(), a_mat.indices.copy()))
+        for mine, ref in zip((a_mat.toarray(), *got[1:]), (want[0].toarray(), *want[1:])):
+            assert mine.shape == ref.shape
+            scale = max(float(np.abs(ref).max(initial=0.0)), 1e-300)
+            np.testing.assert_allclose(mine, ref, rtol=0.0, atol=1e-12 * scale)
+        np.testing.assert_array_equal(a_mat.toarray(), a_mat.toarray().T)
+    for first, later in zip(patterns[0], patterns[1]):
+        np.testing.assert_array_equal(first, later)
+
+
+def test_per_iteration_records(monkeypatch):
+    graph = simulated_graph(seed=3)
+    solve = opt._Assembler.solve
+    dampings = []  # damping of every trial, in order
+
+    def first_trial_fails(self, *system):
+        dampings.append(system[-1])
+        return None if len(dampings) == 1 else solve(self, *system)
+
+    monkeypatch.setattr(opt._Assembler, "solve", first_trial_fails)
+    _, stats = opt.optimize(graph)
+    records = stats.per_iteration
+    assert len(records) == stats.iterations
+    # every trial is either rejected or accepted, one accepted per iteration
+    assert sum(r["rejected"] for r in records) + stats.iterations == len(dampings)
+    first = records[0]
+    assert first["rejected"] >= 1
+    assert first["damping"] == dampings[first["rejected"]]
+    for record in records:
+        assert record["step_norm"] >= 0.0
+        for phase in ("linearize_s", "products_s", "assemble_s", "solve_s", "cost_s"):
+            assert record[phase] >= 0.0
