@@ -7,7 +7,8 @@ Three subcommands cover the workflow:
     tracks, observations, injection records, effective config echo).
 ``optimize``
     one track plus the observation log in, optimized trajectory, solved
-    graph edge list and solver stats out.
+    graph edge list and solver stats out; ``--verbose`` also prints one
+    line per LM iteration to stderr.
 ``report``
     a directory of optimize outputs in, summary table, CSV and plot
     data out.
@@ -92,6 +93,11 @@ def _build_parser() -> _Parser:
         action="store_true",
         help="freeze the landmark frame at its initial estimate",
     )
+    p_opt.add_argument(
+        "--verbose",
+        action="store_true",
+        help="print one line per LM iteration to stderr",
+    )
 
     p_rep = sub.add_parser("report", help="summarize optimize outputs")
     p_rep.add_argument("--dir", required=True, help="directory holding *_stats.json")
@@ -124,6 +130,18 @@ def _solver_settings(args):
     return SolverSettings(**kwargs) if kwargs else None
 
 
+def _print_iteration(iteration, record):
+    gain = record["gain_ratio"]
+    print(
+        f"iteration {iteration}: damping {record['damping']:.1e}, "
+        f"rejected {record['rejected']}, step {record['step_norm']:.3e}, "
+        f"grad_inf {record['grad_inf']:.3e}, "
+        f"gain_ratio {'n/a' if gain is None else format(gain, '.4g')}, "
+        f"solve {record['solve_s']:.4f} s",
+        file=sys.stderr,
+    )
+
+
 def _cmd_optimize(args, written):
     track = fileio.read_track(args.track)
     observations = fileio.read_observations(args.observations)
@@ -141,6 +159,7 @@ def _cmd_optimize(args, written):
         settings=_solver_settings(args),
         position_only=args.position_only,
         landmark_fixed=args.landmark_fixed,
+        progress=_print_iteration if args.verbose else None,
     )
     os.makedirs(args.out, exist_ok=True)
     for path in pipeline.write_optimization(args.out, track.source, result, written):

@@ -1,21 +1,23 @@
-"""Sparse Levenberg–Marquardt over pose-graph variables.
+"""Levenberg–Marquardt over pose-graph variables, solved by banded Cholesky.
 
 Each iteration linearizes every edge in the tangent space at the current
 states, assembles the damped normal equations over the free blocks (all
 nodes except the gauge node, plus the landmark frame when observations
-exist), solves sparsely, and retracts with the exponential map.  Damping
+exist), solves them, and retracts with the exponential map.  Damping
 is multiplicative on the (clamped) diagonal: steps that fail to lower
 the cost raise it tenfold; accepted steps relax it.
 
 The node chain gives a block-tridiagonal Hessian with one extra
-row/column coupling every observing node to the landmark frame, so a
-general sparse factorization stays near linear time in the node count.
+row/column coupling every observing node to the landmark frame.  The
+landmark is eliminated by Schur complement, so the node Hessian alone is
+factored, by banded Cholesky (LAPACK ``pbtrf`` through
+``scipy.linalg.cholesky_banded``) in time linear in the node count.
 
 Per iteration: observation targets and adjoints are computed once per
 pole and gathered per sighting; the per-edge blocks J_a^T W J_b are batched
 ``matmul`` products of sqrt(W)-scaled Jacobians (exactly symmetric); and
-the node Hessian's CSR pattern (sorted, duplicate-free) is built once, so
-assembly only sums values into it by a precomputed gather order.
+the cell of every block entry in the band is computed once, so assembly
+is one ``bincount`` of the values into the band.
 """
 
 from __future__ import annotations
@@ -24,8 +26,7 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy import linalg
 
 from . import graph as gmod
 from .sync import DataError
@@ -82,8 +83,9 @@ class SolveStats:
     final_cost: float
     reason: str
     cost_trace: list = field(default_factory=list)
-    # per iteration: accepted damping, rejected trials, step norm, and seconds
-    # in linearize, products, assemble, factor + solve and cost (all trials)
+    # per iteration: accepted damping, rejected trials, step norm, gradient
+    # inf-norm, gain ratio (None when the model predicts no decrease), and
+    # seconds in linearize, products, assemble, factor + solve and cost (all trials)
     per_iteration: list = field(default_factory=list)
 
 
@@ -173,18 +175,21 @@ def _total_cost(graph, states, landmark, huber_delta):
 
 
 # ---------------------------------------------------------------------------
-# sparse assembly with cached index structure
+# banded assembly with cached index structure
 
 
 class _Assembler:
-    """Fixed sparsity bookkeeping; only the numeric values change per iteration.
+    """Index bookkeeping built once per graph; only values change per iteration.
 
-    The node-node Hessian ``A`` is block-tridiagonal plus scattered
-    observation diagonal blocks; the landmark frame contributes one
-    coupled block column ``B`` (stored dense, it has only ``d`` columns)
-    and a ``d x d`` corner ``C``.  Keeping the landmark out of the sparse
-    matrix lets the solve eliminate it by Schur complement, which avoids
-    the fill-in a blind factorization suffers when most nodes observe.
+    The node-node Hessian ``A`` is held in LAPACK upper band storage,
+    ``band[bw + r - c, c] = A[r, c]`` for ``r <= c`` with the diagonal in
+    the last row.  ``bw`` is the largest column-minus-row offset among
+    the kept upper-triangle entries, so every edge set fits; the odometry
+    chain i -> i + 1 gives ``bw = 2d - 1``.  The landmark frame
+    contributes one coupled block column ``B`` (stored dense, it has only
+    ``d`` columns) and a ``d x d`` corner ``C``.  Keeping the landmark out
+    of the band lets the solve eliminate it by Schur complement, so the
+    band does not fill in when most nodes observe.
     """
 
     def __init__(self, graph):
@@ -197,28 +202,23 @@ class _Assembler:
         self.gauge_index = graph.gauge_index
         self.landmark_free = graph.obs_count > 0 and not graph.landmark_fixed
         self.node_dim = (n - 1) * d
-        self.shape = (self.node_dim, self.node_dim)
 
         obs_bid = bid[graph.obs_node]
         oi, oj = bid[graph.odo_i], bid[graph.odo_j]
         offsets = np.arange(d)
 
-        # block row and column of every entry of the node-node products, in
-        # assemble's order; the gauge node's blocks are negative and left out
+        # row and column of every entry of the node-node products, in
+        # assemble's order; the gauge node's are negative, and only the
+        # upper triangle is kept
         a = np.concatenate([oi, oi, oj, oj, obs_bid])[:, None, None]
         b = np.concatenate([oi, oj, oi, oj, obs_bid])[:, None, None]
         rows, cols = np.broadcast_arrays(a * d + offsets[:, None], b * d + offsets)
-        free = np.broadcast_to((a >= 0) & (b >= 0), rows.shape).ravel()
-        keys = rows.ravel()[free] * self.node_dim + cols.ravel()[free]
-        order = np.argsort(keys, kind="stable")
-        self.a_gather = np.flatnonzero(free)[order]
-        keys = keys[order]
-        self.a_starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
-        key_rows, key_cols = np.divmod(keys[self.a_starts], self.node_dim)
-        indptr = np.searchsorted(key_rows, np.arange(self.node_dim + 1))
-        # scipy picks the index dtype once; every iteration reuses these arrays
-        pattern = sp.csr_matrix((np.zeros(key_cols.size), key_cols, indptr), shape=self.shape)
-        self.indices, self.indptr = pattern.indices, pattern.indptr
+        rows, cols = rows.ravel(), cols.ravel()
+        self.a_gather = np.flatnonzero((rows >= 0) & (rows <= cols))
+        rows, cols = rows[self.a_gather], cols[self.a_gather]
+        self.bw = int(np.max(cols - rows, initial=0))
+        # column-major cells: LAPACK factors the band without a layout copy
+        self.a_cells = cols * (self.bw + 1) + self.bw + rows - cols
 
         g_rows = (np.concatenate([oi, oj, obs_bid])[:, None] * d + offsets).ravel()
         self.g_gather = np.flatnonzero(g_rows >= 0)
@@ -229,11 +229,12 @@ class _Assembler:
         self.b_cells = b_cells[self.b_gather]
 
     def assemble(self, products, gvecs):
-        """Returns (A sparse, B dense, C dense, g_nodes, g_landmark)."""
+        """Returns (A band, B dense, C dense, g_nodes, g_landmark)."""
         blocks = ("oii", "oij", "oji", "ojj", "sii")
         vals = np.concatenate([products[k].ravel() for k in blocks])
-        data = np.add.reduceat(vals[self.a_gather], self.a_starts)
-        a_mat = sp.csr_matrix((data, self.indices, self.indptr), shape=self.shape)
+        size = (self.bw + 1) * self.node_dim
+        band = np.bincount(self.a_cells, vals[self.a_gather], minlength=size)
+        band = band.reshape(self.node_dim, self.bw + 1).T
         gvals = np.concatenate([gvecs[k].ravel() for k in ("oi", "oj", "si")])
         g_nodes = np.bincount(self.g_rows, gvals[self.g_gather], minlength=self.node_dim)
 
@@ -247,39 +248,40 @@ class _Assembler:
             b_mat = np.zeros((self.node_dim, 0))
             c_mat = np.zeros((0, 0))
             g_lm = np.zeros(0)
-        return a_mat, b_mat, c_mat, g_nodes, g_lm
+        return band, b_mat, c_mat, g_nodes, g_lm
 
-    def solve(self, a_mat, b_mat, c_mat, g_nodes, g_lm, damping):
-        """One damped solve; returns (node delta flat, landmark delta) or None."""
-        diag_a = a_mat.diagonal()
-        diag_c = np.diag(c_mat) if self.landmark_free else np.zeros(0)
-        floor = 1e-12 * max(float(diag_a.max()), float(diag_c.max(initial=0.0)), 1.0)
-        a_damped = a_mat + sp.diags(damping * np.maximum(diag_a, floor))
+    def solve(self, band, b_mat, c_mat, g_nodes, g_lm, damping):
+        """One damped solve: (step, predicted cost decrease), or None when the
+        damped matrix is not positive definite or the step is not finite.
+        ``step`` is the flat free-node step followed by the landmark step."""
+        diag_c = np.diag(c_mat)
+        floor = 1e-12 * max(float(band[-1].max()), float(diag_c.max(initial=0.0)), 1.0)
+        scale = damping * np.maximum(np.concatenate([band[-1], diag_c]), floor)
+        damped = band.copy(order="F")
+        damped[-1] += scale[: self.node_dim]
         try:
-            lu = spla.splu(a_damped.tocsc())
-        except RuntimeError:
+            factor = linalg.cholesky_banded(damped, overwrite_ab=True, check_finite=False)
+        except np.linalg.LinAlgError:
             return None
-        if not self.landmark_free:
-            delta_n = lu.solve(-g_nodes)
-            if not np.all(np.isfinite(delta_n)):
-                return None
-            return delta_n, None
-        c_damped = c_mat + np.diag(damping * np.maximum(diag_c, floor))
-        x_y = lu.solve(np.column_stack([g_nodes, b_mat]))  # one pass, d + 1 columns
+        rhs = np.column_stack([g_nodes, b_mat])  # one pass, d + 1 columns
+        x_y = linalg.cho_solve_banded((factor, False), rhs, check_finite=False)
         x0, y_mat = x_y[:, 0], x_y[:, 1:]
-        schur = c_damped - b_mat.T @ y_mat
+        schur = c_mat + np.diag(scale[self.node_dim :]) - b_mat.T @ y_mat
         try:
             delta_l = np.linalg.solve(schur, -g_lm + b_mat.T @ x0)
         except np.linalg.LinAlgError:
             return None
-        delta_n = -x0 - y_mat @ delta_l
-        if not (np.all(np.isfinite(delta_n)) and np.all(np.isfinite(delta_l))):
+        step = np.concatenate([-x0 - y_mat @ delta_l, delta_l])
+        if not np.all(np.isfinite(step)):
             return None
-        return delta_n, delta_l
+        # model decrease of sum r^T W r: h^T (mu D h - g) with g = J^T W r
+        return step, float(step @ (scale * step - np.concatenate([g_nodes, g_lm])))
 
-    def node_delta(self, delta_n):
-        """Per-node steps from the flat free-node solution; zero at the gauge."""
-        return np.insert(delta_n.reshape(-1, self.d), self.gauge_index, 0.0, axis=0)
+    def split(self, step):
+        """Per-node steps (zero at the gauge) and the landmark step or None."""
+        nodes = step[: self.node_dim].reshape(-1, self.d)
+        nodes = np.insert(nodes, self.gauge_index, 0.0, axis=0)
+        return nodes, step[self.node_dim :] if self.landmark_free else None
 
 
 def _linearize(graph, states, landmark, numeric: bool):
@@ -342,12 +344,13 @@ def _products(graph, lin, huber_delta):
     return products, gvecs
 
 
-def optimize(graph, settings: SolverSettings = None):
+def optimize(graph, settings: SolverSettings = None, progress=None):
     """Run damped least squares; returns (solved graph copy, SolveStats).
 
     The gauge node's state is bit-identical in the result.  Raises
     ConditioningError when the normal equations stay unsolvable with
-    damping escalated beyond the ceiling.
+    damping escalated beyond the ceiling.  ``progress``, when given, is
+    called with (iteration, record) as each iteration's record completes.
     """
     settings = settings or SolverSettings()
     if not gmod.is_connected(graph):
@@ -374,14 +377,15 @@ def optimize(graph, settings: SolverSettings = None):
             _products, graph, lin, settings.huber_delta
         )
         system, record["assemble_s"] = _timed(assembler.assemble, products, gvecs)
+        record["grad_inf"] = float(np.abs(np.concatenate(system[3:])).max(initial=0.0))
 
         while True:
             solution, seconds = _timed(assembler.solve, *system, damping)
             record["solve_s"] += seconds  # factor and solve, all trials
             if solution is not None:
-                delta_n, delta_l = solution
+                step, predicted = solution
                 cand_states, cand_lm = gmod.retract(
-                    graph, states, landmark, assembler.node_delta(delta_n), delta_l
+                    graph, states, landmark, *assembler.split(step)
                 )
                 cand_states[graph.gauge_index] = gauge_state
                 cand_cost, seconds = _timed(
@@ -399,12 +403,14 @@ def optimize(graph, settings: SolverSettings = None):
                     iteration, "normal equations unsolvable at maximum damping"
                 )
 
-        step_norm = float(np.linalg.norm(delta_n))
-        if delta_l is not None:
-            step_norm = float(np.hypot(step_norm, np.linalg.norm(delta_l)))
-        record["step_norm"] = step_norm
-        per_iteration.append(record)
+        step_norm = float(np.linalg.norm(step))
         decrease = cost - cand_cost
+        record["step_norm"] = step_norm
+        # None, not NaN: json.dump would write NaN, which is not JSON
+        record["gain_ratio"] = decrease / predicted if predicted != 0.0 else None
+        per_iteration.append(record)
+        if progress is not None:
+            progress(iteration, record)
         states, landmark = cand_states, cand_lm
         trace.append(cand_cost)
         relative = decrease / cost if cost > 0.0 else 0.0

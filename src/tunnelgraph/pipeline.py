@@ -181,8 +181,12 @@ def optimize_track(
     settings: opt.SolverSettings = None,
     position_only: bool = False,
     landmark_fixed: bool = False,
+    progress=None,
 ) -> OptimizationResult:
-    """Align, build, solve and summarize one odometry source."""
+    """Align, build, solve and summarize one odometry source.
+
+    ``progress`` is handed to :func:`optimizer.optimize`.
+    """
     mode = mode or track.dof_mode
     layout = layout or sim.LandmarkLayout()
     aligned = sync.align(track, observations, odom_weights=odom_weights)
@@ -193,7 +197,7 @@ def optimize_track(
         position_only=position_only,
         landmark_fixed=landmark_fixed,
     )
-    solved, stats = opt.optimize(graph, settings)
+    solved, stats = opt.optimize(graph, settings, progress)
     report = metrics.per_frame_corrections(solved)
     return OptimizationResult(solved, stats, report, graph)
 

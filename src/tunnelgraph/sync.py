@@ -124,7 +124,7 @@ class ObservationSet:
 
     ``rel`` is packed ``(M, 7)`` robot -> pole; the weights broadcast from
     scalars.  Validation matches the file boundary: packed shapes,
-    non-negative weights, and quaternion norms within
+    finite non-negative weights, and quaternion norms within
     ``QUAT_NORM_TOLERANCE`` of one (a NaN pose passes, to be reported as a
     numerical failure downstream).  ``len``, iteration and integer
     indexing give :class:`Sighting` rows; any other index gives the
@@ -148,10 +148,11 @@ class ObservationSet:
         pole_ids = _column(self.pole_ids, int, count)
         w_trans = _column(self.w_trans, float, count)
         w_rot = _column(self.w_rot, float, count)
-        negative = (w_trans < 0.0) | (w_rot < 0.0)
-        if np.any(negative):
+        weights = np.stack([w_trans, w_rot])
+        invalid = ~np.all(np.isfinite(weights) & (weights >= 0.0), axis=0)
+        if np.any(invalid):
             raise SightingError(
-                int(np.argmax(negative)), "information weights must be non-negative"
+                int(np.argmax(invalid)), "information weights must be finite and non-negative"
             )
         gap = np.abs(np.linalg.norm(rel[:, 3:], axis=1) - 1.0)
         off_unit = gap > QUAT_NORM_TOLERANCE
@@ -227,8 +228,13 @@ def align(
     Observation timestamps must fall inside the track's time span.  A
     timestamp that coincides with a frame reuses that node; otherwise a
     node is inserted on the geodesic between the bracketing frames and
-    the frame's measured step is split at that point.
+    the frame's measured step is split at that point.  The odometry
+    weights (translation, rotation) must be finite and non-negative, so
+    that the normal equations are positive semidefinite.
     """
+    w_odo = np.array(odom_weights, dtype=float)
+    if not np.all(np.isfinite(w_odo) & (w_odo >= 0.0)):
+        raise DataError(f"odometry weights must be finite and non-negative, got {w_odo}")
     order = np.lexsort((observations.pole_ids, observations.times))
     obs_times = observations.times[order]
     t0, t1 = float(track.times[0]), float(track.times[-1])
@@ -259,8 +265,8 @@ def align(
         )
 
     meas = geom.pose3_relative(poses[:-1], poses[1:])
-    w_trans = np.full(times.size - 1, float(odom_weights[0]))
-    w_rot = np.full(times.size - 1, float(odom_weights[1]))
+    w_trans = np.full(times.size - 1, w_odo[0])
+    w_rot = np.full(times.size - 1, w_odo[1])
 
     return AlignedSequence(
         source=track.source,

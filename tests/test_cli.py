@@ -126,6 +126,32 @@ class TestOptimizeAndReport:
         assert stats["rot_deg_per_frame"] < 1e-9
         assert stats["solver"]["iterations"] <= 1
 
+    def test_verbose_prints_one_line_per_iteration(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, SMALL_CONFIG)
+        out = tmp_path / "run"
+        assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        args = [
+            "optimize",
+            "--track", str(out / "dvso_raw.txt"),
+            "--observations", str(out / "observations.txt"),
+            "--out", str(out),
+        ]
+        capsys.readouterr()
+        assert cli.main(args) == 0
+        quiet = capsys.readouterr()
+        assert cli.main([*args, "--verbose"]) == 0
+        loud = capsys.readouterr()
+        assert loud.out == quiet.out
+        assert quiet.err == ""
+        solver = json.loads((out / "dvso_stats.json").read_text())["solver"]
+        lines = loud.err.splitlines()
+        assert len(lines) == solver["iterations"] >= 2
+        for k, (line, record) in enumerate(zip(lines, solver["per_iteration"]), 1):
+            assert line.startswith(f"iteration {k}: ")
+            for field in ("damping", "rejected", "step", "grad_inf", "gain_ratio", "solve"):
+                assert f" {field} " in line
+            assert f"rejected {record['rejected']}," in line
+
     def test_optimized_track_reingestible(self, tmp_path):
         cfg = write_config(tmp_path, SMALL_CONFIG)
         out = tmp_path / "run"
@@ -244,6 +270,23 @@ class TestExitCodes:
         assert "data error" in err
         assert "dvso_stats.json" in err
         assert named in err
+
+    @pytest.mark.parametrize("weight", ["-1", "nan", "inf"])
+    def test_bad_odometry_weight_exits_2(self, tmp_path, capsys, weight):
+        out = tmp_path / "run"
+        cfg = write_config(tmp_path, SMALL_CONFIG)
+        assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        capsys.readouterr()
+        code = cli.main([
+            "optimize",
+            "--track", str(out / "dvso_raw.txt"),
+            "--observations", str(out / "observations.txt"),
+            "--out", str(out),
+            "--weight-trans", weight,
+        ])
+        assert code == 2
+        assert "odometry weights" in capsys.readouterr().err
+        assert not (out / "dvso_stats.json").exists()
 
     def test_non_unit_quaternion_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, SMALL_CONFIG)

@@ -419,7 +419,10 @@ class TestReports:
 
     def test_stats_json_round_trip(self, tmp_path):
         record = {"damping": 1e-6, "rejected": 0, "step_norm": 0.25, "solve_s": 0.01}
-        stats = opt.SolveStats(3, 10.0, 0.5, "cost-threshold", [10.0, 1.0, 0.5], [record])
+        undefined = {**record, "grad_inf": 2.5, "gain_ratio": None}
+        stats = opt.SolveStats(
+            3, 10.0, 0.5, "cost-threshold", [10.0, 1.0, 0.5], [record, undefined]
+        )
         report = ErrorReport("dvso", 5.0, 100, 0.001, 0.01, 0.5, 0.1)
         path = tmp_path / "stats.json"
         fileio.write_stats_json(path, stats, report)
@@ -428,4 +431,5 @@ class TestReports:
         assert back["trans_m_per_s"] == pytest.approx(0.005)
         assert back["solver"]["iterations"] == 3
         assert back["solver"]["cost_trace"] == [10.0, 1.0, 0.5]
-        assert back["solver"]["per_iteration"] == [record]
+        assert back["solver"]["per_iteration"] == [record, undefined]
+        assert '"gain_ratio": null' in path.read_text()  # not NaN, which is not JSON

@@ -257,6 +257,18 @@ def coo_assemble(graph, products, gvecs):
     return a_mat, np.zeros((size, 0)), np.zeros((0, 0)), g_nodes, np.zeros(0)
 
 
+def with_odometry(graph, keep, extra=()):
+    """The graph with odometry edges ``keep`` plus ``extra`` (i, j) edges
+    measured from the current states."""
+    i = np.concatenate([graph.odo_i[keep], [e[0] for e in extra]]).astype(int)
+    j = np.concatenate([graph.odo_j[keep], [e[1] for e in extra]]).astype(int)
+    meas = graph.group.relative(graph.states[i], graph.states[j])
+    return dataclasses.replace(
+        graph, odo_i=i, odo_j=j, odo_meas=meas,
+        odo_w_trans=np.ones(i.size), odo_w_rot=np.full(i.size, 2.0),
+    )
+
+
 def oracle_case(case):
     mode = PLANAR if case == "planar" else FULL3D
     graph, _, _, _ = small_problem(
@@ -270,6 +282,11 @@ def oracle_case(case):
             obs_meas=graph.obs_meas[:0], obs_w_trans=graph.obs_w_trans[:0],
             obs_w_rot=graph.obs_w_rot[:0],
         )
+    if case == "cut-chain":  # as in test_graph's test_landmark_bridges_a_gap
+        graph = with_odometry(graph, graph.odo_i != 6)
+        assert gmod.is_connected(graph)
+    if case == "loop-edge":  # a long edge stored backwards: oji holds upper entries
+        graph = with_odometry(graph, slice(None), extra=[(9, 2)])
     huber = 0.05 if case == "huber" else 0.0
     return graph, huber
 
@@ -284,33 +301,75 @@ def perturbed(graph, seed):
     )
 
 
-@pytest.mark.parametrize(
-    "case",
-    ["planar", "full3d", "gauge-middle", "landmark-fixed", "position-only",
-     "no-observations", "huber"],
-)
+def band_to_dense(band):
+    """Symmetric dense matrix from LAPACK upper band storage."""
+    bw, n = band.shape[0] - 1, band.shape[1]
+    dense = np.zeros((n, n))
+    for k in range(bw + 1):  # k-th superdiagonal
+        cols = np.arange(k, n)
+        dense[cols - k, cols] = band[bw - k, k:]
+    return dense + np.triu(dense, 1).T
+
+
+CASES = ["planar", "full3d", "gauge-middle", "landmark-fixed", "position-only",
+         "no-observations", "huber"]
+
+
+@pytest.mark.parametrize("case", CASES)
 def test_products_and_assembly_match_reference(case):
     graph, huber = oracle_case(case)
     assembler = opt._Assembler(graph)
-    patterns = []
-    for seed in (0, 1):  # two iterates: the pattern must not move between them
+    # the odometry chain i -> i + 1 couples a node with its successor only
+    assert assembler.bw == 2 * graph.group.tangent_dim - 1
+    for seed in (0, 1):  # two iterates through the same index structure
         states, landmark = perturbed(graph, seed)
         lin = opt._linearize(graph, states, landmark, numeric=False)
         got = assembler.assemble(*opt._products(graph, lin, huber))
         want = coo_assemble(graph, *einsum_products(graph, lin, huber))
 
-        a_mat = got[0]
-        # column indices strictly increase within each row: sorted, no duplicates
-        row_of = np.repeat(np.arange(a_mat.shape[0]), np.diff(a_mat.indptr))
-        assert np.all(np.diff(row_of * a_mat.shape[1] + a_mat.indices) > 0)
-        patterns.append((a_mat.indptr.copy(), a_mat.indices.copy()))
-        for mine, ref in zip((a_mat.toarray(), *got[1:]), (want[0].toarray(), *want[1:])):
+        rows, cols = want[0].nonzero()
+        assert np.all(np.abs(rows - cols) <= assembler.bw)  # nothing outside the band
+        assert got[0].shape == (assembler.bw + 1, want[0].shape[0])
+        for mine, ref in zip((band_to_dense(got[0]), *got[1:]), (want[0].toarray(), *want[1:])):
             assert mine.shape == ref.shape
             scale = max(float(np.abs(ref).max(initial=0.0)), 1e-300)
             np.testing.assert_allclose(mine, ref, rtol=0.0, atol=1e-12 * scale)
-        np.testing.assert_array_equal(a_mat.toarray(), a_mat.toarray().T)
-    for first, later in zip(patterns[0], patterns[1]):
-        np.testing.assert_array_equal(first, later)
+
+
+@pytest.mark.parametrize("damping", [1e-8, 1e-2])
+@pytest.mark.parametrize("case", CASES + ["cut-chain", "loop-edge"])
+def test_band_solve_matches_dense(case, damping):
+    graph, huber = oracle_case(case)
+    assembler = opt._Assembler(graph)
+    states, landmark = perturbed(graph, 2)
+    lin = opt._linearize(graph, states, landmark, numeric=False)
+    system = assembler.assemble(*opt._products(graph, lin, huber))
+    step, predicted = assembler.solve(*system, damping)
+
+    # the full node + landmark system, dense, from the reference assembly
+    a_mat, b_mat, c_mat, g_nodes, g_lm = coo_assemble(
+        graph, *einsum_products(graph, lin, huber)
+    )
+    hessian = np.block([[a_mat.toarray(), b_mat], [b_mat.T, c_mat]])
+    gradient = np.concatenate([g_nodes, g_lm])
+    diag = np.diag(hessian)
+    floor = 1e-12 * max(float(diag.max()), 1.0)
+    damped = hessian + np.diag(damping * np.maximum(diag, floor))
+    want = np.linalg.solve(damped, -gradient)
+    assert np.linalg.norm(step - want) <= 1e-9 * np.linalg.norm(want)
+    # decrease of sum r^T W r predicted by its quadratic model at the step
+    model = -(2.0 * gradient @ want + want @ hessian @ want)
+    assert predicted == pytest.approx(model, rel=1e-9)
+
+
+def test_band_solve_rejects_nan():
+    graph, huber = oracle_case("full3d")
+    assembler = opt._Assembler(graph)
+    lin = opt._linearize(graph, *perturbed(graph, 0), numeric=False)
+    band, *rest = assembler.assemble(*opt._products(graph, lin, huber))
+    assert assembler.solve(band, *rest, 1e-6) is not None
+    band[assembler.bw - 1, 9] = np.nan  # one superdiagonal entry
+    assert assembler.solve(band, *rest, 1e-6) is None
 
 
 def test_per_iteration_records(monkeypatch):
@@ -335,3 +394,27 @@ def test_per_iteration_records(monkeypatch):
         assert record["step_norm"] >= 0.0
         for phase in ("linearize_s", "products_s", "assemble_s", "solve_s", "cost_s"):
             assert record[phase] >= 0.0
+
+
+def test_gradient_and_gain_ratio_records():
+    graph = simulated_graph(seed=0)
+    _, stats = opt.optimize(graph)
+    first, *_, last = stats.per_iteration
+    # the first record's gradient is the one assembled at the start
+    assembler = opt._Assembler(graph)
+    lin = opt._linearize(graph, graph.states, graph.landmark, numeric=False)
+    system = assembler.assemble(*opt._products(graph, lin, 0.0))
+    assert first["grad_inf"] == np.abs(np.concatenate(system[3:])).max()
+    assert last["grad_inf"] < 1e-6 * first["grad_inf"]
+    # away from rounding level the model predicts the decrease of
+    # sum r^T W r, so actual over predicted is near one
+    for record in stats.per_iteration[:2]:
+        assert record["gain_ratio"] == pytest.approx(1.0, abs=1e-3)
+
+
+def test_gain_ratio_none_without_predicted_decrease():
+    graph, _, _, _ = small_problem()  # zero cost: zero gradient, zero step
+    _, stats = opt.optimize(graph)
+    (record,) = stats.per_iteration
+    assert record["grad_inf"] == 0.0
+    assert record["gain_ratio"] is None

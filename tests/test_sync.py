@@ -164,6 +164,10 @@ class TestTypes:
         with pytest.raises(SightingError) as err:
             ObservationSet([0.0, 1.0], [0, 0], [ident, ident], w_trans=[1.0, -1.0])
         assert err.value.row == 1
+        for bad in (np.nan, np.inf):  # NaN fails every comparison, so both need a test
+            with pytest.raises(SightingError) as err:
+                ObservationSet([0.0, 1.0], [0, 0], [ident, ident], w_rot=[1.0, bad])
+            assert err.value.row == 1 and "finite" in str(err.value)
         with pytest.raises(SightingError) as err:
             ObservationSet([0.0, 1.0], [0, 0], [ident, [0, 0, 0, 2.0, 0, 0, 0]])
         assert err.value.row == 1 and "norm off unit" in str(err.value)
