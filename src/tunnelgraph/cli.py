@@ -70,8 +70,8 @@ def _build_parser() -> _Parser:
     p_opt.add_argument(
         "--mode", choices=sorted(DOF_MODES), help="override the track's dof mode"
     )
-    p_opt.add_argument("--pole-count", type=int, default=4)
-    p_opt.add_argument("--pole-spacing", type=float, default=18.0)
+    p_opt.add_argument("--pole-count", type=int)
+    p_opt.add_argument("--pole-spacing", type=float)
     p_opt.add_argument(
         "--weight-trans", type=float, default=1.0, help="odometry translation weight"
     )
@@ -119,15 +119,11 @@ def _cmd_simulate(args, written):
     return EXIT_OK
 
 
-def _solver_settings(args):
-    kwargs = {}
-    if args.max_iterations is not None:
-        kwargs["max_iterations"] = args.max_iterations
-    if args.huber_delta is not None:
-        kwargs["huber_delta"] = args.huber_delta
-    if args.jacobian_mode is not None:
-        kwargs["jacobian_mode"] = args.jacobian_mode
-    return SolverSettings(**kwargs) if kwargs else None
+def _settings(cls, args, **options):
+    """``cls`` from the options given, keyed by field; the dataclass keeps
+    its own defaults and does the checks."""
+    given = {name: getattr(args, option) for name, option in options.items()}
+    return cls(**{name: value for name, value in given.items() if value is not None})
 
 
 def _print_iteration(iteration, record):
@@ -145,18 +141,18 @@ def _print_iteration(iteration, record):
 def _cmd_optimize(args, written):
     track = fileio.read_track(args.track)
     observations = fileio.read_observations(args.observations)
-    if args.pole_count < 1:
-        raise DataError("--pole-count must be at least 1")
-    if args.pole_spacing <= 0:
-        raise DataError("--pole-spacing must be positive")
-    layout = sim.LandmarkLayout(count=args.pole_count, spacing=args.pole_spacing)
     result = pipeline.optimize_track(
         track,
         observations,
         mode=args.mode,
-        layout=layout,
+        layout=_settings(
+            sim.LandmarkLayout, args, count="pole_count", spacing="pole_spacing"
+        ),
         odom_weights=(args.weight_trans, args.weight_rot),
-        settings=_solver_settings(args),
+        settings=_settings(
+            SolverSettings, args, max_iterations="max_iterations",
+            huber_delta="huber_delta", jacobian_mode="jacobian_mode",
+        ),
         position_only=args.position_only,
         landmark_fixed=args.landmark_fixed,
         progress=_print_iteration if args.verbose else None,

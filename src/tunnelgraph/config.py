@@ -1,21 +1,27 @@
 """Flat key = value scenario configuration.
 
 One assignment per line, ``#`` starts a comment, unknown keys are
-rejected by name.  Missing keys fall back to the documented defaults:
-the stock tunnel drive (100 m straight, 180 degree turn, return leg),
-four poles 18 m apart offset 1.2 m from the drive line, the standard
-detector, and the built-in odometry noise presets.
+rejected by name.  The keys mirror the settings dataclasses: a key is
+``<section>.<field>`` for ``trajectory`` (:class:`TrajectoryProfile`),
+``landmark`` (:class:`LandmarkLayout`), ``detection``
+(:class:`DetectionModel`) and ``solver`` (:class:`SolverSettings`), and
+``noise.<source>.<field>`` (:class:`NoiseProfile`) for each source.
+``seed``, ``sources``, ``landmark.lateral_offset`` and
+``graph.position_only`` set :class:`ScenarioConfig` itself.
 
-Per-source keys use the source name as the middle path segment, e.g.
-``noise.dvso.trans_per_frame``; the ``sources`` key decides which
-sources exist and is therefore read first.
+A missing key keeps its field's default, or the preset's value for a
+preset source.  A value is parsed by its field's type (``int``,
+``float``, ``bool``, ``str``, or space-separated floats for a
+``tuple``) and checked by the dataclass itself.  The ``sources`` key
+decides which ``noise.*`` keys exist and is therefore read first.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 
-from .optimizer import ANALYTIC, NUMERIC, SolverSettings
+from .optimizer import SolverSettings
 from .simulate import (
     DEFAULT_POLE_LATERAL_OFFSET,
     PRESETS,
@@ -24,15 +30,12 @@ from .simulate import (
     NoiseProfile,
     TrajectoryProfile,
 )
-from .sync import DOF_MODES, DataError
-
-DEFAULT_SOURCES = ("dvso", "wheel")
-
+from .sync import DataError, FieldError, check_fields
 
 @dataclass(frozen=True)
 class ScenarioConfig:
     seed: int = 0
-    sources: tuple = DEFAULT_SOURCES
+    sources: tuple = ("dvso", "wheel")
     trajectory: TrajectoryProfile = field(default_factory=TrajectoryProfile)
     layout: LandmarkLayout = field(default_factory=LandmarkLayout)
     lateral_offset: float = DEFAULT_POLE_LATERAL_OFFSET
@@ -42,65 +45,55 @@ class ScenarioConfig:
     position_only: bool = False
 
     def __post_init__(self):
+        object.__setattr__(self, "sources", tuple(self.sources))
+        check_fields(self, sources=(bool, "at least one source is required"))
         filled = dict(self.noise)
         for name in self.sources:
             if name not in filled:
                 if name not in PRESETS:
-                    raise DataError(
-                        f"source {name!r} has no preset; configure its noise.* keys"
+                    raise FieldError(
+                        "noise", f"source {name!r} has no preset; configure its noise.* keys"
                     )
                 filled[name] = PRESETS[name]()
         object.__setattr__(self, "noise", filled)
-        object.__setattr__(self, "sources", tuple(self.sources))
 
 
-class _Reader:
-    """Tracks which keys were consumed so leftovers can be reported."""
-
-    def __init__(self, entries):
-        self.entries = entries  # key -> (raw value, line number)
-        self.used = set()
-
-    def raw(self, key, default=None):
-        if key in self.entries:
-            self.used.add(key)
-            return self.entries[key][0]
-        return default
-
-    def scalar(self, key, kind, default, check=None):
-        raw = self.raw(key)
-        if raw is None:
-            return default
-        try:
-            if kind is bool:
-                lowered = raw.lower()
-                if lowered not in ("true", "false"):
-                    raise ValueError
-                value = lowered == "true"
-            else:
-                value = kind(raw)
-        except ValueError:
-            line = self.entries[key][1]
-            raise DataError(
-                f"line {line}: {key}: expected {kind.__name__}, got {raw!r}"
-            ) from None
-        if check is not None:
-            message = check(value)
-            if message:
-                raise DataError(f"{key}: {message} (got {raw})")
-        return value
-
-    def leftovers(self):
-        extra = [k for k in self.entries if k not in self.used]
-        return sorted(extra, key=lambda k: self.entries[k][1])
+# ScenarioConfig fields whose key, or key prefix, is not the field name
+_KEYS = {
+    "layout": "landmark",
+    "lateral_offset": "landmark.lateral_offset",
+    "position_only": "graph.position_only",
+}
 
 
-def _positive(value):
-    return None if value > 0 else "must be positive"
+def _scenario_key(name):
+    return _KEYS.get(name, name)
 
 
-def _non_negative(value):
-    return None if value >= 0 else "must be non-negative"
+def _parse_bool(raw):
+    lowered = raw.lower()
+    if lowered not in ("true", "false"):
+        raise ValueError(raw)
+    return lowered == "true"
+
+
+# parser by field annotation; the settings modules postpone annotations,
+# so a field's type is its annotation string
+_PARSERS = {
+    "int": int,
+    "float": float,
+    "bool": _parse_bool,
+    "str": str,
+    "tuple": lambda raw: tuple(float(p) for p in raw.split()),
+}
+
+
+def _format(value):
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, tuple):
+        return " ".join(_format(v) for v in value)
+    return value if isinstance(value, str) else repr(value)
 
 
 def _parse_lines(text):
@@ -124,185 +117,84 @@ def _parse_lines(text):
     return entries
 
 
-def parse_config(text: str) -> ScenarioConfig:
-    reader = _Reader(_parse_lines(text))
+def _build(cls, key_of, entries, base=None, **fixed):
+    """``cls`` from ``fixed`` plus one value per field that has an entry,
+    parsed by the field's type; other fields keep ``base``'s value or
+    their default (a field with neither needs an entry).  The dataclass
+    checks the values; a failed check is reported against its key."""
+    values = dict(fixed)
+    for f in dataclasses.fields(cls):
+        key = key_of(f.name)
+        if f.name in fixed:
+            continue
+        if key not in entries:
+            if base is None and f.default is f.default_factory is dataclasses.MISSING:
+                raise DataError(f"{key}: required, as it has no default or preset value")
+            continue
+        raw, line = entries[key]
+        try:
+            values[f.name] = _PARSERS[f.type](raw)
+        except ValueError:
+            kind = "space-separated floats" if f.type == "tuple" else f.type
+            raise DataError(f"line {line}: {key}: expected {kind}, got {raw!r}") from None
+    try:
+        return cls(**values) if base is None else dataclasses.replace(base, **values)
+    except FieldError as exc:
+        key = key_of(exc.field)
+        got = f" (got {entries[key][0]})" if key in entries else ""
+        raise DataError(f"{key}: {exc.reason}{got}") from None
 
-    seed = reader.scalar("seed", int, 0)
-    sources_raw = reader.raw("sources")
-    sources = tuple(sources_raw.split()) if sources_raw is not None else DEFAULT_SOURCES
-    if not sources:
-        raise DataError("sources: at least one source is required")
 
-    trajectory = TrajectoryProfile(
-        straight_length=reader.scalar(
-            "trajectory.straight_length", float, 100.0, _positive
-        ),
-        turn_angle_deg=reader.scalar("trajectory.turn_angle_deg", float, 180.0),
-        speed=reader.scalar("trajectory.speed", float, 0.5, _positive),
-        turn_rate_deg=reader.scalar("trajectory.turn_rate_deg", float, 30.0, _positive),
-        return_leg=reader.scalar("trajectory.return_leg", bool, True),
-    )
-    layout = LandmarkLayout(
-        count=reader.scalar(
-            "landmark.count", int, 4,
-            lambda v: None if v >= 1 else "needs at least one pole",
-        ),
-        spacing=reader.scalar("landmark.spacing", float, 18.0, _positive),
-    )
-    lateral_offset = reader.scalar(
-        "landmark.lateral_offset", float, DEFAULT_POLE_LATERAL_OFFSET
-    )
-    detection = DetectionModel(
-        max_range=reader.scalar("detection.max_range", float, 6.0, _positive),
-        max_bearing_deg=reader.scalar(
-            "detection.max_bearing_deg", float, 50.0,
-            lambda v: None if 0.0 < v <= 180.0 else "must be in (0, 180]",
-        ),
-        rate=reader.scalar("detection.rate", float, 2.0, _positive),
-        sigma_trans=reader.scalar("detection.sigma_trans", float, 0.005, _non_negative),
-        sigma_rot_deg=reader.scalar(
-            "detection.sigma_rot_deg", float, 0.2, _non_negative
-        ),
+def _noise(name, entries):
+    preset = PRESETS.get(name)
+    return _build(
+        NoiseProfile, lambda field_name: f"noise.{name}.{field_name}", entries,
+        base=preset() if preset else None, source=name,
     )
 
-    noise = {}
-    for name in sources:
-        prefix = f"noise.{name}"
-        preset = PRESETS[name]() if name in PRESETS else None
-        has_any = any(k.startswith(prefix + ".") for k in reader.entries)
-        if preset is None and not has_any:
-            raise DataError(
-                f"source {name!r} has no preset; configure its {prefix}.* keys"
-            )
-        scale_raw = reader.raw(f"{prefix}.axis_scale")
-        if scale_raw is not None:
-            parts = scale_raw.split()
-            try:
-                scale = tuple(float(p) for p in parts)
-            except ValueError:
-                raise DataError(
-                    f"{prefix}.axis_scale: expected three numbers, got {scale_raw!r}"
-                ) from None
-            if len(scale) != 3:
-                raise DataError(
-                    f"{prefix}.axis_scale: expected three numbers, got {scale_raw!r}"
-                )
+
+def _items(cfg: ScenarioConfig):
+    """(key, value) for every setting of ``cfg``, in echo order; the
+    source name is the middle segment of a noise key, not a key itself."""
+    for f in dataclasses.fields(cfg):
+        value = getattr(cfg, f.name)
+        if f.name == "noise":
+            sections = [(f"noise.{name}", value[name]) for name in cfg.sources]
+        elif dataclasses.is_dataclass(value):
+            sections = [(_scenario_key(f.name), value)]
         else:
-            scale = preset.axis_scale if preset else (1.0, 1.0, 1.0)
-        dof = reader.raw(f"{prefix}.dof_mode")
-        if dof is None:
-            dof = preset.dof_mode if preset else "full3d"
-        if dof not in DOF_MODES:
-            raise DataError(f"{prefix}.dof_mode: must be one of {DOF_MODES}")
-        mode_override = reader.raw(f"mode.{name}")
-        if mode_override is not None:
-            if mode_override not in DOF_MODES:
-                raise DataError(f"mode.{name}: must be one of {DOF_MODES}")
-            dof = mode_override
-        values = {
-            "frame_rate": reader.scalar(
-                f"{prefix}.frame_rate", float,
-                preset.frame_rate if preset else None, _positive,
-            ),
-            "trans_per_frame": reader.scalar(
-                f"{prefix}.trans_per_frame", float,
-                preset.trans_per_frame if preset else None, _non_negative,
-            ),
-            "rot_deg_per_frame": reader.scalar(
-                f"{prefix}.rot_deg_per_frame", float,
-                preset.rot_deg_per_frame if preset else None, _non_negative,
-            ),
-        }
-        for fieldname, value in values.items():
-            if value is None:
-                raise DataError(
-                    f"{prefix}.{fieldname}: required for non-preset source {name!r}"
-                )
-        noise[name] = NoiseProfile(
-            source=name, dof_mode=dof, axis_scale=scale, **values
-        )
+            yield _scenario_key(f.name), value
+            continue
+        for prefix, settings in sections:
+            for g in dataclasses.fields(settings):
+                if g.name != "source":
+                    yield f"{prefix}.{g.name}", getattr(settings, g.name)
 
-    jacobian_mode = reader.raw("solver.jacobian_mode", ANALYTIC)
-    if jacobian_mode not in (ANALYTIC, NUMERIC):
-        raise DataError(f"solver.jacobian_mode: must be {ANALYTIC} or {NUMERIC}")
-    solver = SolverSettings(
-        max_iterations=reader.scalar(
-            "solver.max_iterations", int, 100,
-            lambda v: None if v >= 1 else "must be at least 1",
-        ),
-        cost_tolerance=reader.scalar("solver.cost_tolerance", float, 1e-9, _positive),
-        update_tolerance=reader.scalar(
-            "solver.update_tolerance", float, 1e-10, _positive
-        ),
-        initial_damping=reader.scalar("solver.initial_damping", float, 1e-6, _positive),
-        damping_increase=reader.scalar(
-            "solver.damping_increase", float, 10.0,
-            lambda v: None if v > 1.0 else "must exceed 1",
-        ),
-        damping_decrease=reader.scalar(
-            "solver.damping_decrease", float, 0.1,
-            lambda v: None if 0.0 < v < 1.0 else "must lie in (0, 1)",
-        ),
-        jacobian_mode=jacobian_mode,
-        huber_delta=reader.scalar("solver.huber_delta", float, 0.0, _non_negative),
-    )
-    position_only = reader.scalar("graph.position_only", bool, False)
 
-    extra = reader.leftovers()
-    if extra:
-        line = reader.entries[extra[0]][1]
-        raise DataError(f"line {line}: unknown configuration key {extra[0]!r}")
-
-    return ScenarioConfig(
-        seed=seed,
+def parse_config(text: str) -> ScenarioConfig:
+    entries = _parse_lines(text)
+    sources = ScenarioConfig.sources
+    if "sources" in entries:
+        sources = tuple(entries["sources"][0].split())
+    cfg = _build(
+        ScenarioConfig, _scenario_key, entries,
         sources=sources,
-        trajectory=trajectory,
-        layout=layout,
-        lateral_offset=lateral_offset,
-        detection=detection,
-        noise=noise,
-        solver=solver,
-        position_only=position_only,
+        trajectory=_build(TrajectoryProfile, "trajectory.{}".format, entries),
+        layout=_build(LandmarkLayout, "landmark.{}".format, entries),
+        detection=_build(DetectionModel, "detection.{}".format, entries),
+        noise={name: _noise(name, entries) for name in sources},
+        solver=_build(SolverSettings, "solver.{}".format, entries),
     )
+    known = {key for key, _ in _items(cfg)}
+    extra = [key for key in entries if key not in known]  # in line order
+    if extra:
+        key = extra[0]
+        raise DataError(f"line {entries[key][1]}: unknown configuration key {key!r}")
+    return cfg
 
 
 def format_config(cfg: ScenarioConfig) -> str:
     """Canonical echo; parsing it back reproduces the configuration."""
     lines = ["# effective configuration"]
-    lines.append(f"seed = {cfg.seed}")
-    lines.append(f"sources = {' '.join(cfg.sources)}")
-    t = cfg.trajectory
-    lines.append(f"trajectory.straight_length = {t.straight_length!r}")
-    lines.append(f"trajectory.turn_angle_deg = {t.turn_angle_deg!r}")
-    lines.append(f"trajectory.speed = {t.speed!r}")
-    lines.append(f"trajectory.turn_rate_deg = {t.turn_rate_deg!r}")
-    lines.append(f"trajectory.return_leg = {'true' if t.return_leg else 'false'}")
-    lines.append(f"landmark.count = {cfg.layout.count}")
-    lines.append(f"landmark.spacing = {cfg.layout.spacing!r}")
-    lines.append(f"landmark.lateral_offset = {cfg.lateral_offset!r}")
-    d = cfg.detection
-    lines.append(f"detection.max_range = {d.max_range!r}")
-    lines.append(f"detection.max_bearing_deg = {d.max_bearing_deg!r}")
-    lines.append(f"detection.rate = {d.rate!r}")
-    lines.append(f"detection.sigma_trans = {d.sigma_trans!r}")
-    lines.append(f"detection.sigma_rot_deg = {d.sigma_rot_deg!r}")
-    for name in cfg.sources:
-        n = cfg.noise[name]
-        lines.append(f"noise.{name}.frame_rate = {n.frame_rate!r}")
-        lines.append(f"noise.{name}.trans_per_frame = {n.trans_per_frame!r}")
-        lines.append(f"noise.{name}.rot_deg_per_frame = {n.rot_deg_per_frame!r}")
-        lines.append(f"noise.{name}.dof_mode = {n.dof_mode}")
-        lines.append(
-            "noise.%s.axis_scale = %r %r %r" % ((name,) + tuple(n.axis_scale))
-        )
-    s = cfg.solver
-    lines.append(f"solver.max_iterations = {s.max_iterations}")
-    lines.append(f"solver.cost_tolerance = {s.cost_tolerance!r}")
-    lines.append(f"solver.update_tolerance = {s.update_tolerance!r}")
-    lines.append(f"solver.initial_damping = {s.initial_damping!r}")
-    lines.append(f"solver.damping_increase = {s.damping_increase!r}")
-    lines.append(f"solver.damping_decrease = {s.damping_decrease!r}")
-    lines.append(f"solver.jacobian_mode = {s.jacobian_mode}")
-    lines.append(f"solver.huber_delta = {s.huber_delta!r}")
-    lines.append(f"graph.position_only = {'true' if cfg.position_only else 'false'}")
+    lines.extend(f"{key} = {_format(value)}" for key, value in _items(cfg))
     return "\n".join(lines) + "\n"

@@ -13,6 +13,7 @@ write/read cycle is bit-faithful.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 
 import numpy as np
@@ -407,8 +408,9 @@ def read_report_csv(path):
     return out
 
 
-def format_report_table(reports, phase_rows=None) -> str:
-    """Human-readable summary table, one row per source."""
+def format_report_table(reports, phase_rows=None, capped=()) -> str:
+    """Human-readable summary table, one row per source; ``capped`` names
+    the sources whose solve stopped at the iteration limit."""
     header = (
         f"{'source':<10} {'m/frame':>12} {'deg/frame':>12} {'m/s':>10} "
         f"{'deg/s':>10} {'closure raw m':>14} {'closure opt m':>14}"
@@ -417,6 +419,7 @@ def format_report_table(reports, phase_rows=None) -> str:
     lines.append("-" * len(header))
     for r in reports:
         flag = " (unconstrained)" if r.unconstrained else ""
+        flag += " (max-iterations)" if r.source in capped else ""
         lines.append(
             f"{r.source:<10} {r.trans_per_frame:>12.6f} {r.rot_deg_per_frame:>12.5f} "
             f"{r.trans_per_second:>10.4f} {r.rot_deg_per_second:>10.4f} "
@@ -434,21 +437,25 @@ def format_report_table(reports, phase_rows=None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_stats_json(path, stats: SolveStats, report: ErrorReport, extras=None) -> None:
-    payload = {
-        "source": report.source,
-        "rate_hz": report.rate,
-        "frames": report.frame_count,
-        "trans_m_per_frame": report.trans_per_frame,
-        "rot_deg_per_frame": report.rot_deg_per_frame,
-        "trans_m_per_s": report.trans_per_second,
-        "rot_deg_per_s": report.rot_deg_per_second,
-        "closure_raw_m": report.closure_raw,
-        "closure_opt_m": report.closure_optimized,
-        "closure_raw_z_m": report.closure_raw_z,
-        "closure_opt_z_m": report.closure_optimized_z,
-        "unconstrained": report.unconstrained,
-        "solver": {
+# the stats key of each ErrorReport field; the report is rebuilt from
+# these, and a field with a default may be absent
+STATS_KEYS = {
+    "source": "source", "rate_hz": "rate", "frames": "frame_count",
+    "trans_m_per_frame": "trans_per_frame", "rot_deg_per_frame": "rot_deg_per_frame",
+    "closure_raw_m": "closure_raw", "closure_opt_m": "closure_optimized",
+    "closure_raw_z_m": "closure_raw_z", "closure_opt_z_m": "closure_optimized_z",
+    "unconstrained": "unconstrained",
+}
+# the JSON values a field of each type accepts (float: any number)
+_JSON_KINDS = {"str": str, "int": int, "float": (int, float), "bool": bool}
+
+
+def write_stats_json(path, stats: SolveStats, report: ErrorReport) -> None:
+    payload = {key: getattr(report, name) for key, name in STATS_KEYS.items()}
+    payload.update(
+        trans_m_per_s=report.trans_per_second,
+        rot_deg_per_s=report.rot_deg_per_second,
+        solver={
             "iterations": stats.iterations,
             "initial_cost": stats.initial_cost,
             "final_cost": stats.final_cost,
@@ -456,27 +463,15 @@ def write_stats_json(path, stats: SolveStats, report: ErrorReport, extras=None) 
             "cost_trace": list(stats.cost_trace),
             "per_iteration": list(stats.per_iteration),
         },
-    }
-    if extras:
-        payload.update(extras)
+    )
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-# keys the report is rebuilt from and the JSON type each holds (float:
-# any number); the three optional ones default when absent
-STATS_KEYS = {
-    "source": str, "rate_hz": float, "frames": int, "trans_m_per_frame": float,
-    "rot_deg_per_frame": float, "closure_raw_m": float, "closure_opt_m": float,
-}
-STATS_OPTIONAL_KEYS = {
-    "closure_raw_z_m": float, "closure_opt_z_m": float, "unconstrained": bool,
-}
-
-
 def read_stats_json(path) -> dict:
-    """Solver stats file; the keys the report needs are checked for presence and type."""
+    """Solver stats file; the keys the report needs are checked for presence and type,
+    and ``solver.reason``, when present, must be a string."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
@@ -484,16 +479,31 @@ def read_stats_json(path) -> dict:
             raise DataError(f"{path}:{exc.lineno}: malformed JSON: {exc.msg}") from None
     if not isinstance(payload, dict):
         raise DataError(f"{path}: expected a JSON object, got {type(payload).__name__}")
-    for key, kind in {**STATS_KEYS, **STATS_OPTIONAL_KEYS}.items():
-        if key in STATS_KEYS and key not in payload:
-            raise DataError(f"{path}: missing key {key!r}")
-        value = payload.get(key, kind())  # an absent optional key passes as kind()
-        accepted = (int, float) if kind is float else kind
+    fields = {f.name: f for f in dataclasses.fields(ErrorReport)}
+    for key, name in STATS_KEYS.items():
+        f = fields[name]
+        if key not in payload:
+            if f.default is dataclasses.MISSING:
+                raise DataError(f"{path}: missing key {key!r}")
+            continue
+        value = payload[key]
+        is_bool = f.type == "bool"
         # bool is an int subclass in Python but not a number in JSON
-        if not isinstance(value, accepted) or isinstance(value, bool) != (kind is bool):
-            name = "number" if kind is float else kind.__name__
-            raise DataError(f"{path}: key {key!r} must be a {name}, got {value!r}")
+        if not isinstance(value, _JSON_KINDS[f.type]) or isinstance(value, bool) != is_bool:
+            kind = "number" if f.type == "float" else f.type
+            raise DataError(f"{path}: key {key!r} must be a {kind}, got {value!r}")
+    solver = payload.get("solver", {})
+    if not isinstance(solver, dict):
+        raise DataError(f"{path}: key 'solver' must be a JSON object, got {solver!r}")
+    if not isinstance(solver.get("reason", ""), str):
+        raise DataError(f"{path}: key 'solver.reason' must be a str, got {solver['reason']!r}")
     return payload
+
+
+def stats_report(payload) -> ErrorReport:
+    """The ErrorReport a payload from :func:`read_stats_json` was written from."""
+    given = {name: payload[key] for key, name in STATS_KEYS.items() if key in payload}
+    return ErrorReport(**given)
 
 
 def write_xy_csv(path, times, raw_xy, opt_xy) -> None:

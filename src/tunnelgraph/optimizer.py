@@ -29,7 +29,7 @@ import numpy as np
 from scipy import linalg
 
 from . import graph as gmod
-from .sync import DataError
+from .sync import NON_NEGATIVE, POSITIVE, DataError, check_fields, one_of
 
 ANALYTIC = "analytic"
 NUMERIC = "numeric"
@@ -62,18 +62,17 @@ class SolverSettings:
     huber_delta: float = 0.0  # 0 keeps plain least squares
 
     def __post_init__(self):
-        if self.max_iterations < 1:
-            raise DataError("max_iterations must be at least 1")
-        if self.cost_tolerance <= 0.0 or self.update_tolerance <= 0.0:
-            raise DataError("solver tolerances must be positive")
-        if self.initial_damping <= 0.0:
-            raise DataError("initial damping must be positive")
-        if self.damping_increase <= 1.0 or not 0.0 < self.damping_decrease < 1.0:
-            raise DataError("damping factors must move damping in both directions")
-        if self.jacobian_mode not in (ANALYTIC, NUMERIC):
-            raise DataError(f"unknown jacobian mode {self.jacobian_mode!r}")
-        if self.huber_delta < 0.0:
-            raise DataError("huber_delta must be non-negative")
+        check_fields(
+            self,
+            max_iterations=(lambda v: v >= 1, "must be at least 1"),
+            cost_tolerance=POSITIVE,
+            update_tolerance=POSITIVE,
+            initial_damping=POSITIVE,
+            damping_increase=(lambda v: v > 1.0, "must exceed 1"),
+            damping_decrease=(lambda v: 0.0 < v < 1.0, "must lie in (0, 1)"),
+            jacobian_mode=one_of((ANALYTIC, NUMERIC)),
+            huber_delta=NON_NEGATIVE,
+        )
 
 
 @dataclass

@@ -110,8 +110,6 @@ class SimulationArtifacts:
 
 def simulate_scenario(cfg: ScenarioConfig, out_dir, written=None) -> SimulationArtifacts:
     """Generate and write every input the optimizer stage consumes."""
-    if not cfg.sources:
-        raise DataError("no sources configured")
     written = written if written is not None else []
     os.makedirs(out_dir, exist_ok=True)
 
@@ -243,21 +241,6 @@ def _discover_sources(run_dir):
     return names
 
 
-def _report_from_stats(payload) -> metrics.ErrorReport:
-    return metrics.ErrorReport(
-        source=payload["source"],
-        rate=payload["rate_hz"],
-        frame_count=payload["frames"],
-        trans_per_frame=payload["trans_m_per_frame"],
-        rot_deg_per_frame=payload["rot_deg_per_frame"],
-        closure_raw=payload["closure_raw_m"],
-        closure_optimized=payload["closure_opt_m"],
-        closure_raw_z=payload.get("closure_raw_z_m", 0.0),
-        closure_optimized_z=payload.get("closure_opt_z_m", 0.0),
-        unconstrained=payload.get("unconstrained", False),
-    )
-
-
 def report_run(run_dir, out_dir=None, written=None):
     """Assemble report.csv / report.txt and plot data from a run dir."""
     out_dir = out_dir or run_dir
@@ -276,9 +259,12 @@ def report_run(run_dir, out_dir=None, written=None):
 
     reports = []
     phase_rows = {}
+    capped = set()
     for name in sources:
         payload = fileio.read_stats_json(os.path.join(run_dir, f"{name}_stats.json"))
-        reports.append(_report_from_stats(payload))
+        reports.append(fileio.stats_report(payload))
+        if payload.get("solver", {}).get("reason") == opt.MAX_ITERATIONS:
+            capped.add(payload["source"])
 
         graph_path = os.path.join(run_dir, f"{name}_graph.txt")
         if not os.path.exists(graph_path):
@@ -318,7 +304,7 @@ def report_run(run_dir, out_dir=None, written=None):
     txt_path = os.path.join(out_dir, REPORT_TXT)
     written.append(txt_path)
     with open(txt_path, "w", encoding="utf-8") as fh:
-        fh.write(fileio.format_report_table(reports, phase_rows or None))
+        fh.write(fileio.format_report_table(reports, phase_rows or None, capped))
     return reports, written
 
 

@@ -29,7 +29,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry as geom
-from .sync import FULL3D, PLANAR, DataError, ObservationSet, OdometryTrack
+from .sync import (
+    DOF_MODES, FULL3D, NON_NEGATIVE, PLANAR, POSITIVE, DataError, ObservationSet,
+    OdometryTrack, check_fields, one_of,
+)
 
 GROUND_TRUTH_SOURCE = "ground_truth"
 
@@ -48,12 +51,9 @@ class TrajectoryProfile:
     return_leg: bool = True
 
     def __post_init__(self):
-        if self.straight_length <= 0.0:
-            raise DataError("straight_length must be positive")
-        if self.speed <= 0.0:
-            raise DataError("speed must be positive")
-        if self.turn_angle_deg != 0.0 and self.turn_rate_deg <= 0.0:
-            raise DataError("turn_rate_deg must be positive when turning")
+        check_fields(
+            self, straight_length=POSITIVE, speed=POSITIVE, turn_rate_deg=POSITIVE
+        )
 
     @property
     def leg_duration(self) -> float:
@@ -61,8 +61,6 @@ class TrajectoryProfile:
 
     @property
     def turn_duration(self) -> float:
-        if self.turn_angle_deg == 0.0:
-            return 0.0
         return abs(self.turn_angle_deg) / self.turn_rate_deg
 
     @property
@@ -88,10 +86,9 @@ class LandmarkLayout:
     spacing: float = 18.0
 
     def __post_init__(self):
-        if self.count < 1:
-            raise DataError("layout needs at least one pole")
-        if self.spacing <= 0.0:
-            raise DataError("pole spacing must be positive")
+        check_fields(
+            self, count=(lambda v: v >= 1, "needs at least one pole"), spacing=POSITIVE
+        )
 
     def template(self) -> np.ndarray:
         """Packed (count, 7) pole poses in the landmark frame."""
@@ -112,14 +109,17 @@ class NoiseProfile:
     axis_scale: tuple = (1.0, 1.0, 1.0)
 
     def __post_init__(self):
-        if self.frame_rate <= 0.0:
-            raise DataError("frame_rate must be positive")
-        if self.trans_per_frame < 0.0 or self.rot_deg_per_frame < 0.0:
-            raise DataError("noise magnitudes must be non-negative")
-        if self.dof_mode not in (PLANAR, FULL3D):
-            raise DataError(f"unknown dof mode {self.dof_mode!r}")
-        if len(self.axis_scale) != 3 or any(s <= 0.0 for s in self.axis_scale):
-            raise DataError("axis_scale must be three positive factors")
+        check_fields(
+            self,
+            frame_rate=POSITIVE,
+            trans_per_frame=NON_NEGATIVE,
+            rot_deg_per_frame=NON_NEGATIVE,
+            dof_mode=one_of(DOF_MODES),
+            axis_scale=(
+                lambda v: len(v) == 3 and all(s > 0.0 for s in v),
+                "must be three positive factors",
+            ),
+        )
 
     @property
     def trans_per_second(self) -> float:
@@ -164,12 +164,14 @@ class DetectionModel:
     sigma_rot_deg: float = 0.2  # degrees, per axis
 
     def __post_init__(self):
-        if self.max_range <= 0.0 or self.rate <= 0.0:
-            raise DataError("detection range and rate must be positive")
-        if not 0.0 < self.max_bearing_deg <= 180.0:
-            raise DataError("max_bearing_deg must be in (0, 180]")
-        if self.sigma_trans < 0.0 or self.sigma_rot_deg < 0.0:
-            raise DataError("detection noise must be non-negative")
+        check_fields(
+            self,
+            max_range=POSITIVE,
+            max_bearing_deg=(lambda v: 0.0 < v <= 180.0, "must be in (0, 180]"),
+            rate=POSITIVE,
+            sigma_trans=NON_NEGATIVE,
+            sigma_rot_deg=NON_NEGATIVE,
+        )
 
     def weight_trans(self) -> float:
         return 1.0 / self.sigma_trans**2 if self.sigma_trans > 0.0 else 1.0

@@ -17,6 +17,8 @@ per-frame statistics later undo the split by re-merging.
 
 from __future__ import annotations
 
+import dataclasses
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -37,6 +39,40 @@ class DataError(ValueError):
     """Malformed or inconsistent input data."""
 
 
+class FieldError(DataError):
+    """A :class:`DataError` about one settings field; ``field`` is its name."""
+
+    def __init__(self, field: str, reason: str):
+        super().__init__(f"{field}: {reason}")
+        self.field = field
+        self.reason = reason
+
+
+# range rules for check_fields: (accepts, reason), stated positively so NaN fails
+POSITIVE = (lambda v: v > 0.0, "must be positive")
+NON_NEGATIVE = (lambda v: v >= 0.0, "must be non-negative")
+
+
+def one_of(choices):
+    return (lambda v: v in choices, f"must be one of {choices}")
+
+
+def check_fields(settings, **rules) -> None:
+    """Validate a settings dataclass; the first bad field raises FieldError.
+
+    Every float field, and every float in a tuple field, must be finite.
+    ``rules`` maps a field name to ``(accepts, reason)``.
+    """
+    for f in dataclasses.fields(settings):
+        value = getattr(settings, f.name)
+        items = value if isinstance(value, tuple) else (value,)
+        if any(isinstance(v, float) and not math.isfinite(v) for v in items):
+            raise FieldError(f.name, "must be finite")
+        rule = rules.get(f.name)
+        if rule is not None and not rule[0](value):
+            raise FieldError(f.name, rule[1])
+
+
 @dataclass(frozen=True)
 class OdometryTrack:
     """Timestamped pose sequence from one odometry source.
@@ -55,10 +91,6 @@ class OdometryTrack:
     def __post_init__(self):
         times = np.array(self.times, dtype=float)
         poses = np.array(self.poses, dtype=float)
-        if self.rate <= 0.0:
-            raise DataError(f"track {self.source!r}: rate must be positive")
-        if self.dof_mode not in DOF_MODES:
-            raise DataError(f"track {self.source!r}: unknown dof mode {self.dof_mode!r}")
         if times.ndim != 1 or poses.shape != (times.size, 7):
             raise DataError(f"track {self.source!r}: times/poses shape mismatch")
         if times.size < 2:
@@ -75,6 +107,7 @@ class OdometryTrack:
         poses.setflags(write=False)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "poses", poses)
+        check_fields(self, rate=POSITIVE, dof_mode=one_of(DOF_MODES))
 
     @property
     def frame_count(self) -> int:

@@ -152,6 +152,29 @@ class TestOptimizeAndReport:
                 assert f" {field} " in line
             assert f"rejected {record['rejected']}," in line
 
+    def test_report_marks_iteration_cap(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, SMALL_CONFIG)
+        out = tmp_path / "run"
+        assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        args = [
+            "optimize",
+            "--track", str(out / "dvso_raw.txt"),
+            "--observations", str(out / "observations.txt"),
+            "--out", str(out),
+        ]
+        marks = {}
+        for extra in ([], ["--max-iterations", "2"]):
+            assert cli.main([*args, *extra]) == 0
+            assert cli.main(["report", "--dir", str(out)]) == 0
+            (row,) = [
+                ln for ln in (out / "report.txt").read_text().splitlines()
+                if ln.startswith("dvso ")
+            ]
+            marks[len(extra)] = row.endswith(" (max-iterations)")
+        assert marks == {0: False, 2: True}
+        reason = json.loads((out / "dvso_stats.json").read_text())["solver"]["reason"]
+        assert reason == "max-iterations"
+
     def test_optimized_track_reingestible(self, tmp_path):
         cfg = write_config(tmp_path, SMALL_CONFIG)
         out = tmp_path / "run"
@@ -249,7 +272,9 @@ class TestExitCodes:
         assert "data error" in err
         assert f"{name}:{row + 1}:" in err
 
-    @pytest.mark.parametrize("case", ["missing-key", "not-an-object", "text-frames"])
+    @pytest.mark.parametrize(
+        "case", ["missing-key", "not-an-object", "text-frames", "numeric-reason"]
+    )
     def test_schema_broken_stats_exits_2(self, tmp_path, capsys, case):
         out = self.optimized_run(tmp_path)
         path = out / "dvso_stats.json"
@@ -260,9 +285,12 @@ class TestExitCodes:
         elif case == "not-an-object":
             payload = [1, 2]
             named = "JSON object"
-        else:
+        elif case == "text-frames":
             payload["frames"] = "many"
             named = "'frames'"
+        else:
+            payload["solver"]["reason"] = 7
+            named = "'solver.reason'"
         path.write_text(json.dumps(payload))
         capsys.readouterr()
         assert cli.main(["report", "--dir", str(out)]) == 2
@@ -271,8 +299,21 @@ class TestExitCodes:
         assert "dvso_stats.json" in err
         assert named in err
 
-    @pytest.mark.parametrize("weight", ["-1", "nan", "inf"])
-    def test_bad_odometry_weight_exits_2(self, tmp_path, capsys, weight):
+    # a bad numeric option is a data error naming what it sets, not a
+    # numerical failure; the odometry weight cases keep their original ids
+    @pytest.mark.parametrize(
+        "flag, value, named",
+        [
+            pytest.param("--weight-trans", value, "odometry weights", id=value)
+            for value in ("-1", "nan", "inf")
+        ]
+        + [
+            pytest.param(flag, value, named, id=f"{flag[2:]}-{value}")
+            for flag, named in (("--huber-delta", "huber_delta"), ("--pole-spacing", "spacing"))
+            for value in ("nan", "inf")
+        ],
+    )
+    def test_bad_odometry_weight_exits_2(self, tmp_path, capsys, flag, value, named):
         out = tmp_path / "run"
         cfg = write_config(tmp_path, SMALL_CONFIG)
         assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 0
@@ -282,10 +323,10 @@ class TestExitCodes:
             "--track", str(out / "dvso_raw.txt"),
             "--observations", str(out / "observations.txt"),
             "--out", str(out),
-            "--weight-trans", weight,
+            flag, value,
         ])
         assert code == 2
-        assert "odometry weights" in capsys.readouterr().err
+        assert named in capsys.readouterr().err
         assert not (out / "dvso_stats.json").exists()
 
     def test_non_unit_quaternion_exits_2(self, tmp_path):

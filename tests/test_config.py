@@ -1,13 +1,33 @@
 """Flat key = value scenario configuration."""
 
 import dataclasses
+import math
+import pathlib
+import re
 
 import pytest
 
 import tunnelgraph.config as config
 from tunnelgraph.config import ScenarioConfig, format_config, parse_config
-from tunnelgraph.optimizer import NUMERIC
-from tunnelgraph.sync import DataError, PLANAR
+from tunnelgraph.optimizer import NUMERIC, SolverSettings
+from tunnelgraph.simulate import DetectionModel, LandmarkLayout, NoiseProfile, TrajectoryProfile
+from tunnelgraph.sync import DataError, FieldError, PLANAR
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+# ScenarioConfig field -> its key, or the key prefix of a settings section;
+# noise is keyed per source
+SECTION_KEYS = {
+    "trajectory": "trajectory",
+    "layout": "landmark",
+    "detection": "detection",
+    "solver": "solver",
+}
+PLAIN_KEYS = {
+    "seed": "seed",
+    "lateral_offset": "landmark.lateral_offset",
+    "position_only": "graph.position_only",
+}
 
 
 class TestDefaults:
@@ -115,6 +135,30 @@ class TestErrors:
                 parse_config(text + "\n")
             assert key in str(err.value), text
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("trajectory.straight_length", "inf"),
+            ("trajectory.turn_angle_deg", "nan"),
+            ("detection.rate", "inf"),
+            ("noise.dvso.frame_rate", "inf"),
+            ("landmark.lateral_offset", "nan"),
+            ("landmark.spacing", "nan"),
+            ("solver.huber_delta", "inf"),
+            ("noise.dvso.axis_scale", "1 nan 1"),
+        ],
+    )
+    def test_non_finite_value_names_key(self, key, value):
+        with pytest.raises(DataError) as err:
+            parse_config(f"{key} = {value}\n")
+        assert key in str(err.value) and "finite" in str(err.value)
+
+    def test_mode_alias_is_unknown(self):
+        with pytest.raises(DataError) as err:
+            parse_config("mode.dvso = planar\n")
+        assert "unknown configuration key 'mode.dvso'" in str(err.value)
+        assert parse_config("noise.dvso.dof_mode = planar\n").noise["dvso"].dof_mode == PLANAR
+
     def test_type_error_names_line(self):
         with pytest.raises(DataError) as err:
             parse_config("landmark.count = many\n")
@@ -157,3 +201,94 @@ class TestRoundTrip:
         cfg = parse_config("seed = 3\n")
         replaced = dataclasses.replace(cfg, seed=99)
         assert parse_config(format_config(replaced)).seed == 99
+
+
+def _other(value):
+    """A valid value of ``value``'s type that differs from it."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int):
+        return value + 1
+    if isinstance(value, float):
+        return value * 1.5 if value else 0.25
+    if isinstance(value, tuple):
+        return tuple(_other(v) for v in value)
+    return {"planar": "full3d", "full3d": "planar", "analytic": "numeric"}[value]
+
+
+def _text(value):
+    return " ".join(map(str, value)) if isinstance(value, tuple) else str(value)
+
+
+class TestFieldDriven:
+    def test_every_field_has_a_working_key(self):
+        """Each settings field is set to a non-default value through its
+        key; a field without a working key fails here."""
+        sources = ("wheel", "dvso")
+        base = ScenarioConfig(sources=sources)
+        lines = [f"sources = {' '.join(sources)}"]
+        changed = {"sources": sources}
+        for f in dataclasses.fields(ScenarioConfig):
+            value = getattr(base, f.name)
+            if f.name == "sources":
+                continue
+            if f.name == "noise":
+                sections = [(f"noise.{name}", value[name], name) for name in sources]
+            elif f.name in SECTION_KEYS:
+                sections = [(SECTION_KEYS[f.name], value, None)]
+            else:
+                other = _other(value)
+                assert other != value, f.name
+                lines.append(f"{PLAIN_KEYS[f.name]} = {_text(other)}")
+                changed[f.name] = other
+                continue
+            for prefix, settings, source in sections:
+                updates = {}
+                for g in dataclasses.fields(settings):
+                    if g.name == "source":
+                        continue
+                    updates[g.name] = _other(getattr(settings, g.name))
+                    assert updates[g.name] != getattr(settings, g.name), g.name
+                    lines.append(f"{prefix}.{g.name} = {_text(updates[g.name])}")
+                new = dataclasses.replace(settings, **updates)
+                if source is None:
+                    changed[f.name] = new
+                else:
+                    changed.setdefault("noise", {})[source] = new
+        cfg = parse_config("\n".join(lines) + "\n")
+        assert cfg == dataclasses.replace(base, **changed)
+        echoed = format_config(cfg)
+        assert parse_config(echoed) == cfg
+        assert format_config(parse_config(echoed)) == echoed
+
+    @pytest.mark.parametrize(
+        "cls",
+        [
+            TrajectoryProfile, LandmarkLayout, DetectionModel, SolverSettings,
+            NoiseProfile, ScenarioConfig,
+        ],
+    )
+    def test_non_finite_floats_rejected_by_field(self, cls):
+        base = cls("x", 5.0, 0.1, 0.1) if cls is NoiseProfile else cls()
+        floats = [
+            f.name for f in dataclasses.fields(cls)
+            if isinstance(getattr(base, f.name), float)
+        ]
+        assert floats
+        for name in floats:
+            for bad in (math.nan, math.inf, -math.inf):
+                with pytest.raises(FieldError) as err:
+                    dataclasses.replace(base, **{name: bad})
+                assert err.value.field == name
+
+    def test_turn_rate_positive_without_turn(self):
+        with pytest.raises(FieldError) as err:
+            TrajectoryProfile(turn_angle_deg=0.0, turn_rate_deg=0.0)
+        assert err.value.field == "turn_rate_deg"
+
+    def test_readme_defaults_block_is_the_default_echo(self):
+        text = README.read_text(encoding="utf-8")
+        section = text.split("## Configuration", 1)[1]
+        block = re.search(r"```\n(.*?)```", section, re.S).group(1)
+        assert parse_config(block) == ScenarioConfig()
+        assert block == format_config(ScenarioConfig())

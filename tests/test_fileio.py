@@ -433,3 +433,4 @@ class TestReports:
         assert back["solver"]["cost_trace"] == [10.0, 1.0, 0.5]
         assert back["solver"]["per_iteration"] == [record, undefined]
         assert '"gain_ratio": null' in path.read_text()  # not NaN, which is not JSON
+        assert fileio.stats_report(back) == report

@@ -125,8 +125,9 @@ class TestTypes:
     def test_track_validation(self):
         times = np.array([0.0, 0.1])
         poses = np.tile(geom.POSE3_IDENTITY, (2, 1))
-        with pytest.raises(DataError):
-            OdometryTrack("x", 0.0, "planar", times, poses)
+        for rate in (0.0, np.nan, np.inf):
+            with pytest.raises(DataError):
+                OdometryTrack("x", rate, "planar", times, poses)
         with pytest.raises(DataError):
             OdometryTrack("x", 5.0, "spherical", times, poses)
         with pytest.raises(DataError):
