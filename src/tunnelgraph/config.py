@@ -46,7 +46,8 @@ class ScenarioConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "sources", tuple(self.sources))
-        check_fields(self, sources=(bool, "at least one source is required"))
+        distinct = (lambda v: 0 < len(v) == len(set(v)), "must name sources, none twice")
+        check_fields(self, sources=distinct)
         filled = dict(self.noise)
         for name in self.sources:
             if name not in filled:

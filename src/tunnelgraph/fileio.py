@@ -90,9 +90,12 @@ def _source_headers(headers, path):
     if dof not in DOF_MODES:
         raise DataError(f"{path}: unknown dof_mode {dof!r}")
     try:
-        return dof, float(headers["rate_hz"])
+        rate = float(headers["rate_hz"])
     except ValueError:
         raise DataError(f"{path}: malformed rate_hz header") from None
+    if not (rate > 0.0 and np.isfinite(rate)):
+        raise DataError(f"{path}: rate_hz must be finite and positive (got {rate})")
+    return dof, rate
 
 
 # ---------------------------------------------------------------------------

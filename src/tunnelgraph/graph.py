@@ -167,7 +167,7 @@ def build_graph(
     else:
         landmark = group.identity.copy()
 
-    graph = PoseGraph(
+    return PoseGraph(
         source=aligned.source,
         rate=aligned.rate,
         dof_mode=mode,
@@ -190,59 +190,91 @@ def build_graph(
         landmark_fixed=landmark_fixed,
         position_only=position_only,
     )
-    if not is_connected(graph):
-        raise DataError("graph is disconnected: some nodes unreachable from the gauge")
-    return graph
 
 
 # ---------------------------------------------------------------------------
-# residuals
+# edge evaluation: the one place a residual, weight or cost is computed
 
 
-def odometry_residuals(graph: PoseGraph, states=None) -> np.ndarray:
-    """Tangent residual per odometry edge: log(meas^-1 * (s_i^-1 * s_j))."""
-    s = graph.states if states is None else states
-    return graph.group.between(graph.odo_meas, s[graph.odo_i], s[graph.odo_j])
+def residual_functions(graph: PoseGraph):
+    """Residual r(s_i, s_j) of every odometry edge and r(s, landmark) of
+    every observation edge, whose target is its pole placed by the landmark
+    frame: the group's ``between`` of each measurement."""
+    between = graph.group.between
+    return (
+        lambda si, sj: between(graph.odo_meas, si, sj),
+        lambda s, landmark: between(
+            graph.obs_meas, s, graph.pole_world_poses(landmark)[graph.obs_pole]
+        ),
+    )
 
 
-def observation_residuals(graph: PoseGraph, states=None, landmark=None) -> np.ndarray:
-    """Tangent residual per observation edge against the placed template."""
+@dataclass(frozen=True)
+class Evaluation:
+    """Every edge at one state.  Per odometry (E) and observation (M) edge:
+    the tangent residual ``r_*`` and the weight ``w_*`` of each of its
+    components, (E, d) and (M, d); the weighted squared norm ``sq_*``,
+    r^T W r; and the IRLS factor ``irls_*`` the Huber kernel puts on that
+    weight (ones without Huber).  ``cost``, the sum of the Huber-composed
+    edge costs, is the objective the solver minimizes."""
+
+    r_odo: np.ndarray
+    r_obs: np.ndarray
+    w_odo: np.ndarray
+    w_obs: np.ndarray
+    sq_odo: np.ndarray
+    sq_obs: np.ndarray
+    irls_odo: np.ndarray
+    irls_obs: np.ndarray
+    cost: float
+
+
+def _weigh(graph: PoseGraph, r_odo, r_obs):
+    """((w_odo, sq_odo), (w_obs, sq_obs)): per-component weights and
+    weighted squared norms.  The first ``trans_dim`` residual components
+    take the edge's translation weight and the rest its rotation weight,
+    which a position-only graph gives no observation."""
+    k, d = graph.group.trans_dim, graph.group.tangent_dim
+    obs_rot = np.zeros_like(graph.obs_w_rot) if graph.position_only else graph.obs_w_rot
+
+    def weigh(r, w_trans, w_rot):
+        w = np.stack([w_trans] * k + [w_rot] * (d - k), axis=-1)
+        sq = w_trans * np.sum(r[:, :k] ** 2, axis=-1) + w_rot * np.sum(r[:, k:] ** 2, axis=-1)
+        return w, sq
+
+    odo = weigh(r_odo, graph.odo_w_trans, graph.odo_w_rot)
+    return odo, weigh(r_obs, graph.obs_w_trans, obs_rot)
+
+
+def _huber(sq, delta):
+    """Huber-composed edge costs and IRLS weight factors (plain at delta 0)."""
+    if delta <= 0.0:
+        return sq, np.ones_like(sq)
+    cut = delta * delta
+    root = np.sqrt(np.maximum(sq, 1e-300))
+    cost = np.where(sq <= cut, sq, 2.0 * delta * root - cut)
+    factor = np.where(sq <= cut, 1.0, delta / root)
+    return cost, factor
+
+
+def evaluate(graph: PoseGraph, states=None, landmark=None, huber_delta=0.0) -> Evaluation:
+    """Every edge at (states, landmark), by default the graph's own."""
     s = graph.states if states is None else states
     lf = graph.landmark if landmark is None else landmark
-    target = graph.pole_world_poses(lf)[graph.obs_pole]
-    return graph.group.between(graph.obs_meas, s[graph.obs_node], target)
+    odometry, observation = residual_functions(graph)
+    r_odo = odometry(s[graph.odo_i], s[graph.odo_j])
+    r_obs = observation(s[graph.obs_node], lf)
+    (w_odo, sq_odo), (w_obs, sq_obs) = _weigh(graph, r_odo, r_obs)
+    cost_odo, irls_odo = _huber(sq_odo, huber_delta)
+    cost_obs, irls_obs = _huber(sq_obs, huber_delta)
+    cost = float(np.sum(cost_odo)) + float(np.sum(cost_obs))
+    return Evaluation(r_odo, r_obs, w_odo, w_obs, sq_odo, sq_obs, irls_odo, irls_obs, cost)
 
 
-def _split_weights(graph, residuals, w_trans, w_rot, rotation_counts: bool):
-    """Per-edge weighted squared norm, translation and rotation parts."""
-    k = graph.group.trans_dim
-    sq_t = np.sum(residuals[:, :k] ** 2, axis=-1)
-    sq_r = np.sum(residuals[:, k:] ** 2, axis=-1)
-    if not rotation_counts:
-        sq_r = np.zeros_like(sq_r)
-    return w_trans * sq_t + w_rot * sq_r
-
-
-def per_edge_costs(graph: PoseGraph, states=None, landmark=None):
-    """Weighted squared residual per edge: (odometry array, observation array)."""
-    odo = _split_weights(
-        graph, odometry_residuals(graph, states),
-        graph.odo_w_trans, graph.odo_w_rot, True,
-    )
-    if graph.obs_count:
-        obs = _split_weights(
-            graph, observation_residuals(graph, states, landmark),
-            graph.obs_w_trans, graph.obs_w_rot, not graph.position_only,
-        )
-    else:
-        obs = np.zeros(0)
-    return odo, obs
-
-
-def total_cost(graph: PoseGraph, states=None, landmark=None) -> float:
-    """Weighted squared residual norm over all edges."""
-    odo, obs = per_edge_costs(graph, states, landmark)
-    return float(np.sum(odo)) + float(np.sum(obs))
+def total_cost(graph: PoseGraph, states=None, landmark=None, huber_delta=0.0) -> float:
+    """The objective the solver minimizes: the sum over all edges of the
+    weighted squared residual norm, Huber-composed when ``huber_delta > 0``."""
+    return evaluate(graph, states, landmark, huber_delta).cost
 
 
 def retract(graph: PoseGraph, states, landmark, node_delta, landmark_delta):

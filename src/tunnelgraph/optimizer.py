@@ -13,6 +13,11 @@ landmark is eliminated by Schur complement, so the node Hessian alone is
 factored, by banded Cholesky (LAPACK ``pbtrf`` through
 ``scipy.linalg.cholesky_banded``) in time linear in the node count.
 
+Edges are evaluated by :func:`tunnelgraph.graph.evaluate`, once per trial;
+its cost is ``graph.total_cost(graph, states, landmark, huber_delta)``.  The
+accepted trial's evaluation is kept: the next linearization takes its
+residuals, and the products its weights and IRLS factors.
+
 Per iteration: observation targets and adjoints are computed once per
 pole and gathered per sighting; the per-edge blocks J_a^T W J_b are batched
 ``matmul`` products of sqrt(W)-scaled Jacobians (exactly symmetric); and
@@ -95,82 +100,28 @@ def _timed(fn, *args):
 
 
 # ---------------------------------------------------------------------------
-# residuals and jacobian blocks over gathered edge arrays
+# jacobian blocks over gathered edge arrays
 
 
-def _between_blocks(group, meas, a, b):
-    """Residual ``group.between(meas, a, b)`` and its Jacobians in a and b."""
-    r = group.between(meas, a, b)
+def _between_blocks(group, r, a, b):
+    """Jacobians in a and b of the residual ``r = group.between(meas, a, b)``."""
     jb = group.jr_inv(r)
     ja = -(jb @ group.adjoint(group.relative(b, a)))
-    return r, ja, jb
+    return ja, jb
 
 
-def _obs_blocks_analytic(group, meas, si, landmark, template, pole):
-    """Observation blocks; targets and adjoints are computed once per pole."""
-    target = group.compose(landmark, template)[pole]
-    r, ji, jt = _between_blocks(group, meas, si, target)
-    # landmark * exp(d) * pole = (landmark * pole) * exp(Ad(pole^-1) d)
-    jl = jt @ group.adjoint(group.inverse(template))[pole]
-    return r, ji, jl
+def _numeric_blocks(group, residual, a, b, step):
+    """Central-difference Jacobians of residual(a, b) in a and in b, under
+    the right perturbations a * exp(delta) and b * exp(delta)."""
+    steps = step * np.eye(group.tangent_dim)
 
+    def jacobian(moved):  # moved(delta): the residual with one side perturbed
+        return np.stack([(moved(e) - moved(-e)) / (2.0 * step) for e in steps], axis=-1)
 
-def _central_difference(group, residual, x, step):
-    """Jacobian of residual(x) under the right perturbation x * exp(delta)."""
-    d = group.tangent_dim
-    columns = []
-    for k in range(d):
-        e = np.zeros(d)
-        e[k] = step
-        plus = residual(group.retract(x, e))
-        minus = residual(group.retract(x, -e))
-        columns.append((plus - minus) / (2.0 * step))
-    return np.stack(columns, axis=-1)
-
-
-def _odo_blocks_numeric(group, meas, si, sj, step=FD_STEP):
-    r = group.between(meas, si, sj)
-    ji = _central_difference(group, lambda x: group.between(meas, x, sj), si, step)
-    jj = _central_difference(group, lambda x: group.between(meas, si, x), sj, step)
-    return r, ji, jj
-
-
-def _obs_blocks_numeric(group, meas, si, landmark, template, pole, step=FD_STEP):
-    def residual(s, lm):
-        return group.between(meas, s, group.compose(lm, template)[pole])
-
-    r = residual(si, landmark)
-    ji = _central_difference(group, lambda x: residual(x, landmark), si, step)
-    jl = _central_difference(group, lambda x: residual(si, x), landmark, step)
-    return r, ji, jl
-
-
-def _weight_vectors(graph):
-    """Per-component information weights, (E, d) and (M, d)."""
-    k = graph.group.trans_dim
-    n_rot = graph.group.tangent_dim - k
-    obs_rot = np.zeros_like(graph.obs_w_rot) if graph.position_only else graph.obs_w_rot
-    odo = np.stack([graph.odo_w_trans] * k + [graph.odo_w_rot] * n_rot, axis=-1)
-    obs = np.stack([graph.obs_w_trans] * k + [obs_rot] * n_rot, axis=-1)
-    return odo, obs
-
-
-def _robust_costs(sq, delta):
-    """Huber-composed edge costs and IRLS weight factors."""
-    if delta <= 0.0:
-        return sq, np.ones_like(sq)
-    cut = delta * delta
-    root = np.sqrt(np.maximum(sq, 1e-300))
-    cost = np.where(sq <= cut, sq, 2.0 * delta * root - cut)
-    factor = np.where(sq <= cut, 1.0, delta / root)
-    return cost, factor
-
-
-def _total_cost(graph, states, landmark, huber_delta):
-    odo, obs = gmod.per_edge_costs(graph, states, landmark)
-    c_odo, _ = _robust_costs(odo, huber_delta)
-    c_obs, _ = _robust_costs(obs, huber_delta)
-    return float(np.sum(c_odo)) + float(np.sum(c_obs))
+    return (
+        jacobian(lambda e: residual(group.retract(a, e), b)),
+        jacobian(lambda e: residual(a, group.retract(b, e))),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -283,32 +234,31 @@ class _Assembler:
         return nodes, step[self.node_dim :] if self.landmark_free else None
 
 
-def _linearize(graph, states, landmark, numeric: bool):
+def _linearize(graph, states, landmark, ev, numeric: bool, step=FD_STEP):
+    """Jacobian blocks of every edge at (states, landmark); the analytic
+    blocks start from the residuals of ``ev``, the evaluation there."""
     group = graph.group
-    odo_blocks = _odo_blocks_numeric if numeric else _between_blocks
-    obs_blocks = _obs_blocks_numeric if numeric else _obs_blocks_analytic
-    r_odo, ji_o, jj_o = odo_blocks(
-        group, graph.odo_meas, states[graph.odo_i], states[graph.odo_j]
-    )
-    r_obs, ji_s, jl_s = obs_blocks(
-        group, graph.obs_meas, states[graph.obs_node], landmark,
-        graph.template, graph.obs_pole,
-    )
-    return r_odo, ji_o, jj_o, r_obs, ji_s, jl_s
+    si, sj = states[graph.odo_i], states[graph.odo_j]
+    sn = states[graph.obs_node]
+    if numeric:
+        odometry, observation = gmod.residual_functions(graph)
+        ji_o, jj_o = _numeric_blocks(group, odometry, si, sj, step)
+        ji_s, jl_s = _numeric_blocks(group, observation, sn, landmark, step)
+    else:
+        ji_o, jj_o = _between_blocks(group, ev.r_odo, si, sj)
+        target = graph.pole_world_poses(landmark)[graph.obs_pole]
+        ji_s, jt = _between_blocks(group, ev.r_obs, sn, target)
+        # landmark * exp(d) * pole = (landmark * pole) * exp(Ad(pole^-1) d)
+        jl_s = jt @ group.adjoint(group.inverse(graph.template))[graph.obs_pole]
+    return ji_o, jj_o, ji_s, jl_s
 
 
-def _products(graph, lin, huber_delta):
-    """Per-edge normal-equation blocks J_a^T W J_b and gradients J^T W r."""
-    r_odo, ji_o, jj_o, r_obs, ji_s, jl_s = lin
-    w_odo, w_obs = _weight_vectors(graph)
-    if huber_delta > 0.0:
-        sq_odo = np.einsum("ek,ek->e", w_odo, r_odo**2)
-        sq_obs = np.einsum("ek,ek->e", w_obs, r_obs**2)
-        _, f_odo = _robust_costs(sq_odo, huber_delta)
-        _, f_obs = _robust_costs(sq_obs, huber_delta)
-        w_odo = w_odo * f_odo[:, None]
-        w_obs = w_obs * f_obs[:, None]
-    sw_odo, sw_obs = np.sqrt(w_odo), np.sqrt(w_obs)
+def _products(ev, jacobians):
+    """Per-edge normal-equation blocks J_a^T W J_b and gradients J^T W r,
+    with the residuals, weights and IRLS factors of evaluation ``ev``."""
+    ji_o, jj_o, ji_s, jl_s = jacobians
+    sw_odo = np.sqrt(ev.w_odo * ev.irls_odo[:, None])
+    sw_obs = np.sqrt(ev.w_obs * ev.irls_obs[:, None])
 
     def scaled(jac, sw):
         # sqrt(W) J and its contiguous transpose: (sqrt(W) J)^T (sqrt(W) J)
@@ -335,10 +285,10 @@ def _products(graph, lin, huber_delta):
         "sll": tl_s @ sl_s,
     }
     gvecs = {
-        "oi": times_r(si_o, sw_odo, r_odo),
-        "oj": times_r(sj_o, sw_odo, r_odo),
-        "si": times_r(si_s, sw_obs, r_obs),
-        "sl": times_r(sl_s, sw_obs, r_obs),
+        "oi": times_r(si_o, sw_odo, ev.r_odo),
+        "oj": times_r(sj_o, sw_odo, ev.r_odo),
+        "si": times_r(si_s, sw_obs, ev.r_obs),
+        "sl": times_r(sl_s, sw_obs, ev.r_obs),
     }
     return products, gvecs
 
@@ -361,8 +311,8 @@ def optimize(graph, settings: SolverSettings = None, progress=None):
     gauge_state = states[graph.gauge_index].copy()
     assembler = _Assembler(graph)
 
-    cost = _total_cost(graph, states, landmark, settings.huber_delta)
-    trace = [cost]
+    ev = gmod.evaluate(graph, states, landmark, settings.huber_delta)
+    trace = [ev.cost]
     per_iteration = []
     damping = settings.initial_damping
     reason = MAX_ITERATIONS
@@ -371,10 +321,10 @@ def optimize(graph, settings: SolverSettings = None, progress=None):
     for iteration in range(1, settings.max_iterations + 1):
         iterations = iteration
         record = {"rejected": 0, "solve_s": 0.0, "cost_s": 0.0}
-        lin, record["linearize_s"] = _timed(_linearize, graph, states, landmark, numeric)
-        (products, gvecs), record["products_s"] = _timed(
-            _products, graph, lin, settings.huber_delta
+        jacobians, record["linearize_s"] = _timed(
+            _linearize, graph, states, landmark, ev, numeric
         )
+        (products, gvecs), record["products_s"] = _timed(_products, ev, jacobians)
         system, record["assemble_s"] = _timed(assembler.assemble, products, gvecs)
         record["grad_inf"] = float(np.abs(np.concatenate(system[3:])).max(initial=0.0))
 
@@ -387,11 +337,11 @@ def optimize(graph, settings: SolverSettings = None, progress=None):
                     graph, states, landmark, *assembler.split(step)
                 )
                 cand_states[graph.gauge_index] = gauge_state
-                cand_cost, seconds = _timed(
-                    _total_cost, graph, cand_states, cand_lm, settings.huber_delta
+                cand, seconds = _timed(
+                    gmod.evaluate, graph, cand_states, cand_lm, settings.huber_delta
                 )
                 record["cost_s"] += seconds
-                if cand_cost <= cost:
+                if cand.cost <= ev.cost:
                     record["damping"] = damping
                     damping = max(damping * settings.damping_decrease, 1e-12)
                     break
@@ -403,17 +353,16 @@ def optimize(graph, settings: SolverSettings = None, progress=None):
                 )
 
         step_norm = float(np.linalg.norm(step))
-        decrease = cost - cand_cost
+        decrease = ev.cost - cand.cost
         record["step_norm"] = step_norm
         # None, not NaN: json.dump would write NaN, which is not JSON
         record["gain_ratio"] = decrease / predicted if predicted != 0.0 else None
         per_iteration.append(record)
         if progress is not None:
             progress(iteration, record)
-        states, landmark = cand_states, cand_lm
-        trace.append(cand_cost)
-        relative = decrease / cost if cost > 0.0 else 0.0
-        cost = cand_cost
+        relative = decrease / ev.cost if ev.cost > 0.0 else 0.0
+        states, landmark, ev = cand_states, cand_lm, cand
+        trace.append(ev.cost)
         if relative <= settings.cost_tolerance:
             reason = COST_THRESHOLD
             break
@@ -424,7 +373,7 @@ def optimize(graph, settings: SolverSettings = None, progress=None):
     stats = SolveStats(
         iterations=iterations,
         initial_cost=trace[0],
-        final_cost=cost,
+        final_cost=ev.cost,
         reason=reason,
         cost_trace=trace,
         per_iteration=per_iteration,
@@ -456,21 +405,11 @@ def check_jacobians(graph, probe_count: int = 100, seed: int = 0, step: float = 
     odo_idx = picks[picks < graph.odo_count]
     obs_idx = picks[picks >= graph.odo_count] - graph.odo_count
 
-    worst = 0.0
-    if odo_idx.size:
-        args = (
-            group, graph.odo_meas[odo_idx],
-            states[graph.odo_i[odo_idx]], states[graph.odo_j[odo_idx]],
-        )
-        _, ji_a, jj_a = _between_blocks(*args)
-        _, ji_n, jj_n = _odo_blocks_numeric(*args, step)
-        worst = max(worst, float(np.abs(ji_a - ji_n).max()), float(np.abs(jj_a - jj_n).max()))
-    if obs_idx.size:
-        args = (
-            group, graph.obs_meas[obs_idx], states[graph.obs_node[obs_idx]],
-            landmark, graph.template, graph.obs_pole[obs_idx],
-        )
-        _, ji_a, jl_a = _obs_blocks_analytic(*args)
-        _, ji_n, jl_n = _obs_blocks_numeric(*args, step)
-        worst = max(worst, float(np.abs(ji_a - ji_n).max()), float(np.abs(jl_a - jl_n).max()))
-    return worst
+    # the solver's own linearization, both ways, compared on the probes
+    ev = gmod.evaluate(graph, states, landmark)
+    analytic = _linearize(graph, states, landmark, ev, numeric=False)
+    numeric = _linearize(graph, states, landmark, ev, numeric=True, step=step)
+    rows = (odo_idx, odo_idx, obs_idx, obs_idx)
+    return max(
+        float(np.abs(a[k] - n[k]).max(initial=0.0)) for a, n, k in zip(analytic, numeric, rows)
+    )

@@ -272,6 +272,23 @@ class TestExitCodes:
         assert "data error" in err
         assert f"{name}:{row + 1}:" in err
 
+    @pytest.mark.parametrize("rate", ["-5", "nan"])
+    def test_bad_graph_rate_exits_2(self, tmp_path, capsys, rate):
+        out = self.optimized_run(tmp_path)
+        path = out / "dvso_graph.txt"
+        text = path.read_text()
+        header = next(ln for ln in text.splitlines() if ln.startswith("# rate_hz:"))
+        path.write_text(text.replace(header, f"# rate_hz: {rate}"))
+        capsys.readouterr()
+        assert cli.main(["report", "--dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "dvso_graph.txt: rate_hz must be finite and positive" in err
+
+    def test_repeated_source_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, SMALL_CONFIG.replace("dvso", "dvso dvso"))
+        assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path / "run")]) == 2
+        assert "sources: must name sources, none twice" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "case", ["missing-key", "not-an-object", "text-frames", "numeric-reason"]
     )

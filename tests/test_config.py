@@ -164,6 +164,12 @@ class TestErrors:
             parse_config("landmark.count = many\n")
         assert "line 1" in str(err.value)
 
+    def test_repeated_source_rejected(self):
+        # its noise.* keys would be echoed twice, and the echo not read back
+        with pytest.raises(DataError) as err:
+            parse_config("sources = dvso wheel dvso\n")
+        assert "sources: must name sources, none twice" in str(err.value)
+
     def test_duplicate_key_rejected(self):
         with pytest.raises(DataError) as err:
             parse_config("seed = 1\nseed = 2\n")

@@ -127,6 +127,15 @@ class TestTracks:
             fileio.read_track(path)
         assert "field" in str(err.value)
 
+    @pytest.mark.parametrize("rate", ["-5", "0", "nan", "inf"])
+    def test_bad_rate_header_names_the_file(self, tmp_path, rate):
+        path = tmp_path / "bad.txt"
+        path.write_text(
+            f"# source: x\n# rate_hz: {rate}\n# dof_mode: full3d\n0.0 0 0 0 0 0 0 1\n"
+        )
+        with pytest.raises(DataError, match=r"bad\.txt: rate_hz must be finite and positive"):
+            fileio.read_track(path)
+
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("0.0 0 0 0 0 0 0 1\n")

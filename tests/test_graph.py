@@ -60,7 +60,7 @@ class TestBuild:
 
     def test_first_observation_pins_initial_landmark(self):
         graph, _, _, _ = small_problem()
-        residuals = gmod.observation_residuals(graph)
+        residuals = gmod.evaluate(graph).r_obs
         first = np.argmin(graph.obs_node)
         np.testing.assert_allclose(residuals[first], 0.0, atol=1e-12)
 
@@ -150,12 +150,18 @@ class TestResiduals:
             obs_meas=np.zeros((0, 7)),
             obs_w_trans=np.array([]), obs_w_rot=np.array([]),
         )
-        (r,) = gmod.odometry_residuals(graph)
+        ev = gmod.evaluate(graph)
+        (r,) = ev.r_odo
         np.testing.assert_allclose(r, [-0.1, 0, 0, 0, 0, 0], atol=1e-15)
-        odo, obs = gmod.per_edge_costs(graph)
-        assert odo[0] == pytest.approx(4.0 * 0.1 * 0.1)
-        assert obs.size == 0
-        assert gmod.total_cost(graph) == pytest.approx(odo[0])
+        assert ev.sq_odo[0] == pytest.approx(4.0 * 0.1 * 0.1)
+        assert ev.sq_obs.size == 0
+        assert gmod.total_cost(graph) == pytest.approx(ev.sq_odo[0])
+        # Huber at delta 0.1: the edge's norm 0.2 is past the cut, so its cost
+        # is 2 * 0.1 * 0.2 - 0.1^2 and its weight is scaled by 0.1 / 0.2
+        robust = gmod.evaluate(graph, huber_delta=0.1)
+        assert robust.cost == pytest.approx(0.03)
+        assert robust.irls_odo[0] == pytest.approx(0.5)
+        assert gmod.total_cost(graph, huber_delta=0.1) == robust.cost
 
     def test_residual_matches_direct_log(self):
         rng = np.random.default_rng(5)
@@ -164,7 +170,7 @@ class TestResiduals:
         states = geom.pose3_compose(
             states, geom.se3_exp(0.1 * rng.standard_normal((graph.node_count, 6)))
         )
-        res = gmod.odometry_residuals(graph, states)
+        res = gmod.evaluate(graph, states).r_odo
         for e in range(graph.odo_count):
             rel = geom.pose3_relative(states[graph.odo_i[e]], states[graph.odo_j[e]])
             direct = geom.se3_log(
@@ -178,7 +184,7 @@ class TestResiduals:
         landmark = geom.pose3_compose(
             graph.landmark, geom.se3_exp(0.05 * rng.standard_normal(6))
         )
-        res = gmod.observation_residuals(graph, landmark=landmark)
+        res = gmod.evaluate(graph, landmark=landmark).r_obs
         for e in range(graph.obs_count):
             target = geom.pose3_compose(landmark, graph.template[graph.obs_pole[e]])
             rel = geom.pose3_relative(graph.states[graph.obs_node[e]], target)

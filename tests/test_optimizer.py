@@ -192,15 +192,29 @@ class TestSettings:
 # normal-equation products and assembly against the einsum/COO reference
 
 
-def einsum_products(graph, lin, huber_delta):
-    """Reference products: three-operand einsum per block."""
-    r_odo, ji_o, jj_o, r_obs, ji_s, jl_s = lin
-    w_odo, w_obs = opt._weight_vectors(graph)
-    if huber_delta > 0.0:
-        _, f_odo = opt._robust_costs(np.einsum("ek,ek->e", w_odo, r_odo**2), huber_delta)
-        _, f_obs = opt._robust_costs(np.einsum("ek,ek->e", w_obs, r_obs**2), huber_delta)
-        w_odo = w_odo * f_odo[:, None]
-        w_obs = w_obs * f_obs[:, None]
+def linearized(graph, states, landmark, huber_delta):
+    """The evaluation and the analytic Jacobian blocks at one state."""
+    ev = gmod.evaluate(graph, states, landmark, huber_delta)
+    return ev, opt._linearize(graph, states, landmark, ev, numeric=False)
+
+
+def einsum_products(graph, ev, jacobians, huber_delta):
+    """Reference products: three-operand einsum per block.  Only the
+    residuals come from ``ev``; the weights are stated here."""
+    ji_o, jj_o, ji_s, jl_s = jacobians
+    r_odo, r_obs = ev.r_odo, ev.r_obs
+    rotation = np.arange(graph.group.tangent_dim) >= graph.group.trans_dim
+
+    def weights(w_trans, w_rot, r):
+        w = np.where(rotation, w_rot[:, None], w_trans[:, None])
+        if huber_delta > 0.0:  # IRLS: the weight falls as delta / |r|_W past delta
+            norm = np.sqrt(np.einsum("ek,ek->e", w, r**2))
+            w = w * np.minimum(1.0, huber_delta / np.maximum(norm, 1e-300))[:, None]
+        return w
+
+    w_odo = weights(graph.odo_w_trans, graph.odo_w_rot, r_odo)
+    obs_rot = 0.0 * graph.obs_w_rot if graph.position_only else graph.obs_w_rot
+    w_obs = weights(graph.obs_w_trans, obs_rot, r_obs)
 
     def wjtj(ja, w, jb):
         return np.einsum("eki,ek,ekj->eij", ja, w, jb)
@@ -323,9 +337,9 @@ def test_products_and_assembly_match_reference(case):
     assert assembler.bw == 2 * graph.group.tangent_dim - 1
     for seed in (0, 1):  # two iterates through the same index structure
         states, landmark = perturbed(graph, seed)
-        lin = opt._linearize(graph, states, landmark, numeric=False)
-        got = assembler.assemble(*opt._products(graph, lin, huber))
-        want = coo_assemble(graph, *einsum_products(graph, lin, huber))
+        ev, jac = linearized(graph, states, landmark, huber)
+        got = assembler.assemble(*opt._products(ev, jac))
+        want = coo_assemble(graph, *einsum_products(graph, ev, jac, huber))
 
         rows, cols = want[0].nonzero()
         assert np.all(np.abs(rows - cols) <= assembler.bw)  # nothing outside the band
@@ -342,13 +356,13 @@ def test_band_solve_matches_dense(case, damping):
     graph, huber = oracle_case(case)
     assembler = opt._Assembler(graph)
     states, landmark = perturbed(graph, 2)
-    lin = opt._linearize(graph, states, landmark, numeric=False)
-    system = assembler.assemble(*opt._products(graph, lin, huber))
+    ev, jac = linearized(graph, states, landmark, huber)
+    system = assembler.assemble(*opt._products(ev, jac))
     step, predicted = assembler.solve(*system, damping)
 
     # the full node + landmark system, dense, from the reference assembly
     a_mat, b_mat, c_mat, g_nodes, g_lm = coo_assemble(
-        graph, *einsum_products(graph, lin, huber)
+        graph, *einsum_products(graph, ev, jac, huber)
     )
     hessian = np.block([[a_mat.toarray(), b_mat], [b_mat.T, c_mat]])
     gradient = np.concatenate([g_nodes, g_lm])
@@ -365,8 +379,8 @@ def test_band_solve_matches_dense(case, damping):
 def test_band_solve_rejects_nan():
     graph, huber = oracle_case("full3d")
     assembler = opt._Assembler(graph)
-    lin = opt._linearize(graph, *perturbed(graph, 0), numeric=False)
-    band, *rest = assembler.assemble(*opt._products(graph, lin, huber))
+    ev, jac = linearized(graph, *perturbed(graph, 0), huber)
+    band, *rest = assembler.assemble(*opt._products(ev, jac))
     assert assembler.solve(band, *rest, 1e-6) is not None
     band[assembler.bw - 1, 9] = np.nan  # one superdiagonal entry
     assert assembler.solve(band, *rest, 1e-6) is None
@@ -402,8 +416,8 @@ def test_gradient_and_gain_ratio_records():
     first, *_, last = stats.per_iteration
     # the first record's gradient is the one assembled at the start
     assembler = opt._Assembler(graph)
-    lin = opt._linearize(graph, graph.states, graph.landmark, numeric=False)
-    system = assembler.assemble(*opt._products(graph, lin, 0.0))
+    ev, jac = linearized(graph, graph.states, graph.landmark, 0.0)
+    system = assembler.assemble(*opt._products(ev, jac))
     assert first["grad_inf"] == np.abs(np.concatenate(system[3:])).max()
     assert last["grad_inf"] < 1e-6 * first["grad_inf"]
     # away from rounding level the model predicts the decrease of
@@ -418,3 +432,30 @@ def test_gain_ratio_none_without_predicted_decrease():
     (record,) = stats.per_iteration
     assert record["grad_inf"] == 0.0
     assert record["gain_ratio"] is None
+
+
+def test_each_trial_evaluates_the_residuals_once(monkeypatch):
+    graph = simulated_graph(seed=3)
+    between = geom.Group.between
+    calls = []
+
+    def counted(self, *args):
+        calls.append(args)
+        return between(self, *args)
+
+    monkeypatch.setattr(geom.Group, "between", counted)
+    _, stats = opt.optimize(graph)
+    assert stats.iterations >= 2
+    trials = sum(1 + record["rejected"] for record in stats.per_iteration)
+    # one odometry and one observation pass at the start and per trial;
+    # linearizing reuses the accepted trial's residuals
+    assert len(calls) == 2 * (1 + trials)
+
+
+def test_huber_final_cost_is_total_cost():
+    graph = simulated_graph(seed=2)
+    delta = 0.02
+    solved, stats = opt.optimize(graph, SolverSettings(huber_delta=delta))
+    ev = gmod.evaluate(solved, huber_delta=delta)
+    assert np.any(ev.irls_odo < 1.0) or np.any(ev.irls_obs < 1.0)  # the kernel bites
+    assert gmod.total_cost(solved, huber_delta=delta) == stats.final_cost
