@@ -3,11 +3,12 @@
 One assignment per line, ``#`` starts a comment, unknown keys are
 rejected by name.  The keys mirror the settings dataclasses: a key is
 ``<section>.<field>`` for ``trajectory`` (:class:`TrajectoryProfile`),
-``landmark`` (:class:`LandmarkLayout`), ``detection``
-(:class:`DetectionModel`) and ``solver`` (:class:`SolverSettings`), and
-``noise.<source>.<field>`` (:class:`NoiseProfile`) for each source.
-``seed``, ``sources``, ``landmark.lateral_offset`` and
-``graph.position_only`` set :class:`ScenarioConfig` itself.
+``landmark`` (:class:`LandmarkLayout`) and ``detection``
+(:class:`DetectionModel`), and ``noise.<source>.<field>``
+(:class:`NoiseProfile`) for each source.  ``seed``, ``sources`` and
+``landmark.lateral_offset`` set :class:`ScenarioConfig` itself.  The
+configuration describes the scenario only: ``optimize`` takes its
+solver settings as flags.
 
 A missing key keeps its field's default, or the preset's value for a
 preset source.  A value is parsed by its field's type (``int``,
@@ -21,7 +22,6 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field
 
-from .optimizer import SolverSettings
 from .simulate import (
     DEFAULT_POLE_LATERAL_OFFSET,
     PRESETS,
@@ -41,8 +41,6 @@ class ScenarioConfig:
     lateral_offset: float = DEFAULT_POLE_LATERAL_OFFSET
     detection: DetectionModel = field(default_factory=DetectionModel)
     noise: dict = field(default_factory=dict)  # source -> NoiseProfile
-    solver: SolverSettings = field(default_factory=SolverSettings)
-    position_only: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "sources", tuple(self.sources))
@@ -63,7 +61,6 @@ class ScenarioConfig:
 _KEYS = {
     "layout": "landmark",
     "lateral_offset": "landmark.lateral_offset",
-    "position_only": "graph.position_only",
 }
 
 
@@ -184,7 +181,6 @@ def parse_config(text: str) -> ScenarioConfig:
         layout=_build(LandmarkLayout, "landmark.{}".format, entries),
         detection=_build(DetectionModel, "detection.{}".format, entries),
         noise={name: _noise(name, entries) for name in sources},
-        solver=_build(SolverSettings, "solver.{}".format, entries),
     )
     known = {key for key, _ in _items(cfg)}
     extra = [key for key in entries if key not in known]  # in line order

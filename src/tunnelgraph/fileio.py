@@ -1,13 +1,19 @@
 """Plain-text file formats.
 
-Trajectories use whitespace-delimited pose lines, one per frame:
-``timestamp tx ty tz qx qy qz qw`` (quaternion scalar-last on disk, as
-trajectory tooling expects).  Observations prepend the pole id after
-the timestamp.  ``#`` lines are comments; a handful of well-known
-header comments (``# key: value``) carry the metadata a bare pose table
-cannot: source tag, frame rate, degrees-of-freedom mode, information
-weights.  Every value is printed with 17 significant digits, so a
-write/read cycle is bit-faithful.
+Every numeric file is a table: ``#`` comment lines, some of them
+``# key: value`` headers (source tag, frame rate, degrees-of-freedom
+mode, information weights), and one row per record.  A trajectory row is
+``timestamp tx ty tz qx qy qz qw``; observations put the pole id after
+the timestamp; a graph row starts with its record tag (``NODE``, ...).
+
+One codec reads and writes them all.  ``_format_rows`` renders
+side-by-side columns in one format pass, integers as integers and floats
+with 17 significant digits, so a write/read cycle is bit-faithful.
+``_parse_rows`` checks each row's field count and parses the whole block
+at once; only when that fails does it look for the first bad line, so an
+error names ``path:lineno``.  Quaternions are scalar-first in memory and
+scalar-last on disk, as trajectory tooling expects; ``TO_DISK`` and
+``FROM_DISK`` are that one reordering.
 """
 
 from __future__ import annotations
@@ -22,51 +28,57 @@ from .graph import GROUPS, PoseGraph
 from .metrics import ErrorReport
 from .optimizer import SolveStats
 from .simulate import NoiseInjection
-from .sync import PLANAR, DOF_MODES, DataError, ObservationSet, OdometryTrack, SightingError
+from .sync import DOF_MODES, DataError, ObservationSet, OdometryTrack, RowError
 
 FLOAT_FMT = "%.17g"
 
-REPORT_COLUMNS = [
-    "source",
-    "rate_hz",
-    "frames",
-    "trans_m_per_frame",
-    "rot_deg_per_frame",
-    "trans_m_per_s",
-    "rot_deg_per_s",
-    "closure_raw_m",
-    "closure_opt_m",
-]
+# packed [tx ty tz qw qx qy qz] -> disk [tx ty tz qx qy qz qw], and back;
+# their first three entries leave a planar [x y yaw] state as it is
+TO_DISK = np.array([0, 1, 2, 4, 5, 6, 3])
+FROM_DISK = np.argsort(TO_DISK)
+
+# report.csv column -> ErrorReport attribute
+REPORT_FIELDS = {
+    "source": "source", "rate_hz": "rate", "frames": "frame_count",
+    "trans_m_per_frame": "trans_per_frame", "rot_deg_per_frame": "rot_deg_per_frame",
+    "trans_m_per_s": "trans_per_second", "rot_deg_per_s": "rot_deg_per_second",
+    "closure_raw_m": "closure_raw", "closure_opt_m": "closure_optimized",
+}
+REPORT_COLUMNS = list(REPORT_FIELDS)
 
 
 def _fmt(value: float) -> str:
     return FLOAT_FMT % value
 
 
-def _pose_fields(packed7) -> list:
-    # disk order: tx ty tz qx qy qz qw  (scalar-last)
-    t = packed7[:3]
-    q = packed7[3:]
-    return [_fmt(v) for v in (*t, q[1], q[2], q[3], q[0])]
+# ---------------------------------------------------------------------------
+# the table codec
 
 
-def _parse_pose_fields(parts, path, lineno):
-    if len(parts) != 7:
-        raise DataError(f"{path}:{lineno}: expected 7 pose fields, got {len(parts)}")
-    try:
-        vals = [float(p) for p in parts]
-    except ValueError:
-        raise DataError(f"{path}:{lineno}: malformed number") from None
-    tx, ty, tz, qx, qy, qz, qw = vals
-    return np.array([tx, ty, tz, qw, qx, qy, qz])
+def _format_rows(columns, tag="", sep=" ") -> str:
+    """One line per row of the side-by-side ``columns`` (each 1-D, or 2-D
+    for several fields), after an optional record ``tag``: integer and
+    bool columns print as integers, strings as they are, and floats as
+    ``FLOAT_FMT``."""
+    fields = [field for column in columns for field in np.atleast_2d(np.asarray(column).T)]
+    formats = {"b": "%d", "i": "%d", "u": "%d", "U": "%s"}
+    line = sep.join(([tag] if tag else []) + [formats.get(f.dtype.kind, FLOAT_FMT) for f in fields])
+    values = [v for row in zip(*(f.tolist() for f in fields)) for v in row]
+    return (line + "\n") * len(fields[0]) % tuple(values)
+
+
+def _write(path, *parts, newline=None) -> None:
+    with open(path, "w", encoding="utf-8", newline=newline) as fh:
+        fh.write("".join(parts))
 
 
 def _read_table(path):
-    """Header comments (``# key: value``, first wins) and (lineno, fields) rows."""
+    """Header comments (``# key: value``, first wins) and the data rows as
+    (line number, fields) pairs."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     headers = {}
-    content = []
+    rows = []
     for lineno, line in enumerate(lines, start=1):
         stripped = line.strip()
         if not stripped:
@@ -77,8 +89,57 @@ def _read_table(path):
                 key, _, value = body.partition(":")
                 headers.setdefault(key.strip(), value.strip())
             continue
-        content.append((lineno, stripped.split()))
-    return headers, content
+        rows.append((lineno, stripped.split()))
+    return headers, rows
+
+
+def _columns(flat, kinds):
+    """(floats, ints): the ``f`` and the ``i`` fields of the rows whose
+    fields ``flat`` lists row by row, each a (rows, fields) array."""
+    width = len(kinds)
+    return tuple(
+        np.array([flat[c::width] for c, k in enumerate(kinds) if k == kind], dtype)
+        .reshape(kinds.count(kind), len(flat) // width).T
+        for kind, dtype in (("f", float), ("i", int))
+    )
+
+
+def _parse_rows(path, rows, kinds):
+    """The float and the integer columns of ``rows``, which must each have
+    one field per letter of ``kinds``: ``f`` a float, ``i`` an integer
+    (parsed as ``int`` parses, so ``1.5`` is malformed), ``-`` skipped.
+
+    The block is parsed at once; a row is looked at alone only after that
+    failed, to name the first malformed line.
+    """
+    width = len(kinds)
+    for lineno, fields in rows:
+        if len(fields) != width:
+            raise DataError(f"{path}:{lineno}: expected {width} fields, got {len(fields)}")
+    try:
+        return _columns([f for _, fields in rows for f in fields], kinds)
+    except (ValueError, OverflowError):
+        for lineno, fields in rows:
+            try:
+                _columns(fields, kinds)
+            except (ValueError, OverflowError):
+                raise DataError(f"{path}:{lineno}: malformed number") from None
+        raise
+
+
+def _checked(path, rows, build, *args):
+    """``build(*args)``, with a :class:`RowError` named by its row's line."""
+    try:
+        return build(*args)
+    except RowError as exc:
+        raise DataError(f"{path}:{rows[exc.row][0]}: {exc.reason}") from None
+
+
+def _source_lines(item) -> str:
+    return (
+        f"# source: {item.source}\n# rate_hz: {_fmt(item.rate)}\n"
+        f"# dof_mode: {item.dof_mode}\n"
+    )
 
 
 def _source_headers(headers, path):
@@ -99,271 +160,152 @@ def _source_headers(headers, path):
 
 
 # ---------------------------------------------------------------------------
-# odometry tracks
+# odometry tracks, landmark observations, injected-noise records
 
 
 def write_track(path, track: OdometryTrack) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# source: {track.source}\n")
-        fh.write(f"# rate_hz: {_fmt(track.rate)}\n")
-        fh.write(f"# dof_mode: {track.dof_mode}\n")
-        fh.write("# columns: timestamp tx ty tz qx qy qz qw\n")
-        for t, pose in zip(track.times, track.poses):
-            fh.write(" ".join([_fmt(t)] + _pose_fields(pose)) + "\n")
+    _write(
+        path, _source_lines(track), "# columns: timestamp tx ty tz qx qy qz qw\n",
+        _format_rows([track.times, track.poses[:, TO_DISK]]),
+    )
 
 
 def read_track(path) -> OdometryTrack:
-    headers, content = _read_table(path)
+    headers, rows = _read_table(path)
     dof, rate = _source_headers(headers, path)
-
-    times = np.empty(len(content))
-    poses = np.empty((len(content), 7))
-    prev_t = None
-    prev_line = None
-    for row, (lineno, parts) in enumerate(content):
-        if len(parts) != 8:
-            raise DataError(f"{path}:{lineno}: expected 8 fields, got {len(parts)}")
-        try:
-            t = float(parts[0])
-        except ValueError:
-            raise DataError(f"{path}:{lineno}: malformed timestamp") from None
-        if prev_t is not None and t <= prev_t:
-            raise DataError(
-                f"{path}:{lineno}: timestamp {parts[0]} does not increase past "
-                f"{prev_line} from the previous frame"
-            )
-        times[row] = t
-        poses[row] = _parse_pose_fields(parts[1:], path, lineno)
-        prev_t, prev_line = t, parts[0]
-    return OdometryTrack(headers["source"], rate, dof, times, poses)
-
-
-# ---------------------------------------------------------------------------
-# landmark observations
+    floats, _ = _parse_rows(path, rows, "f" * 8)
+    return _checked(
+        path, rows, OdometryTrack,
+        headers["source"], rate, dof, floats[:, 0], floats[:, 1:][:, FROM_DISK],
+    )
 
 
 def write_observations(path, observations: ObservationSet) -> None:
     """Uniform weights go in a header; mixed weights get per-line columns."""
-    weights = list(zip(map(_fmt, observations.w_trans), map(_fmt, observations.w_rot)))
-    per_line = len(set(weights)) > 1
-    columns = "timestamp pole_id tx ty tz qx qy qz qw"
-    with open(path, "w", encoding="utf-8") as fh:
-        if per_line:
-            fh.write(f"# columns: {columns} weight_trans weight_rot\n")
-        else:
-            fh.write(f"# columns: {columns}\n")
-            if weights:
-                fh.write(f"# weight_trans: {weights[0][0]}\n")
-                fh.write(f"# weight_rot: {weights[0][1]}\n")
-        rows = zip(observations.times, observations.pole_ids, observations.rel, weights)
-        for t, pole_id, rel, pair in rows:
-            fields = [_fmt(t), str(pole_id)] + _pose_fields(rel)
-            if per_line:
-                fields += list(pair)
-            fh.write(" ".join(fields) + "\n")
+    weights = np.stack([observations.w_trans, observations.w_rot], axis=1)
+    bits = weights.view(np.uint64)  # the header must give back every row's bits
+    columns = [observations.times, observations.pole_ids, observations.rel[:, TO_DISK]]
+    header = "# columns: timestamp pole_id tx ty tz qx qy qz qw"
+    if np.any(bits != bits[:1]):
+        header += " weight_trans weight_rot\n"
+        columns += [observations.w_trans, observations.w_rot]
+    else:
+        header += "\n" + "".join(
+            f"# weight_trans: {_fmt(w_t)}\n# weight_rot: {_fmt(w_r)}\n"
+            for w_t, w_r in weights[:1]
+        )
+    _write(path, header, _format_rows(columns))
 
 
 def read_observations(path) -> ObservationSet:
     """Reads either layout: 9 fields with header weights, or 11 with per-line weights."""
-    headers, content = _read_table(path)
+    headers, rows = _read_table(path)
+    header_weights = [headers.get(key, "1") for key in ("weight_trans", "weight_rot")]
     try:
-        header_weights = [float(headers.get(k, "1")) for k in ("weight_trans", "weight_rot")]
+        np.array(header_weights, dtype=float)
     except ValueError:
         raise DataError(f"{path}: malformed weight header") from None
-    count = len(content)
-    times = np.empty(count)
-    pole_ids = np.empty(count, dtype=int)
-    rel = np.empty((count, 7))
-    weights = np.empty((count, 2))
-    for row, (lineno, parts) in enumerate(content):
-        if len(parts) not in (9, 11):
-            raise DataError(f"{path}:{lineno}: expected 9 or 11 fields, got {len(parts)}")
-        try:
-            times[row] = float(parts[0])
-            pole_ids[row] = int(parts[1])
-            weights[row] = [float(p) for p in parts[9:]] or header_weights
-        except (ValueError, OverflowError):
-            raise DataError(f"{path}:{lineno}: malformed number") from None
-        if pole_ids[row] < 0:
-            raise DataError(f"{path}:{lineno}: pole id must be non-negative")
-        rel[row] = _parse_pose_fields(parts[2:9], path, lineno)
-    try:
-        return ObservationSet(times, pole_ids, rel, weights[:, 0], weights[:, 1])
-    except SightingError as exc:
-        lineno = content[exc.row][0]
-        raise DataError(f"{path}:{lineno}: observation {exc.reason}") from None
-
-
-# ---------------------------------------------------------------------------
-# injected-noise record
+    rows = [(n, fields + header_weights if len(fields) == 9 else fields) for n, fields in rows]
+    floats, ints = _parse_rows(path, rows, "fi" + "f" * 9)
+    return _checked(
+        path, rows, ObservationSet,
+        floats[:, 0], ints[:, 0], floats[:, 1:8][:, FROM_DISK], floats[:, 8], floats[:, 9],
+    )
 
 
 def write_injection(path, record: NoiseInjection) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# columns: frame trans_m rot_deg tx ty tz qx qy qz qw\n")
-        for k in range(record.error_poses.shape[0]):
-            fields = [
-                str(k),
-                _fmt(record.trans_magnitudes[k]),
-                _fmt(record.rot_magnitudes_deg[k]),
-            ] + _pose_fields(record.error_poses[k])
-            fh.write(" ".join(fields) + "\n")
+    _write(
+        path, "# columns: frame trans_m rot_deg tx ty tz qx qy qz qw\n",
+        _format_rows([
+            np.arange(len(record.error_poses)), record.trans_magnitudes,
+            record.rot_magnitudes_deg, record.error_poses[:, TO_DISK],
+        ]),
+    )
 
 
 def read_injection(path) -> NoiseInjection:
-    _, content = _read_table(path)
-    count = len(content)
-    trans = np.empty(count)
-    rot = np.empty(count)
-    err = np.empty((count, 7))
-    for row, (lineno, parts) in enumerate(content):
-        if len(parts) != 10:
-            raise DataError(f"{path}:{lineno}: expected 10 fields, got {len(parts)}")
-        try:
-            trans[row] = float(parts[1])
-            rot[row] = float(parts[2])
-        except ValueError:
-            raise DataError(f"{path}:{lineno}: malformed number") from None
-        err[row] = _parse_pose_fields(parts[3:], path, lineno)
-    return NoiseInjection(trans, rot, err)
+    _, rows = _read_table(path)
+    floats, _ = _parse_rows(path, rows, "-" + "f" * 9)
+    return NoiseInjection(floats[:, 0], floats[:, 1], floats[:, 2:][:, FROM_DISK])
 
 
 # ---------------------------------------------------------------------------
 # pose-graph edge list
 
 
-def _state_fields(graph, packed):
-    if graph.dof_mode == PLANAR:
-        return [_fmt(v) for v in packed]
-    return _pose_fields(packed)
-
-
-def _parse_state(dof, parts, path, lineno):
-    if dof == PLANAR:
-        return np.array([float(p) for p in parts])
-    return _parse_pose_fields(parts, path, lineno)
-
-
 def write_graph(path, graph: PoseGraph) -> None:
     """Plain-text edge list mirroring the in-memory problem."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# source: {graph.source}\n")
-        fh.write(f"# rate_hz: {_fmt(graph.rate)}\n")
-        fh.write(f"# dof_mode: {graph.dof_mode}\n")
-        fh.write(f"GAUGE {graph.gauge_index}\n")
-        for k in range(graph.node_count):
-            fields = [
-                "NODE",
-                str(k),
-                _fmt(graph.times[k]),
-                str(int(graph.is_frame[k])),
-            ] + _state_fields(graph, graph.states[k])
-            fh.write(" ".join(fields) + "\n")
-        fh.write(
-            " ".join(["LANDMARK_FRAME"] + _state_fields(graph, graph.landmark)) + "\n"
-        )
-        for k in range(graph.pole_count):
-            fh.write(
-                " ".join(["POLE", str(k)] + _state_fields(graph, graph.template[k]))
-                + "\n"
-            )
-        for e in range(graph.odo_count):
-            fields = (
-                ["EDGE_ODOM", str(graph.odo_i[e]), str(graph.odo_j[e])]
-                + _state_fields(graph, graph.odo_meas[e])
-                + [_fmt(graph.odo_w_trans[e]), _fmt(graph.odo_w_rot[e])]
-            )
-            fh.write(" ".join(fields) + "\n")
-        for e in range(graph.obs_count):
-            fields = (
-                ["EDGE_OBS", str(graph.obs_node[e]), str(graph.obs_pole[e])]
-                + _state_fields(graph, graph.obs_meas[e])
-                + [_fmt(graph.obs_w_trans[e]), _fmt(graph.obs_w_rot[e])]
-            )
-            fh.write(" ".join(fields) + "\n")
+    order = TO_DISK[: graph.states.shape[1]]
+    records = {
+        "GAUGE": [np.array([graph.gauge_index])],
+        "NODE": [np.arange(graph.node_count), graph.times, graph.is_frame, graph.states[:, order]],
+        "LANDMARK_FRAME": [graph.landmark[None, order]],
+        "POLE": [np.arange(graph.pole_count), graph.template[:, order]],
+        "EDGE_ODOM": [graph.odo_i, graph.odo_j, graph.odo_meas[:, order],
+                      graph.odo_w_trans, graph.odo_w_rot],
+        "EDGE_OBS": [graph.obs_node, graph.obs_pole, graph.obs_meas[:, order],
+                     graph.obs_w_trans, graph.obs_w_rot],
+    }
+    _write(path, _source_lines(graph), *(_format_rows(c, tag) for tag, c in records.items()))
+
+
+def _id_order(path, tag, ids):
+    """The row order that sorts ``ids``, which must be 0..n-1, each once."""
+    if not ids.size:
+        raise DataError(f"{path}: no {tag} record")
+    order = np.argsort(ids, kind="stable")
+    if not np.array_equal(ids[order], np.arange(ids.size)):
+        raise DataError(f"{path}: {tag} ids must be 0..{ids.size - 1}, each once")
+    return order
 
 
 def read_graph(path) -> PoseGraph:
-    headers, content = _read_table(path)
+    """The graph :func:`write_graph` wrote: NODE and POLE ids run 0..n-1,
+    each once, with one LANDMARK_FRAME and at most one GAUGE record."""
+    headers, rows = _read_table(path)
     dof, rate = _source_headers(headers, path)
     dim = GROUPS[dof].packed_dim
-    field_counts = {
-        "GAUGE": 2,
-        "NODE": 4 + dim,
-        "LANDMARK_FRAME": 1 + dim,
-        "POLE": 2 + dim,
-        "EDGE_ODOM": 5 + dim,
-        "EDGE_OBS": 5 + dim,
+    state = "f" * dim
+    kinds = {
+        "GAUGE": "-i",
+        "NODE": "-ifi" + state,
+        "LANDMARK_FRAME": "-" + state,
+        "POLE": "-i" + state,
+        "EDGE_ODOM": "-ii" + state + "ff",
+        "EDGE_OBS": "-ii" + state + "ff",
     }
+    groups = {tag: [] for tag in kinds}
+    for lineno, fields in rows:
+        if fields[0] not in groups:
+            raise DataError(f"{path}:{lineno}: unknown record {fields[0]!r}")
+        groups[fields[0]].append((lineno, fields))
+    table = {tag: _parse_rows(path, groups[tag], kinds[tag]) for tag in kinds}
 
-    gauge = 0
-    nodes, lm = {}, None
-    poles = {}
-    odo, obs = [], []
-    for lineno, parts in content:
-        tag = parts[0]
-        if tag not in field_counts:
-            raise DataError(f"{path}:{lineno}: unknown record {tag!r}")
-        if len(parts) != field_counts[tag]:
-            raise DataError(
-                f"{path}:{lineno}: {tag} needs {field_counts[tag]} fields, got {len(parts)}"
-            )
-        try:
-            if tag == "GAUGE":
-                gauge = int(parts[1])
-            elif tag == "NODE":
-                state = _parse_state(dof, parts[4:], path, lineno)
-                nodes[int(parts[1])] = (float(parts[2]), bool(int(parts[3])), state)
-            elif tag == "LANDMARK_FRAME":
-                lm = _parse_state(dof, parts[1:], path, lineno)
-            elif tag == "POLE":
-                poles[int(parts[1])] = _parse_state(dof, parts[2:], path, lineno)
-            else:
-                (odo if tag == "EDGE_ODOM" else obs).append((
-                    int(parts[1]),
-                    int(parts[2]),
-                    _parse_state(dof, parts[3 : 3 + dim], path, lineno),
-                    float(parts[3 + dim]),
-                    float(parts[4 + dim]),
-                ))
-        except ValueError:
-            raise DataError(f"{path}:{lineno}: malformed number in {tag} record") from None
-    if not nodes or lm is None or not poles:
-        raise DataError(f"{path}: incomplete graph file")
+    (_, gauge), (landmark, _) = table["GAUGE"], table["LANDMARK_FRAME"]
+    if len(gauge) > 1 or len(landmark) != 1:
+        raise DataError(f"{path}: needs one LANDMARK_FRAME and at most one GAUGE record, "
+                        f"got {len(landmark)} and {len(gauge)}")
+    order = FROM_DISK[:dim]
+    node_f, node_i = table["NODE"]
+    nodes = _id_order(path, "NODE", node_i[:, 0])
+    pole_f, pole_i = table["POLE"]
+    poles = _id_order(path, "POLE", pole_i[:, 0])
 
-    order = sorted(nodes)
-    if order != list(range(len(order))):
-        raise DataError(f"{path}: node ids must be 0..N-1")
-    times = np.array([nodes[k][0] for k in order])
-    is_frame = np.array([nodes[k][1] for k in order], dtype=bool)
-    states = np.stack([nodes[k][2] for k in order])
-    template = np.stack([poles[k] for k in sorted(poles)])
-    return PoseGraph(
-        source=headers["source"],
-        rate=rate,
-        dof_mode=dof,
-        times=times,
-        is_frame=is_frame,
-        states=states,
-        landmark=lm,
-        template=template,
-        odo_i=np.array([e[0] for e in odo], dtype=int),
-        odo_j=np.array([e[1] for e in odo], dtype=int),
-        odo_meas=(
-            np.stack([e[2] for e in odo]) if odo else np.zeros((0, dim))
-        ),
-        odo_w_trans=np.array([e[3] for e in odo]),
-        odo_w_rot=np.array([e[4] for e in odo]),
-        obs_node=np.array([e[0] for e in obs], dtype=int),
-        obs_pole=np.array([e[1] for e in obs], dtype=int),
-        obs_meas=(
-            np.stack([e[2] for e in obs]) if obs else np.zeros((0, dim))
-        ),
-        obs_w_trans=np.array([e[3] for e in obs]),
-        obs_w_rot=np.array([e[4] for e in obs]),
-        gauge_index=gauge,
-        unconstrained=not obs,
-    )
+    def edges(tag):  # (i, j, measurement, w_trans, w_rot) columns
+        floats, ints = table[tag]
+        return ints[:, 0], ints[:, 1], floats[:, :dim][:, order], floats[:, dim], floats[:, dim + 1]
+
+    try:
+        return PoseGraph(
+            headers["source"], rate, dof,
+            node_f[nodes, 0], node_i[nodes, 1] != 0, node_f[nodes, 1:][:, order],
+            landmark[0, order], pole_f[poles][:, order],
+            *edges("EDGE_ODOM"), *edges("EDGE_OBS"),
+            gauge_index=int(gauge[0, 0]) if len(gauge) else 0,
+            unconstrained=not len(table["EDGE_OBS"][0]),
+        )
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -375,19 +317,8 @@ def write_report_csv(path, reports) -> None:
         writer = csv.writer(fh)
         writer.writerow(REPORT_COLUMNS)
         for r in reports:
-            writer.writerow(
-                [
-                    r.source,
-                    _fmt(r.rate),
-                    r.frame_count,
-                    _fmt(r.trans_per_frame),
-                    _fmt(r.rot_deg_per_frame),
-                    _fmt(r.trans_per_second),
-                    _fmt(r.rot_deg_per_second),
-                    _fmt(r.closure_raw),
-                    _fmt(r.closure_optimized),
-                ]
-            )
+            values = [getattr(r, name) for name in REPORT_FIELDS.values()]
+            writer.writerow([_fmt(v) if isinstance(v, float) else v for v in values])
 
 
 def read_report_csv(path):
@@ -395,20 +326,13 @@ def read_report_csv(path):
         rows = list(csv.reader(fh))
     if not rows or rows[0] != REPORT_COLUMNS:
         raise DataError(f"{path}: unexpected report schema")
-    out = []
-    for row in rows[1:]:
-        out.append(
-            ErrorReport(
-                source=row[0],
-                rate=float(row[1]),
-                frame_count=int(row[2]),
-                trans_per_frame=float(row[3]),
-                rot_deg_per_frame=float(row[4]),
-                closure_raw=float(row[7]),
-                closure_optimized=float(row[8]),
-            )
-        )
-    return out
+    rows = list(enumerate(rows[1:], start=2))
+    # the per-second columns are derived, so they are not read back
+    floats, ints = _parse_rows(path, rows, "-fiff--ff")
+    return [
+        ErrorReport(fields[0], f[0], i[0], f[1], f[2], f[3], f[4])
+        for (_, fields), f, i in zip(rows, floats.tolist(), ints.tolist())
+    ]
 
 
 def format_report_table(reports, phase_rows=None, capped=()) -> str:
@@ -440,12 +364,11 @@ def format_report_table(reports, phase_rows=None, capped=()) -> str:
     return "\n".join(lines) + "\n"
 
 
-# the stats key of each ErrorReport field; the report is rebuilt from
-# these, and a field with a default may be absent
+# the stats key of each ErrorReport field (the report's keys less its
+# derived per-second ones); the report is rebuilt from these, and a field
+# with a default may be absent
 STATS_KEYS = {
-    "source": "source", "rate_hz": "rate", "frames": "frame_count",
-    "trans_m_per_frame": "trans_per_frame", "rot_deg_per_frame": "rot_deg_per_frame",
-    "closure_raw_m": "closure_raw", "closure_opt_m": "closure_optimized",
+    **{key: name for key, name in REPORT_FIELDS.items() if not key.endswith("_per_s")},
     "closure_raw_z_m": "closure_raw_z", "closure_opt_z_m": "closure_optimized_z",
     "unconstrained": "unconstrained",
 }
@@ -454,19 +377,16 @@ _JSON_KINDS = {"str": str, "int": int, "float": (int, float), "bool": bool}
 
 
 def write_stats_json(path, stats: SolveStats, report: ErrorReport) -> None:
-    payload = {key: getattr(report, name) for key, name in STATS_KEYS.items()}
-    payload.update(
-        trans_m_per_s=report.trans_per_second,
-        rot_deg_per_s=report.rot_deg_per_second,
-        solver={
-            "iterations": stats.iterations,
-            "initial_cost": stats.initial_cost,
-            "final_cost": stats.final_cost,
-            "reason": stats.reason,
-            "cost_trace": list(stats.cost_trace),
-            "per_iteration": list(stats.per_iteration),
-        },
-    )
+    keys = {**REPORT_FIELDS, **STATS_KEYS}
+    payload = {key: getattr(report, name) for key, name in keys.items()}
+    payload["solver"] = {
+        "iterations": stats.iterations,
+        "initial_cost": stats.initial_cost,
+        "final_cost": stats.final_cost,
+        "reason": stats.reason,
+        "cost_trace": list(stats.cost_trace),
+        "per_iteration": list(stats.per_iteration),
+    }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -510,30 +430,19 @@ def stats_report(payload) -> ErrorReport:
 
 
 def write_xy_csv(path, times, raw_xy, opt_xy) -> None:
-    """Raw-versus-optimized trajectory plot data."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "raw_x", "raw_y", "opt_x", "opt_y"])
-        for k in range(len(times)):
-            writer.writerow(
-                [
-                    _fmt(times[k]),
-                    _fmt(raw_xy[k][0]),
-                    _fmt(raw_xy[k][1]),
-                    _fmt(opt_xy[k][0]),
-                    _fmt(opt_xy[k][1]),
-                ]
-            )
+    """Raw-versus-optimized trajectory plot data; ``raw_xy`` and ``opt_xy`` are (N, 2)."""
+    _write(
+        path, "t,raw_x,raw_y,opt_x,opt_y\n", _format_rows([times, raw_xy, opt_xy], sep=","),
+        newline="\r\n",
+    )
 
 
 def write_poles_csv(path, true_xy, est_xy) -> None:
-    """True and estimated pole positions for plotting."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["pole_id", "true_x", "true_y", "est_x", "est_y"])
-        for k in range(len(est_xy)):
-            tx, ty = (true_xy[k][0], true_xy[k][1]) if true_xy is not None else ("", "")
-            writer.writerow(
-                [k, _fmt(tx) if tx != "" else "", _fmt(ty) if ty != "" else "",
-                 _fmt(est_xy[k][0]), _fmt(est_xy[k][1])]
-            )
+    """True and estimated pole positions for plotting; the true columns
+    stay empty without ``true_xy``."""
+    if true_xy is None:
+        true_xy = np.full((len(est_xy), 2), "")
+    _write(
+        path, "pole_id,true_x,true_y,est_x,est_y\n",
+        _format_rows([np.arange(len(est_xy)), true_xy, est_xy], sep=","), newline="\r\n",
+    )

@@ -370,17 +370,7 @@ def simulate_landmark_observations(
     tick_count = int(np.floor(span * model.rate + 1e-9)) + 1
     ticks = track.times[0] + np.arange(tick_count, dtype=float) / model.rate
 
-    right = np.searchsorted(track.times, ticks)
-    hit = np.minimum(right, track.frame_count - 1)
-    exact = track.times[hit] == ticks
-    robot = np.empty((tick_count, 7))
-    robot[exact] = track.poses[hit[exact]]
-    if not np.all(exact):
-        r = right[~exact]
-        left = r - 1
-        alpha = (ticks[~exact] - track.times[left]) / (track.times[r] - track.times[left])
-        robot[~exact] = geom.pose3_interpolate(track.poses[left], track.poses[r], alpha)
-
+    robot = track.poses_at(ticks)
     rel = geom.pose3_relative(robot[:, None], pole_world[None])  # (ticks, poles, 7)
     dist = np.linalg.norm(rel[..., :3], axis=-1)
     with np.errstate(invalid="ignore"):

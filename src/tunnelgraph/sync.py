@@ -48,6 +48,27 @@ class FieldError(DataError):
         self.reason = reason
 
 
+class RowError(DataError):
+    """A :class:`DataError` about one row of a track or sighting set;
+    ``row`` is its index."""
+
+    def __init__(self, row: int, reason: str):
+        super().__init__(f"row {row}: {reason}")
+        self.row = row
+        self.reason = reason
+
+
+def _check_unit_quaternions(packed) -> None:
+    """Every quaternion of the packed (N, 7) poses within
+    ``QUAT_NORM_TOLERANCE`` of unit norm; a NaN pose passes, to be reported
+    as a numerical failure downstream."""
+    gap = np.abs(np.linalg.norm(packed[:, 3:], axis=1) - 1.0)
+    off_unit = gap > QUAT_NORM_TOLERANCE
+    if np.any(off_unit):
+        row = int(np.argmax(off_unit))
+        raise RowError(row, f"quaternion norm off unit by {gap[row]:.3g}")
+
+
 # range rules for check_fields: (accepts, reason), stated positively so NaN fails
 POSITIVE = (lambda v: v > 0.0, "must be positive")
 NON_NEGATIVE = (lambda v: v >= 0.0, "must be non-negative")
@@ -79,7 +100,9 @@ class OdometryTrack:
 
     ``poses`` is packed ``(N, 7)`` as ``[tx, ty, tz, qw, qx, qy, qz]``;
     planar tracks keep z, roll and pitch at exactly zero but use the same
-    packing.
+    packing.  Timestamps must be finite and strictly increase, and
+    quaternions unit within ``QUAT_NORM_TOLERANCE``; a bad row raises a
+    :class:`RowError`.
     """
 
     source: str
@@ -95,14 +118,15 @@ class OdometryTrack:
             raise DataError(f"track {self.source!r}: times/poses shape mismatch")
         if times.size < 2:
             raise DataError(f"track {self.source!r}: needs at least two frames")
-        if np.any(np.diff(times) <= 0.0):
-            raise DataError(f"track {self.source!r}: timestamps must strictly increase")
-        # NaN norms pass: a poisoned pose is a numerical failure, reported downstream
-        gap = np.abs(np.linalg.norm(poses[:, 3:], axis=1) - 1.0)
-        if np.any(gap > QUAT_NORM_TOLERANCE):
-            raise DataError(
-                f"track {self.source!r}: quaternion norm off unit by {np.nanmax(gap):.3g}"
-            )
+        # stated positively, so that a NaN timestamp fails too
+        ordered = np.isfinite(times) & (np.diff(times, prepend=-np.inf) > 0.0)
+        if not np.all(ordered):
+            row = int(np.argmin(ordered))
+            reason = f"does not increase past {times[row - 1]} from the previous frame"
+            if not np.isfinite(times[row]):
+                reason = "is not finite"
+            raise RowError(row, f"timestamp {times[row]} {reason}")
+        _check_unit_quaternions(poses)
         times.setflags(write=False)
         poses.setflags(write=False)
         object.__setattr__(self, "times", times)
@@ -112,6 +136,22 @@ class OdometryTrack:
     @property
     def frame_count(self) -> int:
         return int(self.times.size)
+
+    def poses_at(self, times: np.ndarray) -> np.ndarray:
+        """Packed poses at ``times`` inside the track span: a frame's own
+        pose where a time falls on it, else the geodesic interpolation
+        between the bracketing frames."""
+        right = np.searchsorted(self.times, times)
+        hit = np.minimum(right, self.frame_count - 1)
+        exact = self.times[hit] == times
+        poses = np.empty((times.size, 7))
+        poses[exact] = self.poses[hit[exact]]
+        if not np.all(exact):
+            r = right[~exact]
+            left = r - 1
+            alpha = (times[~exact] - self.times[left]) / (self.times[r] - self.times[left])
+            poses[~exact] = geom.pose3_interpolate(self.poses[left], self.poses[r], alpha)
+        return poses
 
     @property
     def duration(self) -> float:
@@ -127,15 +167,6 @@ class Sighting(NamedTuple):
     rel: np.ndarray  # packed (7,) robot -> pole
     weight_trans: float
     weight_rot: float
-
-
-class SightingError(DataError):
-    """A :class:`DataError` about one sighting; ``row`` is its index."""
-
-    def __init__(self, row: int, reason: str):
-        super().__init__(f"sighting {row}: {reason}")
-        self.row = row
-        self.reason = reason
 
 
 def _column(values, dtype, count: int) -> np.ndarray:
@@ -157,9 +188,10 @@ class ObservationSet:
 
     ``rel`` is packed ``(M, 7)`` robot -> pole; the weights broadcast from
     scalars.  Validation matches the file boundary: packed shapes,
-    finite non-negative weights, and quaternion norms within
-    ``QUAT_NORM_TOLERANCE`` of one (a NaN pose passes, to be reported as a
-    numerical failure downstream).  ``len``, iteration and integer
+    non-negative pole ids, finite non-negative weights, and quaternion
+    norms within ``QUAT_NORM_TOLERANCE`` of one (a NaN pose passes, to be
+    reported as a numerical failure downstream); a bad row raises a
+    :class:`RowError`.  ``len``, iteration and integer
     indexing give :class:`Sighting` rows; any other index gives the
     selected rows as a new set.
     """
@@ -184,14 +216,12 @@ class ObservationSet:
         weights = np.stack([w_trans, w_rot])
         invalid = ~np.all(np.isfinite(weights) & (weights >= 0.0), axis=0)
         if np.any(invalid):
-            raise SightingError(
+            raise RowError(
                 int(np.argmax(invalid)), "information weights must be finite and non-negative"
             )
-        gap = np.abs(np.linalg.norm(rel[:, 3:], axis=1) - 1.0)
-        off_unit = gap > QUAT_NORM_TOLERANCE
-        if np.any(off_unit):
-            row = int(np.argmax(off_unit))
-            raise SightingError(row, f"quaternion norm off unit by {gap[row]:.3g}")
+        if np.any(pole_ids < 0):
+            raise RowError(int(np.argmax(pole_ids < 0)), "pole id must be non-negative")
+        _check_unit_quaternions(rel)
         times.setflags(write=False)
         rel.setflags(write=False)
         for name, value in (
@@ -289,13 +319,7 @@ def align(
 
     poses = np.empty((times.size, 7))
     poses[is_frame] = track.poses
-    if extra.size:
-        right = np.searchsorted(track.times, extra)
-        left = right - 1
-        alpha = (extra - track.times[left]) / (track.times[right] - track.times[left])
-        poses[~is_frame] = geom.pose3_interpolate(
-            track.poses[left], track.poses[right], alpha
-        )
+    poses[~is_frame] = track.poses_at(extra)
 
     meas = geom.pose3_relative(poses[:-1], poses[1:])
     w_trans = np.full(times.size - 1, w_odo[0])

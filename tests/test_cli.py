@@ -346,6 +346,25 @@ class TestExitCodes:
         assert named in capsys.readouterr().err
         assert not (out / "dvso_stats.json").exists()
 
+    def test_nan_timestamp_exits_2(self, tmp_path, capsys):
+        # NaN <= previous is false, so an ordering test alone lets it through
+        cfg = write_config(tmp_path, SMALL_CONFIG)
+        out = tmp_path / "run"
+        assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        lines = (out / "dvso_raw.txt").read_text().splitlines()
+        row = [k for k, ln in enumerate(lines) if not ln.startswith("#")][3]
+        lines[row] = "nan " + lines[row].split(" ", 1)[1]
+        (out / "dvso_raw.txt").write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert cli.main([
+            "optimize",
+            "--track", str(out / "dvso_raw.txt"),
+            "--observations", str(out / "observations.txt"),
+            "--out", str(out),
+        ]) == 2
+        assert f"dvso_raw.txt:{row + 1}: timestamp nan is not finite" in capsys.readouterr().err
+        assert not (out / "dvso_stats.json").exists()
+
     def test_non_unit_quaternion_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, SMALL_CONFIG)
         out = tmp_path / "run"

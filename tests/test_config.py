@@ -9,9 +9,9 @@ import pytest
 
 import tunnelgraph.config as config
 from tunnelgraph.config import ScenarioConfig, format_config, parse_config
-from tunnelgraph.optimizer import NUMERIC, SolverSettings
+from tunnelgraph.optimizer import SolverSettings
 from tunnelgraph.simulate import DetectionModel, LandmarkLayout, NoiseProfile, TrajectoryProfile
-from tunnelgraph.sync import DataError, FieldError, PLANAR
+from tunnelgraph.sync import FULL3D, PLANAR, DataError, FieldError
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
@@ -21,13 +21,8 @@ SECTION_KEYS = {
     "trajectory": "trajectory",
     "layout": "landmark",
     "detection": "detection",
-    "solver": "solver",
 }
-PLAIN_KEYS = {
-    "seed": "seed",
-    "lateral_offset": "landmark.lateral_offset",
-    "position_only": "graph.position_only",
-}
+PLAIN_KEYS = {"seed": "seed", "lateral_offset": "landmark.lateral_offset"}
 
 
 class TestDefaults:
@@ -66,9 +61,8 @@ class TestOverrides:
             "landmark.spacing = 3.25\n"
             "landmark.lateral_offset = 0.8\n"
             "detection.sigma_trans = 0.001\n"
-            "solver.max_iterations = 17\n"
-            "solver.jacobian_mode = numeric\n"
-            "graph.position_only = true\n"
+            "detection.max_range = 17\n"
+            "noise.wheel.dof_mode = full3d\n"
         )
         assert cfg.seed == 9
         assert cfg.sources == ("wheel",)
@@ -77,9 +71,8 @@ class TestOverrides:
         assert cfg.layout.count == 7 and cfg.layout.spacing == 3.25
         assert cfg.lateral_offset == 0.8
         assert cfg.detection.sigma_trans == 0.001
-        assert cfg.solver.max_iterations == 17
-        assert cfg.solver.jacobian_mode == NUMERIC
-        assert cfg.position_only
+        assert cfg.detection.max_range == 17.0
+        assert cfg.noise["wheel"].dof_mode == FULL3D
 
     def test_custom_source_requires_noise_keys(self):
         with pytest.raises(DataError) as err:
@@ -129,7 +122,7 @@ class TestErrors:
             ("trajectory.speed = 0", "trajectory.speed"),
             ("detection.max_range = -2", "detection.max_range"),
             ("noise.dvso.trans_per_frame = -0.1", "noise.dvso.trans_per_frame"),
-            ("solver.max_iterations = 0", "solver.max_iterations"),
+            ("detection.rate = 0", "detection.rate"),
         ]:
             with pytest.raises(DataError) as err:
                 parse_config(text + "\n")
@@ -144,7 +137,7 @@ class TestErrors:
             ("noise.dvso.frame_rate", "inf"),
             ("landmark.lateral_offset", "nan"),
             ("landmark.spacing", "nan"),
-            ("solver.huber_delta", "inf"),
+            ("detection.max_range", "inf"),
             ("noise.dvso.axis_scale", "1 nan 1"),
         ],
     )
@@ -152,6 +145,16 @@ class TestErrors:
         with pytest.raises(DataError) as err:
             parse_config(f"{key} = {value}\n")
         assert key in str(err.value) and "finite" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "line", ["solver.max_iterations = 17", "graph.position_only = true"]
+    )
+    def test_solver_and_graph_keys_are_unknown(self, line):
+        # optimize takes these settings as flags; the scenario has none
+        with pytest.raises(DataError) as err:
+            parse_config(f"seed = 1\n{line}\n")
+        key = line.split(" = ")[0]
+        assert f"line 2: unknown configuration key {key!r}" in str(err.value)
 
     def test_mode_alias_is_unknown(self):
         with pytest.raises(DataError) as err:
@@ -194,8 +197,8 @@ class TestRoundTrip:
             "trajectory.turn_angle_deg = -180\n"
             "noise.lidar.axis_scale = 50 1 1\n"
             "detection.sigma_rot_deg = 0.15\n"
-            "solver.huber_delta = 1.25\n"
-            "graph.position_only = true\n"
+            "detection.max_bearing_deg = 1.25\n"
+            "trajectory.return_leg = false\n"
         )
         cfg = parse_config(text)
         echoed = format_config(cfg)

@@ -62,6 +62,30 @@ def scenario():
     return track, observations, injection
 
 
+# a unit quaternion, scalar-first in memory, with four distinct components
+# so that the scalar-last disk order is visible in the expected text
+QUAT = [np.sqrt(0.79), 0.4, 0.2, 0.1]
+Q_DISK = "0.40000000000000002 0.20000000000000001 0.10000000000000001 0.88881944173155891"
+
+
+def golden_graph(mode):
+    """Two nodes, two poles and one edge of each kind."""
+    if mode == FULL3D:
+        states = np.array([[0, 0, 0, 1, 0, 0, 0], [0.1, 0, 0, *QUAT]])
+    else:
+        states = np.array([[0, 0, 0], [0.1, 0, -0.5]])
+    return gmod.PoseGraph(
+        source="cam", rate=5.0, dof_mode=mode, times=np.array([0.0, 0.2]),
+        is_frame=np.array([True, False]), states=states, landmark=states[1],
+        template=states[::-1].copy(),
+        odo_i=np.array([0]), odo_j=np.array([1]), odo_meas=states[1:],
+        odo_w_trans=np.array([1.0]), odo_w_rot=np.array([2.5]),
+        obs_node=np.array([1]), obs_pole=np.array([1]), obs_meas=states[:1],
+        obs_w_trans=np.array([400.0]), obs_w_rot=np.array([0.0]),
+        gauge_index=1,
+    )
+
+
 class TestTracks:
     def test_round_trip_is_bit_faithful(self, tmp_path, scenario):
         track, _, _ = scenario
@@ -382,6 +406,34 @@ class TestGraphs:
         with pytest.raises(DataError, match=r"graph\.txt:5: "):
             fileio.read_graph(path)
 
+    @pytest.mark.parametrize(
+        "case", ["repeated-node", "gapped-node", "renumbered-poles", "two-landmarks", "two-gauges"]
+    )
+    def test_ids_and_singletons_checked(self, tmp_path, case):
+        # a repeated id must not replace the earlier row, nor poles 1/2 become
+        # rows 0/1: an EDGE_OBS naming pole 1 would then mean the one written as 2
+        path = tmp_path / "graph.txt"
+        fileio.write_graph(path, golden_graph(FULL3D))
+        lines = path.read_text().splitlines()
+        row = {
+            "repeated-node": "NODE 1 ", "gapped-node": "NODE 1 ",
+            "two-landmarks": "LANDMARK_FRAME ", "two-gauges": "GAUGE ",
+        }.get(case)
+        if case == "renumbered-poles":
+            lines = [ln.replace("POLE 1 ", "POLE 2 ").replace("POLE 0 ", "POLE 1 ") for ln in lines]
+        elif case == "gapped-node":
+            lines = [ln.replace(row, "NODE 2 ") for ln in lines]
+        else:
+            lines += [next(ln for ln in lines if ln.startswith(row))]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=r"graph\.txt: ") as err:
+            fileio.read_graph(path)
+        assert {
+            "repeated-node": "NODE ids must be 0..2, each once",
+            "gapped-node": "NODE ids must be 0..1, each once",
+            "renumbered-poles": "POLE ids must be 0..1, each once",
+        }.get(case, "needs one LANDMARK_FRAME and at most one GAUGE record") in str(err.value)
+
     def test_incomplete_file_rejected(self, tmp_path):
         path = tmp_path / "graph.txt"
         path.write_text(
@@ -443,3 +495,102 @@ class TestReports:
         assert back["solver"]["per_iteration"] == [record, undefined]
         assert '"gain_ratio": null' in path.read_text()  # not NaN, which is not JSON
         assert fileio.stats_report(back) == report
+
+
+class TestGoldenBytes:
+    """The writers' exact output: integer columns as integers, 17 significant
+    digits, scalar-last quaternions, both observation layouts, the graph's
+    record tags, and CRLF line ends and empty columns in the CSVs."""
+
+    def test_every_table_writer(self, tmp_path):
+        rel = [[1, -0.5, 0, 1, 0, 0, 0], [0.25, 0, 1e-20, *QUAT]]
+        est = np.array([[0.1, 1.25], [17.9, 1.15]])
+        writes = {
+            "track": lambda p: fileio.write_track(p, sync.OdometryTrack(
+                "cam", 5.0, FULL3D, [0.0, 0.2], [[1, 2, 3, 1, 0, 0, 0], [1.5, -0.1, 0, *QUAT]]
+            )),
+            "uniform": lambda p: fileio.write_observations(
+                p, sync.ObservationSet([0.1, 0.2], [3, 0], rel, 400.0, 2500.0)
+            ),
+            "mixed": lambda p: fileio.write_observations(
+                p, sync.ObservationSet([0.1, 0.2], [3, 0], rel, [400.0, 0.0], 2500.0)
+            ),
+            "injection": lambda p: fileio.write_injection(p, sim.NoiseInjection(
+                np.array([0.00148, 0.00148]), np.array([0.043, 0.043]),
+                np.array([[0.001, 0, 0, 1, 0, 0, 0], [0, -0.001, 0, *QUAT]]),
+            )),
+            "full3d": lambda p: fileio.write_graph(p, golden_graph(FULL3D)),
+            "planar": lambda p: fileio.write_graph(p, golden_graph(PLANAR)),
+            "xy": lambda p: fileio.write_xy_csv(
+                p, np.array([0.0, 0.2]), np.array([[1.0, 2.0], [1.5, -0.1]]),
+                np.array([[1.0, 2.0], [1.25, 0.1]]),
+            ),
+            "poles": lambda p: fileio.write_poles_csv(p, np.array([[0.0, 1.2], [18.0, 1.2]]), est),
+            "poles-untrue": lambda p: fileio.write_poles_csv(p, None, est),
+        }
+        source = "# source: cam\n# rate_hz: 5\n"
+        expected = {
+            "track": (
+                f"{source}# dof_mode: full3d\n"
+                "# columns: timestamp tx ty tz qx qy qz qw\n"
+                "0 1 2 3 0 0 0 1\n"
+                f"0.20000000000000001 1.5 -0.10000000000000001 0 {Q_DISK}\n"
+            ),
+            "uniform": (
+                "# columns: timestamp pole_id tx ty tz qx qy qz qw\n"
+                "# weight_trans: 400\n# weight_rot: 2500\n"
+                "0.10000000000000001 3 1 -0.5 0 0 0 0 1\n"
+                f"0.20000000000000001 0 0.25 0 9.9999999999999995e-21 {Q_DISK}\n"
+            ),
+            "mixed": (
+                "# columns: timestamp pole_id tx ty tz qx qy qz qw weight_trans weight_rot\n"
+                "0.10000000000000001 3 1 -0.5 0 0 0 0 1 400 2500\n"
+                f"0.20000000000000001 0 0.25 0 9.9999999999999995e-21 {Q_DISK} 0 2500\n"
+            ),
+            "injection": (
+                "# columns: frame trans_m rot_deg tx ty tz qx qy qz qw\n"
+                "0 0.00148 0.042999999999999997 0.001 0 0 0 0 0 1\n"
+                f"1 0.00148 0.042999999999999997 0 -0.001 0 {Q_DISK}\n"
+            ),
+            "full3d": (
+                f"{source}# dof_mode: full3d\n"
+                "GAUGE 1\n"
+                "NODE 0 0 1 0 0 0 0 0 0 1\n"
+                f"NODE 1 0.20000000000000001 0 0.10000000000000001 0 0 {Q_DISK}\n"
+                f"LANDMARK_FRAME 0.10000000000000001 0 0 {Q_DISK}\n"
+                f"POLE 0 0.10000000000000001 0 0 {Q_DISK}\n"
+                "POLE 1 0 0 0 0 0 0 1\n"
+                f"EDGE_ODOM 0 1 0.10000000000000001 0 0 {Q_DISK} 1 2.5\n"
+                "EDGE_OBS 1 1 0 0 0 0 0 0 1 400 0\n"
+            ),
+            "planar": (
+                f"{source}# dof_mode: planar\n"
+                "GAUGE 1\n"
+                "NODE 0 0 1 0 0 0\n"
+                "NODE 1 0.20000000000000001 0 0.10000000000000001 0 -0.5\n"
+                "LANDMARK_FRAME 0.10000000000000001 0 -0.5\n"
+                "POLE 0 0.10000000000000001 0 -0.5\n"
+                "POLE 1 0 0 0\n"
+                "EDGE_ODOM 0 1 0.10000000000000001 0 -0.5 1 2.5\n"
+                "EDGE_OBS 1 1 0 0 0 400 0\n"
+            ),
+            "xy": (
+                "t,raw_x,raw_y,opt_x,opt_y\r\n"
+                "0,1,2,1,2\r\n"
+                "0.20000000000000001,1.5,-0.10000000000000001,1.25,0.10000000000000001\r\n"
+            ),
+            "poles": (
+                "pole_id,true_x,true_y,est_x,est_y\r\n"
+                "0,0,1.2,0.10000000000000001,1.25\r\n"
+                "1,18,1.2,17.899999999999999,1.1499999999999999\r\n"
+            ),
+            "poles-untrue": (
+                "pole_id,true_x,true_y,est_x,est_y\r\n"
+                "0,,,0.10000000000000001,1.25\r\n"
+                "1,,,17.899999999999999,1.1499999999999999\r\n"
+            ),
+        }
+        for name, write in writes.items():
+            path = tmp_path / f"{name}.txt"
+            write(path)
+            assert path.read_bytes().decode("utf-8") == expected[name], name

@@ -9,7 +9,7 @@ from tunnelgraph.sync import (
     DataError,
     ObservationSet,
     OdometryTrack,
-    SightingError,
+    RowError,
     align,
     with_weights,
 )
@@ -144,6 +144,15 @@ class TestTypes:
         off_unit[1, 3] = 1.0 + 5e-7
         assert OdometryTrack("x", 5.0, "planar", times, off_unit).poses[1, 3] == 1.0 + 5e-7
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.1])
+    def test_track_times_finite_and_increasing(self, bad):
+        # NaN fails every comparison, so "not above the previous" misses it
+        times = np.array([0.0, 0.1, 0.2])
+        times[2] = bad
+        with pytest.raises(RowError) as err:
+            OdometryTrack("x", 5.0, "planar", times, np.tile(geom.POSE3_IDENTITY, (3, 1)))
+        assert err.value.row == 2 and "timestamp" in str(err.value)
+
     def test_track_is_write_protected(self):
         track = small_track()
         with pytest.raises(ValueError):
@@ -162,14 +171,14 @@ class TestTypes:
             ObservationSet([0.0], [0], np.zeros((1, 6)))
         with pytest.raises(DataError):
             ObservationSet([0.0, 1.0], [0], [ident, ident])
-        with pytest.raises(SightingError) as err:
+        with pytest.raises(RowError) as err:
             ObservationSet([0.0, 1.0], [0, 0], [ident, ident], w_trans=[1.0, -1.0])
         assert err.value.row == 1
         for bad in (np.nan, np.inf):  # NaN fails every comparison, so both need a test
-            with pytest.raises(SightingError) as err:
+            with pytest.raises(RowError) as err:
                 ObservationSet([0.0, 1.0], [0, 0], [ident, ident], w_rot=[1.0, bad])
             assert err.value.row == 1 and "finite" in str(err.value)
-        with pytest.raises(SightingError) as err:
+        with pytest.raises(RowError) as err:
             ObservationSet([0.0, 1.0], [0, 0], [ident, [0, 0, 0, 2.0, 0, 0, 0]])
         assert err.value.row == 1 and "norm off unit" in str(err.value)
         # zero weight is a legal informationless probe
