@@ -29,7 +29,6 @@ import sys
 import numpy as np
 
 from . import fileio
-from . import optimizer as opt
 from . import pipeline
 from . import simulate as sim
 from .config import parse_config
@@ -80,14 +79,6 @@ def _build_parser() -> _Parser:
     )
     p_opt.add_argument("--max-iterations", type=int, default=None)
     p_opt.add_argument("--huber-delta", type=float, default=None)
-    p_opt.add_argument(
-        "--jacobian-mode", choices=[opt.ANALYTIC, opt.NUMERIC], default=None
-    )
-    p_opt.add_argument(
-        "--position-only",
-        action="store_true",
-        help="drop rotational observation residuals",
-    )
     p_opt.add_argument(
         "--landmark-fixed",
         action="store_true",
@@ -150,10 +141,8 @@ def _cmd_optimize(args, written):
         ),
         odom_weights=(args.weight_trans, args.weight_rot),
         settings=_settings(
-            SolverSettings, args, max_iterations="max_iterations",
-            huber_delta="huber_delta", jacobian_mode="jacobian_mode",
+            SolverSettings, args, max_iterations="max_iterations", huber_delta="huber_delta"
         ),
-        position_only=args.position_only,
         landmark_fixed=args.landmark_fixed,
         progress=_print_iteration if args.verbose else None,
     )

@@ -234,7 +234,8 @@ def read_injection(path) -> NoiseInjection:
 
 
 def write_graph(path, graph: PoseGraph) -> None:
-    """Plain-text edge list mirroring the in-memory problem."""
+    """Plain-text edge list mirroring the in-memory problem; a
+    ``# landmark_fixed: true`` header marks a frozen landmark frame."""
     order = TO_DISK[: graph.states.shape[1]]
     records = {
         "GAUGE": [np.array([graph.gauge_index])],
@@ -246,7 +247,8 @@ def write_graph(path, graph: PoseGraph) -> None:
         "EDGE_OBS": [graph.obs_node, graph.obs_pole, graph.obs_meas[:, order],
                      graph.obs_w_trans, graph.obs_w_rot],
     }
-    _write(path, _source_lines(graph), *(_format_rows(c, tag) for tag, c in records.items()))
+    fixed = "# landmark_fixed: true\n" if graph.landmark_fixed else ""
+    _write(path, _source_lines(graph), fixed, *(_format_rows(c, tag) for tag, c in records.items()))
 
 
 def _id_order(path, tag, ids):
@@ -261,9 +263,13 @@ def _id_order(path, tag, ids):
 
 def read_graph(path) -> PoseGraph:
     """The graph :func:`write_graph` wrote: NODE and POLE ids run 0..n-1,
-    each once, with one LANDMARK_FRAME and at most one GAUGE record."""
+    each once, NODE is_frame is 0 or 1, and there is one LANDMARK_FRAME and
+    at most one GAUGE record.  :class:`PoseGraph` checks the edges."""
     headers, rows = _read_table(path)
     dof, rate = _source_headers(headers, path)
+    fixed = headers.get("landmark_fixed", "false")
+    if fixed not in ("true", "false"):
+        raise DataError(f"{path}: landmark_fixed must be true or false, got {fixed!r}")
     dim = GROUPS[dof].packed_dim
     state = "f" * dim
     kinds = {
@@ -280,13 +286,17 @@ def read_graph(path) -> PoseGraph:
             raise DataError(f"{path}:{lineno}: unknown record {fields[0]!r}")
         groups[fields[0]].append((lineno, fields))
     table = {tag: _parse_rows(path, groups[tag], kinds[tag]) for tag in kinds}
+    node_f, node_i = table["NODE"]
+    bad = np.flatnonzero((node_i[:, 1] < 0) | (node_i[:, 1] > 1))
+    if bad.size:
+        lineno, fields = groups["NODE"][bad[0]]
+        raise DataError(f"{path}:{lineno}: is_frame must be 0 or 1, got {fields[3]}")
 
     (_, gauge), (landmark, _) = table["GAUGE"], table["LANDMARK_FRAME"]
     if len(gauge) > 1 or len(landmark) != 1:
         raise DataError(f"{path}: needs one LANDMARK_FRAME and at most one GAUGE record, "
                         f"got {len(landmark)} and {len(gauge)}")
     order = FROM_DISK[:dim]
-    node_f, node_i = table["NODE"]
     nodes = _id_order(path, "NODE", node_i[:, 0])
     pole_f, pole_i = table["POLE"]
     poles = _id_order(path, "POLE", pole_i[:, 0])
@@ -302,7 +312,7 @@ def read_graph(path) -> PoseGraph:
             landmark[0, order], pole_f[poles][:, order],
             *edges("EDGE_ODOM"), *edges("EDGE_OBS"),
             gauge_index=int(gauge[0, 0]) if len(gauge) else 0,
-            unconstrained=not len(table["EDGE_OBS"][0]),
+            landmark_fixed=fixed == "true",
         )
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from None

@@ -19,8 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse import csgraph
 
 from . import geometry as geom
 from .sync import FULL3D, PLANAR, AlignedSequence, DataError
@@ -34,6 +32,8 @@ class PoseGraph:
 
     ``states`` and ``landmark`` are the free variables (modulo the gauge
     node and ``landmark_fixed``); everything else is fixed problem data.
+    The nodes are time-ordered and the odometry edges chain them: edge
+    ``e`` joins node ``e`` to node ``e + 1``.
     """
 
     source: str
@@ -55,21 +55,16 @@ class PoseGraph:
     obs_w_trans: np.ndarray  # (M,)
     obs_w_rot: np.ndarray  # (M,)
     gauge_index: int = 0
-    unconstrained: bool = False
     landmark_fixed: bool = False
-    position_only: bool = False
     raw_states: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self):
         n = self.states.shape[0]
         if not 0 <= self.gauge_index < n:
             raise DataError("gauge index out of range")
-        if self.odo_meas.shape[0] and (
-            self.odo_i.min() < 0
-            or self.odo_j.min() < 0
-            or max(self.odo_i.max(), self.odo_j.max()) >= n
-        ):
-            raise DataError("odometry edge references a missing node")
+        chain = np.arange(n - 1)
+        if not (np.array_equal(self.odo_i, chain) and np.array_equal(self.odo_j, chain + 1)):
+            raise DataError("odometry edge e must join node e to node e + 1")
         if self.obs_node.shape[0]:
             if self.obs_node.min() < 0 or self.obs_node.max() >= n:
                 raise DataError("observation edge references a missing node")
@@ -95,6 +90,11 @@ class PoseGraph:
         return int(self.obs_meas.shape[0])
 
     @property
+    def unconstrained(self) -> bool:
+        """No observation pins the trajectory: only the gauge node holds it."""
+        return self.obs_count == 0
+
+    @property
     def group(self) -> geom.Group:
         return GROUPS[self.dof_mode]
 
@@ -107,27 +107,10 @@ class PoseGraph:
         return self.group.compose(lf, self.template)
 
 
-def is_connected(graph: PoseGraph) -> bool:
-    """Every robot node reachable from the gauge node.
-
-    Observation edges route through the shared landmark frame, so two
-    nodes observing any pole are connected even without a chain between
-    them.
-    """
-    n = graph.node_count
-    rows = np.concatenate([graph.odo_i, graph.obs_node])
-    cols = np.concatenate([graph.odo_j, np.full(graph.obs_node.size, n)])
-    # index n is the landmark frame
-    adjacency = sp.coo_matrix((np.ones(rows.size), (rows, cols)), shape=(n + 1, n + 1))
-    _, labels = csgraph.connected_components(adjacency, directed=False)
-    return bool(np.all(labels[:n] == labels[graph.gauge_index]))
-
-
 def build_graph(
     aligned: AlignedSequence,
     layout,
     mode: str,
-    position_only: bool = False,
     landmark_fixed: bool = False,
 ) -> PoseGraph:
     """Assemble the optimization problem from an aligned sequence.
@@ -186,9 +169,7 @@ def build_graph(
         obs_meas=obs_meas,
         obs_w_trans=obs.w_trans[order],
         obs_w_rot=obs.w_rot[order],
-        unconstrained=not obs_node.size,
         landmark_fixed=landmark_fixed,
-        position_only=position_only,
     )
 
 
@@ -232,10 +213,8 @@ class Evaluation:
 def _weigh(graph: PoseGraph, r_odo, r_obs):
     """((w_odo, sq_odo), (w_obs, sq_obs)): per-component weights and
     weighted squared norms.  The first ``trans_dim`` residual components
-    take the edge's translation weight and the rest its rotation weight,
-    which a position-only graph gives no observation."""
+    take the edge's translation weight and the rest its rotation weight."""
     k, d = graph.group.trans_dim, graph.group.tangent_dim
-    obs_rot = np.zeros_like(graph.obs_w_rot) if graph.position_only else graph.obs_w_rot
 
     def weigh(r, w_trans, w_rot):
         w = np.stack([w_trans] * k + [w_rot] * (d - k), axis=-1)
@@ -243,7 +222,7 @@ def _weigh(graph: PoseGraph, r_odo, r_obs):
         return w, sq
 
     odo = weigh(r_odo, graph.odo_w_trans, graph.odo_w_rot)
-    return odo, weigh(r_obs, graph.obs_w_trans, obs_rot)
+    return odo, weigh(r_obs, graph.obs_w_trans, graph.obs_w_rot)
 
 
 def _huber(sq, delta):

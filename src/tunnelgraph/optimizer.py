@@ -34,15 +34,18 @@ import numpy as np
 from scipy import linalg
 
 from . import graph as gmod
-from .sync import NON_NEGATIVE, POSITIVE, DataError, check_fields, one_of
-
-ANALYTIC = "analytic"
-NUMERIC = "numeric"
+from .sync import NON_NEGATIVE, check_fields
 
 COST_THRESHOLD = "cost-threshold"
 UPDATE_THRESHOLD = "update-threshold"
 MAX_ITERATIONS = "max-iterations"
 
+COST_TOLERANCE = 1.0e-9  # relative cost decrease
+UPDATE_TOLERANCE = 1.0e-10  # step norm
+INITIAL_DAMPING = 1.0e-6
+DAMPING_INCREASE = 10.0  # after a rejected trial
+DAMPING_DECREASE = 0.1  # after an accepted one, down to the floor
+DAMPING_FLOOR = 1.0e-12
 DAMPING_CEILING = 1.0e8
 FD_STEP = 1.0e-6
 
@@ -58,24 +61,12 @@ class ConditioningError(RuntimeError):
 @dataclass(frozen=True)
 class SolverSettings:
     max_iterations: int = 100
-    cost_tolerance: float = 1.0e-9  # relative cost decrease
-    update_tolerance: float = 1.0e-10  # step norm
-    initial_damping: float = 1.0e-6
-    damping_increase: float = 10.0
-    damping_decrease: float = 0.1
-    jacobian_mode: str = ANALYTIC
     huber_delta: float = 0.0  # 0 keeps plain least squares
 
     def __post_init__(self):
         check_fields(
             self,
             max_iterations=(lambda v: v >= 1, "must be at least 1"),
-            cost_tolerance=POSITIVE,
-            update_tolerance=POSITIVE,
-            initial_damping=POSITIVE,
-            damping_increase=(lambda v: v > 1.0, "must exceed 1"),
-            damping_decrease=(lambda v: 0.0 < v < 1.0, "must lie in (0, 1)"),
-            jacobian_mode=one_of((ANALYTIC, NUMERIC)),
             huber_delta=NON_NEGATIVE,
         )
 
@@ -134,8 +125,8 @@ class _Assembler:
     The node-node Hessian ``A`` is held in LAPACK upper band storage,
     ``band[bw + r - c, c] = A[r, c]`` for ``r <= c`` with the diagonal in
     the last row.  ``bw`` is the largest column-minus-row offset among
-    the kept upper-triangle entries, so every edge set fits; the odometry
-    chain i -> i + 1 gives ``bw = 2d - 1``.  The landmark frame
+    the kept upper-triangle entries; the odometry chain i -> i + 1 gives
+    ``bw = 2d - 1``.  The landmark frame
     contributes one coupled block column ``B`` (stored dense, it has only
     ``d`` columns) and a ``d x d`` corner ``C``.  Keeping the landmark out
     of the band lets the solve eliminate it by Schur complement, so the
@@ -159,9 +150,10 @@ class _Assembler:
 
         # row and column of every entry of the node-node products, in
         # assemble's order; the gauge node's are negative, and only the
-        # upper triangle is kept
-        a = np.concatenate([oi, oi, oj, oj, obs_bid])[:, None, None]
-        b = np.concatenate([oi, oj, oi, oj, obs_bid])[:, None, None]
+        # upper triangle is kept, where the chain (oi < oj) puts every
+        # odometry cross block J_i^T W J_j
+        a = np.concatenate([oi, oi, oj, obs_bid])[:, None, None]
+        b = np.concatenate([oi, oj, oj, obs_bid])[:, None, None]
         rows, cols = np.broadcast_arrays(a * d + offsets[:, None], b * d + offsets)
         rows, cols = rows.ravel(), cols.ravel()
         self.a_gather = np.flatnonzero((rows >= 0) & (rows <= cols))
@@ -180,7 +172,7 @@ class _Assembler:
 
     def assemble(self, products, gvecs):
         """Returns (A band, B dense, C dense, g_nodes, g_landmark)."""
-        blocks = ("oii", "oij", "oji", "ojj", "sii")
+        blocks = ("oii", "oij", "ojj", "sii")
         vals = np.concatenate([products[k].ravel() for k in blocks])
         size = (self.bw + 1) * self.node_dim
         band = np.bincount(self.a_cells, vals[self.a_gather], minlength=size)
@@ -234,22 +226,15 @@ class _Assembler:
         return nodes, step[self.node_dim :] if self.landmark_free else None
 
 
-def _linearize(graph, states, landmark, ev, numeric: bool, step=FD_STEP):
-    """Jacobian blocks of every edge at (states, landmark); the analytic
-    blocks start from the residuals of ``ev``, the evaluation there."""
+def _linearize(graph, states, landmark, ev):
+    """Jacobian blocks of every edge at (states, landmark), from the
+    residuals of ``ev``, the evaluation there."""
     group = graph.group
-    si, sj = states[graph.odo_i], states[graph.odo_j]
-    sn = states[graph.obs_node]
-    if numeric:
-        odometry, observation = gmod.residual_functions(graph)
-        ji_o, jj_o = _numeric_blocks(group, odometry, si, sj, step)
-        ji_s, jl_s = _numeric_blocks(group, observation, sn, landmark, step)
-    else:
-        ji_o, jj_o = _between_blocks(group, ev.r_odo, si, sj)
-        target = graph.pole_world_poses(landmark)[graph.obs_pole]
-        ji_s, jt = _between_blocks(group, ev.r_obs, sn, target)
-        # landmark * exp(d) * pole = (landmark * pole) * exp(Ad(pole^-1) d)
-        jl_s = jt @ group.adjoint(group.inverse(graph.template))[graph.obs_pole]
+    ji_o, jj_o = _between_blocks(group, ev.r_odo, states[graph.odo_i], states[graph.odo_j])
+    target = graph.pole_world_poses(landmark)[graph.obs_pole]
+    ji_s, jt = _between_blocks(group, ev.r_obs, states[graph.obs_node], target)
+    # landmark * exp(d) * pole = (landmark * pole) * exp(Ad(pole^-1) d)
+    jl_s = jt @ group.adjoint(group.inverse(graph.template))[graph.obs_pole]
     return ji_o, jj_o, ji_s, jl_s
 
 
@@ -274,11 +259,9 @@ def _products(ev, jacobians):
     sj_o, tj_o = scaled(jj_o, sw_odo)
     si_s, ti_s = scaled(ji_s, sw_obs)
     sl_s, tl_s = scaled(jl_s, sw_obs)
-    oij = ti_o @ sj_o
     products = {
         "oii": ti_o @ si_o,
-        "oij": oij,
-        "oji": np.swapaxes(oij, 1, 2),
+        "oij": ti_o @ sj_o,
         "ojj": tj_o @ sj_o,
         "sii": ti_s @ si_s,
         "sil": ti_s @ sl_s,
@@ -302,10 +285,6 @@ def optimize(graph, settings: SolverSettings = None, progress=None):
     called with (iteration, record) as each iteration's record completes.
     """
     settings = settings or SolverSettings()
-    if not gmod.is_connected(graph):
-        raise DataError("cannot optimize a disconnected graph")
-
-    numeric = settings.jacobian_mode == NUMERIC
     states = graph.states.copy()
     landmark = graph.landmark.copy()
     gauge_state = states[graph.gauge_index].copy()
@@ -314,16 +293,14 @@ def optimize(graph, settings: SolverSettings = None, progress=None):
     ev = gmod.evaluate(graph, states, landmark, settings.huber_delta)
     trace = [ev.cost]
     per_iteration = []
-    damping = settings.initial_damping
+    damping = INITIAL_DAMPING
     reason = MAX_ITERATIONS
     iterations = 0
 
     for iteration in range(1, settings.max_iterations + 1):
         iterations = iteration
         record = {"rejected": 0, "solve_s": 0.0, "cost_s": 0.0}
-        jacobians, record["linearize_s"] = _timed(
-            _linearize, graph, states, landmark, ev, numeric
-        )
+        jacobians, record["linearize_s"] = _timed(_linearize, graph, states, landmark, ev)
         (products, gvecs), record["products_s"] = _timed(_products, ev, jacobians)
         system, record["assemble_s"] = _timed(assembler.assemble, products, gvecs)
         record["grad_inf"] = float(np.abs(np.concatenate(system[3:])).max(initial=0.0))
@@ -343,10 +320,10 @@ def optimize(graph, settings: SolverSettings = None, progress=None):
                 record["cost_s"] += seconds
                 if cand.cost <= ev.cost:
                     record["damping"] = damping
-                    damping = max(damping * settings.damping_decrease, 1e-12)
+                    damping = max(damping * DAMPING_DECREASE, DAMPING_FLOOR)
                     break
             record["rejected"] += 1
-            damping *= settings.damping_increase
+            damping *= DAMPING_INCREASE
             if damping > DAMPING_CEILING:
                 raise ConditioningError(
                     iteration, "normal equations unsolvable at maximum damping"
@@ -363,10 +340,10 @@ def optimize(graph, settings: SolverSettings = None, progress=None):
         relative = decrease / ev.cost if ev.cost > 0.0 else 0.0
         states, landmark, ev = cand_states, cand_lm, cand
         trace.append(ev.cost)
-        if relative <= settings.cost_tolerance:
+        if relative <= COST_TOLERANCE:
             reason = COST_THRESHOLD
             break
-        if step_norm < settings.update_tolerance:
+        if step_norm < UPDATE_TOLERANCE:
             reason = UPDATE_THRESHOLD
             break
 
@@ -405,11 +382,16 @@ def check_jacobians(graph, probe_count: int = 100, seed: int = 0, step: float = 
     odo_idx = picks[picks < graph.odo_count]
     obs_idx = picks[picks >= graph.odo_count] - graph.odo_count
 
-    # the solver's own linearization, both ways, compared on the probes
-    ev = gmod.evaluate(graph, states, landmark)
-    analytic = _linearize(graph, states, landmark, ev, numeric=False)
-    numeric = _linearize(graph, states, landmark, ev, numeric=True, step=step)
+    # the solver's own linearization against central differences of the
+    # residuals, compared on the probes
+    analytic = _linearize(graph, states, landmark, gmod.evaluate(graph, states, landmark))
+    odometry, observation = gmod.residual_functions(graph)
+    numeric = (
+        *_numeric_blocks(group, odometry, states[graph.odo_i], states[graph.odo_j], step),
+        *_numeric_blocks(group, observation, states[graph.obs_node], landmark, step),
+    )
     rows = (odo_idx, odo_idx, obs_idx, obs_idx)
     return max(
         float(np.abs(a[k] - n[k]).max(initial=0.0)) for a, n, k in zip(analytic, numeric, rows)
     )
+

@@ -177,7 +177,6 @@ def optimize_track(
     layout: sim.LandmarkLayout = None,
     odom_weights=(1.0, 1.0),
     settings: opt.SolverSettings = None,
-    position_only: bool = False,
     landmark_fixed: bool = False,
     progress=None,
 ) -> OptimizationResult:
@@ -188,13 +187,7 @@ def optimize_track(
     mode = mode or track.dof_mode
     layout = layout or sim.LandmarkLayout()
     aligned = sync.align(track, observations, odom_weights=odom_weights)
-    graph = gmod.build_graph(
-        aligned,
-        layout,
-        mode,
-        position_only=position_only,
-        landmark_fixed=landmark_fixed,
-    )
+    graph = gmod.build_graph(aligned, layout, mode, landmark_fixed=landmark_fixed)
     solved, stats = opt.optimize(graph, settings, progress)
     report = metrics.per_frame_corrections(solved)
     return OptimizationResult(solved, stats, report, graph)

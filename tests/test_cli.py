@@ -195,6 +195,10 @@ class TestExitCodes:
         assert run_cli("bogus").returncode == 1
         assert run_cli("simulate").returncode == 1  # missing --out
         assert run_cli("optimize", "--track", "x").returncode == 1
+        # removed options: a position-only solve and the numeric Jacobian path
+        complete = ("optimize", "--track", "x", "--observations", "y", "--out", "z")
+        assert run_cli(*complete, "--position-only").returncode == 1
+        assert run_cli(*complete, "--jacobian-mode", "numeric").returncode == 1
 
     def test_missing_input_exits_2(self, tmp_path):
         proc = run_cli(

@@ -1,5 +1,7 @@
 """Plain-text serialization round trips."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -289,7 +291,7 @@ class TestPropertyRoundTrips:
     def test_graph(self, tmp_path, mode, data):
         n = data.draw(st.integers(1, 8))
         poles = data.draw(st.integers(1, 4))
-        odo = data.draw(st.integers(0, 8))
+        odo = n - 1  # the odometry chain
         obs = data.draw(st.integers(0, 8))
         dim = gmod.GROUPS[mode].packed_dim
         node = st.integers(0, n - 1)
@@ -303,8 +305,8 @@ class TestPropertyRoundTrips:
             states=states_for(data.draw, mode, n),
             landmark=states_for(data.draw, mode, 1)[0],
             template=states_for(data.draw, mode, poles),
-            odo_i=data.draw(hnp.arrays(int, odo, elements=node)),
-            odo_j=data.draw(hnp.arrays(int, odo, elements=node)),
+            odo_i=np.arange(odo),
+            odo_j=np.arange(1, n),
             odo_meas=states_for(data.draw, mode, odo).reshape(odo, dim),
             odo_w_trans=data.draw(hnp.arrays(float, odo, elements=weight)),
             odo_w_rot=data.draw(hnp.arrays(float, odo, elements=weight)),
@@ -314,12 +316,13 @@ class TestPropertyRoundTrips:
             obs_w_trans=data.draw(hnp.arrays(float, obs, elements=weight)),
             obs_w_rot=data.draw(hnp.arrays(float, obs, elements=weight)),
             gauge_index=data.draw(node),
+            landmark_fixed=data.draw(st.booleans()),
         )
         path = tmp_path / "graph.txt"
         fileio.write_graph(path, graph)
         back = fileio.read_graph(path)
         assert (back.source, back.rate, back.dof_mode) == ("src", graph.rate, mode)
-        assert back.gauge_index == graph.gauge_index
+        assert (back.gauge_index, back.landmark_fixed) == (graph.gauge_index, graph.landmark_fixed)
         for name in (
             "times", "is_frame", "states", "landmark", "template",
             "odo_i", "odo_j", "odo_meas", "odo_w_trans", "odo_w_rot",
@@ -378,11 +381,26 @@ class TestGraphs:
             )
 
     def test_round_trip_preserves_cost(self, tmp_path, scenario):
-        graph = self.graph_for(FULL3D, scenario)
+        for landmark_fixed in (False, True):
+            graph = dataclasses.replace(
+                self.graph_for(FULL3D, scenario), landmark_fixed=landmark_fixed
+            )
+            path = tmp_path / "graph.txt"
+            fileio.write_graph(path, graph)
+            back = fileio.read_graph(path)
+            assert back.landmark_fixed == landmark_fixed
+            assert gmod.total_cost(back) == gmod.total_cost(graph)
+
+    def test_swapped_odometry_records_rejected(self, tmp_path, scenario):
+        # the same edge set in another order: edge e must join node e to e + 1
         path = tmp_path / "graph.txt"
-        fileio.write_graph(path, graph)
-        back = fileio.read_graph(path)
-        assert gmod.total_cost(back) == gmod.total_cost(graph)
+        fileio.write_graph(path, self.graph_for(FULL3D, scenario))
+        lines = path.read_text().splitlines()
+        a, b = [k for k, line in enumerate(lines) if line.startswith("EDGE_ODOM ")][10:12]
+        lines[a], lines[b] = lines[b], lines[a]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=r"graph\.txt: odometry edge e must join node e"):
+            fileio.read_graph(path)
 
     @pytest.mark.parametrize(
         "record",
@@ -394,6 +412,8 @@ class TestGraphs:
             "POLE 0 0 0 0 0 0 0 one",
             "EDGE_ODOM 0 1 0 0 0 0 0 0 1 1.0 heavy",
             "EDGE_OBS 0 0 0 0 0 0 0 0 1 1.0",
+            "NODE 0 0.0 7 0 0 0 0 0 0 1",
+            "NODE 0 0.0 -1 0 0 0 0 0 0 1",
         ],
     )
     def test_malformed_record_names_the_line(self, tmp_path, record):
@@ -407,7 +427,9 @@ class TestGraphs:
             fileio.read_graph(path)
 
     @pytest.mark.parametrize(
-        "case", ["repeated-node", "gapped-node", "renumbered-poles", "two-landmarks", "two-gauges"]
+        "case",
+        ["repeated-node", "gapped-node", "renumbered-poles", "two-landmarks", "two-gauges",
+         "landmark-fixed-yes"],
     )
     def test_ids_and_singletons_checked(self, tmp_path, case):
         # a repeated id must not replace the earlier row, nor poles 1/2 become
@@ -423,6 +445,8 @@ class TestGraphs:
             lines = [ln.replace("POLE 1 ", "POLE 2 ").replace("POLE 0 ", "POLE 1 ") for ln in lines]
         elif case == "gapped-node":
             lines = [ln.replace(row, "NODE 2 ") for ln in lines]
+        elif case == "landmark-fixed-yes":
+            lines.insert(3, "# landmark_fixed: yes")
         else:
             lines += [next(ln for ln in lines if ln.startswith(row))]
         path.write_text("\n".join(lines) + "\n")
@@ -432,6 +456,7 @@ class TestGraphs:
             "repeated-node": "NODE ids must be 0..2, each once",
             "gapped-node": "NODE ids must be 0..1, each once",
             "renumbered-poles": "POLE ids must be 0..1, each once",
+            "landmark-fixed-yes": "landmark_fixed must be true or false, got 'yes'",
         }.get(case, "needs one LANDMARK_FRAME and at most one GAUGE record") in str(err.value)
 
     def test_incomplete_file_rejected(self, tmp_path):
@@ -521,6 +546,9 @@ class TestGoldenBytes:
             )),
             "full3d": lambda p: fileio.write_graph(p, golden_graph(FULL3D)),
             "planar": lambda p: fileio.write_graph(p, golden_graph(PLANAR)),
+            "planar-fixed": lambda p: fileio.write_graph(
+                p, dataclasses.replace(golden_graph(PLANAR), landmark_fixed=True)
+            ),
             "xy": lambda p: fileio.write_xy_csv(
                 p, np.array([0.0, 0.2]), np.array([[1.0, 2.0], [1.5, -0.1]]),
                 np.array([[1.0, 2.0], [1.25, 0.1]]),
@@ -565,6 +593,17 @@ class TestGoldenBytes:
             ),
             "planar": (
                 f"{source}# dof_mode: planar\n"
+                "GAUGE 1\n"
+                "NODE 0 0 1 0 0 0\n"
+                "NODE 1 0.20000000000000001 0 0.10000000000000001 0 -0.5\n"
+                "LANDMARK_FRAME 0.10000000000000001 0 -0.5\n"
+                "POLE 0 0.10000000000000001 0 -0.5\n"
+                "POLE 1 0 0 0\n"
+                "EDGE_ODOM 0 1 0.10000000000000001 0 -0.5 1 2.5\n"
+                "EDGE_OBS 1 1 0 0 0 400 0\n"
+            ),
+            "planar-fixed": (
+                f"{source}# dof_mode: planar\n# landmark_fixed: true\n"
                 "GAUGE 1\n"
                 "NODE 0 0 1 0 0 0\n"
                 "NODE 1 0.20000000000000001 0 0.10000000000000001 0 -0.5\n"

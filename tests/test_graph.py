@@ -1,5 +1,7 @@
 """Graph assembly and residual evaluation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -27,9 +29,10 @@ def sightings(*rows):
 
 
 NO_SIGHTINGS = sync.ObservationSet([], [], [])
+NOT_A_CHAIN = r"odometry edge e must join node e to node e \+ 1"
 
 
-def small_problem(mode=FULL3D, position_only=False, landmark_fixed=False):
+def small_problem(mode=FULL3D, landmark_fixed=False):
     # poles on a rigid 2 m spaced line starting at world x = 2.125, y = 1;
     # robot drives x = 0.5 t, so every measurement below is exactly
     # consistent and the assembled problem has zero cost
@@ -41,10 +44,7 @@ def small_problem(mode=FULL3D, position_only=False, landmark_fixed=False):
     )
     aligned = sync.align(track, observations)
     layout = sim.LandmarkLayout(count=3, spacing=2.0)
-    graph = gmod.build_graph(
-        aligned, layout, mode,
-        position_only=position_only, landmark_fixed=landmark_fixed,
-    )
+    graph = gmod.build_graph(aligned, layout, mode, landmark_fixed=landmark_fixed)
     return graph, track, observations, layout
 
 
@@ -91,39 +91,49 @@ class TestBuild:
             gmod.build_graph(aligned, sim.LandmarkLayout(), "spherical")
 
     def test_flags_recorded(self):
-        graph, _, _, _ = small_problem(position_only=True, landmark_fixed=True)
-        assert graph.position_only and graph.landmark_fixed
+        graph, _, _, _ = small_problem(landmark_fixed=True)
+        assert graph.landmark_fixed
 
 
 class TestConnectivity:
+    """The odometry chain connects every node: edge e joins node e to node e + 1."""
+
     def test_default_problem_is_connected(self):
         graph, _, _, _ = small_problem()
-        assert gmod.is_connected(graph)
+        np.testing.assert_array_equal(graph.odo_i, np.arange(graph.node_count - 1))
+        np.testing.assert_array_equal(graph.odo_j, graph.odo_i + 1)
 
     def test_chain_gap_detected(self):
-        # without observations nothing can bridge a cut odometry chain
+        # without observations nothing could hold the nodes past a cut
         track = straight_track()
         graph = gmod.build_graph(sync.align(track, NO_SIGHTINGS), sim.LandmarkLayout(), FULL3D)
         keep = graph.odo_i != 4
-        graph.odo_i = graph.odo_i[keep]
-        graph.odo_j = graph.odo_j[keep]
-        graph.odo_meas = graph.odo_meas[keep]
-        graph.odo_w_trans = graph.odo_w_trans[keep]
-        graph.odo_w_rot = graph.odo_w_rot[keep]
-        assert not gmod.is_connected(graph)
+        with pytest.raises(DataError, match=NOT_A_CHAIN):
+            dataclasses.replace(
+                graph, odo_i=graph.odo_i[keep], odo_j=graph.odo_j[keep],
+                odo_meas=graph.odo_meas[keep], odo_w_trans=graph.odo_w_trans[keep],
+                odo_w_rot=graph.odo_w_rot[keep],
+            )
 
-    def test_landmark_bridges_a_gap(self):
-        # observations from both sides of a broken chain reconnect it
+    @pytest.mark.parametrize("case", ["cut", "skipped", "reversed", "swapped"])
+    def test_odometry_must_chain_the_nodes(self, case):
         graph, _, _, _ = small_problem()
-        keep = graph.odo_i != 6
-        graph.odo_i = graph.odo_i[keep]
-        graph.odo_j = graph.odo_j[keep]
-        graph.odo_meas = graph.odo_meas[keep]
-        graph.odo_w_trans = graph.odo_w_trans[keep]
-        graph.odo_w_rot = graph.odo_w_rot[keep]
-        # obs nodes 1, 5 (frame), 9 straddle the cut at edge 6->7
-        assert (graph.obs_node.min() <= 6) and (graph.obs_node.max() >= 7)
-        assert gmod.is_connected(graph)
+        i, j = graph.odo_i.copy(), graph.odo_j.copy()
+        if case == "cut":  # observations on both sides of 6 -> 7 do not bridge it
+            assert graph.obs_node.min() <= 6 and graph.obs_node.max() >= 7
+            i, j = i[i != 6], j[i != 6]
+        elif case == "skipped":  # 4 -> 6 in place of 4 -> 5
+            j[4] = 6
+        elif case == "reversed":
+            i[4], j[4] = j[4], i[4]
+        else:  # the edge set is the chain's, in another order
+            i[[2, 7]], j[[2, 7]] = i[[7, 2]], j[[7, 2]]
+        edges = {
+            "odo_i": i, "odo_j": j, "odo_meas": graph.odo_meas[: i.size],
+            "odo_w_trans": graph.odo_w_trans[: i.size], "odo_w_rot": graph.odo_w_rot[: i.size],
+        }
+        with pytest.raises(DataError, match=NOT_A_CHAIN):
+            dataclasses.replace(graph, **edges)
 
 
 class TestResiduals:
@@ -192,21 +202,6 @@ class TestResiduals:
                 geom.pose3_compose(geom.pose3_inverse(graph.obs_meas[e]), rel)
             )
             np.testing.assert_allclose(res[e], direct, atol=1e-12)
-
-    def test_position_only_ignores_observed_rotation(self):
-        graph, _, _, _ = small_problem(position_only=True)
-        # twist every observation's rotation; cost must not move
-        base = gmod.total_cost(graph)
-        spun = graph.obs_meas.copy()
-        yaw = geom.quat_from_rotvec(np.array([0.0, 0.0, 0.7]))
-        spun[:, 3:] = geom.quat_mul(spun[:, 3:], yaw)
-        graph.obs_meas = spun
-        assert gmod.total_cost(graph) == pytest.approx(base, abs=1e-12)
-
-    def test_position_only_still_counts_translation(self):
-        graph, _, _, _ = small_problem(position_only=True)
-        graph.obs_meas[:, 0] += 0.25
-        assert gmod.total_cost(graph) > 1e-3
 
 
 class TestTemplate:

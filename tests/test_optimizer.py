@@ -3,8 +3,7 @@
 The centerpiece is a tiny planar problem small enough for a brute-force
 coordinate-descent minimizer written with plain trigonometry; the
 solver must land on the same minimum.  The rest covers convergence
-bookkeeping, the numeric Jacobian path, robust weighting and failure
-modes.
+bookkeeping, the Jacobians, robust weighting and failure modes.
 """
 
 import dataclasses
@@ -18,13 +17,7 @@ import tunnelgraph.graph as gmod
 import tunnelgraph.optimizer as opt
 import tunnelgraph.simulate as sim
 import tunnelgraph.sync as sync
-from tunnelgraph.optimizer import (
-    ANALYTIC,
-    COST_THRESHOLD,
-    NUMERIC,
-    ConditioningError,
-    SolverSettings,
-)
+from tunnelgraph.optimizer import COST_THRESHOLD, ConditioningError, SolverSettings
 from tunnelgraph.sync import DataError, FULL3D, PLANAR
 
 from planar_oracle import coordinate_descent, oracle_cost, planar_problem
@@ -64,12 +57,6 @@ class TestOracle:
         np.testing.assert_allclose(result, best, atol=1e-3)
         # landmark stayed where it was pinned
         np.testing.assert_array_equal(solved.landmark, graph.landmark)
-
-    def test_numeric_mode_reaches_same_minimum(self):
-        graph, problem, (s1, s2) = planar_problem()
-        analytic, _ = opt.optimize(graph, SolverSettings(jacobian_mode=ANALYTIC))
-        numeric, _ = opt.optimize(graph, SolverSettings(jacobian_mode=NUMERIC))
-        np.testing.assert_allclose(numeric.states, analytic.states, atol=1e-7)
 
 
 class TestConvergence:
@@ -116,22 +103,12 @@ class TestConvergence:
         np.testing.assert_array_equal(graph.states, states)
         np.testing.assert_array_equal(graph.landmark, landmark)
 
-    def test_max_iterations_reason(self):
+    def test_max_iterations_reason(self, monkeypatch):
         graph = simulated_graph(seed=7)
-        settings = SolverSettings(max_iterations=1, cost_tolerance=1e-300)
-        _, stats = opt.optimize(graph, settings)
+        monkeypatch.setattr(opt, "COST_TOLERANCE", 1e-300)
+        _, stats = opt.optimize(graph, SolverSettings(max_iterations=1))
         assert stats.iterations == 1
         assert stats.reason == opt.MAX_ITERATIONS
-
-    def test_disconnected_rejected(self):
-        graph = simulated_graph()
-        graph.odo_i = graph.odo_i[:0]
-        graph.odo_j = graph.odo_j[:0]
-        graph.odo_meas = graph.odo_meas[:0]
-        graph.odo_w_trans = graph.odo_w_trans[:0]
-        graph.odo_w_rot = graph.odo_w_rot[:0]
-        with pytest.raises(DataError):
-            opt.optimize(graph)
 
 
 class TestJacobians:
@@ -181,10 +158,6 @@ class TestSettings:
         with pytest.raises(DataError):
             SolverSettings(max_iterations=0)
         with pytest.raises(DataError):
-            SolverSettings(damping_increase=0.5)
-        with pytest.raises(DataError):
-            SolverSettings(jacobian_mode="symbolic")
-        with pytest.raises(DataError):
             SolverSettings(huber_delta=-1.0)
 
 
@@ -195,7 +168,7 @@ class TestSettings:
 def linearized(graph, states, landmark, huber_delta):
     """The evaluation and the analytic Jacobian blocks at one state."""
     ev = gmod.evaluate(graph, states, landmark, huber_delta)
-    return ev, opt._linearize(graph, states, landmark, ev, numeric=False)
+    return ev, opt._linearize(graph, states, landmark, ev)
 
 
 def einsum_products(graph, ev, jacobians, huber_delta):
@@ -213,8 +186,7 @@ def einsum_products(graph, ev, jacobians, huber_delta):
         return w
 
     w_odo = weights(graph.odo_w_trans, graph.odo_w_rot, r_odo)
-    obs_rot = 0.0 * graph.obs_w_rot if graph.position_only else graph.obs_w_rot
-    w_obs = weights(graph.obs_w_trans, obs_rot, r_obs)
+    w_obs = weights(graph.obs_w_trans, graph.obs_w_rot, r_obs)
 
     def wjtj(ja, w, jb):
         return np.einsum("eki,ek,ekj->eij", ja, w, jb)
@@ -271,23 +243,9 @@ def coo_assemble(graph, products, gvecs):
     return a_mat, np.zeros((size, 0)), np.zeros((0, 0)), g_nodes, np.zeros(0)
 
 
-def with_odometry(graph, keep, extra=()):
-    """The graph with odometry edges ``keep`` plus ``extra`` (i, j) edges
-    measured from the current states."""
-    i = np.concatenate([graph.odo_i[keep], [e[0] for e in extra]]).astype(int)
-    j = np.concatenate([graph.odo_j[keep], [e[1] for e in extra]]).astype(int)
-    meas = graph.group.relative(graph.states[i], graph.states[j])
-    return dataclasses.replace(
-        graph, odo_i=i, odo_j=j, odo_meas=meas,
-        odo_w_trans=np.ones(i.size), odo_w_rot=np.full(i.size, 2.0),
-    )
-
-
 def oracle_case(case):
     mode = PLANAR if case == "planar" else FULL3D
-    graph, _, _, _ = small_problem(
-        mode, position_only=case == "position-only", landmark_fixed=case == "landmark-fixed"
-    )
+    graph, _, _, _ = small_problem(mode, landmark_fixed=case == "landmark-fixed")
     if case == "gauge-middle":
         graph = dataclasses.replace(graph, gauge_index=graph.node_count // 2)
     if case == "no-observations":
@@ -296,11 +254,6 @@ def oracle_case(case):
             obs_meas=graph.obs_meas[:0], obs_w_trans=graph.obs_w_trans[:0],
             obs_w_rot=graph.obs_w_rot[:0],
         )
-    if case == "cut-chain":  # as in test_graph's test_landmark_bridges_a_gap
-        graph = with_odometry(graph, graph.odo_i != 6)
-        assert gmod.is_connected(graph)
-    if case == "loop-edge":  # a long edge stored backwards: oji holds upper entries
-        graph = with_odometry(graph, slice(None), extra=[(9, 2)])
     huber = 0.05 if case == "huber" else 0.0
     return graph, huber
 
@@ -325,8 +278,7 @@ def band_to_dense(band):
     return dense + np.triu(dense, 1).T
 
 
-CASES = ["planar", "full3d", "gauge-middle", "landmark-fixed", "position-only",
-         "no-observations", "huber"]
+CASES = ["planar", "full3d", "gauge-middle", "landmark-fixed", "no-observations", "huber"]
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -351,7 +303,7 @@ def test_products_and_assembly_match_reference(case):
 
 
 @pytest.mark.parametrize("damping", [1e-8, 1e-2])
-@pytest.mark.parametrize("case", CASES + ["cut-chain", "loop-edge"])
+@pytest.mark.parametrize("case", CASES)
 def test_band_solve_matches_dense(case, damping):
     graph, huber = oracle_case(case)
     assembler = opt._Assembler(graph)
