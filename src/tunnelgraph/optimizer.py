@@ -3,9 +3,22 @@
 Each iteration linearizes every edge in the tangent space at the current
 states, assembles the damped normal equations over the free blocks (all
 nodes except the gauge node, plus the landmark frame when observations
-exist), solves them, and retracts with the exponential map.  Damping
-is multiplicative on the (clamped) diagonal: steps that fail to lower
-the cost raise it tenfold; accepted steps relax it.
+exist), solves them, and retracts with the exponential map.
+
+Damping is multiplicative on the (clamped) diagonal.  The solve starts
+as Gauss–Newton, at a damping of machine epsilon: below it ``mu * D``
+cannot change the damped diagonal.  A trial that fails to lower the cost
+raises the damping tenfold; an accepted one lowers it tenfold, down to
+epsilon again (Madsen, Nielsen & Tingleff, *Methods for Non-Linear Least
+Squares Problems*, 2004, §3.2).
+
+Two tests stop the solve at the optimum.  Before a trial, a damped solve
+whose model predicts a decrease at rounding level ends it, with no
+retraction and no evaluation: at most ``ROUNDING_DECREASE`` times the
+cost, plus what residuals one rounding unit in size would cost, which
+also stops a start whose cost is itself rounding noise.  After an
+accepted trial, a relative decrease of at most ``COST_TOLERANCE`` ends
+it, and so does a step shorter than ``UPDATE_TOLERANCE``.
 
 The node chain gives a block-tridiagonal Hessian with one extra
 row/column coupling every observing node to the landmark frame.  The
@@ -40,12 +53,13 @@ COST_THRESHOLD = "cost-threshold"
 UPDATE_THRESHOLD = "update-threshold"
 MAX_ITERATIONS = "max-iterations"
 
-COST_TOLERANCE = 1.0e-9  # relative cost decrease
+EPS = float(np.finfo(float).eps)
+COST_TOLERANCE = 1.0e-9  # relative cost decrease of an accepted trial
+ROUNDING_DECREASE = 1.0e-12  # predicted decrease, relative to the cost
 UPDATE_TOLERANCE = 1.0e-10  # step norm
-INITIAL_DAMPING = 1.0e-6
 DAMPING_INCREASE = 10.0  # after a rejected trial
 DAMPING_DECREASE = 0.1  # after an accepted one, down to the floor
-DAMPING_FLOOR = 1.0e-12
+DAMPING_FLOOR = EPS  # also the start: Gauss–Newton first
 DAMPING_CEILING = 1.0e8
 FD_STEP = 1.0e-6
 
@@ -79,7 +93,7 @@ class SolveStats:
     reason: str
     cost_trace: list = field(default_factory=list)
     # per iteration: accepted damping, rejected trials, step norm, gradient
-    # inf-norm, gain ratio (None when the model predicts no decrease), and
+    # inf-norm, gain ratio (None when the solve stopped before the trial), and
     # seconds in linearize, products, assemble, factor + solve and cost (all trials)
     per_iteration: list = field(default_factory=list)
 
@@ -291,9 +305,12 @@ def optimize(graph, settings: SolverSettings = None, progress=None):
     assembler = _Assembler(graph)
 
     ev = gmod.evaluate(graph, states, landmark, settings.huber_delta)
+    # what residuals one rounding unit in size would cost: a smaller
+    # predicted decrease is rounding noise, even where the cost itself is
+    noise_cost = EPS**2 * (ev.w_odo.sum() + ev.w_obs.sum())
     trace = [ev.cost]
     per_iteration = []
-    damping = INITIAL_DAMPING
+    damping = DAMPING_FLOOR
     reason = MAX_ITERATIONS
     iterations = 0
 
@@ -310,6 +327,12 @@ def optimize(graph, settings: SolverSettings = None, progress=None):
             record["solve_s"] += seconds  # factor and solve, all trials
             if solution is not None:
                 step, predicted = solution
+                if predicted <= ROUNDING_DECREASE * ev.cost + noise_cost:
+                    # no decrease a trial could show: stop where the solve stands,
+                    # at a relative decrease of zero
+                    step, cand_states, cand_lm, cand = None, states, landmark, ev
+                    record["damping"] = damping
+                    break
                 cand_states, cand_lm = gmod.retract(
                     graph, states, landmark, *assembler.split(step)
                 )
@@ -329,11 +352,11 @@ def optimize(graph, settings: SolverSettings = None, progress=None):
                     iteration, "normal equations unsolvable at maximum damping"
                 )
 
-        step_norm = float(np.linalg.norm(step))
+        step_norm = 0.0 if step is None else float(np.linalg.norm(step))
         decrease = ev.cost - cand.cost
         record["step_norm"] = step_norm
-        # None, not NaN: json.dump would write NaN, which is not JSON
-        record["gain_ratio"] = decrease / predicted if predicted != 0.0 else None
+        # None without a trial, not NaN: json.dump would write NaN, which is not JSON
+        record["gain_ratio"] = None if step is None else decrease / predicted
         per_iteration.append(record)
         if progress is not None:
             progress(iteration, record)

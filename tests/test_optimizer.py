@@ -14,14 +14,18 @@ import scipy.sparse as sp
 
 import tunnelgraph.geometry as geom
 import tunnelgraph.graph as gmod
+import tunnelgraph.metrics as metrics
 import tunnelgraph.optimizer as opt
+import tunnelgraph.pipeline as pipeline
 import tunnelgraph.simulate as sim
 import tunnelgraph.sync as sync
 from tunnelgraph.optimizer import COST_THRESHOLD, ConditioningError, SolverSettings
 from tunnelgraph.sync import DataError, FULL3D, PLANAR
 
 from planar_oracle import coordinate_descent, oracle_cost, planar_problem
+from test_acceptance import default_sparse_run
 from test_graph import small_problem
+from test_simulate import loop_corrupt_poses
 
 
 def simulated_graph(mode=FULL3D, seed=0, frames=60, rate=5.0):
@@ -60,7 +64,7 @@ class TestOracle:
 
 
 class TestConvergence:
-    def test_zero_cost_converges_immediately(self):
+    def test_zero_cost_converges_immediately(self, monkeypatch):
         graph = simulated_graph()
         # rebuild measurements from the states so the start is exact
         graph.odo_meas = geom.pose3_relative(
@@ -68,11 +72,23 @@ class TestConvergence:
         )
         target = geom.pose3_compose(graph.landmark, graph.template[graph.obs_pole])
         graph.obs_meas = geom.pose3_relative(graph.states[graph.obs_node], target)
+        evaluate = gmod.evaluate
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return evaluate(*args)
+
+        monkeypatch.setattr(gmod, "evaluate", counted)
         solved, stats = opt.optimize(graph)
         assert stats.initial_cost < 1e-24
         assert stats.final_cost < 1e-24
         assert stats.iterations <= 1
         assert stats.reason == COST_THRESHOLD
+        # the model predicts a decrease at rounding level: no trial runs,
+        # so none is rejected and the start is the only evaluation
+        assert len(calls) == 1
+        assert all(record["rejected"] == 0 for record in stats.per_iteration)
 
     def test_cost_trace_monotone(self):
         graph = simulated_graph(seed=3)
@@ -102,6 +118,27 @@ class TestConvergence:
         opt.optimize(graph)
         np.testing.assert_array_equal(graph.states, states)
         np.testing.assert_array_equal(graph.landmark, landmark)
+
+    def test_tiny_step_stops_on_update_threshold(self):
+        graph, _, _, _ = small_problem()  # zero cost
+        rng = np.random.default_rng(0)
+        moved = rng.normal(0.0, 1e-12, (graph.node_count, graph.group.tangent_dim))
+        moved[graph.gauge_index] = 0.0
+        states, _ = gmod.retract(graph, graph.states, graph.landmark, moved, None)
+        _, stats = opt.optimize(dataclasses.replace(graph, states=states))
+        # the step undoes nearly all of a cost far above rounding level
+        assert stats.final_cost < 1e-6 * stats.initial_cost
+        assert stats.per_iteration[-1]["step_norm"] < opt.UPDATE_TOLERANCE
+        assert stats.reason == opt.UPDATE_THRESHOLD
+
+    def test_gain_ratios_near_one(self):
+        # the model is exact up to rounding, and the solve stops before a
+        # trial whose decrease would be rounding noise
+        for seed in range(10):
+            _, stats = opt.optimize(simulated_graph(seed=seed))
+            for record in stats.per_iteration:
+                gain = record["gain_ratio"]
+                assert gain is None or 0.9 <= gain <= 1.1, (seed, record)
 
     def test_max_iterations_reason(self, monkeypatch):
         graph = simulated_graph(seed=7)
@@ -398,9 +435,12 @@ def test_each_trial_evaluates_the_residuals_once(monkeypatch):
     monkeypatch.setattr(geom.Group, "between", counted)
     _, stats = opt.optimize(graph)
     assert stats.iterations >= 2
-    trials = sum(1 + record["rejected"] for record in stats.per_iteration)
+    *_, last = stats.per_iteration
+    assert last["gain_ratio"] is None  # the last iteration stopped before its trial
+    trials = sum(1 + record["rejected"] for record in stats.per_iteration) - 1
     # one odometry and one observation pass at the start and per trial;
-    # linearizing reuses the accepted trial's residuals
+    # linearizing reuses the accepted trial's residuals, and the iteration
+    # that stops before its trial evaluates nothing
     assert len(calls) == 2 * (1 + trials)
 
 
@@ -411,3 +451,57 @@ def test_huber_final_cost_is_total_cost():
     ev = gmod.evaluate(solved, huber_delta=delta)
     assert np.any(ev.irls_odo < 1.0) or np.any(ev.irls_obs < 1.0)  # the kernel bites
     assert gmod.total_cost(solved, huber_delta=delta) == stats.final_cost
+
+
+# ---------------------------------------------------------------------------
+# convergence on the pipeline's own problems
+
+
+@pytest.mark.parametrize("source, seed, most", [
+    ("dvso", 1000, 5), ("dvso", 1003, 5), ("wheel", 1, 6),
+])
+def test_sparse_solve_converges_in_few_iterations(monkeypatch, source, seed, most):
+    noise = sim.PRESETS[source]()
+    result = default_sparse_run(noise, seed, noise.dof_mode)
+    stats = result.stats
+    assert stats.reason == COST_THRESHOLD
+    assert stats.iterations <= most
+    # the same cost as a reference solve run on to a relative decrease of
+    # 1e-14, with no stop before a trial
+    monkeypatch.setattr(opt, "COST_TOLERANCE", 1e-14)
+    monkeypatch.setattr(opt, "ROUNDING_DECREASE", 0.0)
+    _, reference = opt.optimize(result.raw_graph)
+    assert stats.final_cost == pytest.approx(reference.final_cost, rel=1e-11)
+
+
+@pytest.mark.parametrize("source", ["dvso", "wheel"])
+@pytest.mark.parametrize("seed", [1001, 7000])
+def test_recovery_solve_rejects_no_trial(source, seed):
+    result, _ = pipeline.recovery_run(sim.PRESETS[source](), seed)
+    assert result.stats.iterations <= 3
+    assert all(record["rejected"] == 0 for record in result.stats.per_iteration)
+
+
+@pytest.mark.parametrize("seed", [1, 3000, 7000, 7001])
+def test_ate_stable_under_rounding_of_the_track(seed):
+    """The same scenario integrated frame by frame and by prefix scan
+    (poses a few 1e-13 m apart) solves to the same trajectory error."""
+    noise = sim.dvso_preset()
+    truth = sim.generate_ground_truth(sim.TrajectoryProfile(), noise.frame_rate)
+    track, record = sim.corrupt(
+        truth, noise, pipeline.derive_seed(seed, f"corrupt-{noise.source}")
+    )
+    looped = dataclasses.replace(track, poses=loop_corrupt_poses(truth, noise, record))
+    observations = sim.simulate_landmark_observations(
+        truth, sim.LandmarkLayout(), sim.default_placement(), sim.DetectionModel(),
+        pipeline.derive_seed(seed, pipeline.OBSERVATION_STREAM),
+    )
+    ates = []
+    for odometry in (track, looped):
+        solved = pipeline.optimize_track(odometry, observations).graph
+        frames = solved.is_frame
+        ates.append(metrics.ate_rmse(
+            solved.times[frames], solved.states[frames, :3],
+            truth.times, truth.poses[:, :3],
+        ))
+    assert ates[1] == pytest.approx(ates[0], rel=1e-8)
