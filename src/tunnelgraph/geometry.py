@@ -476,8 +476,10 @@ class Group:
         return self.compose(x, self.exp(delta))
 
     def between(self, meas, a, b):
-        """Tangent residual of a measured a -> b transform: log(meas^-1 * (a^-1 * b))."""
-        return self.log(self.compose(self.inverse(meas), self.relative(a, b)))
+        """Tangent residual of a measured a -> b transform, log(meas^-1 * rel),
+        and the transform it measures, rel = a^-1 * b."""
+        rel = self.relative(a, b)
+        return self.log(self.compose(self.inverse(meas), rel)), rel
 
 
 SE2 = Group(

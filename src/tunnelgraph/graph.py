@@ -33,7 +33,8 @@ class PoseGraph:
     ``states`` and ``landmark`` are the free variables (modulo the gauge
     node and ``landmark_fixed``); everything else is fixed problem data.
     The nodes are time-ordered and the odometry edges chain them: edge
-    ``e`` joins node ``e`` to node ``e + 1``.
+    ``e`` joins node ``e`` to node ``e + 1``.  Observation edges are
+    ordered by node, so each node's sightings are contiguous.
     """
 
     source: str
@@ -70,6 +71,8 @@ class PoseGraph:
                 raise DataError("observation edge references a missing node")
             if self.obs_pole.min() < 0 or self.obs_pole.max() >= self.template.shape[0]:
                 raise DataError("observation edge references a missing pole id")
+            if np.any(np.diff(self.obs_node) < 0):
+                raise DataError("observation edges must be ordered by node")
         if self.raw_states is None:
             self.raw_states = self.states.copy()
 
@@ -180,7 +183,7 @@ def build_graph(
 def residual_functions(graph: PoseGraph):
     """Residual r(s_i, s_j) of every odometry edge and r(s, landmark) of
     every observation edge, whose target is its pole placed by the landmark
-    frame: the group's ``between`` of each measurement."""
+    frame: the group's ``between`` of each measurement, with its transform."""
     between = graph.group.between
     return (
         lambda si, sj: between(graph.odo_meas, si, sj),
@@ -196,9 +199,11 @@ class Evaluation:
     the tangent residual ``r_*`` and the weight ``w_*`` of each of its
     components, (E, d) and (M, d); the weighted squared norm ``sq_*``,
     r^T W r; and the IRLS factor ``irls_*`` the Huber kernel puts on that
-    weight (ones without Huber).  ``cost``, the sum of the Huber-composed
-    edge costs, is the objective the solver minimizes."""
+    weight (ones without Huber).  ``rel_odo`` is each odometry edge's
+    transform s_i^-1 * s_j.  ``cost``, the sum of the Huber-composed edge
+    costs, is the objective the solver minimizes."""
 
+    rel_odo: np.ndarray
     r_odo: np.ndarray
     r_obs: np.ndarray
     w_odo: np.ndarray
@@ -241,13 +246,15 @@ def evaluate(graph: PoseGraph, states=None, landmark=None, huber_delta=0.0) -> E
     s = graph.states if states is None else states
     lf = graph.landmark if landmark is None else landmark
     odometry, observation = residual_functions(graph)
-    r_odo = odometry(s[graph.odo_i], s[graph.odo_j])
-    r_obs = observation(s[graph.obs_node], lf)
+    r_odo, rel_odo = odometry(s[:-1], s[1:])  # the chain: edge e joins e to e + 1
+    r_obs, _ = observation(s[graph.obs_node], lf)
     (w_odo, sq_odo), (w_obs, sq_obs) = _weigh(graph, r_odo, r_obs)
     cost_odo, irls_odo = _huber(sq_odo, huber_delta)
     cost_obs, irls_obs = _huber(sq_obs, huber_delta)
     cost = float(np.sum(cost_odo)) + float(np.sum(cost_obs))
-    return Evaluation(r_odo, r_obs, w_odo, w_obs, sq_odo, sq_obs, irls_odo, irls_obs, cost)
+    return Evaluation(
+        rel_odo, r_odo, r_obs, w_odo, w_obs, sq_odo, sq_obs, irls_odo, irls_obs, cost
+    )
 
 
 def total_cost(graph: PoseGraph, states=None, landmark=None, huber_delta=0.0) -> float:

@@ -63,7 +63,7 @@ def frame_corrections(graph, states=None) -> np.ndarray:
     """Tangent correction per sensor frame: log(measured^-1 * optimized)."""
     s = graph.states if states is None else states
     merged, frames = merged_measurements(graph)
-    return graph.group.between(merged, s[frames[:-1]], s[frames[1:]])
+    return graph.group.between(merged, s[frames[:-1]], s[frames[1:]])[0]
 
 
 def correction_magnitudes(graph, states=None):

@@ -29,13 +29,13 @@ factored, by banded Cholesky (LAPACK ``pbtrf`` through
 Edges are evaluated by :func:`tunnelgraph.graph.evaluate`, once per trial;
 its cost is ``graph.total_cost(graph, states, landmark, huber_delta)``.  The
 accepted trial's evaluation is kept: the next linearization takes its
-residuals, and the products its weights and IRLS factors.
+residuals and odometry transforms, and the products its weights and IRLS
+factors.
 
-Per iteration: observation targets and adjoints are computed once per
-pole and gathered per sighting; the per-edge blocks J_a^T W J_b are batched
-``matmul`` products of sqrt(W)-scaled Jacobians (exactly symmetric); and
-the cell of every block entry in the band is computed once, so assembly
-is one ``bincount`` of the values into the band.
+A sighting's node Jacobian is its landmark Jacobian times one adjoint
+per observing node (:func:`_linearize`), so the observation products are
+summed over each node's run of sightings before that adjoint is applied.
+Assembly writes each node's blocks from the chain straight into the band.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import linalg
 
 from . import graph as gmod
 from .sync import NON_NEGATIVE, check_fields
@@ -105,14 +104,7 @@ def _timed(fn, *args):
 
 
 # ---------------------------------------------------------------------------
-# jacobian blocks over gathered edge arrays
-
-
-def _between_blocks(group, r, a, b):
-    """Jacobians in a and b of the residual ``r = group.between(meas, a, b)``."""
-    jb = group.jr_inv(r)
-    ja = -(jb @ group.adjoint(group.relative(b, a)))
-    return ja, jb
+# jacobian blocks
 
 
 def _numeric_blocks(group, residual, a, b, step):
@@ -124,92 +116,136 @@ def _numeric_blocks(group, residual, a, b, step):
         return np.stack([(moved(e) - moved(-e)) / (2.0 * step) for e in steps], axis=-1)
 
     return (
-        jacobian(lambda e: residual(group.retract(a, e), b)),
-        jacobian(lambda e: residual(a, group.retract(b, e))),
+        jacobian(lambda e: residual(group.retract(a, e), b)[0]),
+        jacobian(lambda e: residual(a, group.retract(b, e))[0]),
     )
 
 
+def _linearize(graph, states, landmark, ev, observed):
+    """Jacobian blocks of every edge at (states, landmark), from ``ev``, the
+    evaluation there; ``observed`` lists the observing nodes.
+
+    Odometry: J_j = Jr^-1(r) and J_i = -J_j Ad(rel^-1), rel = s_i^-1 s_j.
+    A sighting of pole P from node s under the landmark frame L measures
+    T = s^-1 L P, and Ad(T^-1) = Ad(P^-1) Ad(L^-1 s): its landmark block is
+    J_l = Jr^-1(r) Ad(P^-1), and its node block -J_l G, where the adjoint
+    G = Ad(L^-1 s) is one per observing node."""
+    group = graph.group
+    jj_o = group.jr_inv(ev.r_odo)
+    ji_o = -(jj_o @ group.adjoint(group.inverse(ev.rel_odo)))
+    # landmark * exp(d) * pole = (landmark * pole) * exp(Ad(pole^-1) d)
+    jl_s = group.jr_inv(ev.r_obs) @ group.adjoint(group.inverse(graph.template))[graph.obs_pole]
+    return ji_o, jj_o, jl_s, group.adjoint(group.relative(landmark, states[observed]))
+
+
+def _products(ev, jacobians, first):
+    """Normal-equation blocks J_a^T W J_b and gradients J^T W r, with the
+    residuals, weights and IRLS factors of ``ev``: per odometry edge, and
+    per observing node, whose run of sightings starts at ``first``.  A
+    sighting adds S = J_l^T W J_l and h = J_l^T W r; over its node's run
+    they sum to the node block G^T S G, the coupling -G^T S to the
+    landmark, and the gradient -G^T h."""
+    ji_o, jj_o, jl_s, adj = jacobians
+    sw_odo = np.sqrt(ev.w_odo * ev.irls_odo[:, None])
+    sw_obs = np.sqrt(ev.w_obs * ev.irls_obs[:, None])
+
+    def scaled(jac, sw):
+        # sqrt(W) J and its contiguous transpose: (sqrt(W) J)^T (sqrt(W) J)
+        # sums the same products in the same order for (a, b) and (b, a),
+        # so J^T W J comes out exactly symmetric
+        s = jac * sw[:, :, None]
+        return s, np.ascontiguousarray(np.swapaxes(s, 1, 2))
+
+    def times_r(s, sw, r):
+        return np.einsum("eki,ek->ei", s, sw * r)
+
+    si_o, ti_o = scaled(ji_o, sw_odo)
+    sj_o, tj_o = scaled(jj_o, sw_odo)
+    sl_s, tl_s = scaled(jl_s, sw_obs)
+    s_obs = tl_s @ sl_s
+    h_obs = times_r(sl_s, sw_obs, ev.r_obs)
+    s_node = np.add.reduceat(s_obs, first, axis=0)
+    h_node = np.add.reduceat(h_obs, first, axis=0)
+    adj_t = np.swapaxes(adj, 1, 2)
+    coupling = -(adj_t @ s_node)
+    return {
+        "oii": ti_o @ si_o,
+        "oij": ti_o @ sj_o,
+        "ojj": tj_o @ sj_o,
+        "sii": -(coupling @ adj),
+        "sil": coupling,
+        "sll": s_node.sum(axis=0),
+        "oi": times_r(si_o, sw_odo, ev.r_odo),
+        "oj": times_r(sj_o, sw_odo, ev.r_odo),
+        "si": -np.einsum("kij,kj->ki", adj_t, h_node),
+        "sl": h_node.sum(axis=0),
+    }
+
+
 # ---------------------------------------------------------------------------
-# banded assembly with cached index structure
+# banded assembly from the chain
 
 
 class _Assembler:
-    """Index bookkeeping built once per graph; only values change per iteration.
+    """The damped normal equations of one graph: assembly and solve.
 
     The node-node Hessian ``A`` is held in LAPACK upper band storage,
     ``band[bw + r - c, c] = A[r, c]`` for ``r <= c`` with the diagonal in
-    the last row.  ``bw`` is the largest column-minus-row offset among
-    the kept upper-triangle entries; the odometry chain i -> i + 1 gives
-    ``bw = 2d - 1``.  The landmark frame
-    contributes one coupled block column ``B`` (stored dense, it has only
-    ``d`` columns) and a ``d x d`` corner ``C``.  Keeping the landmark out
-    of the band lets the solve eliminate it by Schur complement, so the
-    band does not fill in when most nodes observe.
+    the last row, column-major so ``pbtrf`` needs no layout copy.  The
+    chain couples each node to its successor only, so ``bw = 2d - 1``.
+    The landmark frame contributes one coupled block column ``B`` (stored
+    dense, it has only ``d`` columns) and a ``d x d`` corner ``C``.
+    Keeping the landmark out of the band lets the solve eliminate it by
+    Schur complement, so the band does not fill in when most nodes observe.
     """
 
     def __init__(self, graph):
-        n = graph.node_count
         d = graph.group.tangent_dim
         self.d = d
-        bid = np.arange(n, dtype=int)
-        bid[graph.gauge_index] = -1
-        bid[graph.gauge_index + 1 :] -= 1
+        self.bw = 2 * d - 1
+        self.node_count = graph.node_count
         self.gauge_index = graph.gauge_index
         self.landmark_free = graph.obs_count > 0 and not graph.landmark_fixed
-        self.node_dim = (n - 1) * d
+        self.node_dim = (graph.node_count - 1) * d
+        # the observing nodes and where each one's run of sightings starts
+        self.observed, self.first = np.unique(graph.obs_node, return_index=True)
+        # the entries (i, j) of a node's block column (2d, d) that lie in
+        # the band, i <= j + d, and their band rows d - 1 + i - j
+        self.rows, self.cols = np.nonzero(np.triu(np.ones((2 * d, d), dtype=bool), -d))
+        self.band_rows = d - 1 + self.rows - self.cols
 
-        obs_bid = bid[graph.obs_node]
-        oi, oj = bid[graph.odo_i], bid[graph.odo_j]
-        offsets = np.arange(d)
-
-        # row and column of every entry of the node-node products, in
-        # assemble's order; the gauge node's are negative, and only the
-        # upper triangle is kept, where the chain (oi < oj) puts every
-        # odometry cross block J_i^T W J_j
-        a = np.concatenate([oi, oi, oj, obs_bid])[:, None, None]
-        b = np.concatenate([oi, oj, oj, obs_bid])[:, None, None]
-        rows, cols = np.broadcast_arrays(a * d + offsets[:, None], b * d + offsets)
-        rows, cols = rows.ravel(), cols.ravel()
-        self.a_gather = np.flatnonzero((rows >= 0) & (rows <= cols))
-        rows, cols = rows[self.a_gather], cols[self.a_gather]
-        self.bw = int(np.max(cols - rows, initial=0))
-        # column-major cells: LAPACK factors the band without a layout copy
-        self.a_cells = cols * (self.bw + 1) + self.bw + rows - cols
-
-        g_rows = (np.concatenate([oi, oj, obs_bid])[:, None] * d + offsets).ravel()
-        self.g_gather = np.flatnonzero(g_rows >= 0)
-        self.g_rows = g_rows[self.g_gather]
-        # flat index into the (node_dim, d) block column B
-        b_cells = (obs_bid[:, None] * d * d + np.arange(d * d)).ravel()
-        self.b_gather = np.flatnonzero(b_cells >= 0)
-        self.b_cells = b_cells[self.b_gather]
-
-    def assemble(self, products, gvecs):
+    def assemble(self, blocks):
         """Returns (A band, B dense, C dense, g_nodes, g_landmark)."""
-        blocks = ("oii", "oij", "ojj", "sii")
-        vals = np.concatenate([products[k].ravel() for k in blocks])
-        size = (self.bw + 1) * self.node_dim
-        band = np.bincount(self.a_cells, vals[self.a_gather], minlength=size)
-        band = band.reshape(self.node_dim, self.bw + 1).T
-        gvals = np.concatenate([gvecs[k].ravel() for k in ("oi", "oj", "si")])
-        g_nodes = np.bincount(self.g_rows, gvals[self.g_gather], minlength=self.node_dim)
-
-        if self.landmark_free:
-            b_vals = products["sil"].ravel()[self.b_gather]
-            b_mat = np.bincount(self.b_cells, b_vals, minlength=self.node_dim * self.d)
-            b_mat = b_mat.reshape(self.node_dim, self.d)
-            c_mat = products["sll"].sum(axis=0)
-            g_lm = gvecs["sl"].sum(axis=0)
-        else:
-            b_mat = np.zeros((self.node_dim, 0))
-            c_mat = np.zeros((0, 0))
-            g_lm = np.zeros(0)
-        return band, b_mat, c_mat, g_nodes, g_lm
+        n, d, gauge = self.node_count, self.d, self.gauge_index
+        # per node: the block coupling its predecessor to it, above its diagonal block
+        column = np.zeros((n, 2 * d, d))
+        column[1:, :d] = blocks["oij"]
+        column[:-1, d:] = blocks["oii"]
+        column[1:, d:] += blocks["ojj"]
+        column[self.observed, d:] += blocks["sii"]
+        column[gauge + 1 : gauge + 2, :d] = 0.0  # no coupling across the gauge node
+        band = np.zeros((n - 1, d, self.bw + 1))
+        band[:, self.cols, self.band_rows] = np.delete(column, gauge, 0)[:, self.rows, self.cols]
+        grad = np.zeros((n, d))
+        grad[:-1] = blocks["oi"]
+        grad[1:] += blocks["oj"]
+        grad[self.observed] += blocks["si"]
+        coupling = np.zeros((n, d, d))
+        coupling[self.observed] = blocks["sil"]
+        k = d if self.landmark_free else 0  # the landmark's columns
+        return (
+            band.reshape(self.node_dim, self.bw + 1).T,
+            np.delete(coupling, gauge, 0).reshape(self.node_dim, d)[:, :k],
+            blocks["sll"][:k, :k],
+            np.delete(grad, gauge, 0).ravel(),
+            blocks["sl"][:k],
+        )
 
     def solve(self, band, b_mat, c_mat, g_nodes, g_lm, damping):
         """One damped solve: (step, predicted cost decrease), or None when the
         damped matrix is not positive definite or the step is not finite.
         ``step`` is the flat free-node step followed by the landmark step."""
+        from scipy import linalg  # here: commands that never solve never load scipy
         diag_c = np.diag(c_mat)
         floor = 1e-12 * max(float(band[-1].max()), float(diag_c.max(initial=0.0)), 1.0)
         scale = damping * np.maximum(np.concatenate([band[-1], diag_c]), floor)
@@ -240,56 +276,6 @@ class _Assembler:
         return nodes, step[self.node_dim :] if self.landmark_free else None
 
 
-def _linearize(graph, states, landmark, ev):
-    """Jacobian blocks of every edge at (states, landmark), from the
-    residuals of ``ev``, the evaluation there."""
-    group = graph.group
-    ji_o, jj_o = _between_blocks(group, ev.r_odo, states[graph.odo_i], states[graph.odo_j])
-    target = graph.pole_world_poses(landmark)[graph.obs_pole]
-    ji_s, jt = _between_blocks(group, ev.r_obs, states[graph.obs_node], target)
-    # landmark * exp(d) * pole = (landmark * pole) * exp(Ad(pole^-1) d)
-    jl_s = jt @ group.adjoint(group.inverse(graph.template))[graph.obs_pole]
-    return ji_o, jj_o, ji_s, jl_s
-
-
-def _products(ev, jacobians):
-    """Per-edge normal-equation blocks J_a^T W J_b and gradients J^T W r,
-    with the residuals, weights and IRLS factors of evaluation ``ev``."""
-    ji_o, jj_o, ji_s, jl_s = jacobians
-    sw_odo = np.sqrt(ev.w_odo * ev.irls_odo[:, None])
-    sw_obs = np.sqrt(ev.w_obs * ev.irls_obs[:, None])
-
-    def scaled(jac, sw):
-        # sqrt(W) J and its contiguous transpose: (sqrt(W) J)^T (sqrt(W) J)
-        # sums the same products in the same order for (a, b) and (b, a),
-        # so every block of A comes out exactly symmetric
-        s = jac * sw[:, :, None]
-        return s, np.ascontiguousarray(np.swapaxes(s, 1, 2))
-
-    def times_r(s, sw, r):
-        return np.einsum("eki,ek->ei", s, sw * r)
-
-    si_o, ti_o = scaled(ji_o, sw_odo)
-    sj_o, tj_o = scaled(jj_o, sw_odo)
-    si_s, ti_s = scaled(ji_s, sw_obs)
-    sl_s, tl_s = scaled(jl_s, sw_obs)
-    products = {
-        "oii": ti_o @ si_o,
-        "oij": ti_o @ sj_o,
-        "ojj": tj_o @ sj_o,
-        "sii": ti_s @ si_s,
-        "sil": ti_s @ sl_s,
-        "sll": tl_s @ sl_s,
-    }
-    gvecs = {
-        "oi": times_r(si_o, sw_odo, ev.r_odo),
-        "oj": times_r(sj_o, sw_odo, ev.r_odo),
-        "si": times_r(si_s, sw_obs, ev.r_obs),
-        "sl": times_r(sl_s, sw_obs, ev.r_obs),
-    }
-    return products, gvecs
-
-
 def optimize(graph, settings: SolverSettings = None, progress=None):
     """Run damped least squares; returns (solved graph copy, SolveStats).
 
@@ -303,6 +289,7 @@ def optimize(graph, settings: SolverSettings = None, progress=None):
     landmark = graph.landmark.copy()
     gauge_state = states[graph.gauge_index].copy()
     assembler = _Assembler(graph)
+    observed, first = assembler.observed, assembler.first
 
     ev = gmod.evaluate(graph, states, landmark, settings.huber_delta)
     # what residuals one rounding unit in size would cost: a smaller
@@ -317,9 +304,9 @@ def optimize(graph, settings: SolverSettings = None, progress=None):
     for iteration in range(1, settings.max_iterations + 1):
         iterations = iteration
         record = {"rejected": 0, "solve_s": 0.0, "cost_s": 0.0}
-        jacobians, record["linearize_s"] = _timed(_linearize, graph, states, landmark, ev)
-        (products, gvecs), record["products_s"] = _timed(_products, ev, jacobians)
-        system, record["assemble_s"] = _timed(assembler.assemble, products, gvecs)
+        jacobians, record["linearize_s"] = _timed(_linearize, graph, states, landmark, ev, observed)
+        blocks, record["products_s"] = _timed(_products, ev, jacobians, first)
+        system, record["assemble_s"] = _timed(assembler.assemble, blocks)
         record["grad_inf"] = float(np.abs(np.concatenate(system[3:])).max(initial=0.0))
 
         while True:
@@ -405,9 +392,12 @@ def check_jacobians(graph, probe_count: int = 100, seed: int = 0, step: float = 
     odo_idx = picks[picks < graph.odo_count]
     obs_idx = picks[picks >= graph.odo_count] - graph.odo_count
 
-    # the solver's own linearization against central differences of the
-    # residuals, compared on the probes
-    analytic = _linearize(graph, states, landmark, gmod.evaluate(graph, states, landmark))
+    # the solver's own linearization, with each sighting's node block -J_l G
+    # rebuilt, against central differences of the residuals on the probes
+    observed, node_of = np.unique(graph.obs_node, return_inverse=True)
+    ev = gmod.evaluate(graph, states, landmark)
+    ji_o, jj_o, jl_s, adj = _linearize(graph, states, landmark, ev, observed)
+    analytic = (ji_o, jj_o, -(jl_s @ adj[node_of]), jl_s)
     odometry, observation = gmod.residual_functions(graph)
     numeric = (
         *_numeric_blocks(group, odometry, states[graph.odo_i], states[graph.odo_j], step),

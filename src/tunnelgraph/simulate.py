@@ -257,19 +257,20 @@ def _unit_directions(rng, count: int, planar: bool) -> np.ndarray:
 
 def _prefix_compose(steps: np.ndarray) -> np.ndarray:
     """Inclusive prefix products ``steps[0] * ... * steps[k]`` of packed
-    SE(3) poses.
+    SE(3) poses, by a work-efficient scan: the scan of the adjacent pairs'
+    products gives the odd-indexed prefixes, and each of those composed
+    with the next step an even-indexed one, about 2N composes in all.
+    Quaternions are renormalized after every batched compose."""
 
-    A Hillis-Steele scan: pass ``d`` composes every element with the one
-    ``2**d`` places before it, so ceil(log2 N) batched composes replace N
-    sequential ones.  Quaternions are renormalized after every pass.
-    """
+    def compose(a, b):
+        c = geom.pose3_compose(a, b)
+        c[:, 3:] = geom.quat_normalize(c[:, 3:])
+        return c
+
     out = np.array(steps, dtype=float)
-    shift = 1
-    while shift < out.shape[0]:
-        combined = geom.pose3_compose(out[:-shift], out[shift:])
-        combined[:, 3:] = geom.quat_normalize(combined[:, 3:])
-        out[shift:] = combined
-        shift *= 2
+    if out.shape[0] > 1:
+        out[1::2] = _prefix_compose(compose(out[0:-1:2], out[1::2]))
+        out[2::2] = compose(out[1:-1:2], out[2::2])
     return out
 
 

@@ -288,6 +288,20 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "dvso_graph.txt: rate_hz must be finite and positive" in err
 
+    def test_unordered_sightings_exit_2(self, tmp_path, capsys):
+        out = self.optimized_run(tmp_path)
+        path = out / "dvso_graph.txt"
+        lines = path.read_text().splitlines()
+        rows = [k for k, ln in enumerate(lines) if ln.startswith("EDGE_OBS ")]
+        first, last = rows[0], rows[-1]
+        assert lines[first].split()[1] != lines[last].split()[1]  # two different nodes
+        lines[first], lines[last] = lines[last], lines[first]
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert cli.main(["report", "--dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "dvso_graph.txt: observation edges must be ordered by node" in err
+
     def test_repeated_source_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, SMALL_CONFIG.replace("dvso", "dvso dvso"))
         assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path / "run")]) == 2
@@ -407,3 +421,11 @@ class TestCleanup:
         )
         assert code == 2
         assert not any(out.iterdir())
+
+
+def test_importing_the_cli_leaves_scipy_unloaded():
+    # only the solve needs scipy, so simulate and report never load it
+    code = "import sys, tunnelgraph.cli; print('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]

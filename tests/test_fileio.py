@@ -310,7 +310,7 @@ class TestPropertyRoundTrips:
             odo_meas=states_for(data.draw, mode, odo).reshape(odo, dim),
             odo_w_trans=data.draw(hnp.arrays(float, odo, elements=weight)),
             odo_w_rot=data.draw(hnp.arrays(float, odo, elements=weight)),
-            obs_node=data.draw(hnp.arrays(int, obs, elements=node)),
+            obs_node=np.sort(data.draw(hnp.arrays(int, obs, elements=node))),
             obs_pole=data.draw(hnp.arrays(int, obs, elements=st.integers(0, poles - 1))),
             obs_meas=states_for(data.draw, mode, obs).reshape(obs, dim),
             obs_w_trans=data.draw(hnp.arrays(float, obs, elements=weight)),
@@ -400,6 +400,19 @@ class TestGraphs:
         lines[a], lines[b] = lines[b], lines[a]
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(DataError, match=r"graph\.txt: odometry edge e must join node e"):
+            fileio.read_graph(path)
+
+    def test_swapped_observation_records_rejected(self, tmp_path, scenario):
+        # sightings of two different nodes in reverse node order
+        path = tmp_path / "graph.txt"
+        graph = self.graph_for(FULL3D, scenario)
+        fileio.write_graph(path, graph)
+        lines = path.read_text().splitlines()
+        rows = [k for k, line in enumerate(lines) if line.startswith("EDGE_OBS ")]
+        a, b = rows[0], rows[int(np.argmax(graph.obs_node > graph.obs_node[0]))]
+        lines[a], lines[b] = lines[b], lines[a]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=r"graph\.txt: observation edges must be ordered by node"):
             fileio.read_graph(path)
 
     @pytest.mark.parametrize(

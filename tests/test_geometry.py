@@ -398,12 +398,12 @@ def test_group_identities(group, data):
     assert np.allclose(group.log(group.exp(xi)), xi, atol=1e-9)
 
     a, meas = group.exp(eta), group.exp(zeta)
-    assert np.abs(group.between(meas, a, group.compose(a, meas))).max() < 1e-9
+    assert np.abs(group.between(meas, a, group.compose(a, meas))[0]).max() < 1e-9
 
     # x * exp(xi) * x^-1 = exp(Ad_x xi)
     lhs = group.compose(group.compose(a, group.exp(xi)), group.inverse(a))
     rhs = group.exp(group.adjoint(a) @ xi)
-    assert np.abs(group.between(lhs, group.identity, rhs)).max() < 1e-9
+    assert np.abs(group.between(lhs, group.identity, rhs)[0]).max() < 1e-9
 
     back = group.from_pose3(group.to_pose3(a))
     assert back.shape == (group.packed_dim,)

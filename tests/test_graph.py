@@ -136,6 +136,25 @@ class TestConnectivity:
             dataclasses.replace(graph, **edges)
 
 
+    def test_sightings_must_be_ordered_by_node(self):
+        graph, _, _, _ = small_problem()
+        assert np.all(np.diff(graph.obs_node) > 0)
+        swap = np.array([1, 0, 2])
+        with pytest.raises(DataError, match="observation edges must be ordered by node"):
+            dataclasses.replace(
+                graph, obs_node=graph.obs_node[swap], obs_pole=graph.obs_pole[swap],
+                obs_meas=graph.obs_meas[swap], obs_w_trans=graph.obs_w_trans[swap],
+                obs_w_rot=graph.obs_w_rot[swap],
+            )
+        # several sightings of one node are one contiguous run
+        repeat = np.array([0, 1, 1, 2])
+        shared = dataclasses.replace(
+            graph, obs_node=graph.obs_node[repeat], obs_pole=graph.obs_pole[repeat],
+            obs_meas=graph.obs_meas[repeat], obs_w_trans=graph.obs_w_trans[repeat],
+            obs_w_rot=graph.obs_w_rot[repeat],
+        )
+        assert shared.obs_count == 4
+
 class TestResiduals:
     def test_exact_chain_has_zero_cost(self):
         graph, _, _, _ = small_problem()

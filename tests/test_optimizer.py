@@ -202,10 +202,34 @@ class TestSettings:
 # normal-equation products and assembly against the einsum/COO reference
 
 
-def linearized(graph, states, landmark, huber_delta):
-    """The evaluation and the analytic Jacobian blocks at one state."""
+def reference_jacobians(graph, states, landmark, ev):
+    """Per-edge Jacobian blocks by the plain chain rule, sighting by
+    sighting: for r = log(meas^-1 a^-1 b), J_b = Jr^-1(r) and
+    J_a = -J_b Ad(b^-1 a); a sighting's b is its pole P placed by the
+    landmark frame, and its landmark block is J_b Ad(P^-1)."""
+    group = graph.group
+
+    def blocks(r, a, b):
+        jb = group.jr_inv(r)
+        return -(jb @ group.adjoint(group.relative(b, a))), jb
+
+    ji_o, jj_o = blocks(ev.r_odo, states[graph.odo_i], states[graph.odo_j])
+    target = graph.pole_world_poses(landmark)[graph.obs_pole]
+    ji_s, jt = blocks(ev.r_obs, states[graph.obs_node], target)
+    return ji_o, jj_o, ji_s, jt @ group.adjoint(group.inverse(graph.template))[graph.obs_pole]
+
+
+def solver_system(graph, assembler, states, landmark, huber_delta):
+    """The evaluation at one state and the system the solver assembles there."""
     ev = gmod.evaluate(graph, states, landmark, huber_delta)
-    return ev, opt._linearize(graph, states, landmark, ev)
+    jacobians = opt._linearize(graph, states, landmark, ev, assembler.observed)
+    return ev, assembler.assemble(opt._products(ev, jacobians, assembler.first))
+
+
+def reference_system(graph, states, landmark, ev, huber_delta):
+    """The same system from per-sighting blocks, by einsum and COO."""
+    jacobians = reference_jacobians(graph, states, landmark, ev)
+    return coo_assemble(graph, *einsum_products(graph, ev, jacobians, huber_delta))
 
 
 def einsum_products(graph, ev, jacobians, huber_delta):
@@ -285,11 +309,20 @@ def oracle_case(case):
     graph, _, _, _ = small_problem(mode, landmark_fixed=case == "landmark-fixed")
     if case == "gauge-middle":
         graph = dataclasses.replace(graph, gauge_index=graph.node_count // 2)
+    if case == "gauge-last":
+        graph = dataclasses.replace(graph, gauge_index=graph.node_count - 1)
     if case == "no-observations":
         graph = dataclasses.replace(
             graph, obs_node=graph.obs_node[:0], obs_pole=graph.obs_pole[:0],
             obs_meas=graph.obs_meas[:0], obs_w_trans=graph.obs_w_trans[:0],
             obs_w_rot=graph.obs_w_rot[:0],
+        )
+    if case == "shared-nodes":  # runs of one, two and three sightings; most nodes see none
+        rows = np.array([0, 1, 1, 2, 2, 2])
+        graph = dataclasses.replace(
+            graph, obs_node=graph.obs_node[rows], obs_pole=np.array([0, 1, 2, 2, 0, 1]),
+            obs_meas=graph.obs_meas[rows], obs_w_trans=graph.obs_w_trans[rows] * (1.0 + rows),
+            obs_w_rot=graph.obs_w_rot[rows],
         )
     huber = 0.05 if case == "huber" else 0.0
     return graph, huber
@@ -305,17 +338,25 @@ def perturbed(graph, seed):
     )
 
 
-def band_to_dense(band):
-    """Symmetric dense matrix from LAPACK upper band storage."""
-    bw, n = band.shape[0] - 1, band.shape[1]
-    dense = np.zeros((n, n))
+def assert_system_close(got, want, bw, rtol):
+    """The solver's (band, B, C, g_nodes, g_landmark) against the reference's
+    (sparse A, B, C, g_nodes, g_landmark), each to ``rtol`` of its largest entry."""
+    a_mat = want[0].tocsr()
+    rows, cols = a_mat.nonzero()
+    assert np.all(np.abs(rows - cols) <= bw)  # nothing outside the band
+    band = np.zeros((bw + 1, a_mat.shape[0]))
     for k in range(bw + 1):  # k-th superdiagonal
-        cols = np.arange(k, n)
-        dense[cols - k, cols] = band[bw - k, k:]
-    return dense + np.triu(dense, 1).T
+        band[bw - k, k:] = a_mat.diagonal(k)
+    for mine, ref in zip(got, (band, *want[1:])):
+        assert mine.shape == ref.shape
+        scale = max(float(np.abs(ref).max(initial=0.0)), 1e-300)
+        np.testing.assert_allclose(mine, ref, rtol=0.0, atol=rtol * scale)
 
 
-CASES = ["planar", "full3d", "gauge-middle", "landmark-fixed", "no-observations", "huber"]
+CASES = [
+    "planar", "full3d", "gauge-middle", "gauge-last", "landmark-fixed",
+    "no-observations", "shared-nodes", "huber",
+]
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -324,19 +365,24 @@ def test_products_and_assembly_match_reference(case):
     assembler = opt._Assembler(graph)
     # the odometry chain i -> i + 1 couples a node with its successor only
     assert assembler.bw == 2 * graph.group.tangent_dim - 1
-    for seed in (0, 1):  # two iterates through the same index structure
+    for seed in (0, 1):  # two iterates of one graph
         states, landmark = perturbed(graph, seed)
-        ev, jac = linearized(graph, states, landmark, huber)
-        got = assembler.assemble(*opt._products(ev, jac))
-        want = coo_assemble(graph, *einsum_products(graph, ev, jac, huber))
+        ev, got = solver_system(graph, assembler, states, landmark, huber)
+        want = reference_system(graph, states, landmark, ev, huber)
+        assert_system_close(got, want, assembler.bw, 1e-12)
 
-        rows, cols = want[0].nonzero()
-        assert np.all(np.abs(rows - cols) <= assembler.bw)  # nothing outside the band
-        assert got[0].shape == (assembler.bw + 1, want[0].shape[0])
-        for mine, ref in zip((band_to_dense(got[0]), *got[1:]), (want[0].toarray(), *want[1:])):
-            assert mine.shape == ref.shape
-            scale = max(float(np.abs(ref).max(initial=0.0)), 1e-300)
-            np.testing.assert_allclose(mine, ref, rtol=0.0, atol=1e-12 * scale)
+
+@pytest.mark.parametrize("source", ["dvso", "wheel"])
+def test_per_node_assembly_matches_reference_on_recovery(source):
+    # dense pins: most nodes hold a run of sightings, one per pole in view
+    result, _ = pipeline.recovery_run(sim.PRESETS[source](), 1001)
+    graph = result.raw_graph
+    assert graph.obs_count > 3 * np.unique(graph.obs_node).size
+    assembler = opt._Assembler(graph)
+    for states, landmark in ((graph.states, graph.landmark), perturbed(graph, 3)):
+        ev, got = solver_system(graph, assembler, states, landmark, 0.0)
+        want = reference_system(graph, states, landmark, ev, 0.0)
+        assert_system_close(got, want, assembler.bw, 1e-12)
 
 
 @pytest.mark.parametrize("damping", [1e-8, 1e-2])
@@ -345,14 +391,11 @@ def test_band_solve_matches_dense(case, damping):
     graph, huber = oracle_case(case)
     assembler = opt._Assembler(graph)
     states, landmark = perturbed(graph, 2)
-    ev, jac = linearized(graph, states, landmark, huber)
-    system = assembler.assemble(*opt._products(ev, jac))
+    ev, system = solver_system(graph, assembler, states, landmark, huber)
     step, predicted = assembler.solve(*system, damping)
 
     # the full node + landmark system, dense, from the reference assembly
-    a_mat, b_mat, c_mat, g_nodes, g_lm = coo_assemble(
-        graph, *einsum_products(graph, ev, jac, huber)
-    )
+    a_mat, b_mat, c_mat, g_nodes, g_lm = reference_system(graph, states, landmark, ev, huber)
     hessian = np.block([[a_mat.toarray(), b_mat], [b_mat.T, c_mat]])
     gradient = np.concatenate([g_nodes, g_lm])
     diag = np.diag(hessian)
@@ -368,8 +411,7 @@ def test_band_solve_matches_dense(case, damping):
 def test_band_solve_rejects_nan():
     graph, huber = oracle_case("full3d")
     assembler = opt._Assembler(graph)
-    ev, jac = linearized(graph, *perturbed(graph, 0), huber)
-    band, *rest = assembler.assemble(*opt._products(ev, jac))
+    _, (band, *rest) = solver_system(graph, assembler, *perturbed(graph, 0), huber)
     assert assembler.solve(band, *rest, 1e-6) is not None
     band[assembler.bw - 1, 9] = np.nan  # one superdiagonal entry
     assert assembler.solve(band, *rest, 1e-6) is None
@@ -404,9 +446,7 @@ def test_gradient_and_gain_ratio_records():
     _, stats = opt.optimize(graph)
     first, *_, last = stats.per_iteration
     # the first record's gradient is the one assembled at the start
-    assembler = opt._Assembler(graph)
-    ev, jac = linearized(graph, graph.states, graph.landmark, 0.0)
-    system = assembler.assemble(*opt._products(ev, jac))
+    _, system = solver_system(graph, opt._Assembler(graph), graph.states, graph.landmark, 0.0)
     assert first["grad_inf"] == np.abs(np.concatenate(system[3:])).max()
     assert last["grad_inf"] < 1e-6 * first["grad_inf"]
     # away from rounding level the model predicts the decrease of

@@ -241,6 +241,26 @@ class TestCorrupt:
         if noise.dof_mode == PLANAR:
             assert np.all(track.poses[:, [2, 4, 5]] == 0.0)
 
+    @pytest.mark.parametrize(
+        "count", [*range(1, 10), 15, 17, 31, 33, 1023, 1025, 20300]
+    )
+    def test_prefix_compose_matches_sequential_loop(self, count):
+        # odometry-sized increments: 5 cm steps, about 1 degree of turn
+        rng = np.random.default_rng(count)
+        steps = np.concatenate(
+            [rng.normal(0.0, 0.05, (count, 3)),
+             geom.quat_from_rotvec(rng.normal(0.0, 0.02, (count, 3)))], axis=1,
+        )
+        want = steps.copy()
+        for k in range(1, count):
+            want[k] = geom.pose3_compose(want[k - 1], steps[k])
+            want[k, 3:] = geom.quat_normalize(want[k, 3:])
+        got = sim._prefix_compose(steps)
+        assert np.abs(got[:, :3] - want[:, :3]).max() <= 1e-12
+        q, q_ref = got[:, 3:], want[:, 3:]  # up to the double-cover sign
+        gap = np.minimum(np.abs(q - q_ref).max(axis=1), np.abs(q + q_ref).max(axis=1))
+        assert gap.max() <= 1e-12
+
     def test_rejects_rate_mismatch(self):
         gt = sim.generate_ground_truth(sim.TrajectoryProfile(), 5.0)
         with pytest.raises(DataError):
