@@ -234,11 +234,12 @@ def read_injection(path) -> NoiseInjection:
 
 
 def write_graph(path, graph: PoseGraph) -> None:
-    """Plain-text edge list mirroring the in-memory problem; a
-    ``# landmark_fixed: true`` header marks a frozen landmark frame."""
+    """Plain-text edge list of every field of the problem; a
+    ``# landmark_fixed: true`` header marks a frozen landmark frame, and
+    ``GAUGE 0`` names the gauge node."""
     order = TO_DISK[: graph.states.shape[1]]
     records = {
-        "GAUGE": [np.array([graph.gauge_index])],
+        "GAUGE": [np.zeros(1, int)],
         "NODE": [np.arange(graph.node_count), graph.times, graph.is_frame, graph.states[:, order]],
         "LANDMARK_FRAME": [graph.landmark[None, order]],
         "POLE": [np.arange(graph.pole_count), graph.template[:, order]],
@@ -264,7 +265,8 @@ def _id_order(path, tag, ids):
 def read_graph(path) -> PoseGraph:
     """The graph :func:`write_graph` wrote: NODE and POLE ids run 0..n-1,
     each once, NODE is_frame is 0 or 1, and there is one LANDMARK_FRAME and
-    at most one GAUGE record.  :class:`PoseGraph` checks the edges."""
+    at most one GAUGE record, which names node 0.  :class:`PoseGraph` checks
+    the node count and the edges."""
     headers, rows = _read_table(path)
     dof, rate = _source_headers(headers, path)
     fixed = headers.get("landmark_fixed", "false")
@@ -296,6 +298,8 @@ def read_graph(path) -> PoseGraph:
     if len(gauge) > 1 or len(landmark) != 1:
         raise DataError(f"{path}: needs one LANDMARK_FRAME and at most one GAUGE record, "
                         f"got {len(landmark)} and {len(gauge)}")
+    if len(gauge) and gauge[0, 0] != 0:
+        raise DataError(f"{path}: the gauge is node 0, got GAUGE {gauge[0, 0]}")
     order = FROM_DISK[:dim]
     nodes = _id_order(path, "NODE", node_i[:, 0])
     pole_f, pole_i = table["POLE"]
@@ -311,7 +315,6 @@ def read_graph(path) -> PoseGraph:
             node_f[nodes, 0], node_i[nodes, 1] != 0, node_f[nodes, 1:][:, order],
             landmark[0, order], pole_f[poles][:, order],
             *edges("EDGE_ODOM"), *edges("EDGE_OBS"),
-            gauge_index=int(gauge[0, 0]) if len(gauge) else 0,
             landmark_fixed=fixed == "true",
         )
     except DataError as exc:

@@ -3,8 +3,8 @@
 The pole line enters the problem as a rigid template (fixed local pose
 per pole) placed by a single free variable, the landmark frame.  Only
 that placement is optimized; inter-pole spacing and collinearity are
-exact by construction.  Node 0 is gauge-fixed by default, so a problem
-with no observations keeps the raw trajectory.
+exact by construction.  Node 0 is the gauge, so a problem with no
+observations keeps the raw trajectory.
 
 States are packed arrays of the graph's pose family, ``GROUPS[dof_mode]``:
 ``(N, 7)`` rigid transforms (:data:`~tunnelgraph.geometry.SE3`) in
@@ -16,7 +16,7 @@ template, and every edge measurement, and every residual is the group's
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,11 +30,12 @@ GROUPS = {PLANAR: geom.SE2, FULL3D: geom.SE3}
 class PoseGraph:
     """Sparse pose-graph problem over one odometry source.
 
-    ``states`` and ``landmark`` are the free variables (modulo the gauge
-    node and ``landmark_fixed``); everything else is fixed problem data.
-    The nodes are time-ordered and the odometry edges chain them: edge
-    ``e`` joins node ``e`` to node ``e + 1``.  Observation edges are
-    ordered by node, so each node's sightings are contiguous.
+    ``states`` and ``landmark`` are the free variables (modulo node 0,
+    the gauge, and ``landmark_fixed``); everything else is fixed problem
+    data.  The nodes, at least two, are time-ordered and the odometry
+    edges chain them: edge ``e`` joins node ``e`` to node ``e + 1``.
+    Observation edges are ordered by node, so each node's sightings are
+    contiguous.
     """
 
     source: str
@@ -55,14 +56,12 @@ class PoseGraph:
     obs_meas: np.ndarray  # (M, D)
     obs_w_trans: np.ndarray  # (M,)
     obs_w_rot: np.ndarray  # (M,)
-    gauge_index: int = 0
     landmark_fixed: bool = False
-    raw_states: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self):
         n = self.states.shape[0]
-        if not 0 <= self.gauge_index < n:
-            raise DataError("gauge index out of range")
+        if n < 2:
+            raise DataError(f"a graph needs at least two nodes, got {n}")
         chain = np.arange(n - 1)
         if not (np.array_equal(self.odo_i, chain) and np.array_equal(self.odo_j, chain + 1)):
             raise DataError("odometry edge e must join node e to node e + 1")
@@ -73,8 +72,6 @@ class PoseGraph:
                 raise DataError("observation edge references a missing pole id")
             if np.any(np.diff(self.obs_node) < 0):
                 raise DataError("observation edges must be ordered by node")
-        if self.raw_states is None:
-            self.raw_states = self.states.copy()
 
     @property
     def node_count(self) -> int:
@@ -101,9 +98,6 @@ class PoseGraph:
     def group(self) -> geom.Group:
         return GROUPS[self.dof_mode]
 
-    def with_solution(self, states: np.ndarray, landmark: np.ndarray) -> "PoseGraph":
-        return replace(self, states=states, landmark=landmark, raw_states=self.raw_states)
-
     def pole_world_poses(self, landmark=None) -> np.ndarray:
         """World pose of every pole under the (given) template placement."""
         lf = self.landmark if landmark is None else landmark
@@ -126,9 +120,6 @@ def build_graph(
     """
     if mode not in GROUPS:
         raise DataError(f"unknown graph mode {mode!r}")
-    if aligned.node_count < 2:
-        raise DataError("aligned sequence too short to build a graph")
-
     group = GROUPS[mode]
     states = group.from_pose3(aligned.poses)
     template = group.from_pose3(layout.template())

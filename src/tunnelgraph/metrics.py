@@ -59,16 +59,12 @@ def merged_measurements(graph):
     return merged, frames
 
 
-def frame_corrections(graph, states=None) -> np.ndarray:
-    """Tangent correction per sensor frame: log(measured^-1 * optimized)."""
+def correction_magnitudes(graph, states=None):
+    """Per-frame (translation meters, rotation degrees) norms of the tangent
+    correction log(measured^-1 * optimized) of each sensor frame."""
     s = graph.states if states is None else states
     merged, frames = merged_measurements(graph)
-    return graph.group.between(merged, s[frames[:-1]], s[frames[1:]])[0]
-
-
-def correction_magnitudes(graph, states=None):
-    """Per-frame (translation meters, rotation degrees) correction norms."""
-    corr = frame_corrections(graph, states)
+    corr = graph.group.between(merged, s[frames[:-1]], s[frames[1:]])[0]
     k = graph.group.trans_dim
     return (
         np.linalg.norm(corr[:, :k], axis=1),
@@ -89,10 +85,12 @@ def closure_error(poses, dof_mode: str):
 
 
 def per_frame_corrections(graph, states=None) -> ErrorReport:
-    """Summarize one optimized graph as an ErrorReport."""
+    """Summarize ``states``, a solution of ``graph``, as an ErrorReport:
+    the raw closure is that of the graph's own states, the problem as
+    built, and ``states`` defaults to them."""
     s = graph.states if states is None else states
     tmag, rmag = correction_magnitudes(graph, s)
-    raw_xy, raw_z = closure_error(graph.raw_states, graph.dof_mode)
+    raw_xy, raw_z = closure_error(graph.states, graph.dof_mode)
     opt_xy, opt_z = closure_error(s, graph.dof_mode)
     return ErrorReport(
         source=graph.source,
@@ -108,14 +106,14 @@ def per_frame_corrections(graph, states=None) -> ErrorReport:
     )
 
 
-def phase_breakdown(graph, intervals, states=None):
+def phase_breakdown(graph, intervals):
     """Supplementary per-phase correction means.
 
     ``intervals`` is an iterable of (name, start, end); frames are binned
     by the start time of their increment.  Phases sharing a name are
     aggregated.  Returns {name: (frames, trans mean m, rot mean deg)}.
     """
-    tmag, rmag = correction_magnitudes(graph, states)
+    tmag, rmag = correction_magnitudes(graph)
     frames = frame_node_indices(graph)
     start_times = graph.times[frames[:-1]]
     masks = {}

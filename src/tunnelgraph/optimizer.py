@@ -2,7 +2,7 @@
 
 Each iteration linearizes every edge in the tangent space at the current
 states, assembles the damped normal equations over the free blocks (all
-nodes except the gauge node, plus the landmark frame when observations
+nodes except node 0, the gauge, plus the landmark frame when observations
 exist), solves them, and retracts with the exponential map.
 
 Damping is multiplicative on the (clamped) diagonal.  The solve starts
@@ -41,7 +41,7 @@ Assembly writes each node's blocks from the chain straight into the band.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -204,7 +204,6 @@ class _Assembler:
         self.d = d
         self.bw = 2 * d - 1
         self.node_count = graph.node_count
-        self.gauge_index = graph.gauge_index
         self.landmark_free = graph.obs_count > 0 and not graph.landmark_fixed
         self.node_dim = (graph.node_count - 1) * d
         # the observing nodes and where each one's run of sightings starts
@@ -216,16 +215,16 @@ class _Assembler:
 
     def assemble(self, blocks):
         """Returns (A band, B dense, C dense, g_nodes, g_landmark)."""
-        n, d, gauge = self.node_count, self.d, self.gauge_index
-        # per node: the block coupling its predecessor to it, above its diagonal block
+        n, d = self.node_count, self.d
+        # per node: the block coupling its predecessor to it, above its diagonal
+        # block; node 0 is the gauge, so node 1 couples to no free node
         column = np.zeros((n, 2 * d, d))
-        column[1:, :d] = blocks["oij"]
+        column[2:, :d] = blocks["oij"][1:]
         column[:-1, d:] = blocks["oii"]
         column[1:, d:] += blocks["ojj"]
         column[self.observed, d:] += blocks["sii"]
-        column[gauge + 1 : gauge + 2, :d] = 0.0  # no coupling across the gauge node
         band = np.zeros((n - 1, d, self.bw + 1))
-        band[:, self.cols, self.band_rows] = np.delete(column, gauge, 0)[:, self.rows, self.cols]
+        band[:, self.cols, self.band_rows] = column[1:, self.rows, self.cols]
         grad = np.zeros((n, d))
         grad[:-1] = blocks["oi"]
         grad[1:] += blocks["oj"]
@@ -235,9 +234,9 @@ class _Assembler:
         k = d if self.landmark_free else 0  # the landmark's columns
         return (
             band.reshape(self.node_dim, self.bw + 1).T,
-            np.delete(coupling, gauge, 0).reshape(self.node_dim, d)[:, :k],
+            coupling[1:].reshape(self.node_dim, d)[:, :k],
             blocks["sll"][:k, :k],
-            np.delete(grad, gauge, 0).ravel(),
+            grad[1:].ravel(),
             blocks["sl"][:k],
         )
 
@@ -271,15 +270,14 @@ class _Assembler:
 
     def split(self, step):
         """Per-node steps (zero at the gauge) and the landmark step or None."""
-        nodes = step[: self.node_dim].reshape(-1, self.d)
-        nodes = np.insert(nodes, self.gauge_index, 0.0, axis=0)
+        nodes = np.concatenate([np.zeros((1, self.d)), step[: self.node_dim].reshape(-1, self.d)])
         return nodes, step[self.node_dim :] if self.landmark_free else None
 
 
 def optimize(graph, settings: SolverSettings = None, progress=None):
     """Run damped least squares; returns (solved graph copy, SolveStats).
 
-    The gauge node's state is bit-identical in the result.  Raises
+    Node 0, the gauge, keeps its state bit for bit.  Raises
     ConditioningError when the normal equations stay unsolvable with
     damping escalated beyond the ceiling.  ``progress``, when given, is
     called with (iteration, record) as each iteration's record completes.
@@ -287,7 +285,7 @@ def optimize(graph, settings: SolverSettings = None, progress=None):
     settings = settings or SolverSettings()
     states = graph.states.copy()
     landmark = graph.landmark.copy()
-    gauge_state = states[graph.gauge_index].copy()
+    gauge_state = states[0].copy()
     assembler = _Assembler(graph)
     observed, first = assembler.observed, assembler.first
 
@@ -323,7 +321,7 @@ def optimize(graph, settings: SolverSettings = None, progress=None):
                 cand_states, cand_lm = gmod.retract(
                     graph, states, landmark, *assembler.split(step)
                 )
-                cand_states[graph.gauge_index] = gauge_state
+                cand_states[0] = gauge_state
                 cand, seconds = _timed(
                     gmod.evaluate, graph, cand_states, cand_lm, settings.huber_delta
                 )
@@ -365,7 +363,7 @@ def optimize(graph, settings: SolverSettings = None, progress=None):
         cost_trace=trace,
         per_iteration=per_iteration,
     )
-    return graph.with_solution(states, landmark), stats
+    return replace(graph, states=states, landmark=landmark), stats
 
 
 def check_jacobians(graph, probe_count: int = 100, seed: int = 0, step: float = FD_STEP):

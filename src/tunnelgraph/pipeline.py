@@ -189,7 +189,7 @@ def optimize_track(
     aligned = sync.align(track, observations, odom_weights=odom_weights)
     graph = gmod.build_graph(aligned, layout, mode, landmark_fixed=landmark_fixed)
     solved, stats = opt.optimize(graph, settings, progress)
-    report = metrics.per_frame_corrections(solved)
+    report = metrics.per_frame_corrections(graph, solved.states)
     return OptimizationResult(solved, stats, report, graph)
 
 
@@ -272,6 +272,8 @@ def report_run(run_dir, out_dir=None, written=None):
         if os.path.exists(raw_path):
             raw = fileio.read_track(raw_path)
             frames = metrics.frame_node_indices(graph)
+            if not np.array_equal(raw.times, graph.times[frames]):
+                raise DataError(f"{graph_path}: frame times do not match {raw_path}")
             xy_path = os.path.join(out_dir, f"{name}_xy.csv")
             written.append(xy_path)
             fileio.write_xy_csv(

@@ -153,10 +153,6 @@ class OdometryTrack:
             poses[~exact] = geom.pose3_interpolate(self.poses[left], self.poses[r], alpha)
         return poses
 
-    @property
-    def duration(self) -> float:
-        return float(self.times[-1] - self.times[0])
-
 
 class Sighting(NamedTuple):
     """One row of an :class:`ObservationSet`: the pole's pose relative to

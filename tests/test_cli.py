@@ -302,6 +302,30 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "dvso_graph.txt: observation edges must be ordered by node" in err
 
+    @pytest.mark.parametrize("nodes", [1, 3])
+    def test_cut_graph_exits_2(self, tmp_path, capsys, nodes):
+        # the graph keeps its first nodes and the edges among them: one node is
+        # no problem, and three no longer match the frames of dvso_raw.txt
+        out = self.optimized_run(tmp_path)
+        path = out / "dvso_graph.txt"
+        keep = []
+        for ln in path.read_text().splitlines():
+            tag, *fields = ln.split()
+            ids = {"NODE": 1, "EDGE_ODOM": 2, "EDGE_OBS": 1}.get(tag, 0)
+            if all(int(f) < nodes for f in fields[:ids]):
+                keep.append(ln)
+        path.write_text("\n".join(keep) + "\n")
+        capsys.readouterr()
+        assert cli.main(["report", "--dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        if nodes == 1:
+            assert "dvso_graph.txt: a graph needs at least two nodes, got 1" in err
+        else:
+            assert "dvso_graph.txt: frame times do not match" in err
+            assert "dvso_raw.txt" in err
+        assert not (out / "dvso_xy.csv").exists()
+        assert not (out / "report.csv").exists()
+
     def test_repeated_source_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, SMALL_CONFIG.replace("dvso", "dvso dvso"))
         assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path / "run")]) == 2

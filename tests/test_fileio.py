@@ -12,6 +12,7 @@ import tunnelgraph.fileio as fileio
 import tunnelgraph.graph as gmod
 import tunnelgraph.metrics as metrics
 import tunnelgraph.optimizer as opt
+import tunnelgraph.pipeline as pipeline
 import tunnelgraph.simulate as sim
 import tunnelgraph.sync as sync
 from tunnelgraph.metrics import ErrorReport
@@ -84,8 +85,18 @@ def golden_graph(mode):
         odo_w_trans=np.array([1.0]), odo_w_rot=np.array([2.5]),
         obs_node=np.array([1]), obs_pole=np.array([1]), obs_meas=states[:1],
         obs_w_trans=np.array([400.0]), obs_w_rot=np.array([0.0]),
-        gauge_index=1,
     )
+
+
+def assert_same_graph(back, graph):
+    """Every field of ``back`` equals the one of ``graph`` bit for bit."""
+    for f in dataclasses.fields(gmod.PoseGraph):
+        a, b = getattr(back, f.name), getattr(graph, f.name)
+        if isinstance(b, np.ndarray):
+            assert (a.dtype, a.shape) == (b.dtype, b.shape), f.name
+            assert a.tobytes() == b.tobytes(), f.name
+        else:
+            assert (type(a), a) == (type(b), b), f.name
 
 
 class TestTracks:
@@ -289,7 +300,7 @@ class TestPropertyRoundTrips:
     @ROUND_TRIP
     @given(data=st.data())
     def test_graph(self, tmp_path, mode, data):
-        n = data.draw(st.integers(1, 8))
+        n = data.draw(st.integers(2, 8))
         poles = data.draw(st.integers(1, 4))
         odo = n - 1  # the odometry chain
         obs = data.draw(st.integers(0, 8))
@@ -315,20 +326,11 @@ class TestPropertyRoundTrips:
             obs_meas=states_for(data.draw, mode, obs).reshape(obs, dim),
             obs_w_trans=data.draw(hnp.arrays(float, obs, elements=weight)),
             obs_w_rot=data.draw(hnp.arrays(float, obs, elements=weight)),
-            gauge_index=data.draw(node),
             landmark_fixed=data.draw(st.booleans()),
         )
         path = tmp_path / "graph.txt"
         fileio.write_graph(path, graph)
-        back = fileio.read_graph(path)
-        assert (back.source, back.rate, back.dof_mode) == ("src", graph.rate, mode)
-        assert (back.gauge_index, back.landmark_fixed) == (graph.gauge_index, graph.landmark_fixed)
-        for name in (
-            "times", "is_frame", "states", "landmark", "template",
-            "odo_i", "odo_j", "odo_meas", "odo_w_trans", "odo_w_rot",
-            "obs_node", "obs_pole", "obs_meas", "obs_w_trans", "obs_w_rot",
-        ):
-            np.testing.assert_array_equal(getattr(back, name), getattr(graph, name), err_msg=name)
+        assert_same_graph(fileio.read_graph(path), graph)
 
 
 class TestInjection:
@@ -367,18 +369,31 @@ class TestGraphs:
         graph = self.graph_for(mode, scenario)
         path = tmp_path / "graph.txt"
         fileio.write_graph(path, graph)
-        back = fileio.read_graph(path)
-        assert back.source == graph.source
-        assert back.dof_mode == graph.dof_mode
-        assert back.gauge_index == graph.gauge_index
-        for name in (
-            "times", "is_frame", "states", "landmark", "template",
-            "odo_i", "odo_j", "odo_meas", "odo_w_trans", "odo_w_rot",
-            "obs_node", "obs_pole", "obs_meas", "obs_w_trans", "obs_w_rot",
-        ):
-            np.testing.assert_array_equal(
-                getattr(back, name), getattr(graph, name), err_msg=name
-            )
+        assert_same_graph(fileio.read_graph(path), graph)
+
+    @pytest.mark.parametrize(
+        "preset, mode",
+        [(sim.dvso_preset, None), (sim.wheel_preset, None), (sim.dvso_preset, PLANAR)],
+        ids=["dvso", "wheel", "dvso-planar"],
+    )
+    def test_solved_graph_round_trip_is_lossless(self, tmp_path, preset, mode):
+        # the default scenario's sparse solve, as `optimize` writes it; the raw
+        # closure is measured on the problem as built, so nothing that the
+        # report needs is lost on the way through the file
+        noise = preset()
+        truth = sim.generate_ground_truth(sim.TrajectoryProfile(), noise.frame_rate)
+        track, _ = sim.corrupt(truth, noise, seed=1)
+        observations = sim.simulate_landmark_observations(
+            truth, sim.LandmarkLayout(), sim.default_placement(), sim.DetectionModel(), seed=2
+        )
+        result = pipeline.optimize_track(track, observations, mode=mode)
+        path = tmp_path / "graph.txt"
+        for graph in (result.raw_graph, result.graph):
+            fileio.write_graph(path, graph)
+            assert_same_graph(fileio.read_graph(path), graph)
+        report = metrics.per_frame_corrections(result.raw_graph, result.graph.states)
+        assert report == result.report
+        assert report.closure_raw != report.closure_optimized
 
     def test_round_trip_preserves_cost(self, tmp_path, scenario):
         for landmark_fixed in (False, True):
@@ -442,7 +457,7 @@ class TestGraphs:
     @pytest.mark.parametrize(
         "case",
         ["repeated-node", "gapped-node", "renumbered-poles", "two-landmarks", "two-gauges",
-         "landmark-fixed-yes"],
+         "landmark-fixed-yes", "gauge-one"],
     )
     def test_ids_and_singletons_checked(self, tmp_path, case):
         # a repeated id must not replace the earlier row, nor poles 1/2 become
@@ -460,6 +475,8 @@ class TestGraphs:
             lines = [ln.replace(row, "NODE 2 ") for ln in lines]
         elif case == "landmark-fixed-yes":
             lines.insert(3, "# landmark_fixed: yes")
+        elif case == "gauge-one":
+            lines = [ln.replace("GAUGE 0", "GAUGE 1") for ln in lines]
         else:
             lines += [next(ln for ln in lines if ln.startswith(row))]
         path.write_text("\n".join(lines) + "\n")
@@ -470,7 +487,17 @@ class TestGraphs:
             "gapped-node": "NODE ids must be 0..1, each once",
             "renumbered-poles": "POLE ids must be 0..1, each once",
             "landmark-fixed-yes": "landmark_fixed must be true or false, got 'yes'",
+            "gauge-one": "the gauge is node 0, got GAUGE 1",
         }.get(case, "needs one LANDMARK_FRAME and at most one GAUGE record") in str(err.value)
+
+    def test_one_node_rejected(self, tmp_path):
+        path = tmp_path / "graph.txt"
+        fileio.write_graph(path, golden_graph(PLANAR))
+        lines = path.read_text().splitlines()
+        keep = [ln for ln in lines if not ln.startswith(("NODE 1 ", "EDGE_"))]
+        path.write_text("\n".join(keep) + "\n")
+        with pytest.raises(DataError, match=r"graph\.txt: a graph needs at least two nodes, got 1"):
+            fileio.read_graph(path)
 
     def test_incomplete_file_rejected(self, tmp_path):
         path = tmp_path / "graph.txt"
@@ -595,7 +622,7 @@ class TestGoldenBytes:
             ),
             "full3d": (
                 f"{source}# dof_mode: full3d\n"
-                "GAUGE 1\n"
+                "GAUGE 0\n"
                 "NODE 0 0 1 0 0 0 0 0 0 1\n"
                 f"NODE 1 0.20000000000000001 0 0.10000000000000001 0 0 {Q_DISK}\n"
                 f"LANDMARK_FRAME 0.10000000000000001 0 0 {Q_DISK}\n"
@@ -606,7 +633,7 @@ class TestGoldenBytes:
             ),
             "planar": (
                 f"{source}# dof_mode: planar\n"
-                "GAUGE 1\n"
+                "GAUGE 0\n"
                 "NODE 0 0 1 0 0 0\n"
                 "NODE 1 0.20000000000000001 0 0.10000000000000001 0 -0.5\n"
                 "LANDMARK_FRAME 0.10000000000000001 0 -0.5\n"
@@ -617,7 +644,7 @@ class TestGoldenBytes:
             ),
             "planar-fixed": (
                 f"{source}# dof_mode: planar\n# landmark_fixed: true\n"
-                "GAUGE 1\n"
+                "GAUGE 0\n"
                 "NODE 0 0 1 0 0 0\n"
                 "NODE 1 0.20000000000000001 0 0.10000000000000001 0 -0.5\n"
                 "LANDMARK_FRAME 0.10000000000000001 0 -0.5\n"

@@ -60,7 +60,7 @@ class TestCorrections:
     def test_report_matches_frame_level_recomputation(self):
         graph, track, _, _ = corrupted_scenario(seed=2)
         solved, _ = opt.optimize(graph)
-        report = metrics.per_frame_corrections(solved)
+        report = metrics.per_frame_corrections(graph, solved.states)
 
         frames = metrics.frame_node_indices(solved)
         frame_states = solved.states[frames]
@@ -74,6 +74,10 @@ class TestCorrections:
         assert report.frame_count == track.frame_count
         assert report.trans_per_frame == pytest.approx(tmag.mean(), abs=1e-12)
         assert report.rot_deg_per_frame == pytest.approx(rmag.mean(), abs=1e-12)
+        # the raw closure is the problem's own, the track as recorded
+        raw_xy, raw_z = metrics.closure_error(track.poses, FULL3D)
+        assert (report.closure_raw, report.closure_raw_z) == (raw_xy, raw_z)
+        assert report.closure_optimized == metrics.closure_error(solved.states, FULL3D)[0]
 
     def test_zero_weight_observations_change_nothing(self):
         with_obs, _, _, _ = corrupted_scenario(seed=3, obs_weight=0.0)

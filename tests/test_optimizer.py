@@ -107,9 +107,9 @@ class TestConvergence:
 
     def test_gauge_node_bit_identical(self):
         graph = simulated_graph(seed=5)
-        before = graph.states[graph.gauge_index].copy()
+        before = graph.states[0].copy()
         solved, _ = opt.optimize(graph)
-        assert np.array_equal(solved.states[graph.gauge_index], before)
+        assert np.array_equal(solved.states[0], before)
 
     def test_input_graph_not_mutated(self):
         graph = simulated_graph(seed=6)
@@ -123,7 +123,7 @@ class TestConvergence:
         graph, _, _, _ = small_problem()  # zero cost
         rng = np.random.default_rng(0)
         moved = rng.normal(0.0, 1e-12, (graph.node_count, graph.group.tangent_dim))
-        moved[graph.gauge_index] = 0.0
+        moved[0] = 0.0  # the gauge
         states, _ = gmod.retract(graph, graph.states, graph.landmark, moved, None)
         _, stats = opt.optimize(dataclasses.replace(graph, states=states))
         # the step undoes nearly all of a cost far above rounding level
@@ -271,9 +271,7 @@ def einsum_products(graph, ev, jacobians, huber_delta):
 def coo_assemble(graph, products, gvecs):
     """Reference assembly: COO triplets summed by tocsr, np.add.at scatters."""
     d = graph.group.tangent_dim
-    bid = np.arange(graph.node_count)
-    bid[graph.gauge_index] = -1
-    bid[graph.gauge_index + 1:] -= 1
+    bid = np.arange(graph.node_count) - 1  # node 0, the gauge, is no variable
     size = (graph.node_count - 1) * d
     oi, oj, si = bid[graph.odo_i], bid[graph.odo_j], bid[graph.obs_node]
     offsets = np.arange(d)
@@ -307,10 +305,6 @@ def coo_assemble(graph, products, gvecs):
 def oracle_case(case):
     mode = PLANAR if case == "planar" else FULL3D
     graph, _, _, _ = small_problem(mode, landmark_fixed=case == "landmark-fixed")
-    if case == "gauge-middle":
-        graph = dataclasses.replace(graph, gauge_index=graph.node_count // 2)
-    if case == "gauge-last":
-        graph = dataclasses.replace(graph, gauge_index=graph.node_count - 1)
     if case == "no-observations":
         graph = dataclasses.replace(
             graph, obs_node=graph.obs_node[:0], obs_pole=graph.obs_pole[:0],
@@ -354,8 +348,7 @@ def assert_system_close(got, want, bw, rtol):
 
 
 CASES = [
-    "planar", "full3d", "gauge-middle", "gauge-last", "landmark-fixed",
-    "no-observations", "shared-nodes", "huber",
+    "planar", "full3d", "landmark-fixed", "no-observations", "shared-nodes", "huber",
 ]
 
 
