@@ -246,11 +246,6 @@ def pose3_inverse(p):
     return np.concatenate([-quat_rotate(qc, p[..., :3]), qc], axis=-1)
 
 
-def pose3_relative(a, b):
-    """Transform taking frame a to frame b: a^-1 * b."""
-    return pose3_compose(pose3_inverse(a), b)
-
-
 def se3_exp(xi):
     xi = np.asarray(xi, dtype=float)
     rho, theta = xi[..., :3], xi[..., 3:]
@@ -339,10 +334,6 @@ def pose2_inverse(p):
     x = -(c * p[..., 0] + s * p[..., 1])
     y = -(-s * p[..., 0] + c * p[..., 1])
     return np.stack([x, y, wrap_angle(-p[..., 2])], axis=-1)
-
-
-def pose2_relative(a, b):
-    return pose2_compose(pose2_inverse(a), b)
 
 
 def _se2_v_coeffs(gamma):
@@ -492,6 +483,8 @@ SE3 = Group(
     pose3_compose, pose3_inverse, se3_exp, se3_log, se3_adjoint,
     se3_right_jacobian_inv, _copy, _copy,
 )
+pose2_relative = SE2.relative
+pose3_relative = SE3.relative
 
 
 # ---------------------------------------------------------------------------

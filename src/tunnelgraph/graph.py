@@ -21,7 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry as geom
-from .sync import FULL3D, PLANAR, AlignedSequence, DataError
+from .sync import (
+    FULL3D, PLANAR, AlignedSequence, DataError, RowError, _check_times,
+    _check_unit_quaternions, _check_weights,
+)
 
 GROUPS = {PLANAR: geom.SE2, FULL3D: geom.SE3}
 
@@ -32,10 +35,13 @@ class PoseGraph:
 
     ``states`` and ``landmark`` are the free variables (modulo node 0,
     the gauge, and ``landmark_fixed``); everything else is fixed problem
-    data.  The nodes, at least two, are time-ordered and the odometry
-    edges chain them: edge ``e`` joins node ``e`` to node ``e + 1``.
-    Observation edges are ordered by node, so each node's sightings are
-    contiguous.
+    data.  The nodes, at least two, have finite, strictly increasing times
+    and the odometry edges chain them: edge ``e`` joins node ``e`` to node
+    ``e + 1``.  Observation edges are ordered by node, so each node's
+    sightings are contiguous.  Every weight is finite and non-negative, so
+    that the normal equations are positive semidefinite, and in full-3D
+    mode every packed pose holds a unit quaternion; a violation raises a
+    :class:`DataError`.
     """
 
     source: str
@@ -72,6 +78,20 @@ class PoseGraph:
                 raise DataError("observation edge references a missing pole id")
             if np.any(np.diff(self.obs_node) < 0):
                 raise DataError("observation edges must be ordered by node")
+        # the rules the track and sighting types apply to their rows
+        checks = {
+            "node times": (_check_times, self.times),
+            "odometry weights": (_check_weights, self.odo_w_trans, self.odo_w_rot),
+            "observation weights": (_check_weights, self.obs_w_trans, self.obs_w_rot),
+        }
+        if self.dof_mode == FULL3D:
+            for name in ("states", "landmark", "template", "odo_meas", "obs_meas"):
+                checks[name] = (_check_unit_quaternions, np.atleast_2d(getattr(self, name)))
+        for name, (check, *columns) in checks.items():
+            try:
+                check(*columns)
+            except RowError as exc:
+                raise DataError(f"{name} row {exc.row}: {exc.reason}") from None
 
     @property
     def node_count(self) -> int:
@@ -188,19 +208,16 @@ def residual_functions(graph: PoseGraph):
 class Evaluation:
     """Every edge at one state.  Per odometry (E) and observation (M) edge:
     the tangent residual ``r_*`` and the weight ``w_*`` of each of its
-    components, (E, d) and (M, d); the weighted squared norm ``sq_*``,
-    r^T W r; and the IRLS factor ``irls_*`` the Huber kernel puts on that
-    weight (ones without Huber).  ``rel_odo`` is each odometry edge's
-    transform s_i^-1 * s_j.  ``cost``, the sum of the Huber-composed edge
-    costs, is the objective the solver minimizes."""
+    components, (E, d) and (M, d), and the IRLS factor ``irls_*`` the
+    Huber kernel puts on that weight (ones without Huber).  ``rel_odo`` is
+    each odometry edge's transform s_i^-1 * s_j.  ``cost``, the sum of the
+    Huber-composed edge costs, is the objective the solver minimizes."""
 
     rel_odo: np.ndarray
     r_odo: np.ndarray
     r_obs: np.ndarray
     w_odo: np.ndarray
     w_obs: np.ndarray
-    sq_odo: np.ndarray
-    sq_obs: np.ndarray
     irls_odo: np.ndarray
     irls_obs: np.ndarray
     cost: float
@@ -243,9 +260,7 @@ def evaluate(graph: PoseGraph, states=None, landmark=None, huber_delta=0.0) -> E
     cost_odo, irls_odo = _huber(sq_odo, huber_delta)
     cost_obs, irls_obs = _huber(sq_obs, huber_delta)
     cost = float(np.sum(cost_odo)) + float(np.sum(cost_obs))
-    return Evaluation(
-        rel_odo, r_odo, r_obs, w_odo, w_obs, sq_odo, sq_obs, irls_odo, irls_obs, cost
-    )
+    return Evaluation(rel_odo, r_odo, r_obs, w_odo, w_obs, irls_odo, irls_obs, cost)
 
 
 def total_cost(graph: PoseGraph, states=None, landmark=None, huber_delta=0.0) -> float:

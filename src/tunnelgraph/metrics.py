@@ -131,8 +131,8 @@ def phase_breakdown(graph, intervals):
     return result
 
 
-def ate_rmse(times_est, positions_est, times_ref, positions_ref, rigid_align=True):
-    """RMS positional error, optionally after closed-form rigid alignment."""
+def ate_rmse(times_est, positions_est, times_ref, positions_ref):
+    """RMS positional error after closed-form rigid alignment."""
     times_est = np.asarray(times_est, dtype=float)
     times_ref = np.asarray(times_ref, dtype=float)
     if not np.array_equal(times_est, times_ref):
@@ -142,14 +142,13 @@ def ate_rmse(times_est, positions_est, times_ref, positions_ref, rigid_align=Tru
     if est.shape != ref.shape:
         raise DataError("trajectories must have matching position shapes")
 
-    if rigid_align:
-        mu_e = est.mean(axis=0)
-        mu_r = ref.mean(axis=0)
-        cross = (est - mu_e).T @ (ref - mu_r)
-        u, _, vt = np.linalg.svd(cross)
-        sign = np.sign(np.linalg.det(vt.T @ u.T))
-        fix = np.eye(est.shape[1])
-        fix[-1, -1] = sign
-        rot = vt.T @ fix @ u.T
-        est = (rot @ (est - mu_e).T).T + mu_r
+    mu_e = est.mean(axis=0)
+    mu_r = ref.mean(axis=0)
+    cross = (est - mu_e).T @ (ref - mu_r)
+    u, _, vt = np.linalg.svd(cross)
+    sign = np.sign(np.linalg.det(vt.T @ u.T))
+    fix = np.eye(est.shape[1])
+    fix[-1, -1] = sign
+    rot = vt.T @ fix @ u.T
+    est = (rot @ (est - mu_e).T).T + mu_r
     return float(np.sqrt(np.mean(np.sum((est - ref) ** 2, axis=1))))

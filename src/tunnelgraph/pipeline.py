@@ -45,64 +45,17 @@ def derive_seed(base: int, tag: str) -> int:
     return (base * (1 << 32) + zlib.crc32(tag.encode("utf-8"))) % (1 << 63)
 
 
-def noise_odom_weights(noise: sim.NoiseProfile):
-    """Information weights implied by a fixed-magnitude noise profile.
-
-    A per-frame error of magnitude m is treated like a standard
-    deviation of m, giving weight 1/m^2 per component.  Zero magnitude
-    (a noiseless channel) falls back to unit weight; the residuals are
-    zero there anyway.
-    """
-    m_t = noise.trans_per_frame
-    m_r = np.radians(noise.rot_deg_per_frame)
-    w_t = 1.0 / (m_t * m_t) if m_t > 0 else 1.0
-    w_r = 1.0 / (m_r * m_r) if m_r > 0 else 1.0
-    return w_t, w_r
-
-
-def dense_detection_for(noise: sim.NoiseProfile) -> sim.DetectionModel:
-    """A detector that sees every pole from every frame, noiselessly.
-
-    Used by the calibration-recovery checks: with landmark constraints
-    at every frame the optimizer must attribute the full injected error
-    to per-frame corrections instead of spreading it between pins.
-    """
-    return sim.DetectionModel(
-        max_range=1e9,
-        max_bearing_deg=180.0,
-        rate=noise.frame_rate,
-        sigma_trans=0.0,
-        sigma_rot_deg=0.0,
-    )
-
-
-def recovery_obs_weights(noise: sim.NoiseProfile):
-    """Observation weights for recovery runs: pins two orders of
-    magnitude stiffer than the odometry channel they measure."""
-    m_t = noise.trans_per_frame
-    m_r = np.radians(noise.rot_deg_per_frame)
-    w_t = (100.0 / m_t) ** 2 if m_t > 0 else 1.0
-    w_r = (100.0 / m_r) ** 2 if m_r > 0 else 1.0
-    return w_t, w_r
-
-
 # ---------------------------------------------------------------------------
 # simulate
 
 
 @dataclass
 class SimulatedSource:
-    noise: sim.NoiseProfile
     track: sync.OdometryTrack
-    injection: sim.NoiseInjection
-    raw_path: str
-    injection_path: str
 
 
 @dataclass
 class SimulationArtifacts:
-    config: ScenarioConfig
-    ground_truth: sync.OdometryTrack
     observations: sync.ObservationSet
     sources: dict
     paths: list
@@ -153,9 +106,9 @@ def simulate_scenario(cfg: ScenarioConfig, out_dir, written=None) -> SimulationA
         injection_path = os.path.join(out_dir, f"{name}_injected.txt")
         written.append(injection_path)
         fileio.write_injection(injection_path, injection)
-        sources[name] = SimulatedSource(noise, track, injection, raw_path, injection_path)
+        sources[name] = SimulatedSource(track)
 
-    return SimulationArtifacts(cfg, truth, observations, sources, written)
+    return SimulationArtifacts(observations, sources, written)
 
 
 # ---------------------------------------------------------------------------
@@ -307,18 +260,28 @@ def report_run(run_dir, out_dir=None, written=None):
 # calibration recovery
 
 
-def recovery_run(noise: sim.NoiseProfile, seed: int, profile=None, layout=None):
+def recovery_run(noise: sim.NoiseProfile, seed: int, profile=None):
     """In-memory calibration-recovery measurement for one seed.
 
-    Dense noiseless pins at the frame rate with stiff weights force the
-    optimizer to undo the injected noise exactly, so the reported
-    per-frame means can be compared against the preset magnitudes.
+    A detector that sees every pole from every frame, noiselessly, pins
+    each frame with weights two orders of magnitude stiffer than the
+    odometry they measure, so the optimizer must attribute the full
+    injected error to per-frame corrections instead of spreading it
+    between pins, and the reported per-frame means can be compared
+    against the preset magnitudes.  A per-frame error of magnitude m
+    weighs like a standard deviation of m.
     """
     profile = profile or sim.TrajectoryProfile()
-    layout = layout or sim.LandmarkLayout()
+    layout = sim.LandmarkLayout()
     truth = sim.generate_ground_truth(profile, noise.frame_rate)
     track, injection = sim.corrupt(truth, noise, derive_seed(seed, f"corrupt-{noise.source}"))
-    detector = dense_detection_for(noise)
+    detector = sim.DetectionModel(
+        max_range=1e9,
+        max_bearing_deg=180.0,
+        rate=noise.frame_rate,
+        sigma_trans=0.0,
+        sigma_rot_deg=0.0,
+    )
     observations = sim.simulate_landmark_observations(
         truth,
         layout,
@@ -326,13 +289,14 @@ def recovery_run(noise: sim.NoiseProfile, seed: int, profile=None, layout=None):
         detector,
         derive_seed(seed, OBSERVATION_STREAM),
     )
-    w_t, w_r = recovery_obs_weights(noise)
-    observations = sync.with_weights(observations, w_t, w_r)
+    m_t, m_r = noise.trans_per_frame, np.radians(noise.rot_deg_per_frame)
+    weight = sim.information_weight
+    observations = sync.with_weights(observations, weight(m_t / 100.0), weight(m_r / 100.0))
     result = optimize_track(
         track,
         observations,
         mode=noise.dof_mode,
         layout=layout,
-        odom_weights=noise_odom_weights(noise),
+        odom_weights=(weight(m_t), weight(m_r)),
     )
     return result, injection

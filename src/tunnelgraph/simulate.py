@@ -153,6 +153,12 @@ PRESETS = {
 }
 
 
+def information_weight(sigma: float) -> float:
+    """Information weight of a channel with standard deviation ``sigma``:
+    1/sigma^2, or 1 for a noiseless channel, whose residuals are zero."""
+    return 1.0 / sigma**2 if sigma > 0.0 else 1.0
+
+
 @dataclass(frozen=True)
 class DetectionModel:
     """Range/bearing gates and cadence of the pole detector."""
@@ -174,11 +180,10 @@ class DetectionModel:
         )
 
     def weight_trans(self) -> float:
-        return 1.0 / self.sigma_trans**2 if self.sigma_trans > 0.0 else 1.0
+        return information_weight(self.sigma_trans)
 
     def weight_rot(self) -> float:
-        sigma = np.radians(self.sigma_rot_deg)
-        return 1.0 / sigma**2 if sigma > 0.0 else 1.0
+        return information_weight(np.radians(self.sigma_rot_deg))
 
 
 @dataclass(frozen=True)

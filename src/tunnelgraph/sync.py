@@ -69,6 +69,28 @@ def _check_unit_quaternions(packed) -> None:
         raise RowError(row, f"quaternion norm off unit by {gap[row]:.3g}")
 
 
+def _check_times(times) -> None:
+    """Every timestamp finite and past the previous one."""
+    # stated positively, so that a NaN timestamp fails too
+    ordered = np.isfinite(times) & (np.diff(times, prepend=-np.inf) > 0.0)
+    if not np.all(ordered):
+        row = int(np.argmin(ordered))
+        reason = f"does not increase past {times[row - 1]} from the previous frame"
+        if not np.isfinite(times[row]):
+            reason = "is not finite"
+        raise RowError(row, f"timestamp {times[row]} {reason}")
+
+
+def _check_weights(w_trans, w_rot) -> None:
+    """Every row's information weights finite and non-negative."""
+    weights = np.stack([w_trans, w_rot])
+    invalid = ~np.all(np.isfinite(weights) & (weights >= 0.0), axis=0)
+    if np.any(invalid):
+        raise RowError(
+            int(np.argmax(invalid)), "information weights must be finite and non-negative"
+        )
+
+
 # range rules for check_fields: (accepts, reason), stated positively so NaN fails
 POSITIVE = (lambda v: v > 0.0, "must be positive")
 NON_NEGATIVE = (lambda v: v >= 0.0, "must be non-negative")
@@ -118,14 +140,7 @@ class OdometryTrack:
             raise DataError(f"track {self.source!r}: times/poses shape mismatch")
         if times.size < 2:
             raise DataError(f"track {self.source!r}: needs at least two frames")
-        # stated positively, so that a NaN timestamp fails too
-        ordered = np.isfinite(times) & (np.diff(times, prepend=-np.inf) > 0.0)
-        if not np.all(ordered):
-            row = int(np.argmin(ordered))
-            reason = f"does not increase past {times[row - 1]} from the previous frame"
-            if not np.isfinite(times[row]):
-                reason = "is not finite"
-            raise RowError(row, f"timestamp {times[row]} {reason}")
+        _check_times(times)
         _check_unit_quaternions(poses)
         times.setflags(write=False)
         poses.setflags(write=False)
@@ -209,12 +224,7 @@ class ObservationSet:
         pole_ids = _column(self.pole_ids, int, count)
         w_trans = _column(self.w_trans, float, count)
         w_rot = _column(self.w_rot, float, count)
-        weights = np.stack([w_trans, w_rot])
-        invalid = ~np.all(np.isfinite(weights) & (weights >= 0.0), axis=0)
-        if np.any(invalid):
-            raise RowError(
-                int(np.argmax(invalid)), "information weights must be finite and non-negative"
-            )
+        _check_weights(w_trans, w_rot)
         if np.any(pole_ids < 0):
             raise RowError(int(np.argmax(pole_ids < 0)), "pole id must be non-negative")
         _check_unit_quaternions(rel)
@@ -287,13 +297,11 @@ def align(
     Observation timestamps must fall inside the track's time span.  A
     timestamp that coincides with a frame reuses that node; otherwise a
     node is inserted on the geodesic between the bracketing frames and
-    the frame's measured step is split at that point.  The odometry
-    weights (translation, rotation) must be finite and non-negative, so
-    that the normal equations are positive semidefinite.
+    the frame's measured step is split at that point.  Every step takes
+    the odometry weights (translation, rotation); the graph built from
+    the sequence checks them.
     """
     w_odo = np.array(odom_weights, dtype=float)
-    if not np.all(np.isfinite(w_odo) & (w_odo >= 0.0)):
-        raise DataError(f"odometry weights must be finite and non-negative, got {w_odo}")
     order = np.lexsort((observations.pole_ids, observations.times))
     obs_times = observations.times[order]
     t0, t1 = float(track.times[0]), float(track.times[-1])
@@ -304,18 +312,11 @@ def align(
             f"[{t0}, {t1}]"
         )
 
-    extra = np.unique(obs_times[~np.isin(obs_times, track.times)])
-
-    times = np.concatenate([track.times, extra])
-    node_order = np.argsort(times, kind="stable")
-    times = times[node_order]
-    is_frame = np.concatenate(
-        [np.ones(track.times.size, dtype=bool), np.zeros(extra.size, dtype=bool)]
-    )[node_order]
-
+    times = np.union1d(track.times, obs_times)
+    is_frame = np.isin(times, track.times)
     poses = np.empty((times.size, 7))
     poses[is_frame] = track.poses
-    poses[~is_frame] = track.poses_at(extra)
+    poses[~is_frame] = track.poses_at(times[~is_frame])
 
     meas = geom.pose3_relative(poses[:-1], poses[1:])
     w_trans = np.full(times.size - 1, w_odo[0])

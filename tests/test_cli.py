@@ -326,6 +326,37 @@ class TestExitCodes:
         assert not (out / "dvso_xy.csv").exists()
         assert not (out / "report.csv").exists()
 
+    @pytest.mark.parametrize("case", ["weight-and-quaternion", "nan-time", "repeated-time"])
+    def test_graph_row_rules_exit_2(self, tmp_path, capsys, case):
+        # the checks a track or observation file gets, applied to a graph file
+        out = self.optimized_run(tmp_path)
+        path = out / "dvso_graph.txt"
+        lines = path.read_text().splitlines()
+
+        def edit(prefix, field, value):
+            k = next(k for k, ln in enumerate(lines) if ln.startswith(prefix))
+            fields = lines[k].split()
+            fields[field] = value
+            lines[k] = " ".join(fields)
+
+        if case == "weight-and-quaternion":
+            edit("EDGE_ODOM 0 ", -1, "-5")  # weight_rot
+            edit("NODE 3 ", -1, "3.0")  # qw, scalar-last on disk
+            expected = "odometry weights row 0: information weights must be finite"
+        elif case == "nan-time":
+            edit("NODE 3 ", 2, "nan")
+            expected = "node times row 3: timestamp nan is not finite"
+        else:
+            edit("NODE 3 ", 2, next(ln for ln in lines if ln.startswith("NODE 2 ")).split()[2])
+            expected = "node times row 3: timestamp"
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert cli.main(["report", "--dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"dvso_graph.txt: {expected}" in err
+        for name in ("report.csv", "report.txt", "dvso_xy.csv", "dvso_poles.csv"):
+            assert not (out / name).exists()
+
     def test_repeated_source_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, SMALL_CONFIG.replace("dvso", "dvso dvso"))
         assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path / "run")]) == 2

@@ -307,11 +307,14 @@ class TestPropertyRoundTrips:
         dim = gmod.GROUPS[mode].packed_dim
         node = st.integers(0, n - 1)
         weight = st.floats(0.0, 1e12)
+        # strictly increasing, as a graph's node times must be
+        steps = data.draw(hnp.arrays(float, n - 1, elements=st.floats(1e-3, 1e3)))
+        times = data.draw(st.floats(-1e6, 1e6)) + np.concatenate([[0.0], np.cumsum(steps)])
         graph = gmod.PoseGraph(
             source="src",
             rate=data.draw(st.floats(1e-3, 1e3)),
             dof_mode=mode,
-            times=data.draw(hnp.arrays(float, n, elements=FINITE)),
+            times=times,
             is_frame=data.draw(hnp.arrays(bool, n)),
             states=states_for(data.draw, mode, n),
             landmark=states_for(data.draw, mode, 1)[0],
@@ -490,6 +493,29 @@ class TestGraphs:
             "gauge-one": "the gauge is node 0, got GAUGE 1",
         }.get(case, "needs one LANDMARK_FRAME and at most one GAUGE record") in str(err.value)
 
+    @pytest.mark.parametrize(
+        "record, field, value, message",
+        [
+            ("EDGE_ODOM ", -1, "-5", "odometry weights row 0: information weights must be"),
+            ("NODE 1 ", -1, "3.0", "states row 1: quaternion norm off unit"),
+            ("NODE 1 ", 2, "nan", "node times row 1: timestamp nan is not finite"),
+            ("NODE 1 ", 2, "0", "node times row 1: timestamp 0.0 does not increase past 0.0"),
+        ],
+        ids=["negative-weight", "non-unit-quaternion", "nan-time", "repeated-time"],
+    )
+    def test_row_rules_checked(self, tmp_path, record, field, value, message):
+        # the rules read_track and read_observations apply hold for a graph file
+        path = tmp_path / "graph.txt"
+        fileio.write_graph(path, golden_graph(FULL3D))
+        lines = path.read_text().splitlines()
+        k = next(k for k, line in enumerate(lines) if line.startswith(record))
+        fields = lines[k].split()
+        fields[field] = value
+        lines[k] = " ".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=r"graph\.txt: " + message):
+            fileio.read_graph(path)
+
     def test_one_node_rejected(self, tmp_path):
         path = tmp_path / "graph.txt"
         fileio.write_graph(path, golden_graph(PLANAR))
@@ -546,16 +572,16 @@ class TestReports:
     def test_stats_json_round_trip(self, tmp_path):
         record = {"damping": 1e-6, "rejected": 0, "step_norm": 0.25, "solve_s": 0.01}
         undefined = {**record, "grad_inf": 2.5, "gain_ratio": None}
-        stats = opt.SolveStats(
-            3, 10.0, 0.5, "cost-threshold", [10.0, 1.0, 0.5], [record, undefined]
-        )
+        stats = opt.SolveStats("cost-threshold", [10.0, 1.0, 0.5], [record, undefined])
         report = ErrorReport("dvso", 5.0, 100, 0.001, 0.01, 0.5, 0.1)
         path = tmp_path / "stats.json"
         fileio.write_stats_json(path, stats, report)
         back = fileio.read_stats_json(path)
         assert back["source"] == "dvso"
         assert back["trans_m_per_s"] == pytest.approx(0.005)
-        assert back["solver"]["iterations"] == 3
+        # the counts are derived from the trace and the records
+        assert back["solver"]["iterations"] == 2
+        assert (back["solver"]["initial_cost"], back["solver"]["final_cost"]) == (10.0, 0.5)
         assert back["solver"]["cost_trace"] == [10.0, 1.0, 0.5]
         assert back["solver"]["per_iteration"] == [record, undefined]
         assert '"gain_ratio": null' in path.read_text()  # not NaN, which is not JSON

@@ -163,6 +163,34 @@ class TestConnectivity:
         )
         assert shared.obs_count == 4
 
+class TestRowRules:
+    """A graph's rows obey the rules that tracks and sighting sets apply."""
+
+    @pytest.mark.parametrize(
+        "name, row, value, message",
+        [
+            ("obs_w_rot", 1, -5.0, "observation weights row 1: information weights must be"),
+            ("odo_w_trans", 4, np.inf, "odometry weights row 4: information weights must be"),
+            ("template", (2, 3), 3.0, "template row 2: quaternion norm off unit by 2"),
+            ("times", 3, np.nan, "node times row 3: timestamp nan is not finite"),
+            ("times", 3, 0.5, "node times row 3: timestamp 0.5 does not increase past 0.5"),
+        ],
+        ids=["negative-weight", "infinite-weight", "non-unit-quaternion", "nan-time",
+             "repeated-time"],
+    )
+    def test_bad_row_rejected(self, name, row, value, message):
+        graph, _, _, _ = small_problem()
+        column = getattr(graph, name).copy()
+        column[row] = value
+        with pytest.raises(DataError, match=message):
+            dataclasses.replace(graph, **{name: column})
+
+    def test_planar_states_hold_no_quaternion(self):
+        # [x, y, yaw] has no quaternion to check, so any finite yaw is accepted
+        graph, _, _, _ = small_problem(mode=PLANAR)
+        dataclasses.replace(graph, landmark=np.array([1.0, 2.0, 3.0]))
+
+
 class TestResiduals:
     def test_exact_chain_has_zero_cost(self):
         graph, _, _, _ = small_problem()
@@ -190,9 +218,9 @@ class TestResiduals:
         ev = gmod.evaluate(graph)
         (r,) = ev.r_odo
         np.testing.assert_allclose(r, [-0.1, 0, 0, 0, 0, 0], atol=1e-15)
-        assert ev.sq_odo[0] == pytest.approx(4.0 * 0.1 * 0.1)
-        assert ev.sq_obs.size == 0
-        assert gmod.total_cost(graph) == pytest.approx(ev.sq_odo[0])
+        assert ev.cost == pytest.approx(4.0 * 0.1 * 0.1)  # the translation weight is 4
+        assert ev.r_obs.size == 0
+        assert gmod.total_cost(graph) == ev.cost
         # Huber at delta 0.1: the edge's norm 0.2 is past the cut, so its cost
         # is 2 * 0.1 * 0.2 - 0.1^2 and its weight is scaled by 0.1 / 0.2
         robust = gmod.evaluate(graph, huber_delta=0.1)

@@ -169,14 +169,6 @@ class TestAte:
         est = geom.quat_rotate(q, ref) + np.array([5.0, -2.0, 1.0])
         assert metrics.ate_rmse(times, est, times, ref) < 1e-9
 
-    def test_offset_without_alignment(self):
-        times = np.arange(10.0)
-        ref = np.zeros((10, 3))
-        ref[:, 0] = np.arange(10.0)
-        est = ref + np.array([0.0, 0.1, 0.0])
-        out = metrics.ate_rmse(times, est, times, ref, rigid_align=False)
-        assert out == pytest.approx(0.1, abs=1e-12)
-
     def test_timestamp_mismatch_rejected(self):
         times = np.arange(10.0)
         pos = np.zeros((10, 3))

@@ -507,6 +507,17 @@ def test_sparse_solve_converges_in_few_iterations(monkeypatch, source, seed, mos
     assert stats.final_cost == pytest.approx(reference.final_cost, rel=1e-11)
 
 
+@pytest.mark.parametrize("max_iterations", [1, 100])
+@pytest.mark.parametrize("source", ["dvso", "wheel"])
+def test_stats_counts_follow_the_trace(source, max_iterations):
+    noise = sim.PRESETS[source]()
+    raw = default_sparse_run(noise, 1000, noise.dof_mode).raw_graph
+    solved, stats = opt.optimize(raw, SolverSettings(max_iterations=max_iterations))
+    assert stats.iterations == len(stats.cost_trace) - 1 == len(stats.per_iteration)
+    assert stats.final_cost == stats.cost_trace[-1] == gmod.total_cost(solved)
+    assert stats.initial_cost == stats.cost_trace[0] == gmod.total_cost(raw)
+
+
 @pytest.mark.parametrize("source", ["dvso", "wheel"])
 @pytest.mark.parametrize("seed", [1001, 7000])
 def test_recovery_solve_rejects_no_trial(source, seed):

@@ -369,6 +369,11 @@ class TestDetection:
         assert quiet.weight_trans() == 1.0
         assert quiet.weight_rot() == 1.0
 
+    def test_information_weight(self):
+        assert sim.information_weight(0.0) == 1.0  # a noiseless channel
+        assert sim.information_weight(0.5) == 4.0
+        assert sim.information_weight(0.005) == 1.0 / 0.005**2
+
     def test_observation_determinism(self):
         gt = sim.generate_ground_truth(sim.TrajectoryProfile(), 5.0)
         args = (gt, sim.LandmarkLayout(), sim.default_placement(), sim.DetectionModel())
