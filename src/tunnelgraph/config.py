@@ -30,7 +30,7 @@ from .simulate import (
     NoiseProfile,
     TrajectoryProfile,
 )
-from .sync import DataError, FieldError, check_fields
+from .sync import SOURCE_NAME, DataError, FieldError, check_fields
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -44,8 +44,11 @@ class ScenarioConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "sources", tuple(self.sources))
-        distinct = (lambda v: 0 < len(v) == len(set(v)), "must name sources, none twice")
-        check_fields(self, sources=distinct)
+        names = (
+            lambda v: 0 < len(v) == len(set(v)) and all(SOURCE_NAME[0](n) for n in v),
+            f"must name sources, none twice, and each name {SOURCE_NAME[1]}",
+        )
+        check_fields(self, sources=names)
         filled = dict(self.noise)
         for name in self.sources:
             if name not in filled:

@@ -28,7 +28,7 @@ from .graph import GROUPS, PoseGraph
 from .metrics import ErrorReport
 from .optimizer import SolveStats
 from .simulate import NoiseInjection
-from .sync import DOF_MODES, DataError, ObservationSet, OdometryTrack, RowError
+from .sync import DOF_MODES, DataError, FieldError, ObservationSet, OdometryTrack, RowError
 
 FLOAT_FMT = "%.17g"
 
@@ -128,11 +128,13 @@ def _parse_rows(path, rows, kinds):
 
 
 def _checked(path, rows, build, *args):
-    """``build(*args)``, with a :class:`RowError` named by its row's line."""
+    """``build(*args)``, a :class:`RowError` named by its line and a FieldError by the file."""
     try:
         return build(*args)
     except RowError as exc:
         raise DataError(f"{path}:{rows[exc.row][0]}: {exc.reason}") from None
+    except FieldError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 def _source_lines(item) -> str:
@@ -401,16 +403,20 @@ def write_stats_json(path, stats: SolveStats, report: ErrorReport) -> None:
         "per_iteration": list(stats.per_iteration),
     }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
 def read_stats_json(path) -> dict:
-    """Solver stats file; the keys the report needs are checked for presence and type,
-    and ``solver.reason``, when present, must be a string."""
+    """Solver stats file in strict JSON (no NaN or Infinity); the keys the report needs
+    are checked for presence and type, and ``solver.reason``, when present, is a string."""
+
+    def reject(constant):
+        raise DataError(f"{path}: malformed JSON: {constant} is not a JSON number")
+
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            payload = json.load(fh)
+            payload = json.load(fh, parse_constant=reject)
         except json.JSONDecodeError as exc:
             raise DataError(f"{path}:{exc.lineno}: malformed JSON: {exc.msg}") from None
     if not isinstance(payload, dict):

@@ -128,12 +128,15 @@ def build_graph(
     aligned: AlignedSequence,
     layout,
     mode: str,
+    odom_weights=(1.0, 1.0),
     landmark_fixed: bool = False,
 ) -> PoseGraph:
     """Assemble the optimization problem from an aligned sequence.
 
-    ``layout`` provides the fixed pole template (``layout.template()``
-    packed (P, 7)).  Every pose is converted to the mode's group first.
+    This is the one place the problem is set: its mode, the fixed pole
+    template (``layout.template()`` packed (P, 7)), the odometry weights
+    (translation, rotation) every step takes, and whether the landmark
+    frame is free.  Every pose is converted to the mode's group first.
     The landmark frame starts where the first observation says it is:
     the predicted and measured relative pose of that pole coincide
     exactly at the initial estimate.
@@ -143,41 +146,27 @@ def build_graph(
     group = GROUPS[mode]
     states = group.from_pose3(aligned.poses)
     template = group.from_pose3(layout.template())
-    odo_meas = group.from_pose3(aligned.meas)
-
-    n = aligned.node_count
-    odo_i = np.arange(n - 1, dtype=int)
-    odo_j = odo_i + 1
-
+    edges = np.arange(aligned.node_count - 1, dtype=int)
     obs = aligned.observations
     order = aligned.obs_order
     obs_node = aligned.obs_node
     obs_pole = obs.pole_ids[order]
-    if np.any(obs_pole >= template.shape[0]):
-        raise DataError("observed pole id missing from the template")
     obs_meas = group.from_pose3(obs.rel[order])
-    if obs_node.size:
-        landmark = group.compose(
-            group.compose(states[obs_node[0]], obs_meas[0]),
-            group.inverse(template[obs_pole[0]]),
-        )
-    else:
-        landmark = group.identity.copy()
 
-    return PoseGraph(
-        source=aligned.source,
-        rate=aligned.rate,
+    graph = PoseGraph(
+        source=aligned.track.source,
+        rate=aligned.track.rate,
         dof_mode=mode,
         times=aligned.times.copy(),
         is_frame=aligned.is_frame.copy(),
         states=states,
-        landmark=landmark,
+        landmark=group.identity.copy(),
         template=template,
-        odo_i=odo_i,
-        odo_j=odo_j,
-        odo_meas=odo_meas,
-        odo_w_trans=aligned.meas_weight_trans.copy(),
-        odo_w_rot=aligned.meas_weight_rot.copy(),
+        odo_i=edges,
+        odo_j=edges + 1,
+        odo_meas=group.from_pose3(aligned.meas),
+        odo_w_trans=np.full(edges.size, odom_weights[0], dtype=float),
+        odo_w_rot=np.full(edges.size, odom_weights[1], dtype=float),
         obs_node=obs_node,
         obs_pole=obs_pole,
         obs_meas=obs_meas,
@@ -185,6 +174,12 @@ def build_graph(
         obs_w_rot=obs.w_rot[order],
         landmark_fixed=landmark_fixed,
     )
+    if graph.obs_count:  # the graph has checked that every pole id is in the template
+        graph.landmark = group.compose(
+            group.compose(states[obs_node[0]], obs_meas[0]),
+            group.inverse(template[obs_pole[0]]),
+        )
+    return graph
 
 
 # ---------------------------------------------------------------------------

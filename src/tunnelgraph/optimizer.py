@@ -23,8 +23,9 @@ it, and so does a step shorter than ``UPDATE_TOLERANCE``.
 The node chain gives a block-tridiagonal Hessian with one extra
 row/column coupling every observing node to the landmark frame.  The
 landmark is eliminated by Schur complement, so the node Hessian alone is
-factored, by banded Cholesky (LAPACK ``pbtrf`` through
-``scipy.linalg.cholesky_banded``) in time linear in the node count.
+factored and solved, by banded Cholesky (LAPACK ``pbsv``, which is
+``pbtrf`` then ``pbtrs``, through ``scipy.linalg.solveh_banded``) in time
+linear in the node count.
 
 Edges are evaluated by :func:`tunnelgraph.graph.evaluate`, once per trial;
 its cost is ``graph.total_cost(graph, states, landmark, huber_delta)``.  The
@@ -200,7 +201,7 @@ class _Assembler:
 
     The node-node Hessian ``A`` is held in LAPACK upper band storage,
     ``band[bw + r - c, c] = A[r, c]`` for ``r <= c`` with the diagonal in
-    the last row, column-major so ``pbtrf`` needs no layout copy.  The
+    the last row, column-major so ``pbsv`` needs no layout copy.  The
     chain couples each node to its successor only, so ``bw = 2d - 1``.
     The landmark frame contributes one coupled block column ``B`` (stored
     dense, it has only ``d`` columns) and a ``d x d`` corner ``C``.
@@ -259,12 +260,11 @@ class _Assembler:
         scale = damping * np.maximum(np.concatenate([band[-1], diag_c]), floor)
         damped = band.copy(order="F")
         damped[-1] += scale[: self.node_dim]
+        rhs = np.column_stack([g_nodes, b_mat])  # one pass, d + 1 columns
         try:
-            factor = linalg.cholesky_banded(damped, overwrite_ab=True, check_finite=False)
+            x_y = linalg.solveh_banded(damped, rhs, overwrite_ab=True, check_finite=False)
         except np.linalg.LinAlgError:
             return None
-        rhs = np.column_stack([g_nodes, b_mat])  # one pass, d + 1 columns
-        x_y = linalg.cho_solve_banded((factor, False), rhs, check_finite=False)
         x0, y_mat = x_y[:, 0], x_y[:, 1:]
         schur = c_mat + np.diag(scale[self.node_dim :]) - b_mat.T @ y_mat
         try:

@@ -139,8 +139,8 @@ def optimize_track(
     """
     mode = mode or track.dof_mode
     layout = layout or sim.LandmarkLayout()
-    aligned = sync.align(track, observations, odom_weights=odom_weights)
-    graph = gmod.build_graph(aligned, layout, mode, landmark_fixed=landmark_fixed)
+    aligned = sync.align(track, observations)
+    graph = gmod.build_graph(aligned, layout, mode, odom_weights, landmark_fixed=landmark_fixed)
     solved, stats = opt.optimize(graph, settings, progress)
     report = metrics.per_frame_corrections(graph, solved.states)
     return OptimizationResult(solved, stats, report, graph)
@@ -217,6 +217,8 @@ def report_run(run_dir, out_dir=None, written=None):
             continue
         graph = fileio.read_graph(graph_path)
         if cfg is not None:
+            if graph.pole_count != cfg.layout.count:
+                raise DataError(f"{graph_path}: pole count does not match {config_path}")
             phase_rows[name] = metrics.phase_breakdown(
                 graph, cfg.trajectory.phase_intervals()
             )

@@ -240,12 +240,7 @@ def generate_ground_truth(profile: TrajectoryProfile, rate: float) -> OdometryTr
         y[back] = np.sin(heading) * run
         yaw[back] = heading
 
-    yaw = geom.wrap_angle(yaw)
-    poses = np.zeros((count, 7))
-    poses[:, 0] = x
-    poses[:, 1] = y
-    poses[:, 3] = np.cos(0.5 * yaw)
-    poses[:, 6] = np.sin(0.5 * yaw)
+    poses = geom.SE2.to_pose3(np.stack([x, y, geom.wrap_angle(yaw)], axis=-1))
     return OdometryTrack(GROUND_TRUTH_SOURCE, rate, PLANAR, times, poses)
 
 

@@ -12,13 +12,16 @@ timestamps, inserting geodesically interpolated nodes where a sighting
 falls between frames, so that a pose-graph node exists at every
 constrained instant.  Inserted nodes split the raw frame-to-frame
 measurement into two parts whose composition reproduces the original;
-per-frame statistics later undo the split by re-merging.
+per-frame statistics later undo the split by re-merging.  Alignment
+builds the timeline only: the weights of the odometry edges belong to
+the problem, which :func:`tunnelgraph.graph.build_graph` sets.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import re
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -100,6 +103,13 @@ def one_of(choices):
     return (lambda v: v in choices, f"must be one of {choices}")
 
 
+# a source name becomes part of file names, so it is one plain word
+SOURCE_NAME = (
+    lambda v: re.fullmatch(r"[A-Za-z0-9_-]+", v) is not None,
+    "must be one word of letters, digits, '_' or '-'",
+)
+
+
 def check_fields(settings, **rules) -> None:
     """Validate a settings dataclass; the first bad field raises FieldError.
 
@@ -124,7 +134,7 @@ class OdometryTrack:
     planar tracks keep z, roll and pitch at exactly zero but use the same
     packing.  Timestamps must be finite and strictly increase, and
     quaternions unit within ``QUAT_NORM_TOLERANCE``; a bad row raises a
-    :class:`RowError`.
+    :class:`RowError`.  ``source`` must pass ``SOURCE_NAME``.
     """
 
     source: str
@@ -146,7 +156,7 @@ class OdometryTrack:
         poses.setflags(write=False)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "poses", poses)
-        check_fields(self, rate=POSITIVE, dof_mode=one_of(DOF_MODES))
+        check_fields(self, source=SOURCE_NAME, rate=POSITIVE, dof_mode=one_of(DOF_MODES))
 
     @property
     def frame_count(self) -> int:
@@ -202,9 +212,8 @@ class ObservationSet:
     non-negative pole ids, finite non-negative weights, and quaternion
     norms within ``QUAT_NORM_TOLERANCE`` of one (a NaN pose passes, to be
     reported as a numerical failure downstream); a bad row raises a
-    :class:`RowError`.  ``len``, iteration and integer
-    indexing give :class:`Sighting` rows; any other index gives the
-    selected rows as a new set.
+    :class:`RowError`.  ``len``, iteration and integer indexing give
+    :class:`Sighting` rows.
     """
 
     times: np.ndarray
@@ -239,18 +248,13 @@ class ObservationSet:
     def __len__(self) -> int:
         return int(self.times.size)
 
-    def __getitem__(self, index):
-        if isinstance(index, (int, np.integer)):
-            return Sighting(
-                int(self.pole_ids[index]),
-                float(self.times[index]),
-                self.rel[index],
-                float(self.w_trans[index]),
-                float(self.w_rot[index]),
-            )
-        return ObservationSet(
-            self.times[index], self.pole_ids[index], self.rel[index],
-            self.w_trans[index], self.w_rot[index],
+    def __getitem__(self, index: int) -> Sighting:
+        return Sighting(
+            int(self.pole_ids[index]),
+            float(self.times[index]),
+            self.rel[index],
+            float(self.w_trans[index]),
+            float(self.w_rot[index]),
         )
 
     def __iter__(self):
@@ -261,23 +265,19 @@ class ObservationSet:
 class AlignedSequence:
     """One track merged with observation timestamps.
 
-    Nodes are the union of sensor frames and sighting instants;
-    ``is_frame`` marks the original frames.  ``meas`` holds the measured
-    relative transform between consecutive nodes (split parts of a frame
-    step compose back to the raw step).  ``obs_order`` lists the rows of
-    ``observations`` by (timestamp, pole id), and ``obs_node[k]`` is the
-    node that sighting ``obs_order[k]`` is anchored at.
+    Nodes are the union of the frames of ``track`` and the sighting
+    instants; ``is_frame`` marks the original frames.  ``meas`` holds the
+    measured relative transform between consecutive nodes (split parts of
+    a frame step compose back to the raw step).  ``obs_order`` lists the
+    rows of ``observations`` by (timestamp, pole id), and ``obs_node[k]``
+    is the node that sighting ``obs_order[k]`` is anchored at.
     """
 
-    source: str
-    rate: float
-    dof_mode: str
+    track: OdometryTrack
     times: np.ndarray
     poses: np.ndarray
     is_frame: np.ndarray
     meas: np.ndarray
-    meas_weight_trans: np.ndarray
-    meas_weight_rot: np.ndarray
     observations: ObservationSet
     obs_order: np.ndarray
     obs_node: np.ndarray
@@ -287,21 +287,15 @@ class AlignedSequence:
         return int(self.times.size)
 
 
-def align(
-    track: OdometryTrack,
-    observations: ObservationSet,
-    odom_weights=(1.0, 1.0),
-) -> AlignedSequence:
+def align(track: OdometryTrack, observations: ObservationSet) -> AlignedSequence:
     """Merge a track with observation timestamps into one node sequence.
 
     Observation timestamps must fall inside the track's time span.  A
     timestamp that coincides with a frame reuses that node; otherwise a
     node is inserted on the geodesic between the bracketing frames and
-    the frame's measured step is split at that point.  Every step takes
-    the odometry weights (translation, rotation); the graph built from
-    the sequence checks them.
+    the frame's measured step is split at that point.  The steps carry no
+    weights: :func:`tunnelgraph.graph.build_graph` sets them.
     """
-    w_odo = np.array(odom_weights, dtype=float)
     order = np.lexsort((observations.pole_ids, observations.times))
     obs_times = observations.times[order]
     t0, t1 = float(track.times[0]), float(track.times[-1])
@@ -318,20 +312,12 @@ def align(
     poses[is_frame] = track.poses
     poses[~is_frame] = track.poses_at(times[~is_frame])
 
-    meas = geom.pose3_relative(poses[:-1], poses[1:])
-    w_trans = np.full(times.size - 1, w_odo[0])
-    w_rot = np.full(times.size - 1, w_odo[1])
-
     return AlignedSequence(
-        source=track.source,
-        rate=track.rate,
-        dof_mode=track.dof_mode,
+        track=track,
         times=times,
         poses=poses,
         is_frame=is_frame,
-        meas=meas,
-        meas_weight_trans=w_trans,
-        meas_weight_rot=w_rot,
+        meas=geom.pose3_relative(poses[:-1], poses[1:]),
         observations=observations,
         obs_order=order,
         obs_node=np.searchsorted(times, obs_times),

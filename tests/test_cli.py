@@ -245,7 +245,7 @@ class TestExitCodes:
         assert "numerical" in proc.stderr
 
     @staticmethod
-    def optimized_run(tmp_path):
+    def optimized_run(tmp_path, *options):
         out = tmp_path / "run"
         cfg = write_config(tmp_path, SMALL_CONFIG)
         assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 0
@@ -254,6 +254,7 @@ class TestExitCodes:
             "--track", str(out / "dvso_raw.txt"),
             "--observations", str(out / "observations.txt"),
             "--out", str(out),
+            *options,
         ]) == 0
         return out
 
@@ -357,13 +358,52 @@ class TestExitCodes:
         for name in ("report.csv", "report.txt", "dvso_xy.csv", "dvso_poles.csv"):
             assert not (out / name).exists()
 
+    def test_pole_count_mismatch_exits_2(self, tmp_path, capsys):
+        # the graph holds five poles, config_effective.txt four
+        out = self.optimized_run(tmp_path, "--pole-count", "5")
+        capsys.readouterr()
+        assert cli.main(["report", "--dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "dvso_graph.txt: pole count does not match" in err
+        assert "config_effective.txt" in err
+        for name in ("report.csv", "report.txt", "dvso_xy.csv", "dvso_poles.csv"):
+            assert not (out / name).exists()
+
+    def test_source_name_leaving_out_exits_2(self, tmp_path, capsys):
+        # the source name is part of every output file name
+        run = tmp_path / "run"
+        cfg = write_config(tmp_path, SMALL_CONFIG)
+        assert cli.main(["simulate", "--config", cfg, "--out", str(run)]) == 0
+        raw = run / "dvso_raw.txt"
+        raw.write_text(raw.read_text().replace("# source: dvso", "# source: ../escaped"))
+        before = sorted(os.listdir(run))
+        capsys.readouterr()
+        assert cli.main([
+            "optimize",
+            "--track", str(raw),
+            "--observations", str(run / "observations.txt"),
+            "--out", str(run / "out"),
+        ]) == 2
+        assert "dvso_raw.txt: source: must be one word" in capsys.readouterr().err
+        assert sorted(os.listdir(run)) == before
+        assert sorted(os.listdir(tmp_path)) == ["run", "scenario.txt"]
+
+    def test_config_source_leaving_out_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "sources = ../x\n" + "".join(
+            f"noise.../x.{key}\n"
+            for key in ("frame_rate = 4", "trans_per_frame = 0.01", "rot_deg_per_frame = 0.5")
+        ))
+        assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path / "run")]) == 2
+        assert "sources: must name sources" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["scenario.txt"]
+
     def test_repeated_source_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, SMALL_CONFIG.replace("dvso", "dvso dvso"))
         assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path / "run")]) == 2
         assert "sources: must name sources, none twice" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "case", ["missing-key", "not-an-object", "text-frames", "numeric-reason"]
+        "case", ["missing-key", "not-an-object", "text-frames", "numeric-reason", "nan-number"]
     )
     def test_schema_broken_stats_exits_2(self, tmp_path, capsys, case):
         out = self.optimized_run(tmp_path)
@@ -378,9 +418,12 @@ class TestExitCodes:
         elif case == "text-frames":
             payload["frames"] = "many"
             named = "'frames'"
-        else:
+        elif case == "numeric-reason":
             payload["solver"]["reason"] = 7
             named = "'solver.reason'"
+        else:
+            payload["trans_m_per_frame"] = float("nan")  # json.dumps writes NaN
+            named = "malformed JSON: NaN"
         path.write_text(json.dumps(payload))
         capsys.readouterr()
         assert cli.main(["report", "--dir", str(out)]) == 2

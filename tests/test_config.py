@@ -173,6 +173,17 @@ class TestErrors:
             parse_config("sources = dvso wheel dvso\n")
         assert "sources: must name sources, none twice" in str(err.value)
 
+    def test_source_name_is_one_plain_word(self):
+        # a source name becomes part of the output file names
+        with pytest.raises(DataError, match="sources: .* one word") as err:
+            parse_config(
+                "sources = ../x\n"
+                "noise.../x.frame_rate = 4\n"
+                "noise.../x.trans_per_frame = 0.01\n"
+                "noise.../x.rot_deg_per_frame = 0.5\n"
+            )
+        assert "../x" in str(err.value)
+
     def test_duplicate_key_rejected(self):
         with pytest.raises(DataError) as err:
             parse_config("seed = 1\nseed = 2\n")

@@ -173,6 +173,16 @@ class TestTracks:
         with pytest.raises(DataError, match=r"bad\.txt: rate_hz must be finite and positive"):
             fileio.read_track(path)
 
+    def test_source_that_leaves_the_directory_names_the_file(self, tmp_path):
+        # the source name becomes part of the output file names
+        path = tmp_path / "bad.txt"
+        path.write_text(
+            "# source: ../escaped\n# rate_hz: 5\n# dof_mode: full3d\n"
+            "0.0 0 0 0 0 0 0 1\n0.2 0 0 0 0 0 0 1\n"
+        )
+        with pytest.raises(DataError, match=r"bad\.txt: source: must be one word"):
+            fileio.read_track(path)
+
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("0.0 0 0 0 0 0 0 1\n")
@@ -218,7 +228,10 @@ class TestObservations:
         back = fileio.read_observations(path)
         assert [(o.weight_trans, o.weight_rot) for o in back] == [(5.0, 6.0), (7.0, 8.0)]
         # uniform weights keep the header-only layout of nine fields per line
-        fileio.write_observations(path, observations[:1])
+        uniform = sync.ObservationSet(
+            observations.times[:1], observations.pole_ids[:1], observations.rel[:1], 5.0, 6.0
+        )
+        fileio.write_observations(path, uniform)
         assert "# weight_trans: 5" in path.read_text()
         assert len(path.read_text().splitlines()[-1].split()) == 9
 
@@ -568,6 +581,17 @@ class TestReports:
         path.write_text('{\n  "source": "dvso",\n  "frames": ')
         with pytest.raises(DataError, match=r"stats\.json:3: malformed JSON"):
             fileio.read_stats_json(path)
+
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_stats_json_is_strict(self, tmp_path, constant):
+        path = tmp_path / "stats.json"
+        path.write_text(f'{{"source": "dvso", "trans_m_per_frame": {constant}}}\n')
+        with pytest.raises(DataError, match=rf"stats\.json: malformed JSON: {constant} "):
+            fileio.read_stats_json(path)
+        stats = opt.SolveStats("cost-threshold", [1.0], [])
+        report = ErrorReport("dvso", 5.0, 100, float(constant), 0.01, 0.5, 0.1)
+        with pytest.raises(ValueError):
+            fileio.write_stats_json(path, stats, report)
 
     def test_stats_json_round_trip(self, tmp_path):
         record = {"damping": 1e-6, "rejected": 0, "step_norm": 0.25, "solve_s": 0.01}

@@ -84,6 +84,24 @@ class TestBuild:
         with pytest.raises(DataError):
             gmod.build_graph(aligned, sim.LandmarkLayout(), "spherical")
 
+    def test_odometry_weights_fill_all_edges(self):
+        track = straight_track()
+        aligned = sync.align(track, sightings((0.25, 0, (2.0, 1.0, 0.0))))
+        layout = sim.LandmarkLayout(count=3, spacing=2.0)
+        graph = gmod.build_graph(aligned, layout, FULL3D, odom_weights=(4.0, 9.0))
+        assert graph.odo_w_trans.shape == graph.odo_w_rot.shape == (graph.odo_count,)
+        assert np.all(graph.odo_w_trans == 4.0) and np.all(graph.odo_w_rot == 9.0)
+
+    @pytest.mark.parametrize("pole", [0, 3])
+    def test_pole_missing_from_template_rejected(self, pole):
+        # also when the first sighting, which places the landmark, names it
+        aligned = sync.align(
+            straight_track(), sightings((0.25, pole, (2.0, 1.0, 0.0)), (1.0, 5, (1.0, 1.0, 0.0)))
+        )
+        layout = sim.LandmarkLayout(count=3, spacing=2.0)
+        with pytest.raises(DataError, match="observation edge references a missing pole id"):
+            gmod.build_graph(aligned, layout, FULL3D)
+
     def test_flags_recorded(self):
         graph, _, _, _ = small_problem(landmark_fixed=True)
         assert graph.landmark_fixed

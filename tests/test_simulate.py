@@ -306,7 +306,7 @@ class TestDetection:
         obs = sim.simulate_landmark_observations(
             gt, sim.LandmarkLayout(), sim.default_placement(), model, seed=0
         )
-        for o in obs[::11]:
+        for o in (obs[k] for k in range(0, len(obs), 11)):
             x, y, yaw = reference_pose(prof, o.timestamp)
             px, py = o.pole_id * 18.0, 1.2
             dx, dy = px - x, py - y

@@ -7,6 +7,7 @@ from tunnelgraph import geometry as geom
 from tunnelgraph import simulate as sim
 from tunnelgraph.sync import (
     DataError,
+    FieldError,
     ObservationSet,
     OdometryTrack,
     RowError,
@@ -113,15 +114,17 @@ class TestAlign:
         with pytest.raises(DataError, match="t=nan "):
             align(track, obs_at(0.2, np.nan))
 
-    def test_odometry_weights_fill_all_edges(self):
-        track = small_track()
-        out = align(track, obs_at(0.3), odom_weights=(4.0, 9.0))
-        assert out.meas.shape == (out.node_count - 1, 7)
-        assert np.all(out.meas_weight_trans == 4.0)
-        assert np.all(out.meas_weight_rot == 9.0)
-
 
 class TestTypes:
+    @pytest.mark.parametrize("name", ["../escaped", "a/b", "", "two words", "dvso.", "~x"])
+    def test_source_name_is_one_plain_word(self, name):
+        times = np.arange(3) / 5.0
+        poses = np.tile(geom.POSE3_IDENTITY, (3, 1))
+        with pytest.raises(FieldError, match="source: must be one word"):
+            OdometryTrack(name, 5.0, "planar", times, poses)
+        for good in ("dvso", "ground_truth", "Cam-2"):
+            assert OdometryTrack(good, 5.0, "planar", times, poses).source == good
+
     def test_track_validation(self):
         times = np.array([0.0, 0.1])
         poses = np.tile(geom.POSE3_IDENTITY, (2, 1))
@@ -199,8 +202,6 @@ class TestTypes:
         )
         assert [r.pole_id for r in obs] == [3, 1]
         np.testing.assert_array_equal(obs.w_rot, [6.0, 6.0])
-        sub = obs[1:]
-        assert isinstance(sub, ObservationSet) and sub.times.tolist() == [0.25]
         with pytest.raises(ValueError):
             obs.rel[0, 0] = 1.0
         with pytest.raises(ValueError):
