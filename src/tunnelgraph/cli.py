@@ -8,7 +8,7 @@ Three subcommands cover the workflow:
 ``optimize``
     one track plus the observation log in, optimized trajectory, solved
     graph edge list and solver stats out; ``--verbose`` also prints one
-    line per LM iteration to stderr.
+    line per LM iteration and then the stage timings to stderr.
 ``report``
     a directory of optimize outputs in, summary table, CSV and plot
     data out.
@@ -87,7 +87,7 @@ def _build_parser() -> _Parser:
     p_opt.add_argument(
         "--verbose",
         action="store_true",
-        help="print one line per LM iteration to stderr",
+        help="print one line per LM iteration and the stage timings to stderr",
     )
 
     p_rep = sub.add_parser("report", help="summarize optimize outputs")
@@ -149,6 +149,9 @@ def _cmd_optimize(args, written):
     os.makedirs(args.out, exist_ok=True)
     for path in pipeline.write_optimization(args.out, track.source, result, written):
         print(path)
+    if args.verbose:
+        stages = ", ".join(f"{name[:-2]} {s:.4f} s" for name, s in result.stages.items())
+        print(f"stages: {stages}", file=sys.stderr)
     r = result.report
     print(
         f"{r.source}: {r.trans_per_frame:.6g} m/frame, "

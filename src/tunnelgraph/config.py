@@ -14,7 +14,8 @@ A missing key keeps its field's default, or the preset's value for a
 preset source.  A value is parsed by its field's type (``int``,
 ``float``, ``bool``, ``str``, or space-separated floats for a
 ``tuple``) and checked by the dataclass itself.  The ``sources`` key
-decides which ``noise.*`` keys exist and is therefore read first.
+decides which ``noise.*`` keys exist and is therefore read and checked
+first.
 """
 
 from __future__ import annotations
@@ -32,6 +33,13 @@ from .simulate import (
 )
 from .sync import SOURCE_NAME, DataError, FieldError, check_fields
 
+# the rule for ``sources``: it is checked before the noise.* keys it names are read
+SOURCES = (
+    lambda v: 0 < len(v) == len(set(v)) and all(SOURCE_NAME[0](n) for n in v),
+    f"must name sources, none twice, and each name {SOURCE_NAME[1]}",
+)
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     seed: int = 0
@@ -44,11 +52,7 @@ class ScenarioConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "sources", tuple(self.sources))
-        names = (
-            lambda v: 0 < len(v) == len(set(v)) and all(SOURCE_NAME[0](n) for n in v),
-            f"must name sources, none twice, and each name {SOURCE_NAME[1]}",
-        )
-        check_fields(self, sources=names)
+        check_fields(self, sources=SOURCES)
         filled = dict(self.noise)
         for name in self.sources:
             if name not in filled:
@@ -176,7 +180,10 @@ def parse_config(text: str) -> ScenarioConfig:
     entries = _parse_lines(text)
     sources = ScenarioConfig.sources
     if "sources" in entries:
-        sources = tuple(entries["sources"][0].split())
+        raw = entries["sources"][0]
+        sources = tuple(raw.split())
+        if not SOURCES[0](sources):
+            raise DataError(f"sources: {SOURCES[1]} (got {raw})")
     cfg = _build(
         ScenarioConfig, _scenario_key, entries,
         sources=sources,

@@ -391,9 +391,13 @@ STATS_KEYS = {
 _JSON_KINDS = {"str": str, "int": int, "float": (int, float), "bool": bool}
 
 
-def write_stats_json(path, stats: SolveStats, report: ErrorReport) -> None:
+def write_stats_json(path, stats: SolveStats, report: ErrorReport, stages=None) -> None:
+    """The report's fields, the solver's record and, when given, ``stages``:
+    seconds per pipeline stage, by name."""
     keys = {**REPORT_FIELDS, **STATS_KEYS}
     payload = {key: getattr(report, name) for key, name in keys.items()}
+    if stages is not None:
+        payload["stages"] = dict(stages)
     payload["solver"] = {
         "iterations": stats.iterations,
         "initial_cost": stats.initial_cost,
@@ -409,7 +413,8 @@ def write_stats_json(path, stats: SolveStats, report: ErrorReport) -> None:
 
 def read_stats_json(path) -> dict:
     """Solver stats file in strict JSON (no NaN or Infinity); the keys the report needs
-    are checked for presence and type, and ``solver.reason``, when present, is a string."""
+    are checked for presence and type, ``solver.reason``, when present, is a string,
+    and ``stages``, when present, maps names to non-negative seconds."""
 
     def reject(constant):
         raise DataError(f"{path}: malformed JSON: {constant} is not a JSON number")
@@ -439,6 +444,14 @@ def read_stats_json(path) -> dict:
         raise DataError(f"{path}: key 'solver' must be a JSON object, got {solver!r}")
     if not isinstance(solver.get("reason", ""), str):
         raise DataError(f"{path}: key 'solver.reason' must be a str, got {solver['reason']!r}")
+    stages = payload.get("stages", {})
+    if not isinstance(stages, dict) or not all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) and v >= 0
+        for v in stages.values()
+    ):
+        raise DataError(
+            f"{path}: key 'stages' must map stage names to non-negative seconds, got {stages!r}"
+        )
     return payload
 
 

@@ -16,7 +16,15 @@ Conventions used throughout the package:
   its inverse on the principal branch (rotation angle <= pi).
 
 All array functions broadcast over leading axes, so the same code serves
-single poses and whole edge sets.
+single poses and whole edge sets.  The batched kernels are column
+expressions: each output component is an elementwise formula over the
+input components (``x * x + y * y + z * z``, not ``np.linalg.norm``;
+cross products written out), and matrices are filled entry by entry.  No
+reduction, cross product or einsum runs along a pose axis, because numpy
+runs such a pass as a three- or four-long inner loop once per row,
+several times slower than the column expression over all rows.  The one
+batched matrix product left, in :func:`se3_right_jacobian_inv`,
+multiplies 3 x 3 blocks.
 
 The two pose families are :data:`SE2` and :data:`SE3`, instances of one
 :class:`Group` table carrying compose, inverse, exp, log, adjoint, the
@@ -66,9 +74,25 @@ def quat_canonical(q):
     return np.where(flip[..., None], -q, q)
 
 
+def _dot(a, b):
+    """Row-wise dot product of (..., 3) vectors."""
+    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
+
+
+def norm3(v):
+    """Row-wise Euclidean norm of (..., 3) vectors."""
+    return np.sqrt(_dot(v, v))
+
+
+def quat_norm(q):
+    """Row-wise norm of (..., 4) quaternions."""
+    w, x, y, z = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
+    return np.sqrt(w * w + x * x + y * y + z * z)
+
+
 def quat_normalize(q):
     q = np.asarray(q, dtype=float)
-    return quat_canonical(q / np.linalg.norm(q, axis=-1, keepdims=True))
+    return quat_canonical(q / quat_norm(q)[..., None])
 
 
 def quat_mul(a, b):
@@ -94,25 +118,33 @@ def quat_conj(q):
 
 
 def quat_rotate(q, v):
-    """Rotate vector(s) v by quaternion(s) q."""
+    """Rotate vector(s) v by quaternion(s) q: v + w u + q_v x u with
+    u = 2 q_v x v, the cross products written out."""
     q = np.asarray(q, dtype=float)
     v = np.asarray(v, dtype=float)
-    qv = q[..., 1:]
-    w = q[..., :1]
-    u = 2.0 * np.cross(qv, v)
-    return v + w * u + np.cross(qv, u)
+    w, x, y, z = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
+    vx, vy, vz = v[..., 0], v[..., 1], v[..., 2]
+    ux = 2.0 * (y * vz - z * vy)
+    uy = 2.0 * (z * vx - x * vz)
+    uz = 2.0 * (x * vy - y * vx)
+    return np.stack(
+        [
+            vx + w * ux + (y * uz - z * uy),
+            vy + w * uy + (z * ux - x * uz),
+            vz + w * uz + (x * uy - y * ux),
+        ],
+        axis=-1,
+    )
 
 
 def quat_from_rotvec(r):
     """Exponential of a rotation vector as a quaternion."""
     r = np.asarray(r, dtype=float)
-    angle = np.linalg.norm(r, axis=-1)
-    half = 0.5 * angle
+    half = 0.5 * norm3(r)
     # sin(half)/angle written through sinc: smooth at zero, no branch
     scale = 0.5 * np.sinc(half / np.pi)
-    w = np.cos(half)
     return quat_canonical(
-        np.concatenate([w[..., None], scale[..., None] * r], axis=-1)
+        np.stack([np.cos(half), scale * r[..., 0], scale * r[..., 1], scale * r[..., 2]], axis=-1)
     )
 
 
@@ -121,7 +153,7 @@ def quat_to_rotvec(q):
     q = quat_canonical(np.asarray(q, dtype=float))
     w = q[..., 0]
     v = q[..., 1:]
-    s = np.linalg.norm(v, axis=-1)
+    s = norm3(v)
     small = s < _TAYLOR_CUTOFF
     s_safe = np.where(small, 1.0, s)
     angle = 2.0 * np.arctan2(s, w)
@@ -132,25 +164,23 @@ def quat_to_rotvec(q):
         2.0 / w_safe - 2.0 * s * s / (3.0 * w_safe**3),
         angle / s_safe,
     )
-    return scale[..., None] * v
+    return np.stack([scale * v[..., 0], scale * v[..., 1], scale * v[..., 2]], axis=-1)
 
 
 def quat_to_matrix(q):
     q = np.asarray(q, dtype=float)
     w, x, y, z = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
-    row0 = np.stack(
-        [1.0 - 2.0 * (y * y + z * z), 2.0 * (x * y - w * z), 2.0 * (x * z + w * y)],
-        axis=-1,
-    )
-    row1 = np.stack(
-        [2.0 * (x * y + w * z), 1.0 - 2.0 * (x * x + z * z), 2.0 * (y * z - w * x)],
-        axis=-1,
-    )
-    row2 = np.stack(
-        [2.0 * (x * z - w * y), 2.0 * (y * z + w * x), 1.0 - 2.0 * (x * x + y * y)],
-        axis=-1,
-    )
-    return np.stack([row0, row1, row2], axis=-2)
+    out = np.empty(q.shape[:-1] + (3, 3))
+    out[..., 0, 0] = 1.0 - 2.0 * (y * y + z * z)
+    out[..., 0, 1] = 2.0 * (x * y - w * z)
+    out[..., 0, 2] = 2.0 * (x * z + w * y)
+    out[..., 1, 0] = 2.0 * (x * y + w * z)
+    out[..., 1, 1] = 1.0 - 2.0 * (x * x + z * z)
+    out[..., 1, 2] = 2.0 * (y * z - w * x)
+    out[..., 2, 0] = 2.0 * (x * z - w * y)
+    out[..., 2, 1] = 2.0 * (y * z + w * x)
+    out[..., 2, 2] = 1.0 - 2.0 * (x * x + y * y)
+    return out
 
 
 def quat_yaw(q):
@@ -164,20 +194,46 @@ def quat_yaw(q):
 def rotation_angle(q):
     """Rotation angle in radians, in [0, pi]."""
     q = quat_canonical(np.asarray(q, dtype=float))
-    out = 2.0 * np.arctan2(np.linalg.norm(q[..., 1:], axis=-1), q[..., 0])
+    out = 2.0 * np.arctan2(norm3(q[..., 1:]), q[..., 0])
     return float(out) if out.ndim == 0 else out
 
 
 def so3_hat(r):
     r = np.asarray(r, dtype=float)
-    zero = np.zeros_like(r[..., 0])
-    return np.stack(
-        [
-            np.stack([zero, -r[..., 2], r[..., 1]], axis=-1),
-            np.stack([r[..., 2], zero, -r[..., 0]], axis=-1),
-            np.stack([-r[..., 1], r[..., 0], zero], axis=-1),
-        ],
-        axis=-2,
+    out = np.zeros(r.shape + (3,))
+    out[..., 0, 1] = -r[..., 2]
+    out[..., 0, 2] = r[..., 1]
+    out[..., 1, 0] = r[..., 2]
+    out[..., 1, 2] = -r[..., 0]
+    out[..., 2, 0] = -r[..., 1]
+    out[..., 2, 1] = r[..., 0]
+    return out
+
+
+def _skew_plus_symmetric(w, diagonal, off_diagonal):
+    """hat(w) plus the symmetric matrix with the given diagonal and
+    (xy, xz, yz) entries, filled entry by entry; each argument is a triple
+    of columns."""
+    (wx, wy, wz), (sxy, sxz, syz) = w, off_diagonal
+    out = np.empty(np.shape(diagonal[0]) + (3, 3))
+    out[..., 0, 0], out[..., 1, 1], out[..., 2, 2] = diagonal
+    out[..., 0, 1] = sxy - wz
+    out[..., 1, 0] = sxy + wz
+    out[..., 0, 2] = sxz + wy
+    out[..., 2, 0] = sxz - wy
+    out[..., 1, 2] = syz - wx
+    out[..., 2, 1] = syz + wx
+    return out
+
+
+def _so3_series(r, a, b):
+    """I + a hat(r) + b hat(r)^2, with hat(r)^2 = r r^T - |r|^2 I: off the
+    diagonal r_i r_j, on it -(r_j^2 + r_k^2), free of cancellation."""
+    x, y, z = r[..., 0], r[..., 1], r[..., 2]
+    return _skew_plus_symmetric(
+        (a * x, a * y, a * z),
+        (1.0 - b * (y * y + z * z), 1.0 - b * (x * x + z * z), 1.0 - b * (x * x + y * y)),
+        (b * x * y, b * x * z, b * y * z),
     )
 
 
@@ -200,11 +256,8 @@ def _so3_coeffs(angle):
 def so3_left_jacobian(r):
     """V matrix: integrates a rotation along the geodesic (also SO(3) J_l)."""
     r = np.asarray(r, dtype=float)
-    angle = np.linalg.norm(r, axis=-1)
-    a, b = _so3_coeffs(angle)
-    hat = so3_hat(r)
-    eye = np.broadcast_to(np.eye(3), hat.shape)
-    return eye + a[..., None, None] * hat + b[..., None, None] * (hat @ hat)
+    a, b = _so3_coeffs(norm3(r))
+    return _so3_series(r, a, b)
 
 
 def _half_cot_coeff(angle):
@@ -221,10 +274,7 @@ def _half_cot_coeff(angle):
 
 def so3_left_jacobian_inv(r):
     r = np.asarray(r, dtype=float)
-    c = _half_cot_coeff(np.linalg.norm(r, axis=-1))
-    hat = so3_hat(r)
-    eye = np.broadcast_to(np.eye(3), hat.shape)
-    return eye - 0.5 * hat + c[..., None, None] * (hat @ hat)
+    return _so3_series(r, -0.5, _half_cot_coeff(norm3(r)))
 
 
 # ---------------------------------------------------------------------------
@@ -246,33 +296,52 @@ def pose3_inverse(p):
     return np.concatenate([-quat_rotate(qc, p[..., :3]), qc], axis=-1)
 
 
+def _mat_vec(m, v):
+    """Row-wise product of (..., 3, 3) matrices and (..., 3) vectors."""
+    return np.stack([_dot(m[..., i, :], v) for i in range(3)], axis=-1)
+
+
 def se3_exp(xi):
     xi = np.asarray(xi, dtype=float)
     rho, theta = xi[..., :3], xi[..., 3:]
-    t = np.einsum("...ij,...j->...i", so3_left_jacobian(theta), rho)
+    t = _mat_vec(so3_left_jacobian(theta), rho)
     return np.concatenate([t, quat_from_rotvec(theta)], axis=-1)
 
 
 def se3_log(p):
     p = np.asarray(p, dtype=float)
     theta = quat_to_rotvec(p[..., 3:])
-    rho = np.einsum("...ij,...j->...i", so3_left_jacobian_inv(theta), p[..., :3])
+    rho = _mat_vec(so3_left_jacobian_inv(theta), p[..., :3])
     return np.concatenate([rho, theta], axis=-1)
 
 
 def se3_adjoint(p):
+    """[[R, hat(t) R], [0, R]]; column j of hat(t) R is t x R[:, j]."""
     p = np.asarray(p, dtype=float)
     rot = quat_to_matrix(p[..., 3:])
     out = np.zeros(p.shape[:-1] + (6, 6))
     out[..., :3, :3] = rot
     out[..., 3:, 3:] = rot
-    out[..., :3, 3:] = so3_hat(p[..., :3]) @ rot
+    tx, ty, tz = p[..., 0], p[..., 1], p[..., 2]
+    for j in range(3):
+        r0, r1, r2 = rot[..., 0, j], rot[..., 1, j], rot[..., 2, j]
+        out[..., 0, 3 + j] = ty * r2 - tz * r1
+        out[..., 1, 3 + j] = tz * r0 - tx * r2
+        out[..., 2, 3 + j] = tx * r1 - ty * r0
     return out
 
 
 def _se3_q_matrix(rho, theta):
-    """Translation-rotation coupling block of the SE(3) left Jacobian."""
-    angle = np.linalg.norm(theta, axis=-1)
+    """Translation-rotation coupling block of the SE(3) left Jacobian.
+
+    With p = hat(theta) and r = hat(rho) (Barfoot & Furgale, T-RO 2014),
+    Q = r/2 + c2 (pr + rp + prp) + c3 (ppr + rpp - 3 prp) + c4 (prpp + pprp).
+    The identities pr = rho theta^T - (theta.rho) I and prp = -(theta.rho) p
+    reduce it to hat(a) + c2 (rho theta^T + theta rho^T - 2 (theta.rho) I)
+    - 2 c4 (theta.rho) pp, with a = (1/2 - c3 t^2) rho + (2 c3 - c2)
+    (theta.rho) theta and pp = theta theta^T - t^2 I, filled entry by entry.
+    """
+    angle = norm3(theta)
     t2 = angle * angle
     small = angle < 1e-2
     safe = np.where(small, 1.0, angle)
@@ -285,16 +354,24 @@ def _se3_q_matrix(rho, theta):
         small, -1.0 / 120.0 + t2 / 2520.0, (safe - sin_t - safe**3 / 6.0) / safe**5
     )
     c4 = 0.5 * (c3 + 3.0 * c4part)
-    rx = so3_hat(rho)
-    px = so3_hat(theta)
-    pxrx = px @ rx
-    rxpx = rx @ px
-    pxrxpx = pxrx @ px
-    term1 = 0.5 * rx
-    term2 = c2[..., None, None] * (pxrx + rxpx + pxrxpx)
-    term3 = c3[..., None, None] * (px @ pxrx + rxpx @ px - 3.0 * pxrxpx)
-    term4 = c4[..., None, None] * (pxrxpx @ px + px @ pxrxpx)
-    return term1 + term2 + term3 + term4
+    tx, ty, tz = theta[..., 0], theta[..., 1], theta[..., 2]
+    rx, ry, rz = rho[..., 0], rho[..., 1], rho[..., 2]
+    dot = _dot(theta, rho)
+    e = 2.0 * c4 * dot
+    on_rho, on_theta = 0.5 - c3 * t2, (2.0 * c3 - c2) * dot
+    return _skew_plus_symmetric(
+        (on_rho * rx + on_theta * tx, on_rho * ry + on_theta * ty, on_rho * rz + on_theta * tz),
+        (
+            e * (ty * ty + tz * tz) - 2.0 * c2 * (ry * ty + rz * tz),
+            e * (tx * tx + tz * tz) - 2.0 * c2 * (rx * tx + rz * tz),
+            e * (tx * tx + ty * ty) - 2.0 * c2 * (rx * tx + ry * ty),
+        ),
+        (
+            c2 * (rx * ty + tx * ry) - e * tx * ty,
+            c2 * (rx * tz + tx * rz) - e * tx * tz,
+            c2 * (ry * tz + ty * rz) - e * ty * tz,
+        ),
+    )
 
 
 def se3_right_jacobian_inv(xi):
@@ -466,11 +543,13 @@ class Group:
         """Right-multiplicative update x * exp(delta)."""
         return self.compose(x, self.exp(delta))
 
-    def between(self, meas, a, b):
+    def between(self, meas_inv, a_inv, b):
         """Tangent residual of a measured a -> b transform, log(meas^-1 * rel),
-        and the transform it measures, rel = a^-1 * b."""
-        rel = self.relative(a, b)
-        return self.log(self.compose(self.inverse(meas), rel)), rel
+        and the transform it measures, rel = a^-1 * b.  It takes the inverted
+        measurement and the inverted a, so that a caller can invert each
+        constant measurement once and each state once for all its edges."""
+        rel = self.compose(a_inv, b)
+        return self.log(self.compose(meas_inv, rel)), rel
 
 
 SE2 = Group(

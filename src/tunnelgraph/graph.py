@@ -186,19 +186,6 @@ def build_graph(
 # edge evaluation: the one place a residual, weight or cost is computed
 
 
-def residual_functions(graph: PoseGraph):
-    """Residual r(s_i, s_j) of every odometry edge and r(s, landmark) of
-    every observation edge, whose target is its pole placed by the landmark
-    frame: the group's ``between`` of each measurement, with its transform."""
-    between = graph.group.between
-    return (
-        lambda si, sj: between(graph.odo_meas, si, sj),
-        lambda s, landmark: between(
-            graph.obs_meas, s, graph.pole_world_poses(landmark)[graph.obs_pole]
-        ),
-    )
-
-
 @dataclass(frozen=True)
 class Evaluation:
     """Every edge at one state.  Per odometry (E) and observation (M) edge:
@@ -218,19 +205,72 @@ class Evaluation:
     cost: float
 
 
-def _weigh(graph: PoseGraph, r_odo, r_obs):
-    """((w_odo, sq_odo), (w_obs, sq_obs)): per-component weights and
-    weighted squared norms.  The first ``trans_dim`` residual components
-    take the edge's translation weight and the rest its rotation weight."""
-    k, d = graph.group.trans_dim, graph.group.tangent_dim
+class Edges:
+    """What a solve keeps fixed about the edges of one graph, built once.
 
-    def weigh(r, w_trans, w_rot):
-        w = np.stack([w_trans] * k + [w_rot] * (d - k), axis=-1)
-        sq = w_trans * np.sum(r[:, :k] ** 2, axis=-1) + w_rot * np.sum(r[:, k:] ** 2, axis=-1)
-        return w, sq
+    A solve moves the states and the landmark frame only, so this holds:
+    the inverted measurements ``odo_meas_inv`` and ``obs_meas_inv``; the
+    per-component weights ``w_odo`` (E, d) and ``w_obs`` (M, d), whose
+    first ``trans_dim`` columns take the edge's translation weight and the
+    rest its rotation weight; the observing nodes ``observed``, with
+    ``first``, where each one's run of sightings starts, and ``node_of``,
+    each sighting's index into ``observed``; and ``pole_adjoint``, the
+    adjoint Ad(P^-1) of every template pole P, (P, d, d).
 
-    odo = weigh(r_odo, graph.odo_w_trans, graph.odo_w_rot)
-    return odo, weigh(r_obs, graph.obs_w_trans, graph.obs_w_rot)
+    Its residual functions, the group's ``between`` of each measurement,
+    serve the cost, the analytic Jacobians and their finite-difference
+    check.  An observation residual takes the states of the observing
+    nodes and inverts each once for its whole run of sightings.
+    """
+
+    def __init__(self, graph: PoseGraph):
+        group = graph.group
+        k, d = group.trans_dim, group.tangent_dim
+        self.graph = graph
+        self.odo_meas_inv = group.inverse(graph.odo_meas)
+        self.obs_meas_inv = group.inverse(graph.obs_meas)
+        self.w_odo = np.column_stack([graph.odo_w_trans] * k + [graph.odo_w_rot] * (d - k))
+        self.w_obs = np.column_stack([graph.obs_w_trans] * k + [graph.obs_w_rot] * (d - k))
+        self.observed, self.first, self.node_of = np.unique(
+            graph.obs_node, return_index=True, return_inverse=True
+        )
+        self.pole_adjoint = group.adjoint(group.inverse(graph.template))
+
+    def odometry(self, si, sj):
+        """Residual r(s_i, s_j) of every odometry edge, with its transform."""
+        group = self.graph.group
+        return group.between(self.odo_meas_inv, group.inverse(si), sj)
+
+    def observation(self, observing, landmark):
+        """Residual r(s, landmark) of every sighting, from ``observing``, the
+        states of the ``observed`` nodes; its target is its pole placed by
+        the landmark frame."""
+        graph = self.graph
+        group = graph.group
+        # np.take gathers rows several times faster than fancy indexing
+        target = np.take(graph.pole_world_poses(landmark), graph.obs_pole, axis=0)
+        a_inv = np.take(group.inverse(observing), self.node_of, axis=0)
+        return group.between(self.obs_meas_inv, a_inv, target)
+
+    def evaluate(self, states, landmark, huber_delta=0.0) -> Evaluation:
+        """Every edge at (states, landmark)."""
+        graph = self.graph
+        r_odo, rel_odo = self.odometry(states[:-1], states[1:])  # edge e joins e to e + 1
+        r_obs, _ = self.observation(np.take(states, self.observed, axis=0), landmark)
+        sq_odo = _weighted_sq(graph, r_odo, graph.odo_w_trans, graph.odo_w_rot)
+        sq_obs = _weighted_sq(graph, r_obs, graph.obs_w_trans, graph.obs_w_rot)
+        cost_odo, irls_odo = _huber(sq_odo, huber_delta)
+        cost_obs, irls_obs = _huber(sq_obs, huber_delta)
+        cost = float(np.sum(cost_odo)) + float(np.sum(cost_obs))
+        return Evaluation(rel_odo, r_odo, r_obs, self.w_odo, self.w_obs, irls_odo, irls_obs, cost)
+
+
+def _weighted_sq(graph: PoseGraph, r, w_trans, w_rot):
+    """Weighted squared norm of every residual row: the first ``trans_dim``
+    components take the translation weight and the rest the rotation weight."""
+    squares = [r[:, c] * r[:, c] for c in range(r.shape[1])]
+    k = graph.group.trans_dim
+    return w_trans * sum(squares[:k]) + w_rot * sum(squares[k:])
 
 
 def _huber(sq, delta):
@@ -248,14 +288,7 @@ def evaluate(graph: PoseGraph, states=None, landmark=None, huber_delta=0.0) -> E
     """Every edge at (states, landmark), by default the graph's own."""
     s = graph.states if states is None else states
     lf = graph.landmark if landmark is None else landmark
-    odometry, observation = residual_functions(graph)
-    r_odo, rel_odo = odometry(s[:-1], s[1:])  # the chain: edge e joins e to e + 1
-    r_obs, _ = observation(s[graph.obs_node], lf)
-    (w_odo, sq_odo), (w_obs, sq_obs) = _weigh(graph, r_odo, r_obs)
-    cost_odo, irls_odo = _huber(sq_odo, huber_delta)
-    cost_obs, irls_obs = _huber(sq_obs, huber_delta)
-    cost = float(np.sum(cost_odo)) + float(np.sum(cost_obs))
-    return Evaluation(rel_odo, r_odo, r_obs, w_odo, w_obs, irls_odo, irls_obs, cost)
+    return Edges(graph).evaluate(s, lf, huber_delta)
 
 
 def total_cost(graph: PoseGraph, states=None, landmark=None, huber_delta=0.0) -> float:

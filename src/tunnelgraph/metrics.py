@@ -64,8 +64,9 @@ def correction_magnitudes(graph, states=None):
     correction log(measured^-1 * optimized) of each sensor frame."""
     s = graph.states if states is None else states
     merged, frames = merged_measurements(graph)
-    corr = graph.group.between(merged, s[frames[:-1]], s[frames[1:]])[0]
-    k = graph.group.trans_dim
+    group = graph.group
+    corr = group.between(group.inverse(merged), group.inverse(s[frames[:-1]]), s[frames[1:]])[0]
+    k = group.trans_dim
     return (
         np.linalg.norm(corr[:, :k], axis=1),
         np.degrees(np.linalg.norm(corr[:, k:], axis=1)),

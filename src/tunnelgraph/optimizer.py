@@ -27,11 +27,14 @@ factored and solved, by banded Cholesky (LAPACK ``pbsv``, which is
 ``pbtrf`` then ``pbtrs``, through ``scipy.linalg.solveh_banded``) in time
 linear in the node count.
 
-Edges are evaluated by :func:`tunnelgraph.graph.evaluate`, once per trial;
-its cost is ``graph.total_cost(graph, states, landmark, huber_delta)``.  The
+What a solve keeps fixed about its edges is built once, when it starts:
+:class:`tunnelgraph.graph.Edges` holds the inverted measurements, the
+per-component weights, the observing nodes and the adjoint Ad(P^-1) of
+every template pole.  Edges are evaluated on it once per trial; its cost
+is ``graph.total_cost(graph, states, landmark, huber_delta)``.  The
 accepted trial's evaluation is kept: the next linearization takes its
 residuals and odometry transforms, and the products its weights and IRLS
-factors.
+factors (without Huber the weights themselves, a per-solve constant).
 
 A sighting's node Jacobian is its landmark Jacobian times one adjoint
 per observing node (:func:`_linearize`), so the observation products are
@@ -131,62 +134,59 @@ def _numeric_blocks(group, residual, a, b):
     )
 
 
-def _linearize(graph, states, landmark, ev, observed):
+def _linearize(edges, states, landmark, ev):
     """Jacobian blocks of every edge at (states, landmark), from ``ev``, the
-    evaluation there; ``observed`` lists the observing nodes.
+    evaluation there, and ``edges``, the graph's per-solve constants.
 
     Odometry: J_j = Jr^-1(r) and J_i = -J_j Ad(rel^-1), rel = s_i^-1 s_j.
     A sighting of pole P from node s under the landmark frame L measures
     T = s^-1 L P, and Ad(T^-1) = Ad(P^-1) Ad(L^-1 s): its landmark block is
     J_l = Jr^-1(r) Ad(P^-1), and its node block -J_l G, where the adjoint
     G = Ad(L^-1 s) is one per observing node."""
-    group = graph.group
+    group = edges.graph.group
     jj_o = group.jr_inv(ev.r_odo)
     ji_o = -(jj_o @ group.adjoint(group.inverse(ev.rel_odo)))
     # landmark * exp(d) * pole = (landmark * pole) * exp(Ad(pole^-1) d)
-    jl_s = group.jr_inv(ev.r_obs) @ group.adjoint(group.inverse(graph.template))[graph.obs_pole]
-    return ji_o, jj_o, jl_s, group.adjoint(group.relative(landmark, states[observed]))
+    jl_s = group.jr_inv(ev.r_obs) @ np.take(edges.pole_adjoint, edges.graph.obs_pole, axis=0)
+    observing = np.take(states, edges.observed, axis=0)
+    return ji_o, jj_o, jl_s, group.adjoint(group.relative(landmark, observing))
 
 
-def _products(ev, jacobians, first):
+def _irls_weights(w, irls):
+    """W = w * irls per residual component; w itself, a per-solve constant,
+    when every IRLS factor is one."""
+    return w if np.all(irls == 1.0) else w * irls[:, None]
+
+
+def _products(edges, ev, jacobians):
     """Normal-equation blocks J_a^T W J_b and gradients J^T W r, with the
     residuals, weights and IRLS factors of ``ev``: per odometry edge, and
-    per observing node, whose run of sightings starts at ``first``.  A
-    sighting adds S = J_l^T W J_l and h = J_l^T W r; over its node's run
+    per observing node, whose run of sightings starts at ``edges.first``.
+    A sighting adds S = J_l^T W J_l and h = J_l^T W r; over its node's run
     they sum to the node block G^T S G, the coupling -G^T S to the
     landmark, and the gradient -G^T h."""
     ji_o, jj_o, jl_s, adj = jacobians
-    sw_odo = np.sqrt(ev.w_odo * ev.irls_odo[:, None])
-    sw_obs = np.sqrt(ev.w_obs * ev.irls_obs[:, None])
-
-    def scaled(jac, sw):
-        # sqrt(W) J and its contiguous transpose: (sqrt(W) J)^T (sqrt(W) J)
-        # sums the same products in the same order for (a, b) and (b, a),
-        # so J^T W J comes out exactly symmetric
-        s = jac * sw[:, :, None]
-        return s, np.ascontiguousarray(np.swapaxes(s, 1, 2))
-
-    def times_r(s, sw, r):
-        return np.einsum("eki,ek->ei", s, sw * r)
-
-    si_o, ti_o = scaled(ji_o, sw_odo)
-    sj_o, tj_o = scaled(jj_o, sw_odo)
-    sl_s, tl_s = scaled(jl_s, sw_obs)
-    s_obs = tl_s @ sl_s
-    h_obs = times_r(sl_s, sw_obs, ev.r_obs)
-    s_node = np.add.reduceat(s_obs, first, axis=0)
-    h_node = np.add.reduceat(h_obs, first, axis=0)
+    w_odo = _irls_weights(ev.w_odo, ev.irls_odo)
+    w_obs = _irls_weights(ev.w_obs, ev.irls_obs)
+    # each block is J_a^T (W J_b), with J_a^T a transposed view, not a copy
+    ti_o, tj_o = np.swapaxes(ji_o, 1, 2), np.swapaxes(jj_o, 1, 2)
+    wjj_o = jj_o * w_odo[:, :, None]
+    wr_odo = w_odo * ev.r_odo
+    s_obs = np.swapaxes(jl_s, 1, 2) @ (jl_s * w_obs[:, :, None])
+    h_obs = np.einsum("mki,mk->mi", jl_s, w_obs * ev.r_obs)
+    s_node = np.add.reduceat(s_obs, edges.first, axis=0)
+    h_node = np.add.reduceat(h_obs, edges.first, axis=0)
     adj_t = np.swapaxes(adj, 1, 2)
     coupling = -(adj_t @ s_node)
     return {
-        "oii": ti_o @ si_o,
-        "oij": ti_o @ sj_o,
-        "ojj": tj_o @ sj_o,
+        "oii": ti_o @ (ji_o * w_odo[:, :, None]),
+        "oij": ti_o @ wjj_o,
+        "ojj": tj_o @ wjj_o,
         "sii": -(coupling @ adj),
         "sil": coupling,
         "sll": s_node.sum(axis=0),
-        "oi": times_r(si_o, sw_odo, ev.r_odo),
-        "oj": times_r(sj_o, sw_odo, ev.r_odo),
+        "oi": np.einsum("eki,ek->ei", ji_o, wr_odo),
+        "oj": np.einsum("eki,ek->ei", jj_o, wr_odo),
         "si": -np.einsum("kij,kj->ki", adj_t, h_node),
         "sl": h_node.sum(axis=0),
     }
@@ -197,7 +197,9 @@ def _products(ev, jacobians, first):
 
 
 class _Assembler:
-    """The damped normal equations of one graph: assembly and solve.
+    """The damped normal equations of one graph: assembly and solve.  It is
+    the solve's one per-solve object and holds ``edges``, the graph's
+    constant edge data (:class:`tunnelgraph.graph.Edges`).
 
     The node-node Hessian ``A`` is held in LAPACK upper band storage,
     ``band[bw + r - c, c] = A[r, c]`` for ``r <= c`` with the diagonal in
@@ -216,12 +218,7 @@ class _Assembler:
         self.node_count = graph.node_count
         self.landmark_free = graph.obs_count > 0 and not graph.landmark_fixed
         self.node_dim = (graph.node_count - 1) * d
-        # the observing nodes and where each one's run of sightings starts
-        self.observed, self.first = np.unique(graph.obs_node, return_index=True)
-        # the entries (i, j) of a node's block column (2d, d) that lie in
-        # the band, i <= j + d, and their band rows d - 1 + i - j
-        self.rows, self.cols = np.nonzero(np.triu(np.ones((2 * d, d), dtype=bool), -d))
-        self.band_rows = d - 1 + self.rows - self.cols
+        self.edges = gmod.Edges(graph)
 
     def assemble(self, blocks):
         """Returns (A band, B dense, C dense, g_nodes, g_landmark)."""
@@ -232,15 +229,16 @@ class _Assembler:
         column[2:, :d] = blocks["oij"][1:]
         column[:-1, d:] = blocks["oii"]
         column[1:, d:] += blocks["ojj"]
-        column[self.observed, d:] += blocks["sii"]
+        column[self.edges.observed, d:] += blocks["sii"]
         band = np.zeros((n - 1, d, self.bw + 1))
-        band[:, self.cols, self.band_rows] = column[1:, self.rows, self.cols]
+        for j in range(d):  # entries i <= j + d of column j, in band rows d - 1 + i - j
+            band[:, j, d - 1 - j :] = column[1:, : d + j + 1, j]
         grad = np.zeros((n, d))
         grad[:-1] = blocks["oi"]
         grad[1:] += blocks["oj"]
-        grad[self.observed] += blocks["si"]
+        grad[self.edges.observed] += blocks["si"]
         coupling = np.zeros((n, d, d))
-        coupling[self.observed] = blocks["sil"]
+        coupling[self.edges.observed] = blocks["sil"]
         k = d if self.landmark_free else 0  # the landmark's columns
         return (
             band.reshape(self.node_dim, self.bw + 1).T,
@@ -295,9 +293,9 @@ def optimize(graph, settings: SolverSettings = None, progress=None):
     states = graph.states.copy()
     landmark = graph.landmark.copy()
     assembler = _Assembler(graph)
-    observed, first = assembler.observed, assembler.first
+    edges = assembler.edges
 
-    ev = gmod.evaluate(graph, states, landmark, settings.huber_delta)
+    ev = edges.evaluate(states, landmark, settings.huber_delta)
     # what residuals one rounding unit in size would cost: a smaller
     # predicted decrease is rounding noise, even where the cost itself is
     noise_cost = EPS**2 * (ev.w_odo.sum() + ev.w_obs.sum())
@@ -308,8 +306,8 @@ def optimize(graph, settings: SolverSettings = None, progress=None):
 
     for iteration in range(1, settings.max_iterations + 1):
         record = {"rejected": 0, "solve_s": 0.0, "cost_s": 0.0}
-        jacobians, record["linearize_s"] = _timed(_linearize, graph, states, landmark, ev, observed)
-        blocks, record["products_s"] = _timed(_products, ev, jacobians, first)
+        jacobians, record["linearize_s"] = _timed(_linearize, edges, states, landmark, ev)
+        blocks, record["products_s"] = _timed(_products, edges, ev, jacobians)
         system, record["assemble_s"] = _timed(assembler.assemble, blocks)
         record["grad_inf"] = float(np.abs(np.concatenate(system[3:])).max(initial=0.0))
 
@@ -328,9 +326,7 @@ def optimize(graph, settings: SolverSettings = None, progress=None):
                 cand_states[1:], cand_lm = gmod.retract(
                     graph, states[1:], landmark, *assembler.split(step)
                 )
-                cand, seconds = _timed(
-                    gmod.evaluate, graph, cand_states, cand_lm, settings.huber_delta
-                )
+                cand, seconds = _timed(edges.evaluate, cand_states, cand_lm, settings.huber_delta)
                 record["cost_s"] += seconds
                 if cand.cost <= ev.cost:
                     record["damping"] = damping
@@ -390,15 +386,15 @@ def check_jacobians(graph, probe_count: int = 100):
     obs_idx = picks[picks >= graph.odo_count] - graph.odo_count
 
     # the solver's own linearization, with each sighting's node block -J_l G
-    # rebuilt, against central differences of the residuals on the probes
-    observed, node_of = np.unique(graph.obs_node, return_inverse=True)
-    ev = gmod.evaluate(graph, states, landmark)
-    ji_o, jj_o, jl_s, adj = _linearize(graph, states, landmark, ev, observed)
-    analytic = (ji_o, jj_o, -(jl_s @ adj[node_of]), jl_s)
-    odometry, observation = gmod.residual_functions(graph)
+    # rebuilt, against central differences of the residuals on the probes;
+    # moving every observing node at once moves each sighting by its own node
+    edges = gmod.Edges(graph)
+    ev = edges.evaluate(states, landmark)
+    ji_o, jj_o, jl_s, adj = _linearize(edges, states, landmark, ev)
+    analytic = (ji_o, jj_o, -(jl_s @ adj[edges.node_of]), jl_s)
     numeric = (
-        *_numeric_blocks(group, odometry, states[graph.odo_i], states[graph.odo_j]),
-        *_numeric_blocks(group, observation, states[graph.obs_node], landmark),
+        *_numeric_blocks(group, edges.odometry, states[graph.odo_i], states[graph.odo_j]),
+        *_numeric_blocks(group, edges.observation, states[edges.observed], landmark),
     )
     rows = (odo_idx, odo_idx, obs_idx, obs_idx)
     return max(

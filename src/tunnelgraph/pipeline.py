@@ -5,8 +5,9 @@ Three stages mirror the subcommands.  ``simulate_scenario`` turns a
 truth, one corrupted track per source, the landmark observation log and
 the per-source injection record.  ``optimize_track`` runs the whole
 estimation path in memory (alignment, graph construction, solve,
-metrics).  ``report_run`` gathers per-source solver outputs from a run
-directory into the summary table, CSV and plot data.
+metrics) and times each of these stages.  ``report_run`` gathers
+per-source solver outputs from a run directory into the summary table,
+CSV and plot data.
 
 Every stage that writes appends each path to a caller-supplied list
 before touching the file, so a failed run can be cleaned up completely.
@@ -15,6 +16,7 @@ before touching the file, so a failed run can be cleaned up completely.
 from __future__ import annotations
 
 import os
+import time
 import zlib
 from dataclasses import dataclass
 
@@ -121,6 +123,9 @@ class OptimizationResult:
     stats: opt.SolveStats
     report: metrics.ErrorReport
     raw_graph: gmod.PoseGraph
+    # seconds per stage: align_s, build_graph_s, solve_s and metrics_s, and
+    # write_s once write_optimization has written the track and graph
+    stages: dict
 
 
 def optimize_track(
@@ -133,17 +138,26 @@ def optimize_track(
     landmark_fixed: bool = False,
     progress=None,
 ) -> OptimizationResult:
-    """Align, build, solve and summarize one odometry source.
-
-    ``progress`` is handed to :func:`optimizer.optimize`.
+    """Align, build, solve and summarize one odometry source, timing each
+    stage.  ``progress`` is handed to :func:`optimizer.optimize`.
     """
     mode = mode or track.dof_mode
     layout = layout or sim.LandmarkLayout()
+    start = time.perf_counter()
     aligned = sync.align(track, observations)
+    aligned_at = time.perf_counter()
     graph = gmod.build_graph(aligned, layout, mode, odom_weights, landmark_fixed=landmark_fixed)
+    built_at = time.perf_counter()
     solved, stats = opt.optimize(graph, settings, progress)
+    solved_at = time.perf_counter()
     report = metrics.per_frame_corrections(graph, solved.states)
-    return OptimizationResult(solved, stats, report, graph)
+    stages = {
+        "align_s": aligned_at - start,
+        "build_graph_s": built_at - aligned_at,
+        "solve_s": solved_at - built_at,
+        "metrics_s": time.perf_counter() - solved_at,
+    }
+    return OptimizationResult(solved, stats, report, graph, stages)
 
 
 def node_track(graph: gmod.PoseGraph, source: str, rate: float) -> sync.OdometryTrack:
@@ -157,9 +171,12 @@ def node_track(graph: gmod.PoseGraph, source: str, rate: float) -> sync.Odometry
 
 
 def write_optimization(out_dir, source: str, result: OptimizationResult, written=None):
-    """Write the optimized trajectory, solved graph and solver stats."""
+    """Write the optimized trajectory, solved graph and solver stats.  The
+    stats file, written last, records the stage timings, with ``write_s``
+    the seconds spent writing the trajectory and the graph."""
     written = written if written is not None else []
     os.makedirs(out_dir, exist_ok=True)
+    start = time.perf_counter()
 
     opt_path = os.path.join(out_dir, f"{source}_optimized.txt")
     written.append(opt_path)
@@ -168,10 +185,11 @@ def write_optimization(out_dir, source: str, result: OptimizationResult, written
     graph_path = os.path.join(out_dir, f"{source}_graph.txt")
     written.append(graph_path)
     fileio.write_graph(graph_path, result.graph)
+    result.stages["write_s"] = time.perf_counter() - start
 
     stats_path = os.path.join(out_dir, f"{source}_stats.json")
     written.append(stats_path)
-    fileio.write_stats_json(stats_path, result.stats, result.report)
+    fileio.write_stats_json(stats_path, result.stats, result.report, result.stages)
     return written
 
 

@@ -372,8 +372,10 @@ def simulate_landmark_observations(
     ticks = track.times[0] + np.arange(tick_count, dtype=float) / model.rate
 
     robot = track.poses_at(ticks)
-    rel = geom.pose3_relative(robot[:, None], pole_world[None])  # (ticks, poles, 7)
-    dist = np.linalg.norm(rel[..., :3], axis=-1)
+    # (ticks, poles, 7), formed pole-major so that every elementwise pass
+    # runs along the ticks
+    rel = np.swapaxes(geom.pose3_relative(robot[None], pole_world[:, None]), 0, 1)
+    dist = geom.norm3(rel[..., :3])
     with np.errstate(invalid="ignore"):
         bearing = np.arccos(
             np.clip(rel[..., 0] / np.where(dist == 0.0, 1.0, dist), -1.0, 1.0)

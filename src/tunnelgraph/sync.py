@@ -19,6 +19,7 @@ the problem, which :func:`tunnelgraph.graph.build_graph` sets.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import math
 import re
@@ -65,7 +66,7 @@ def _check_unit_quaternions(packed) -> None:
     """Every quaternion of the packed (N, 7) poses within
     ``QUAT_NORM_TOLERANCE`` of unit norm; a NaN pose passes, to be reported
     as a numerical failure downstream."""
-    gap = np.abs(np.linalg.norm(packed[:, 3:], axis=1) - 1.0)
+    gap = np.abs(geom.quat_norm(packed[:, 3:]) - 1.0)
     off_unit = gap > QUAT_NORM_TOLERANCE
     if np.any(off_unit):
         row = int(np.argmax(off_unit))
@@ -325,8 +326,15 @@ def align(track: OdometryTrack, observations: ObservationSet) -> AlignedSequence
 
 
 def with_weights(observations: ObservationSet, weight_trans: float, weight_rot: float):
-    """The same sightings with every information weight replaced."""
-    return ObservationSet(
-        observations.times, observations.pole_ids, observations.rel,
-        weight_trans, weight_rot,
-    )
+    """The same sightings with every information weight replaced.  Only the
+    new weights are checked (finite and non-negative): the rows they join
+    passed their checks when the set was built, and their read-only
+    columns are shared."""
+    count = len(observations)
+    w_trans = _column(weight_trans, float, count)
+    w_rot = _column(weight_rot, float, count)
+    _check_weights(w_trans, w_rot)
+    out = copy.copy(observations)
+    object.__setattr__(out, "w_trans", w_trans)
+    object.__setattr__(out, "w_rot", w_rot)
+    return out

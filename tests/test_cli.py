@@ -143,9 +143,16 @@ class TestOptimizeAndReport:
         loud = capsys.readouterr()
         assert loud.out == quiet.out
         assert quiet.err == ""
-        solver = json.loads((out / "dvso_stats.json").read_text())["solver"]
-        lines = loud.err.splitlines()
+        payload = json.loads((out / "dvso_stats.json").read_text())
+        solver = payload["solver"]
+        *lines, stages = loud.err.splitlines()
         assert len(lines) == solver["iterations"] >= 2
+        # the stage timings close the output, as the stats file records them
+        names = ("align", "build_graph", "solve", "metrics", "write")
+        assert sorted(payload["stages"]) == sorted(f"{name}_s" for name in names)
+        assert stages == "stages: " + ", ".join(
+            f"{name} {payload['stages'][name + '_s']:.4f} s" for name in names
+        )
         for k, (line, record) in enumerate(zip(lines, solver["per_iteration"]), 1):
             assert line.startswith(f"iteration {k}: ")
             for field in ("damping", "rejected", "step", "grad_inf", "gain_ratio", "solve"):

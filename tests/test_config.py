@@ -184,6 +184,13 @@ class TestErrors:
             )
         assert "../x" in str(err.value)
 
+    def test_source_names_checked_before_their_noise_keys(self):
+        # a bad name is reported as one, not as its missing noise.* keys
+        with pytest.raises(DataError) as err:
+            parse_config("sources = ../x\n")
+        assert str(err.value).startswith("sources: must name sources")
+        assert "one word" in str(err.value) and "frame_rate" not in str(err.value)
+
     def test_duplicate_key_rejected(self):
         with pytest.raises(DataError) as err:
             parse_config("seed = 1\nseed = 2\n")

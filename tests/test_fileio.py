@@ -1,6 +1,7 @@
 """Plain-text serialization round trips."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -610,6 +611,21 @@ class TestReports:
         assert back["solver"]["per_iteration"] == [record, undefined]
         assert '"gain_ratio": null' in path.read_text()  # not NaN, which is not JSON
         assert fileio.stats_report(back) == report
+        assert "stages" not in back
+        stages = {"align_s": 0.01, "build_graph_s": 0.002, "solve_s": 0.5, "write_s": 0}
+        fileio.write_stats_json(path, stats, report, stages)
+        assert fileio.read_stats_json(path)["stages"] == stages
+
+    @pytest.mark.parametrize("stages", ['[1.0]', '{"solve_s": -1.0}', '{"solve_s": "fast"}'])
+    def test_stats_json_stages_are_seconds(self, tmp_path, stages):
+        path = tmp_path / "stats.json"
+        report = ErrorReport("dvso", 5.0, 100, 0.001, 0.01, 0.5, 0.1)
+        fileio.write_stats_json(path, opt.SolveStats("cost-threshold", [1.0], []), report)
+        payload = json.loads(path.read_text())
+        payload["stages"] = json.loads(stages)
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataError, match="key 'stages' must map stage names"):
+            fileio.read_stats_json(path)
 
 
 class TestGoldenBytes:

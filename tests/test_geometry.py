@@ -372,6 +372,136 @@ def test_batched_ops_match_scalar_loop():
     logs = g.se3_log(g.pose3_relative(a, b))
     for k in range(5):
         assert np.allclose(logs[k], g.se3_log(g.pose3_relative(a[k], b[k])), atol=1e-15)
+    # the column-expression kernels: each batched row is its own single evaluation
+    theta, rho = (m.reshape(-1, 3) for m in kernel_cases())
+    xi = np.concatenate([rho, theta], axis=-1)
+    for kernel, args in (
+        (g.quat_rotate, (a[:, 3:], b[:, :3])), (g.quat_normalize, (1.5 * a[:, 3:],)),
+        (g.quat_to_rotvec, (a[:, 3:],)), (g.quat_from_rotvec, (theta,)),
+        (g.quat_to_matrix, (a[:, 3:],)), (g.so3_left_jacobian, (theta,)),
+        (g.so3_left_jacobian_inv, (theta,)), (g._se3_q_matrix, (rho, theta)),
+        (g.se3_adjoint, (a,)), (g.se3_right_jacobian_inv, (xi,)),
+    ):
+        batched = kernel(*args)
+        for k in range(0, len(args[0]), 7):
+            assert np.array_equal(batched[k], kernel(*(x[k] for x in args))), kernel.__name__
+
+
+# ---------------------------------------------------------------------------
+# the column-expression kernels against their textbook forms
+
+
+def textbook_hat(r):
+    """hat(r) v = r x v, column by column."""
+    return np.stack([np.cross(r, e) for e in np.eye(3)], axis=-1)
+
+
+def textbook_q(rho, theta):
+    """Q by the hat-matrix products of Barfoot & Furgale, on the same
+    coefficient series as the kernel."""
+    angle = np.linalg.norm(theta, axis=-1)
+    t2 = angle * angle
+    small = angle < 1e-2
+    safe = np.where(small, 1.0, angle)
+    sin_t, cos_t = np.sin(safe), np.cos(safe)
+    c2 = np.where(small, 1.0 / 6.0 - t2 / 120.0, (safe - sin_t) / safe**3)
+    c3 = -np.where(small, -1.0 / 24.0 + t2 / 720.0, (1.0 - t2 / 2.0 - cos_t) / safe**4)
+    c4part = np.where(
+        small, -1.0 / 120.0 + t2 / 2520.0, (safe - sin_t - safe**3 / 6.0) / safe**5
+    )
+    c4 = (0.5 * (c3 + 3.0 * c4part))[..., None, None]
+    c2, c3 = c2[..., None, None], c3[..., None, None]
+    r, p = textbook_hat(rho), textbook_hat(theta)
+    pr, rp, prp = p @ r, r @ p, p @ r @ p
+    return (
+        0.5 * r + c2 * (pr + rp + prp) + c3 * (p @ pr + rp @ p - 3.0 * prp)
+        + c4 * (prp @ p + p @ prp)
+    )
+
+
+def kernel_cases():
+    """Rotation vectors, (..., 3), on every branch: below _TAYLOR_CUTOFF,
+    below the 1e-2 series cutoff and around it, generic, and near pi."""
+    rng = np.random.default_rng(21)
+    axes = rng.normal(size=(6, 40, 3))
+    axes /= np.linalg.norm(axes, axis=-1, keepdims=True)
+    angles = np.stack([
+        rng.uniform(0.0, g._TAYLOR_CUTOFF, 40),
+        rng.uniform(g._TAYLOR_CUTOFF, 1e-2, 40),
+        rng.uniform(0.95e-2, 1.05e-2, 40),
+        rng.uniform(1e-2, 3.0, 40),
+        np.pi - rng.uniform(0.0, 1e-3, 40),
+        np.full(40, np.pi),
+    ])
+    return axes * angles[..., None], rng.normal(size=(6, 40, 3)) * 3.0
+
+
+def assert_rows_close(got, want, rtol=1e-12):
+    """Each row within ``rtol`` of that row's largest entry."""
+    got, want = np.asarray(got), np.asarray(want)
+    axes = tuple(range(2, want.ndim))
+    scale = np.maximum(np.abs(want).max(axis=axes, initial=0.0), 1e-300)
+    assert np.all(np.abs(got - want).max(axis=axes, initial=0.0) <= rtol * scale)
+
+
+def test_rotation_kernels_match_textbook_forms():
+    theta, vec = kernel_cases()
+    angle = np.linalg.norm(theta, axis=-1, keepdims=True)
+    axis = theta / np.where(angle > 0.0, angle, 1.0)
+    textbook_quat = g.quat_canonical(
+        np.concatenate([np.cos(0.5 * angle), np.sin(0.5 * angle) * axis], axis=-1)
+    )
+    q = g.quat_from_rotvec(theta)
+    assert_rows_close(q, textbook_quat)
+    assert_rows_close(g.quat_to_rotvec(q), 2.0 * np.arctan2(
+        np.linalg.norm(q[..., 1:], axis=-1, keepdims=True), q[..., :1]
+    ) * q[..., 1:] / np.maximum(np.linalg.norm(q[..., 1:], axis=-1, keepdims=True), 1e-300))
+    # Rodrigues through two cross products, to the last bit
+    qv, w = q[..., 1:], q[..., :1]
+    u = 2.0 * np.cross(qv, vec)
+    assert np.array_equal(g.quat_rotate(q, vec), vec + w * u + np.cross(qv, u))
+    scaled = 1.7 * q
+    assert np.array_equal(
+        g.quat_normalize(scaled),
+        g.quat_canonical(scaled / np.linalg.norm(scaled, axis=-1, keepdims=True)),
+    )
+    rot = g.quat_to_matrix(q)
+    assert_rows_close(rot @ vec[..., None], g.quat_rotate(q, vec)[..., None])
+    assert_rows_close(rot @ np.swapaxes(rot, -1, -2), np.broadcast_to(np.eye(3), rot.shape))
+    assert np.array_equal(g.so3_hat(theta), textbook_hat(theta))
+    assert_rows_close(g.rotation_angle(q)[..., None], angle)
+
+
+def test_half_turn_at_w_zero():
+    # w == 0 exactly: canonical sign, log on the pi branch, rotation by pi
+    rng = np.random.default_rng(22)
+    v = rng.normal(size=(50, 3))
+    v /= np.linalg.norm(v, axis=-1, keepdims=True)
+    q = g.quat_canonical(np.concatenate([np.zeros((50, 1)), v], axis=-1))
+    lead = np.take_along_axis(q[:, 1:], np.argmax(np.abs(q[:, 1:]), axis=-1)[:, None], axis=-1)
+    assert np.all(q[:, 0] == 0.0) and np.all(lead > 0.0)
+    assert_rows_close(g.quat_to_rotvec(q), np.pi * q[:, 1:])
+    assert_rows_close(g.quat_to_matrix(q), 2.0 * q[:, 1:, None] * q[:, None, 1:] - np.eye(3))
+    assert_rows_close(g.quat_normalize(-2.0 * q), q)
+    assert_rows_close(g.rotation_angle(q)[:, None], np.full((50, 1), np.pi))
+
+
+def test_jacobian_kernels_match_textbook_forms():
+    theta, rho = kernel_cases()
+    hat = textbook_hat(theta)
+    angle = np.linalg.norm(theta, axis=-1)
+    a, b = g._so3_coeffs(angle)
+    c = g._half_cot_coeff(angle)
+    eye = np.eye(3)
+    a, b, c = a[..., None, None], b[..., None, None], c[..., None, None]
+    assert_rows_close(g.so3_left_jacobian(theta), eye + a * hat + b * (hat @ hat))
+    assert_rows_close(g.so3_left_jacobian_inv(theta), eye - 0.5 * hat + c * (hat @ hat))
+    assert_rows_close(g._se3_q_matrix(rho, theta), textbook_q(rho, theta))
+    pose = np.concatenate([rho, g.quat_from_rotvec(theta)], axis=-1)
+    adjoint = g.se3_adjoint(pose)
+    assert_rows_close(adjoint[..., :3, 3:], textbook_hat(rho) @ g.quat_to_matrix(pose[..., 3:]))
+    xi = np.concatenate([rho, theta], axis=-1)
+    assert_rows_close(g.se3_exp(xi)[..., :3], (g.so3_left_jacobian(theta) @ rho[..., None])[..., 0])
 
 
 def test_pose_values_immutable():
@@ -398,12 +528,13 @@ def test_group_identities(group, data):
     assert np.allclose(group.log(group.exp(xi)), xi, atol=1e-9)
 
     a, meas = group.exp(eta), group.exp(zeta)
-    assert np.abs(group.between(meas, a, group.compose(a, meas))[0]).max() < 1e-9
+    residual, _ = group.between(group.inverse(meas), group.inverse(a), group.compose(a, meas))
+    assert np.abs(residual).max() < 1e-9
 
     # x * exp(xi) * x^-1 = exp(Ad_x xi)
     lhs = group.compose(group.compose(a, group.exp(xi)), group.inverse(a))
     rhs = group.exp(group.adjoint(a) @ xi)
-    assert np.abs(group.between(lhs, group.identity, rhs)[0]).max() < 1e-9
+    assert np.abs(group.between(group.inverse(lhs), group.identity, rhs)[0]).max() < 1e-9
 
     back = group.from_pose3(group.to_pose3(a))
     assert back.shape == (group.packed_dim,)

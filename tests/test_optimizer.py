@@ -72,14 +72,14 @@ class TestConvergence:
         )
         target = geom.pose3_compose(graph.landmark, graph.template[graph.obs_pole])
         graph.obs_meas = geom.pose3_relative(graph.states[graph.obs_node], target)
-        evaluate = gmod.evaluate
+        evaluate = gmod.Edges.evaluate
         calls = []
 
-        def counted(*args):
+        def counted(self, *args):
             calls.append(args)
-            return evaluate(*args)
+            return evaluate(self, *args)
 
-        monkeypatch.setattr(gmod, "evaluate", counted)
+        monkeypatch.setattr(gmod.Edges, "evaluate", counted)
         solved, stats = opt.optimize(graph)
         assert stats.initial_cost < 1e-24
         assert stats.final_cost < 1e-24
@@ -221,9 +221,10 @@ def reference_jacobians(graph, states, landmark, ev):
 
 def solver_system(graph, assembler, states, landmark, huber_delta):
     """The evaluation at one state and the system the solver assembles there."""
-    ev = gmod.evaluate(graph, states, landmark, huber_delta)
-    jacobians = opt._linearize(graph, states, landmark, ev, assembler.observed)
-    return ev, assembler.assemble(opt._products(ev, jacobians, assembler.first))
+    edges = assembler.edges
+    ev = edges.evaluate(states, landmark, huber_delta)
+    jacobians = opt._linearize(edges, states, landmark, ev)
+    return ev, assembler.assemble(opt._products(edges, ev, jacobians))
 
 
 def reference_system(graph, states, landmark, ev, huber_delta):
@@ -376,6 +377,41 @@ def test_per_node_assembly_matches_reference_on_recovery(source):
         ev, got = solver_system(graph, assembler, states, landmark, 0.0)
         want = reference_system(graph, states, landmark, ev, 0.0)
         assert_system_close(got, want, assembler.bw, 1e-12)
+
+
+# iterations, stop reason and final cost of the recovery solves as the
+# solver formed them before its per-solve constants: sighting by sighting,
+# each residual inverting its measurement and its node's state
+RECOVERY_REFERENCE = {
+    ("dvso", 7): (3, COST_THRESHOLD, 4059.610163968961),
+    ("dvso", 1001): (3, COST_THRESHOLD, 4059.618727002915),
+    ("wheel", 7): (3, COST_THRESHOLD, 40597.23558857116),
+    ("wheel", 1001): (2, COST_THRESHOLD, 40597.20568880992),
+}
+
+
+@pytest.mark.parametrize("source, seed", list(RECOVERY_REFERENCE))
+def test_recovery_solve_matches_per_sighting_reference(source, seed):
+    result, _ = pipeline.recovery_run(sim.PRESETS[source](), seed)
+    iterations, reason, cost = RECOVERY_REFERENCE[source, seed]
+    assert (result.stats.iterations, result.stats.reason) == (iterations, reason)
+    assert result.stats.final_cost == pytest.approx(cost, rel=1e-12, abs=0.0)
+    # the per-solve constants evaluate every edge as per-sighting between does
+    graph = result.raw_graph
+    group = graph.group
+    edges = gmod.Edges(graph)
+    for states, landmark in ((graph.states, graph.landmark), perturbed(graph, 4)):
+        ev = edges.evaluate(states, landmark)
+        r_odo, rel_odo = group.between(
+            group.inverse(graph.odo_meas), group.inverse(states[:-1]), states[1:]
+        )
+        r_obs, _ = group.between(
+            group.inverse(graph.obs_meas), group.inverse(states[graph.obs_node]),
+            graph.pole_world_poses(landmark)[graph.obs_pole],
+        )
+        for got, want in ((ev.r_odo, r_odo), (ev.rel_odo, rel_odo), (ev.r_obs, r_obs)):
+            assert np.array_equal(got, want)
+        assert ev.cost == gmod.total_cost(graph, states, landmark)
 
 
 @pytest.mark.parametrize("damping", [1e-8, 1e-2])

@@ -219,3 +219,14 @@ class TestTypes:
         np.testing.assert_array_equal(o2.pole_ids, o.pole_ids)
         np.testing.assert_array_equal(o2.rel, o.rel)
         np.testing.assert_array_equal(o.w_trans, [1.0, 1.0])
+
+    @pytest.mark.parametrize("weights", [(-1.0, 1.0), (1.0, np.nan), (np.inf, 1.0)])
+    def test_with_weights_checks_only_the_new_weights(self, weights):
+        o = obs_at(0.2, 0.4, poles=[0, 1])
+        with pytest.raises(DataError, match="information weights"):
+            with_weights(o, *weights)
+        # the sightings themselves were checked once, when the set was built:
+        # their read-only columns come through as they are
+        o2 = with_weights(o, 4.0, 9.0)
+        assert o2.rel is o.rel and o2.times is o.times and o2.pole_ids is o.pole_ids
+        assert not o2.w_trans.flags.writeable
