@@ -147,11 +147,12 @@ def _cmd_optimize(args, written):
         progress=_print_iteration if args.verbose else None,
     )
     os.makedirs(args.out, exist_ok=True)
-    for path in pipeline.write_optimization(args.out, track.source, result, written):
+    stages = pipeline.write_optimization(args.out, track.source, result, written)
+    for path in written:
         print(path)
     if args.verbose:
-        stages = ", ".join(f"{name[:-2]} {s:.4f} s" for name, s in result.stages.items())
-        print(f"stages: {stages}", file=sys.stderr)
+        timings = ", ".join(f"{name[:-2]} {s:.4f} s" for name, s in stages.items())
+        print(f"stages: {timings}", file=sys.stderr)
     r = result.report
     print(
         f"{r.source}: {r.trans_per_frame:.6g} m/frame, "

@@ -391,13 +391,12 @@ STATS_KEYS = {
 _JSON_KINDS = {"str": str, "int": int, "float": (int, float), "bool": bool}
 
 
-def write_stats_json(path, stats: SolveStats, report: ErrorReport, stages=None) -> None:
-    """The report's fields, the solver's record and, when given, ``stages``:
-    seconds per pipeline stage, by name."""
+def write_stats_json(path, stats: SolveStats, report: ErrorReport, stages: dict) -> None:
+    """The report's fields, the solver's record and ``stages``: seconds per
+    pipeline stage, by name."""
     keys = {**REPORT_FIELDS, **STATS_KEYS}
     payload = {key: getattr(report, name) for key, name in keys.items()}
-    if stages is not None:
-        payload["stages"] = dict(stages)
+    payload["stages"] = dict(stages)
     payload["solver"] = {
         "iterations": stats.iterations,
         "initial_cost": stats.initial_cost,

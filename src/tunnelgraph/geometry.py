@@ -198,18 +198,6 @@ def rotation_angle(q):
     return float(out) if out.ndim == 0 else out
 
 
-def so3_hat(r):
-    r = np.asarray(r, dtype=float)
-    out = np.zeros(r.shape + (3,))
-    out[..., 0, 1] = -r[..., 2]
-    out[..., 0, 2] = r[..., 1]
-    out[..., 1, 0] = r[..., 2]
-    out[..., 1, 2] = -r[..., 0]
-    out[..., 2, 0] = -r[..., 1]
-    out[..., 2, 1] = r[..., 0]
-    return out
-
-
 def _skew_plus_symmetric(w, diagonal, off_diagonal):
     """hat(w) plus the symmetric matrix with the given diagonal and
     (xy, xz, yz) entries, filled entry by entry; each argument is a triple

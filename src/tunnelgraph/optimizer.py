@@ -34,7 +34,7 @@ every template pole.  Edges are evaluated on it once per trial; its cost
 is ``graph.total_cost(graph, states, landmark, huber_delta)``.  The
 accepted trial's evaluation is kept: the next linearization takes its
 residuals and odometry transforms, and the products its weights and IRLS
-factors (without Huber the weights themselves, a per-solve constant).
+factors.
 
 A sighting's node Jacobian is its landmark Jacobian times one adjoint
 per observing node (:func:`_linearize`), so the observation products are
@@ -152,12 +152,6 @@ def _linearize(edges, states, landmark, ev):
     return ji_o, jj_o, jl_s, group.adjoint(group.relative(landmark, observing))
 
 
-def _irls_weights(w, irls):
-    """W = w * irls per residual component; w itself, a per-solve constant,
-    when every IRLS factor is one."""
-    return w if np.all(irls == 1.0) else w * irls[:, None]
-
-
 def _products(edges, ev, jacobians):
     """Normal-equation blocks J_a^T W J_b and gradients J^T W r, with the
     residuals, weights and IRLS factors of ``ev``: per odometry edge, and
@@ -166,8 +160,8 @@ def _products(edges, ev, jacobians):
     they sum to the node block G^T S G, the coupling -G^T S to the
     landmark, and the gradient -G^T h."""
     ji_o, jj_o, jl_s, adj = jacobians
-    w_odo = _irls_weights(ev.w_odo, ev.irls_odo)
-    w_obs = _irls_weights(ev.w_obs, ev.irls_obs)
+    w_odo = ev.w_odo * ev.irls_odo[:, None]
+    w_obs = ev.w_obs * ev.irls_obs[:, None]
     # each block is J_a^T (W J_b), with J_a^T a transposed view, not a copy
     ti_o, tj_o = np.swapaxes(ji_o, 1, 2), np.swapaxes(jj_o, 1, 2)
     wjj_o = jj_o * w_odo[:, :, None]

@@ -123,8 +123,7 @@ class OptimizationResult:
     stats: opt.SolveStats
     report: metrics.ErrorReport
     raw_graph: gmod.PoseGraph
-    # seconds per stage: align_s, build_graph_s, solve_s and metrics_s, and
-    # write_s once write_optimization has written the track and graph
+    # seconds per stage: align_s, build_graph_s, solve_s and metrics_s
     stages: dict
 
 
@@ -171,9 +170,10 @@ def node_track(graph: gmod.PoseGraph, source: str, rate: float) -> sync.Odometry
 
 
 def write_optimization(out_dir, source: str, result: OptimizationResult, written=None):
-    """Write the optimized trajectory, solved graph and solver stats.  The
-    stats file, written last, records the stage timings, with ``write_s``
-    the seconds spent writing the trajectory and the graph."""
+    """Write the optimized trajectory, solved graph and solver stats, adding
+    the paths to ``written``.  The stats file, written last, records the
+    stage timings, with ``write_s`` the seconds spent writing the trajectory
+    and the graph; they are returned."""
     written = written if written is not None else []
     os.makedirs(out_dir, exist_ok=True)
     start = time.perf_counter()
@@ -185,12 +185,12 @@ def write_optimization(out_dir, source: str, result: OptimizationResult, written
     graph_path = os.path.join(out_dir, f"{source}_graph.txt")
     written.append(graph_path)
     fileio.write_graph(graph_path, result.graph)
-    result.stages["write_s"] = time.perf_counter() - start
+    stages = {**result.stages, "write_s": time.perf_counter() - start}
 
     stats_path = os.path.join(out_dir, f"{source}_stats.json")
     written.append(stats_path)
-    fileio.write_stats_json(stats_path, result.stats, result.report, result.stages)
-    return written
+    fileio.write_stats_json(stats_path, result.stats, result.report, stages)
+    return stages
 
 
 # ---------------------------------------------------------------------------

@@ -230,21 +230,23 @@ class ObservationSet:
             rel = rel.reshape(0, 7)
         if times.ndim != 1 or rel.shape != (times.size, 7):
             raise DataError("observation poses must be packed (M, 7), one per timestamp")
-        count = times.size
-        pole_ids = _column(self.pole_ids, int, count)
-        w_trans = _column(self.w_trans, float, count)
-        w_rot = _column(self.w_rot, float, count)
-        _check_weights(w_trans, w_rot)
+        pole_ids = _column(self.pole_ids, int, times.size)
+        times.setflags(write=False)
+        rel.setflags(write=False)
+        for name, value in (("times", times), ("pole_ids", pole_ids), ("rel", rel)):
+            object.__setattr__(self, name, value)
+        self._set_weights(self.w_trans, self.w_rot)
         if np.any(pole_ids < 0):
             raise RowError(int(np.argmax(pole_ids < 0)), "pole id must be non-negative")
         _check_unit_quaternions(rel)
-        times.setflags(write=False)
-        rel.setflags(write=False)
-        for name, value in (
-            ("times", times), ("pole_ids", pole_ids), ("rel", rel),
-            ("w_trans", w_trans), ("w_rot", w_rot),
-        ):
-            object.__setattr__(self, name, value)
+
+    def _set_weights(self, weight_trans, weight_rot) -> None:
+        """The weight columns, broadcast to one per sighting and checked."""
+        w_trans = _column(weight_trans, float, len(self))
+        w_rot = _column(weight_rot, float, len(self))
+        _check_weights(w_trans, w_rot)
+        object.__setattr__(self, "w_trans", w_trans)
+        object.__setattr__(self, "w_rot", w_rot)
 
     def __len__(self) -> int:
         return int(self.times.size)
@@ -330,11 +332,6 @@ def with_weights(observations: ObservationSet, weight_trans: float, weight_rot: 
     new weights are checked (finite and non-negative): the rows they join
     passed their checks when the set was built, and their read-only
     columns are shared."""
-    count = len(observations)
-    w_trans = _column(weight_trans, float, count)
-    w_rot = _column(weight_rot, float, count)
-    _check_weights(w_trans, w_rot)
     out = copy.copy(observations)
-    object.__setattr__(out, "w_trans", w_trans)
-    object.__setattr__(out, "w_rot", w_rot)
+    out._set_weights(weight_trans, weight_rot)
     return out

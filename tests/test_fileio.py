@@ -592,7 +592,7 @@ class TestReports:
         stats = opt.SolveStats("cost-threshold", [1.0], [])
         report = ErrorReport("dvso", 5.0, 100, float(constant), 0.01, 0.5, 0.1)
         with pytest.raises(ValueError):
-            fileio.write_stats_json(path, stats, report)
+            fileio.write_stats_json(path, stats, report, {})
 
     def test_stats_json_round_trip(self, tmp_path):
         record = {"damping": 1e-6, "rejected": 0, "step_norm": 0.25, "solve_s": 0.01}
@@ -600,7 +600,8 @@ class TestReports:
         stats = opt.SolveStats("cost-threshold", [10.0, 1.0, 0.5], [record, undefined])
         report = ErrorReport("dvso", 5.0, 100, 0.001, 0.01, 0.5, 0.1)
         path = tmp_path / "stats.json"
-        fileio.write_stats_json(path, stats, report)
+        stages = {"align_s": 0.01, "build_graph_s": 0.002, "solve_s": 0.5, "write_s": 0}
+        fileio.write_stats_json(path, stats, report, stages)
         back = fileio.read_stats_json(path)
         assert back["source"] == "dvso"
         assert back["trans_m_per_s"] == pytest.approx(0.005)
@@ -611,16 +612,13 @@ class TestReports:
         assert back["solver"]["per_iteration"] == [record, undefined]
         assert '"gain_ratio": null' in path.read_text()  # not NaN, which is not JSON
         assert fileio.stats_report(back) == report
-        assert "stages" not in back
-        stages = {"align_s": 0.01, "build_graph_s": 0.002, "solve_s": 0.5, "write_s": 0}
-        fileio.write_stats_json(path, stats, report, stages)
-        assert fileio.read_stats_json(path)["stages"] == stages
+        assert back["stages"] == stages
 
     @pytest.mark.parametrize("stages", ['[1.0]', '{"solve_s": -1.0}', '{"solve_s": "fast"}'])
     def test_stats_json_stages_are_seconds(self, tmp_path, stages):
         path = tmp_path / "stats.json"
         report = ErrorReport("dvso", 5.0, 100, 0.001, 0.01, 0.5, 0.1)
-        fileio.write_stats_json(path, opt.SolveStats("cost-threshold", [1.0], []), report)
+        fileio.write_stats_json(path, opt.SolveStats("cost-threshold", [1.0], []), report, {})
         payload = json.loads(path.read_text())
         payload["stages"] = json.loads(stages)
         path.write_text(json.dumps(payload))
