@@ -146,7 +146,6 @@ def _cmd_optimize(args, written):
         landmark_fixed=args.landmark_fixed,
         progress=_print_iteration if args.verbose else None,
     )
-    os.makedirs(args.out, exist_ok=True)
     stages = pipeline.write_optimization(args.out, track.source, result, written)
     for path in written:
         print(path)

@@ -18,7 +18,6 @@ scalar-last on disk, as trajectory tooling expects; ``TO_DISK`` and
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import json
 
@@ -72,9 +71,10 @@ def _write(path, *parts, newline=None) -> None:
         fh.write("".join(parts))
 
 
-def _read_table(path):
+def _read_table(path, sep=None):
     """Header comments (``# key: value``, first wins) and the data rows as
-    (line number, fields) pairs."""
+    (line number, fields) pairs, the fields split at ``sep`` (default:
+    whitespace)."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     headers = {}
@@ -89,7 +89,7 @@ def _read_table(path):
                 key, _, value = body.partition(":")
                 headers.setdefault(key.strip(), value.strip())
             continue
-        rows.append((lineno, stripped.split()))
+        rows.append((lineno, stripped.split(sep)))
     return headers, rows
 
 
@@ -328,20 +328,18 @@ def read_graph(path) -> PoseGraph:
 
 
 def write_report_csv(path, reports) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(REPORT_COLUMNS)
-        for r in reports:
-            values = [getattr(r, name) for name in REPORT_FIELDS.values()]
-            writer.writerow([_fmt(v) if isinstance(v, float) else v for v in values])
+    """One row per report under a ``REPORT_COLUMNS`` header, CRLF-terminated."""
+    columns = [np.array([getattr(r, name) for r in reports]) for name in REPORT_FIELDS.values()]
+    _write(
+        path, ",".join(REPORT_COLUMNS) + "\n", _format_rows(columns, sep=","), newline="\r\n"
+    )
 
 
 def read_report_csv(path):
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0] != REPORT_COLUMNS:
+    _, rows = _read_table(path, sep=",")
+    if not rows or rows[0][1] != REPORT_COLUMNS:
         raise DataError(f"{path}: unexpected report schema")
-    rows = list(enumerate(rows[1:], start=2))
+    rows = rows[1:]
     # the per-second columns are derived, so they are not read back
     floats, ints = _parse_rows(path, rows, "-fiff--ff")
     return [

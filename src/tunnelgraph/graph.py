@@ -190,18 +190,17 @@ def build_graph(
 class Evaluation:
     """Every edge at one state.  Per odometry (E) and observation (M) edge:
     the tangent residual ``r_*`` and the weight ``w_*`` of each of its
-    components, (E, d) and (M, d), and the IRLS factor ``irls_*`` the
-    Huber kernel puts on that weight (ones without Huber).  ``rel_odo`` is
-    each odometry edge's transform s_i^-1 * s_j.  ``cost``, the sum of the
-    Huber-composed edge costs, is the objective the solver minimizes."""
+    components, (E, d) and (M, d), which is the edge's weight times the
+    IRLS factor the Huber kernel puts on it (the edge's weight alone
+    without Huber).  ``rel_odo`` is each odometry edge's transform
+    s_i^-1 * s_j.  ``cost``, the sum of the Huber-composed edge costs, is
+    the objective the solver minimizes."""
 
     rel_odo: np.ndarray
     r_odo: np.ndarray
     r_obs: np.ndarray
     w_odo: np.ndarray
     w_obs: np.ndarray
-    irls_odo: np.ndarray
-    irls_obs: np.ndarray
     cost: float
 
 
@@ -259,10 +258,10 @@ class Edges:
         r_obs, _ = self.observation(np.take(states, self.observed, axis=0), landmark)
         sq_odo = _weighted_sq(graph, r_odo, graph.odo_w_trans, graph.odo_w_rot)
         sq_obs = _weighted_sq(graph, r_obs, graph.obs_w_trans, graph.obs_w_rot)
-        cost_odo, irls_odo = _huber(sq_odo, huber_delta)
-        cost_obs, irls_obs = _huber(sq_obs, huber_delta)
+        cost_odo, w_odo = _huber(sq_odo, self.w_odo, huber_delta)
+        cost_obs, w_obs = _huber(sq_obs, self.w_obs, huber_delta)
         cost = float(np.sum(cost_odo)) + float(np.sum(cost_obs))
-        return Evaluation(rel_odo, r_odo, r_obs, self.w_odo, self.w_obs, irls_odo, irls_obs, cost)
+        return Evaluation(rel_odo, r_odo, r_obs, w_odo, w_obs, cost)
 
 
 def _weighted_sq(graph: PoseGraph, r, w_trans, w_rot):
@@ -273,15 +272,16 @@ def _weighted_sq(graph: PoseGraph, r, w_trans, w_rot):
     return w_trans * sum(squares[:k]) + w_rot * sum(squares[k:])
 
 
-def _huber(sq, delta):
-    """Huber-composed edge costs and IRLS weight factors (plain at delta 0)."""
+def _huber(sq, w, delta):
+    """Huber-composed edge costs, and the component weights ``w`` times
+    each edge's IRLS factor (plain, and ``w`` itself, at delta 0)."""
     if delta <= 0.0:
-        return sq, np.ones_like(sq)
+        return sq, w
     cut = delta * delta
     root = np.sqrt(np.maximum(sq, 1e-300))
     cost = np.where(sq <= cut, sq, 2.0 * delta * root - cut)
     factor = np.where(sq <= cut, 1.0, delta / root)
-    return cost, factor
+    return cost, w * factor[:, None]
 
 
 def evaluate(graph: PoseGraph, states=None, landmark=None, huber_delta=0.0) -> Evaluation:
@@ -295,11 +295,3 @@ def total_cost(graph: PoseGraph, states=None, landmark=None, huber_delta=0.0) ->
     """The objective the solver minimizes: the sum over all edges of the
     weighted squared residual norm, Huber-composed when ``huber_delta > 0``."""
     return evaluate(graph, states, landmark, huber_delta).cost
-
-
-def retract(graph: PoseGraph, states, landmark, node_delta, landmark_delta):
-    """Right-multiplicative update of all free variables."""
-    group = graph.group
-    if landmark_delta is not None:
-        landmark = group.retract(landmark, landmark_delta)
-    return group.retract(states, node_delta), landmark

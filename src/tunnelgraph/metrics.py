@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sync import PLANAR, DataError
+from .sync import DataError
 
 
 @dataclass(frozen=True)
@@ -41,31 +41,25 @@ class ErrorReport:
         return self.rot_deg_per_frame * self.rate
 
 
-def frame_node_indices(graph) -> np.ndarray:
-    return np.flatnonzero(graph.is_frame)
-
-
 def merged_measurements(graph):
-    """Measured per-frame increments with observation splits re-composed."""
-    frames = frame_node_indices(graph)
-    starts, ends = frames[:-1], frames[1:]
-    compose = graph.group.compose
-    merged = graph.odo_meas[starts].copy()
-    for k in np.flatnonzero(ends - starts > 1):
-        step = graph.odo_meas[starts[k]]
-        for e in range(starts[k] + 1, ends[k]):
-            step = compose(step, graph.odo_meas[e])
-        merged[k] = step
-    return merged, frames
+    """Measured per-frame increments with observation splits re-composed:
+    the k-th split step of every frame that has one composes in one batch."""
+    frames = np.flatnonzero(graph.is_frame)
+    starts, steps = frames[:-1], np.diff(frames)
+    merged = graph.odo_meas[starts]
+    for k in range(1, steps.max(initial=1)):
+        split = steps > k
+        merged[split] = graph.group.compose(merged[split], graph.odo_meas[starts[split] + k])
+    return merged
 
 
 def correction_magnitudes(graph, states=None):
     """Per-frame (translation meters, rotation degrees) norms of the tangent
     correction log(measured^-1 * optimized) of each sensor frame."""
-    s = graph.states if states is None else states
-    merged, frames = merged_measurements(graph)
+    s = (graph.states if states is None else states)[graph.is_frame]
     group = graph.group
-    corr = group.between(group.inverse(merged), group.inverse(s[frames[:-1]]), s[frames[1:]])[0]
+    merged = merged_measurements(graph)
+    corr = group.between(group.inverse(merged), group.inverse(s[:-1]), s[1:])[0]
     k = group.trans_dim
     return (
         np.linalg.norm(corr[:, :k], axis=1),
@@ -73,16 +67,13 @@ def correction_magnitudes(graph, states=None):
     )
 
 
-def closure_error(poses, dof_mode: str):
-    """(xy distance, |z| gap) between the first and last pose of a track."""
+def closure_error(poses):
+    """(xy distance, |z| gap) between the first and last of packed SE(3) poses."""
     poses = np.asarray(poses, dtype=float)
     if poses.shape[0] < 2:
         raise DataError("closure needs at least two poses")
-    dx = poses[-1, 0] - poses[0, 0]
-    dy = poses[-1, 1] - poses[0, 1]
-    if dof_mode == PLANAR:
-        return float(np.hypot(dx, dy)), 0.0
-    return float(np.hypot(dx, dy)), float(abs(poses[-1, 2] - poses[0, 2]))
+    gap = poses[-1, :3] - poses[0, :3]
+    return float(np.hypot(gap[0], gap[1])), float(abs(gap[2]))
 
 
 def per_frame_corrections(graph, states=None) -> ErrorReport:
@@ -91,8 +82,8 @@ def per_frame_corrections(graph, states=None) -> ErrorReport:
     built, and ``states`` defaults to them."""
     s = graph.states if states is None else states
     tmag, rmag = correction_magnitudes(graph, s)
-    raw_xy, raw_z = closure_error(graph.states, graph.dof_mode)
-    opt_xy, opt_z = closure_error(s, graph.dof_mode)
+    raw_xy, raw_z = closure_error(graph.group.to_pose3(graph.states[[0, -1]]))
+    opt_xy, opt_z = closure_error(graph.group.to_pose3(s[[0, -1]]))
     return ErrorReport(
         source=graph.source,
         rate=graph.rate,
@@ -115,8 +106,7 @@ def phase_breakdown(graph, intervals):
     aggregated.  Returns {name: (frames, trans mean m, rot mean deg)}.
     """
     tmag, rmag = correction_magnitudes(graph)
-    frames = frame_node_indices(graph)
-    start_times = graph.times[frames[:-1]]
+    start_times = graph.times[graph.is_frame][:-1]
     masks = {}
     for name, t0, t1 in intervals:
         window = (start_times >= t0) & (start_times < t1)

@@ -33,8 +33,8 @@ per-component weights, the observing nodes and the adjoint Ad(P^-1) of
 every template pole.  Edges are evaluated on it once per trial; its cost
 is ``graph.total_cost(graph, states, landmark, huber_delta)``.  The
 accepted trial's evaluation is kept: the next linearization takes its
-residuals and odometry transforms, and the products its weights and IRLS
-factors.
+residuals and odometry transforms, and the products its weights, which
+carry the Huber kernel's factors.
 
 A sighting's node Jacobian is its landmark Jacobian times one adjoint
 per observing node (:func:`_linearize`), so the observation products are
@@ -154,14 +154,13 @@ def _linearize(edges, states, landmark, ev):
 
 def _products(edges, ev, jacobians):
     """Normal-equation blocks J_a^T W J_b and gradients J^T W r, with the
-    residuals, weights and IRLS factors of ``ev``: per odometry edge, and
-    per observing node, whose run of sightings starts at ``edges.first``.
-    A sighting adds S = J_l^T W J_l and h = J_l^T W r; over its node's run
-    they sum to the node block G^T S G, the coupling -G^T S to the
-    landmark, and the gradient -G^T h."""
+    residuals and weights of ``ev``: per odometry edge, and per observing
+    node, whose run of sightings starts at ``edges.first``.  A sighting
+    adds S = J_l^T W J_l and h = J_l^T W r; over its node's run they sum
+    to the node block G^T S G, the coupling -G^T S to the landmark, and
+    the gradient -G^T h."""
     ji_o, jj_o, jl_s, adj = jacobians
-    w_odo = ev.w_odo * ev.irls_odo[:, None]
-    w_obs = ev.w_obs * ev.irls_obs[:, None]
+    w_odo, w_obs = ev.w_odo, ev.w_obs
     # each block is J_a^T (W J_b), with J_a^T a transposed view, not a copy
     ti_o, tj_o = np.swapaxes(ji_o, 1, 2), np.swapaxes(jj_o, 1, 2)
     wjj_o = jj_o * w_odo[:, :, None]
@@ -286,13 +285,14 @@ def optimize(graph, settings: SolverSettings = None, progress=None):
     settings = settings or SolverSettings()
     states = graph.states.copy()
     landmark = graph.landmark.copy()
+    group = graph.group
     assembler = _Assembler(graph)
     edges = assembler.edges
 
     ev = edges.evaluate(states, landmark, settings.huber_delta)
     # what residuals one rounding unit in size would cost: a smaller
     # predicted decrease is rounding noise, even where the cost itself is
-    noise_cost = EPS**2 * (ev.w_odo.sum() + ev.w_obs.sum())
+    noise_cost = EPS**2 * (edges.w_odo.sum() + edges.w_obs.sum())
     trace = [ev.cost]
     per_iteration = []
     damping = DAMPING_FLOOR
@@ -316,10 +316,10 @@ def optimize(graph, settings: SolverSettings = None, progress=None):
                     step, cand_states, cand_lm, cand = None, states, landmark, ev
                     record["damping"] = damping
                     break
+                node_step, lm_step = assembler.split(step)
                 cand_states = states.copy()  # node 0, the gauge, stays as it is
-                cand_states[1:], cand_lm = gmod.retract(
-                    graph, states[1:], landmark, *assembler.split(step)
-                )
+                cand_states[1:] = group.retract(states[1:], node_step)
+                cand_lm = landmark if lm_step is None else group.retract(landmark, lm_step)
                 cand, seconds = _timed(edges.evaluate, cand_states, cand_lm, settings.huber_delta)
                 record["cost_s"] += seconds
                 if cand.cost <= ev.cost:
@@ -370,9 +370,8 @@ def check_jacobians(graph, probe_count: int = 100):
     spread = np.array([0.5] * group.trans_dim + [0.25] * (d - group.trans_dim))
     node_delta = rng.uniform(-1.0, 1.0, (n, d)) * spread
     lm_delta = rng.uniform(-1.0, 1.0, d) * spread
-    states, landmark = gmod.retract(
-        graph, graph.states, graph.landmark, node_delta, lm_delta
-    )
+    states = group.retract(graph.states, node_delta)
+    landmark = group.retract(graph.landmark, lm_delta)
 
     total = graph.odo_count + graph.obs_count
     picks = rng.choice(total, size=min(probe_count, total), replace=False)

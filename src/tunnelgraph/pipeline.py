@@ -209,8 +209,6 @@ def report_run(run_dir, out_dir=None, written=None):
     """Assemble report.csv / report.txt and plot data from a run dir."""
     out_dir = out_dir or run_dir
     written = written if written is not None else []
-    os.makedirs(out_dir, exist_ok=True)
-
     sources = _discover_sources(run_dir)
     if not sources:
         raise DataError(f"{run_dir}: no *_stats.json solver outputs found")
@@ -220,6 +218,7 @@ def report_run(run_dir, out_dir=None, written=None):
     if os.path.exists(config_path):
         with open(config_path, "r", encoding="utf-8") as fh:
             cfg = parse_config(fh.read())
+    os.makedirs(out_dir, exist_ok=True)
 
     reports = []
     phase_rows = {}
@@ -244,8 +243,7 @@ def report_run(run_dir, out_dir=None, written=None):
         raw_path = os.path.join(run_dir, f"{name}_raw.txt")
         if os.path.exists(raw_path):
             raw = fileio.read_track(raw_path)
-            frames = metrics.frame_node_indices(graph)
-            if not np.array_equal(raw.times, graph.times[frames]):
+            if not np.array_equal(raw.times, graph.times[graph.is_frame]):
                 raise DataError(f"{graph_path}: frame times do not match {raw_path}")
             xy_path = os.path.join(out_dir, f"{name}_xy.csv")
             written.append(xy_path)
@@ -253,7 +251,7 @@ def report_run(run_dir, out_dir=None, written=None):
                 xy_path,
                 raw.times,
                 raw.poses[:, :2],
-                graph.states[frames][:, :2],
+                graph.states[graph.is_frame, :2],
             )
 
         est_poles = graph.pole_world_poses()

@@ -310,16 +310,13 @@ def align(track: OdometryTrack, observations: ObservationSet) -> AlignedSequence
         )
 
     times = np.union1d(track.times, obs_times)
-    is_frame = np.isin(times, track.times)
-    poses = np.empty((times.size, 7))
-    poses[is_frame] = track.poses
-    poses[~is_frame] = track.poses_at(times[~is_frame])
+    poses = track.poses_at(times)
 
     return AlignedSequence(
         track=track,
         times=times,
         poses=poses,
-        is_frame=is_frame,
+        is_frame=np.isin(times, track.times),
         meas=geom.pose3_relative(poses[:-1], poses[1:]),
         observations=observations,
         obs_order=order,

@@ -527,6 +527,21 @@ class TestCleanup:
         assert code == 2
         assert not any(out.iterdir())
 
+    def test_failed_report_creates_no_directory(self, tmp_path, capsys):
+        missing = tmp_path / "missing"
+        assert cli.main(["report", "--dir", str(missing)]) == 2
+        assert str(missing) in capsys.readouterr().err
+        assert not missing.exists()
+        # a directory without solver outputs, and one whose config is invalid
+        run = tmp_path / "run"
+        run.mkdir()
+        assert cli.main(["report", "--dir", str(run), "--out", str(tmp_path / "a")]) == 2
+        (run / "dvso_stats.json").write_text("{}\n")
+        (run / pipeline.CONFIG_FILE).write_text("landmark.spacing = -1\n")
+        assert cli.main(["report", "--dir", str(run), "--out", str(tmp_path / "b")]) == 2
+        assert "landmark.spacing" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run"]
+
 
 def test_importing_the_cli_leaves_scipy_unloaded():
     # only the solve needs scipy, so simulate and report never load it

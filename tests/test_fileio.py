@@ -1,6 +1,8 @@
 """Plain-text serialization round trips."""
 
+import csv
 import dataclasses
+import io
 import json
 
 import numpy as np
@@ -575,6 +577,33 @@ class TestReports:
         path = tmp_path / "report.csv"
         path.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(DataError):
+            fileio.read_report_csv(path)
+
+    def test_csv_bytes_match_the_csv_module(self, tmp_path, scenario):
+        # the reference: the standard csv writer, CRLF rows and 17-digit floats
+        track, observations, _ = scenario
+        reports = [
+            pipeline.optimize_track(track, observations, mode=mode).report
+            for mode in (FULL3D, PLANAR)
+        ]
+        path = tmp_path / "report.csv"
+        fileio.write_report_csv(path, reports)
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected)
+        writer.writerow(fileio.REPORT_COLUMNS)
+        for r in reports:
+            values = [getattr(r, name) for name in fileio.REPORT_FIELDS.values()]
+            writer.writerow([f"{v:.17g}" if isinstance(v, float) else v for v in values])
+        assert path.read_bytes() == expected.getvalue().encode()
+
+    def test_malformed_number_names_the_line(self, tmp_path):
+        path = tmp_path / "report.csv"
+        report = ErrorReport("dvso", 5.0, 2031, 0.00148, 0.043, 0.73, 0.05)
+        fileio.write_report_csv(path, [report, report])
+        lines = path.read_bytes().split(b"\r\n")
+        lines[2] = lines[2].replace(b"dvso,5,", b"dvso,5x,")
+        path.write_bytes(b"\r\n".join(lines))
+        with pytest.raises(DataError, match=r"report\.csv:3: malformed number"):
             fileio.read_report_csv(path)
 
     def test_truncated_stats_json_names_the_line(self, tmp_path):

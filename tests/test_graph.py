@@ -243,7 +243,8 @@ class TestResiduals:
         # is 2 * 0.1 * 0.2 - 0.1^2 and its weight is scaled by 0.1 / 0.2
         robust = gmod.evaluate(graph, huber_delta=0.1)
         assert robust.cost == pytest.approx(0.03)
-        assert robust.irls_odo[0] == pytest.approx(0.5)
+        np.testing.assert_allclose(robust.w_odo, 0.5 * ev.w_odo, rtol=1e-12)
+        assert ev.w_odo.tolist() == [[4.0, 4.0, 4.0, 1.0, 1.0, 1.0]]
         assert gmod.total_cost(graph, huber_delta=0.1) == robust.cost
 
     def test_residual_matches_direct_log(self):
@@ -298,9 +299,8 @@ class TestRetract:
         graph, _, _, _ = small_problem()
         delta = 0.01 * rng.standard_normal((graph.node_count, 6))
         ldelta = 0.01 * rng.standard_normal(6)
-        states, landmark = gmod.retract(
-            graph, graph.states, graph.landmark, delta, ldelta
-        )
+        states = graph.group.retract(graph.states, delta)
+        landmark = graph.group.retract(graph.landmark, ldelta)
         expected = geom.pose3_compose(graph.states, geom.se3_exp(delta))
         np.testing.assert_allclose(states, expected, atol=1e-15)
         expected_lm = geom.pose3_compose(graph.landmark, geom.se3_exp(ldelta))
@@ -308,9 +308,7 @@ class TestRetract:
 
     def test_zero_delta_is_identity(self):
         graph, _, _, _ = small_problem(mode=PLANAR)
-        states, landmark = gmod.retract(
-            graph, graph.states, graph.landmark,
-            np.zeros((graph.node_count, 3)), np.zeros(3),
-        )
+        states = graph.group.retract(graph.states, np.zeros((graph.node_count, 3)))
+        landmark = graph.group.retract(graph.landmark, np.zeros(3))
         np.testing.assert_allclose(states, graph.states, atol=1e-15)
         np.testing.assert_allclose(landmark, graph.landmark, atol=1e-15)

@@ -7,8 +7,10 @@ import tunnelgraph.geometry as geom
 import tunnelgraph.graph as gmod
 import tunnelgraph.metrics as metrics
 import tunnelgraph.optimizer as opt
+import tunnelgraph.pipeline as pipeline
 import tunnelgraph.simulate as sim
 import tunnelgraph.sync as sync
+from tunnelgraph.config import parse_config
 from tunnelgraph.metrics import ErrorReport
 from tunnelgraph.sync import DataError, FULL3D, PLANAR
 
@@ -62,8 +64,7 @@ class TestCorrections:
         solved, _ = opt.optimize(graph)
         report = metrics.per_frame_corrections(graph, solved.states)
 
-        frames = metrics.frame_node_indices(solved)
-        frame_states = solved.states[frames]
+        frame_states = solved.states[solved.is_frame]
         raw_steps = geom.pose3_relative(track.poses[:-1], track.poses[1:])
         opt_steps = geom.pose3_relative(frame_states[:-1], frame_states[1:])
         corr = geom.se3_log(
@@ -75,9 +76,9 @@ class TestCorrections:
         assert report.trans_per_frame == pytest.approx(tmag.mean(), abs=1e-12)
         assert report.rot_deg_per_frame == pytest.approx(rmag.mean(), abs=1e-12)
         # the raw closure is the problem's own, the track as recorded
-        raw_xy, raw_z = metrics.closure_error(track.poses, FULL3D)
+        raw_xy, raw_z = metrics.closure_error(track.poses)
         assert (report.closure_raw, report.closure_raw_z) == (raw_xy, raw_z)
-        assert report.closure_optimized == metrics.closure_error(solved.states, FULL3D)[0]
+        assert report.closure_optimized == metrics.closure_error(solved.states)[0]
 
     def test_zero_weight_observations_change_nothing(self):
         with_obs, _, _, _ = corrupted_scenario(seed=3, obs_weight=0.0)
@@ -100,9 +101,28 @@ class TestCorrections:
 
     def test_merged_measurements_without_insertion_are_raw(self):
         graph, _, _, _ = corrupted_scenario(with_obs=False)
-        merged, frames = metrics.merged_measurements(graph)
-        np.testing.assert_array_equal(merged, graph.odo_meas)
-        np.testing.assert_array_equal(frames, np.arange(graph.node_count))
+        assert graph.is_frame.all()
+        np.testing.assert_array_equal(metrics.merged_measurements(graph), graph.odo_meas)
+
+    @pytest.mark.parametrize("mode", [FULL3D, PLANAR])
+    def test_merged_measurements_match_sequential_composition(self, tmp_path, mode):
+        # a detector four times faster than the camera splits frame steps
+        # into up to four parts
+        cfg = parse_config(
+            "seed = 3\nsources = dvso\ndetection.rate = 20\ndetection.max_range = 12\n"
+        )
+        run = pipeline.simulate_scenario(cfg, tmp_path)
+        aligned = sync.align(run.sources["dvso"].track, run.observations)
+        graph = gmod.build_graph(aligned, cfg.layout, mode)
+        frames = np.flatnonzero(graph.is_frame)
+        assert np.diff(frames).max() == 4
+        expected = []
+        for start, end in zip(frames[:-1], frames[1:]):
+            step = graph.odo_meas[start]
+            for e in range(start + 1, end):
+                step = graph.group.compose(step, graph.odo_meas[e])
+            expected.append(step)
+        np.testing.assert_array_equal(metrics.merged_measurements(graph), np.array(expected))
 
 
 class TestClosure:
@@ -110,13 +130,13 @@ class TestClosure:
         poses = np.zeros((5, 7))
         poses[:, 3] = 1.0
         poses[1:4, 0] = [1.0, 1.0, 0.5]
-        xy, z = metrics.closure_error(poses, FULL3D)
+        xy, z = metrics.closure_error(poses)
         assert xy == 0.0 and z == 0.0
 
     def test_one_way_straight_is_length(self):
         profile = sim.TrajectoryProfile(straight_length=100.0, return_leg=False)
         truth = sim.generate_ground_truth(profile, 5.0)
-        xy, _ = metrics.closure_error(truth.poses, FULL3D)
+        xy, _ = metrics.closure_error(truth.poses)
         assert xy == pytest.approx(100.0, abs=1e-9)
 
     def test_matches_forward_integration_of_injection(self):
@@ -131,12 +151,12 @@ class TestClosure:
             step = geom.pose3_compose(true_steps[k], injection.error_poses[k])
             pose = geom.pose3_compose(pose, step)
         expected = float(np.hypot(pose[0] - truth.poses[0, 0], pose[1] - truth.poses[0, 1]))
-        xy, _ = metrics.closure_error(track.poses, FULL3D)
+        xy, _ = metrics.closure_error(track.poses)
         assert xy == pytest.approx(expected, abs=1e-9)
 
     def test_planar_mode_has_no_vertical_component(self):
         poses = np.array([[0.0, 0.0, 0.0], [0.3, 0.4, 1.0]])
-        xy, z = metrics.closure_error(poses, PLANAR)
+        xy, z = metrics.closure_error(geom.SE2.to_pose3(poses))
         assert xy == pytest.approx(0.5, abs=1e-15)
         assert z == 0.0
 

@@ -124,7 +124,7 @@ class TestConvergence:
         rng = np.random.default_rng(0)
         moved = rng.normal(0.0, 1e-12, (graph.node_count, graph.group.tangent_dim))
         moved[0] = 0.0  # the gauge
-        states, _ = gmod.retract(graph, graph.states, graph.landmark, moved, None)
+        states = graph.group.retract(graph.states, moved)
         _, stats = opt.optimize(dataclasses.replace(graph, states=states))
         # the step undoes nearly all of a cost far above rounding level
         assert stats.final_cost < 1e-6 * stats.initial_cost
@@ -327,9 +327,9 @@ def perturbed(graph, seed):
     """States and landmark moved off the zero-cost start, so every residual counts."""
     rng = np.random.default_rng(seed)
     d = graph.group.tangent_dim
-    return gmod.retract(
-        graph, graph.states, graph.landmark,
-        rng.normal(0.0, 0.1, (graph.node_count, d)), rng.normal(0.0, 0.1, d),
+    return (
+        graph.group.retract(graph.states, rng.normal(0.0, 0.1, (graph.node_count, d))),
+        graph.group.retract(graph.landmark, rng.normal(0.0, 0.1, d)),
     )
 
 
@@ -518,7 +518,8 @@ def test_huber_final_cost_is_total_cost():
     delta = 0.02
     solved, stats = opt.optimize(graph, SolverSettings(huber_delta=delta))
     ev = gmod.evaluate(solved, huber_delta=delta)
-    assert np.any(ev.irls_odo < 1.0) or np.any(ev.irls_obs < 1.0)  # the kernel bites
+    edges = gmod.Edges(solved)
+    assert np.any(ev.w_odo < edges.w_odo) or np.any(ev.w_obs < edges.w_obs)  # the kernel bites
     assert gmod.total_cost(solved, huber_delta=delta) == stats.final_cost
 
 
