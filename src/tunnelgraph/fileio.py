@@ -27,7 +27,9 @@ from .graph import GROUPS, PoseGraph
 from .metrics import ErrorReport
 from .optimizer import SolveStats
 from .simulate import NoiseInjection
-from .sync import DOF_MODES, DataError, FieldError, ObservationSet, OdometryTrack, RowError
+from .sync import (
+    DOF_MODES, SOURCE_NAME, DataError, FieldError, ObservationSet, OdometryTrack, RowError,
+)
 
 FLOAT_FMT = "%.17g"
 
@@ -410,8 +412,9 @@ def write_stats_json(path, stats: SolveStats, report: ErrorReport, stages: dict)
 
 def read_stats_json(path) -> dict:
     """Solver stats file in strict JSON (no NaN or Infinity); the keys the report needs
-    are checked for presence and type, ``solver.reason``, when present, is a string,
-    and ``stages``, when present, maps names to non-negative seconds."""
+    are checked for presence and type, ``source`` passes ``SOURCE_NAME``,
+    ``solver.reason``, when present, is a string, and ``stages``, when present,
+    maps names to non-negative seconds."""
 
     def reject(constant):
         raise DataError(f"{path}: malformed JSON: {constant} is not a JSON number")
@@ -436,6 +439,8 @@ def read_stats_json(path) -> dict:
         if not isinstance(value, _JSON_KINDS[f.type]) or isinstance(value, bool) != is_bool:
             kind = "number" if f.type == "float" else f.type
             raise DataError(f"{path}: key {key!r} must be a {kind}, got {value!r}")
+    if not SOURCE_NAME[0](payload["source"]):  # it becomes a report.csv field
+        raise DataError(f"{path}: key 'source' {SOURCE_NAME[1]}, got {payload['source']!r}")
     solver = payload.get("solver", {})
     if not isinstance(solver, dict):
         raise DataError(f"{path}: key 'solver' must be a JSON object, got {solver!r}")

@@ -1,9 +1,15 @@
 """Levenberg–Marquardt over pose-graph variables, solved by banded Cholesky.
 
 Each iteration linearizes every edge in the tangent space at the current
-states, assembles the damped normal equations over the free blocks (all
-nodes except node 0, the gauge, plus the landmark frame when observations
-exist), solves them, and retracts with the exponential map.
+states, assembles the damped normal equations over the moving nodes,
+solves them, and retracts with the exponential map.  The cost does not
+change when every pose, landmark frame included, moves by one rigid
+motion, so a step holds one frame fixed: the landmark frame when it is
+free and observed, and node 0 otherwise.  Holding the landmark, the step
+moves every node, and the trial then moves all poses and the landmark
+by the rigid motion that puts node 0 back, so node 0, the gauge of the
+solution, keeps its state bit for bit (Triggs et al., "Bundle Adjustment
+— A Modern Synthesis", 2000, §9, on gauge freedom).
 
 Damping is multiplicative on the (clamped) diagonal.  The solve starts
 as Gauss–Newton, at a damping of machine epsilon: below it ``mu * D``
@@ -20,12 +26,10 @@ also stops a start whose cost is itself rounding noise.  After an
 accepted trial, a relative decrease of at most ``COST_TOLERANCE`` ends
 it, and so does a step shorter than ``UPDATE_TOLERANCE``.
 
-The node chain gives a block-tridiagonal Hessian with one extra
-row/column coupling every observing node to the landmark frame.  The
-landmark is eliminated by Schur complement, so the node Hessian alone is
-factored and solved, by banded Cholesky (LAPACK ``pbsv``, which is
-``pbtrf`` then ``pbtrs``, through ``scipy.linalg.solveh_banded``) in time
-linear in the node count.
+With the landmark frame held, the node chain gives a block-tridiagonal
+Hessian, factored and solved with one right-hand side by banded Cholesky
+(LAPACK ``pbsv``, which is ``pbtrf`` then ``pbtrs``, through
+``scipy.linalg.solveh_banded``) in time linear in the node count.
 
 What a solve keeps fixed about its edges is built once, when it starts:
 :class:`tunnelgraph.graph.Edges` holds the inverted measurements, the
@@ -92,9 +96,10 @@ class SolverSettings:
 class SolveStats:
     reason: str
     cost_trace: list  # the cost at the start and after each iteration
-    # per iteration: accepted damping, rejected trials, step norm, gradient
-    # inf-norm, gain ratio (None when the solve stopped before the trial), and
-    # seconds in linearize, products, assemble, factor + solve and cost (all trials)
+    # per iteration: accepted damping, rejected trials, step norm and gradient
+    # inf-norm over the moving nodes, gain ratio (None when the solve stopped
+    # before the trial), and seconds in linearize, products, assemble,
+    # factor + solve and cost (all trials)
     per_iteration: list
 
     @property
@@ -157,8 +162,7 @@ def _products(edges, ev, jacobians):
     residuals and weights of ``ev``: per odometry edge, and per observing
     node, whose run of sightings starts at ``edges.first``.  A sighting
     adds S = J_l^T W J_l and h = J_l^T W r; over its node's run they sum
-    to the node block G^T S G, the coupling -G^T S to the landmark, and
-    the gradient -G^T h."""
+    to the node block G^T S G and the gradient -G^T h."""
     ji_o, jj_o, jl_s, adj = jacobians
     w_odo, w_obs = ev.w_odo, ev.w_obs
     # each block is J_a^T (W J_b), with J_a^T a transposed view, not a copy
@@ -167,21 +171,15 @@ def _products(edges, ev, jacobians):
     wr_odo = w_odo * ev.r_odo
     s_obs = np.swapaxes(jl_s, 1, 2) @ (jl_s * w_obs[:, :, None])
     h_obs = np.einsum("mki,mk->mi", jl_s, w_obs * ev.r_obs)
-    s_node = np.add.reduceat(s_obs, edges.first, axis=0)
-    h_node = np.add.reduceat(h_obs, edges.first, axis=0)
     adj_t = np.swapaxes(adj, 1, 2)
-    coupling = -(adj_t @ s_node)
     return {
         "oii": ti_o @ (ji_o * w_odo[:, :, None]),
         "oij": ti_o @ wjj_o,
         "ojj": tj_o @ wjj_o,
-        "sii": -(coupling @ adj),
-        "sil": coupling,
-        "sll": s_node.sum(axis=0),
+        "sii": adj_t @ np.add.reduceat(s_obs, edges.first, axis=0) @ adj,
         "oi": np.einsum("eki,ek->ei", ji_o, wr_odo),
         "oj": np.einsum("eki,ek->ei", jj_o, wr_odo),
-        "si": -np.einsum("kij,kj->ki", adj_t, h_node),
-        "sl": h_node.sum(axis=0),
+        "si": -np.einsum("kij,kj->ki", adj_t, np.add.reduceat(h_obs, edges.first, axis=0)),
     }
 
 
@@ -194,14 +192,14 @@ class _Assembler:
     the solve's one per-solve object and holds ``edges``, the graph's
     constant edge data (:class:`tunnelgraph.graph.Edges`).
 
-    The node-node Hessian ``A`` is held in LAPACK upper band storage,
-    ``band[bw + r - c, c] = A[r, c]`` for ``r <= c`` with the diagonal in
-    the last row, column-major so ``pbsv`` needs no layout copy.  The
-    chain couples each node to its successor only, so ``bw = 2d - 1``.
-    The landmark frame contributes one coupled block column ``B`` (stored
-    dense, it has only ``d`` columns) and a ``d x d`` corner ``C``.
-    Keeping the landmark out of the band lets the solve eliminate it by
-    Schur complement, so the band does not fill in when most nodes observe.
+    A step holds one frame fixed: the landmark frame when it is free and
+    observed, so that every node from ``start = 0`` moves, and node 0
+    otherwise (``start = 1``).  The landmark is never a variable, and the
+    system is the node-node Hessian ``A`` of the moving nodes alone, held
+    in LAPACK upper band storage, ``band[bw + r - c, c] = A[r, c]`` for
+    ``r <= c`` with the diagonal in the last row, column-major so ``pbsv``
+    needs no layout copy.  The chain couples each node to its successor
+    only, so ``bw = 2d - 1``.
     """
 
     def __init__(self, graph):
@@ -209,69 +207,45 @@ class _Assembler:
         self.d = d
         self.bw = 2 * d - 1
         self.node_count = graph.node_count
-        self.landmark_free = graph.obs_count > 0 and not graph.landmark_fixed
-        self.node_dim = (graph.node_count - 1) * d
+        self.start = int(graph.landmark_fixed or graph.unconstrained)
         self.edges = gmod.Edges(graph)
 
     def assemble(self, blocks):
-        """Returns (A band, B dense, C dense, g_nodes, g_landmark)."""
-        n, d = self.node_count, self.d
+        """Returns (A band, gradient) over the moving nodes."""
+        n, d, start = self.node_count, self.d, self.start
         # per node: the block coupling its predecessor to it, above its diagonal
-        # block; node 0 is the gauge, so node 1 couples to no free node
+        # block; the first moving node couples to no moving predecessor
         column = np.zeros((n, 2 * d, d))
-        column[2:, :d] = blocks["oij"][1:]
+        column[start + 1 :, :d] = blocks["oij"][start:]
         column[:-1, d:] = blocks["oii"]
         column[1:, d:] += blocks["ojj"]
         column[self.edges.observed, d:] += blocks["sii"]
-        band = np.zeros((n - 1, d, self.bw + 1))
+        band = np.zeros((n - start, d, self.bw + 1))
         for j in range(d):  # entries i <= j + d of column j, in band rows d - 1 + i - j
-            band[:, j, d - 1 - j :] = column[1:, : d + j + 1, j]
+            band[:, j, d - 1 - j :] = column[start:, : d + j + 1, j]
         grad = np.zeros((n, d))
         grad[:-1] = blocks["oi"]
         grad[1:] += blocks["oj"]
         grad[self.edges.observed] += blocks["si"]
-        coupling = np.zeros((n, d, d))
-        coupling[self.edges.observed] = blocks["sil"]
-        k = d if self.landmark_free else 0  # the landmark's columns
-        return (
-            band.reshape(self.node_dim, self.bw + 1).T,
-            coupling[1:].reshape(self.node_dim, d)[:, :k],
-            blocks["sll"][:k, :k],
-            grad[1:].ravel(),
-            blocks["sl"][:k],
-        )
+        return band.reshape(-1, self.bw + 1).T, grad[start:].ravel()
 
-    def solve(self, band, b_mat, c_mat, g_nodes, g_lm, damping):
-        """One damped solve: (step, predicted cost decrease), or None when the
-        damped matrix is not positive definite or the step is not finite.
-        ``step`` is the flat free-node step followed by the landmark step."""
+    def solve(self, band, grad, damping):
+        """One damped solve: (flat step of the moving nodes, predicted cost
+        decrease), or None when the damped matrix is not positive definite
+        or the step is not finite."""
         from scipy import linalg  # here: commands that never solve never load scipy
-        diag_c = np.diag(c_mat)
-        floor = 1e-12 * max(float(band[-1].max()), float(diag_c.max(initial=0.0)), 1.0)
-        scale = damping * np.maximum(np.concatenate([band[-1], diag_c]), floor)
+        floor = 1e-12 * max(float(band[-1].max()), 1.0)
+        scale = damping * np.maximum(band[-1], floor)
         damped = band.copy(order="F")
-        damped[-1] += scale[: self.node_dim]
-        rhs = np.column_stack([g_nodes, b_mat])  # one pass, d + 1 columns
+        damped[-1] += scale
         try:
-            x_y = linalg.solveh_banded(damped, rhs, overwrite_ab=True, check_finite=False)
+            step = -linalg.solveh_banded(damped, grad, overwrite_ab=True, check_finite=False)
         except np.linalg.LinAlgError:
             return None
-        x0, y_mat = x_y[:, 0], x_y[:, 1:]
-        schur = c_mat + np.diag(scale[self.node_dim :]) - b_mat.T @ y_mat
-        try:
-            delta_l = np.linalg.solve(schur, -g_lm + b_mat.T @ x0)
-        except np.linalg.LinAlgError:
-            return None
-        step = np.concatenate([-x0 - y_mat @ delta_l, delta_l])
         if not np.all(np.isfinite(step)):
             return None
         # model decrease of sum r^T W r: h^T (mu D h - g) with g = J^T W r
-        return step, float(step @ (scale * step - np.concatenate([g_nodes, g_lm])))
-
-    def split(self, step):
-        """The (N-1, d) free-node steps and the landmark step or None."""
-        nodes = step[: self.node_dim].reshape(-1, self.d)
-        return nodes, step[self.node_dim :] if self.landmark_free else None
+        return step, float(step @ (scale * step - grad))
 
 
 def optimize(graph, settings: SolverSettings = None, progress=None):
@@ -287,7 +261,7 @@ def optimize(graph, settings: SolverSettings = None, progress=None):
     landmark = graph.landmark.copy()
     group = graph.group
     assembler = _Assembler(graph)
-    edges = assembler.edges
+    edges, start = assembler.edges, assembler.start
 
     ev = edges.evaluate(states, landmark, settings.huber_delta)
     # what residuals one rounding unit in size would cost: a smaller
@@ -303,7 +277,7 @@ def optimize(graph, settings: SolverSettings = None, progress=None):
         jacobians, record["linearize_s"] = _timed(_linearize, edges, states, landmark, ev)
         blocks, record["products_s"] = _timed(_products, edges, ev, jacobians)
         system, record["assemble_s"] = _timed(assembler.assemble, blocks)
-        record["grad_inf"] = float(np.abs(np.concatenate(system[3:])).max(initial=0.0))
+        record["grad_inf"] = float(np.abs(system[1]).max(initial=0.0))
 
         while True:
             solution, seconds = _timed(assembler.solve, *system, damping)
@@ -316,10 +290,14 @@ def optimize(graph, settings: SolverSettings = None, progress=None):
                     step, cand_states, cand_lm, cand = None, states, landmark, ev
                     record["damping"] = damping
                     break
-                node_step, lm_step = assembler.split(step)
-                cand_states = states.copy()  # node 0, the gauge, stays as it is
-                cand_states[1:] = group.retract(states[1:], node_step)
-                cand_lm = landmark if lm_step is None else group.retract(landmark, lm_step)
+                cand_states = states.copy()
+                cand_states[start:] = group.retract(states[start:], step.reshape(-1, assembler.d))
+                cand_lm = landmark
+                if start == 0:  # move everything by the rigid motion that puts node 0 back
+                    shift = group.compose(states[0], group.inverse(cand_states[0]))
+                    cand_states = group.compose(shift, cand_states)
+                    cand_states[0] = states[0]  # the gauge, bit for bit
+                    cand_lm = group.compose(shift, landmark)
                 cand, seconds = _timed(edges.evaluate, cand_states, cand_lm, settings.huber_delta)
                 record["cost_s"] += seconds
                 if cand.cost <= ev.cost:

@@ -218,11 +218,12 @@ def report_run(run_dir, out_dir=None, written=None):
     if os.path.exists(config_path):
         with open(config_path, "r", encoding="utf-8") as fh:
             cfg = parse_config(fh.read())
-    os.makedirs(out_dir, exist_ok=True)
-
+    # every input is read and checked before the first write, so a failed
+    # report leaves no output directory behind
     reports = []
     phase_rows = {}
     capped = set()
+    tables = []  # (name, graph, raw track or None) of each source with a graph
     for name in sources:
         payload = fileio.read_stats_json(os.path.join(run_dir, f"{name}_stats.json"))
         reports.append(fileio.stats_report(payload))
@@ -239,12 +240,19 @@ def report_run(run_dir, out_dir=None, written=None):
             phase_rows[name] = metrics.phase_breakdown(
                 graph, cfg.trajectory.phase_intervals()
             )
-
         raw_path = os.path.join(run_dir, f"{name}_raw.txt")
-        if os.path.exists(raw_path):
-            raw = fileio.read_track(raw_path)
-            if not np.array_equal(raw.times, graph.times[graph.is_frame]):
-                raise DataError(f"{graph_path}: frame times do not match {raw_path}")
+        raw = fileio.read_track(raw_path) if os.path.exists(raw_path) else None
+        if raw is not None and not np.array_equal(raw.times, graph.times[graph.is_frame]):
+            raise DataError(f"{graph_path}: frame times do not match {raw_path}")
+        tables.append((name, graph, raw))
+
+    os.makedirs(out_dir, exist_ok=True)
+    true_xy = None
+    if cfg is not None:
+        placement = sim.default_placement(cfg.lateral_offset)
+        true_xy = geom.pose3_compose(placement.packed, cfg.layout.template())[:, :2]
+    for name, graph, raw in tables:
+        if raw is not None:
             xy_path = os.path.join(out_dir, f"{name}_xy.csv")
             written.append(xy_path)
             fileio.write_xy_csv(
@@ -253,15 +261,9 @@ def report_run(run_dir, out_dir=None, written=None):
                 raw.poses[:, :2],
                 graph.states[graph.is_frame, :2],
             )
-
-        est_poles = graph.pole_world_poses()
-        true_xy = None
-        if cfg is not None:
-            placement = sim.default_placement(cfg.lateral_offset)
-            true_xy = geom.pose3_compose(placement.packed, cfg.layout.template())[:, :2]
         poles_path = os.path.join(out_dir, f"{name}_poles.csv")
         written.append(poles_path)
-        fileio.write_poles_csv(poles_path, true_xy, est_poles[:, :2])
+        fileio.write_poles_csv(poles_path, true_xy, graph.pole_world_poses()[:, :2])
 
     csv_path = os.path.join(out_dir, REPORT_CSV)
     written.append(csv_path)

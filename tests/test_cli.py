@@ -439,6 +439,20 @@ class TestExitCodes:
         assert "dvso_stats.json" in err
         assert named in err
 
+    def test_stats_source_with_a_comma_exits_2(self, tmp_path, capsys):
+        # a comma in the source would add a field to its report.csv row,
+        # which read_report_csv then rejects
+        out = self.optimized_run(tmp_path)
+        path = out / "dvso_stats.json"
+        payload = json.loads(path.read_text())
+        payload["source"] = "dv,so"
+        path.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert cli.main(["report", "--dir", str(out), "--out", str(tmp_path / "report")]) == 2
+        err = capsys.readouterr().err
+        assert "dvso_stats.json: key 'source' must be one word" in err
+        assert not (tmp_path / "report").exists()
+
     # a bad numeric option is a data error naming what it sets, not a
     # numerical failure; the odometry weight cases keep their original ids
     @pytest.mark.parametrize(
@@ -541,6 +555,27 @@ class TestCleanup:
         assert cli.main(["report", "--dir", str(run), "--out", str(tmp_path / "b")]) == 2
         assert "landmark.spacing" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["run"]
+
+
+    @pytest.mark.parametrize("case", ["empty-stats", "bad-graph", "bad-raw-track"])
+    def test_failed_report_out_creates_nothing(self, tmp_path, capsys, case):
+        # every source's stats, graph and raw track are read before --out is made
+        if case == "empty-stats":
+            run = tmp_path / "run"
+            run.mkdir()
+            (run / "dvso_stats.json").write_text("{}\n")
+            named = "missing key 'source'"
+        else:
+            run = TestExitCodes.optimized_run(tmp_path)
+            name = "dvso_graph.txt" if case == "bad-graph" else "dvso_raw.txt"
+            path = run / name
+            path.write_text(path.read_text() + "1.5 2.5\n")
+            named = name
+        capsys.readouterr()
+        out = tmp_path / "new"
+        assert cli.main(["report", "--dir", str(run), "--out", str(out)]) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_importing_the_cli_leaves_scipy_unloaded():

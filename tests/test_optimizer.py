@@ -140,6 +140,13 @@ class TestConvergence:
                 gain = record["gain_ratio"]
                 assert gain is None or 0.9 <= gain <= 1.1, (seed, record)
 
+    def test_simulated_graphs_converge_in_two_iterations(self):
+        # a step holds the landmark frame and moves every node, node 0 included
+        for seed in range(10):
+            _, stats = opt.optimize(simulated_graph(seed=seed))
+            assert stats.reason == COST_THRESHOLD
+            assert stats.iterations <= 2, seed
+
     def test_max_iterations_reason(self, monkeypatch):
         graph = simulated_graph(seed=7)
         monkeypatch.setattr(opt, "COST_TOLERANCE", 1e-300)
@@ -203,10 +210,10 @@ class TestSettings:
 
 
 def reference_jacobians(graph, states, landmark, ev):
-    """Per-edge Jacobian blocks by the plain chain rule, sighting by
+    """Per-edge node Jacobian blocks by the plain chain rule, sighting by
     sighting: for r = log(meas^-1 a^-1 b), J_b = Jr^-1(r) and
-    J_a = -J_b Ad(b^-1 a); a sighting's b is its pole P placed by the
-    landmark frame, and its landmark block is J_b Ad(P^-1)."""
+    J_a = -J_b Ad(b^-1 a); a sighting's b is its pole placed by the
+    landmark frame, which a step holds fixed."""
     group = graph.group
 
     def blocks(r, a, b):
@@ -215,8 +222,8 @@ def reference_jacobians(graph, states, landmark, ev):
 
     ji_o, jj_o = blocks(ev.r_odo, states[graph.odo_i], states[graph.odo_j])
     target = graph.pole_world_poses(landmark)[graph.obs_pole]
-    ji_s, jt = blocks(ev.r_obs, states[graph.obs_node], target)
-    return ji_o, jj_o, ji_s, jt @ group.adjoint(group.inverse(graph.template))[graph.obs_pole]
+    ji_s, _ = blocks(ev.r_obs, states[graph.obs_node], target)
+    return ji_o, jj_o, ji_s
 
 
 def solver_system(graph, assembler, states, landmark, huber_delta):
@@ -236,7 +243,7 @@ def reference_system(graph, states, landmark, ev, huber_delta):
 def einsum_products(graph, ev, jacobians, huber_delta):
     """Reference products: three-operand einsum per block.  Only the
     residuals come from ``ev``; the weights are stated here."""
-    ji_o, jj_o, ji_s, jl_s = jacobians
+    ji_o, jj_o, ji_s = jacobians
     r_odo, r_obs = ev.r_odo, ev.r_obs
     rotation = np.arange(graph.group.tangent_dim) >= graph.group.trans_dim
 
@@ -259,21 +266,23 @@ def einsum_products(graph, ev, jacobians, huber_delta):
     products = {
         "oii": wjtj(ji_o, w_odo, ji_o), "oij": wjtj(ji_o, w_odo, jj_o),
         "oji": wjtj(jj_o, w_odo, ji_o), "ojj": wjtj(jj_o, w_odo, jj_o),
-        "sii": wjtj(ji_s, w_obs, ji_s), "sil": wjtj(ji_s, w_obs, jl_s),
-        "sll": wjtj(jl_s, w_obs, jl_s),
+        "sii": wjtj(ji_s, w_obs, ji_s),
     }
     gvecs = {
         "oi": wjtr(ji_o, w_odo, r_odo), "oj": wjtr(jj_o, w_odo, r_odo),
-        "si": wjtr(ji_s, w_obs, r_obs), "sl": wjtr(jl_s, w_obs, r_obs),
+        "si": wjtr(ji_s, w_obs, r_obs),
     }
     return products, gvecs
 
 
 def coo_assemble(graph, products, gvecs):
-    """Reference assembly: COO triplets summed by tocsr, np.add.at scatters."""
+    """Reference assembly: COO triplets summed by tocsr, np.add.at scatters.
+    The landmark frame is never a variable; node 0 is one when the landmark
+    is free and observed, since the step then holds the landmark fixed."""
     d = graph.group.tangent_dim
-    bid = np.arange(graph.node_count) - 1  # node 0, the gauge, is no variable
-    size = (graph.node_count - 1) * d
+    start = 1 if graph.landmark_fixed or graph.obs_count == 0 else 0
+    bid = np.arange(graph.node_count) - start
+    size = (graph.node_count - start) * d
     oi, oj, si = bid[graph.odo_i], bid[graph.odo_j], bid[graph.obs_node]
     offsets = np.arange(d)
     rows, cols, vals = [], [], []
@@ -294,13 +303,7 @@ def coo_assemble(graph, products, gvecs):
         keep = a >= 0
         cells = (a[keep][:, None] * d + offsets).ravel()
         np.add.at(g_nodes, cells, gvecs[name][keep].ravel())
-    if graph.obs_count and not graph.landmark_fixed:
-        b_mat = np.zeros((size, d))
-        keep = si >= 0
-        np.add.at(b_mat, (si[keep][:, None] * d + offsets).ravel(),
-                  products["sil"][keep].reshape(-1, d))
-        return a_mat, b_mat, products["sll"].sum(axis=0), g_nodes, gvecs["sl"].sum(axis=0)
-    return a_mat, np.zeros((size, 0)), np.zeros((0, 0)), g_nodes, np.zeros(0)
+    return a_mat, g_nodes
 
 
 def oracle_case(case):
@@ -334,15 +337,15 @@ def perturbed(graph, seed):
 
 
 def assert_system_close(got, want, bw, rtol):
-    """The solver's (band, B, C, g_nodes, g_landmark) against the reference's
-    (sparse A, B, C, g_nodes, g_landmark), each to ``rtol`` of its largest entry."""
+    """The solver's (band, gradient) against the reference's (sparse A,
+    gradient), each to ``rtol`` of its largest entry."""
     a_mat = want[0].tocsr()
     rows, cols = a_mat.nonzero()
     assert np.all(np.abs(rows - cols) <= bw)  # nothing outside the band
     band = np.zeros((bw + 1, a_mat.shape[0]))
     for k in range(bw + 1):  # k-th superdiagonal
         band[bw - k, k:] = a_mat.diagonal(k)
-    for mine, ref in zip(got, (band, *want[1:])):
+    for mine, ref in zip(got, (band, want[1])):
         assert mine.shape == ref.shape
         scale = max(float(np.abs(ref).max(initial=0.0)), 1e-300)
         np.testing.assert_allclose(mine, ref, rtol=0.0, atol=rtol * scale)
@@ -423,10 +426,9 @@ def test_band_solve_matches_dense(case, damping):
     ev, system = solver_system(graph, assembler, states, landmark, huber)
     step, predicted = assembler.solve(*system, damping)
 
-    # the full node + landmark system, dense, from the reference assembly
-    a_mat, b_mat, c_mat, g_nodes, g_lm = reference_system(graph, states, landmark, ev, huber)
-    hessian = np.block([[a_mat.toarray(), b_mat], [b_mat.T, c_mat]])
-    gradient = np.concatenate([g_nodes, g_lm])
+    # the moving-node system, dense, from the reference assembly
+    a_mat, gradient = reference_system(graph, states, landmark, ev, huber)
+    hessian = a_mat.toarray()
     diag = np.diag(hessian)
     floor = 1e-12 * max(float(diag.max()), 1.0)
     damped = hessian + np.diag(damping * np.maximum(diag, floor))
@@ -440,10 +442,10 @@ def test_band_solve_matches_dense(case, damping):
 def test_band_solve_rejects_nan():
     graph, huber = oracle_case("full3d")
     assembler = opt._Assembler(graph)
-    _, (band, *rest) = solver_system(graph, assembler, *perturbed(graph, 0), huber)
-    assert assembler.solve(band, *rest, 1e-6) is not None
+    _, (band, grad) = solver_system(graph, assembler, *perturbed(graph, 0), huber)
+    assert assembler.solve(band, grad, 1e-6) is not None
     band[assembler.bw - 1, 9] = np.nan  # one superdiagonal entry
-    assert assembler.solve(band, *rest, 1e-6) is None
+    assert assembler.solve(band, grad, 1e-6) is None
 
 
 def test_per_iteration_records(monkeypatch):
@@ -472,12 +474,18 @@ def test_per_iteration_records(monkeypatch):
 
 def test_gradient_and_gain_ratio_records():
     graph = simulated_graph(seed=0)
-    _, stats = opt.optimize(graph)
+    solved, stats = opt.optimize(graph)
     first, *_, last = stats.per_iteration
-    # the first record's gradient is the one assembled at the start
-    _, system = solver_system(graph, opt._Assembler(graph), graph.states, graph.landmark, 0.0)
-    assert first["grad_inf"] == np.abs(np.concatenate(system[3:])).max()
-    assert last["grad_inf"] < 1e-6 * first["grad_inf"]
+    # the first record's gradient is the one assembled at the start, over
+    # the moving nodes
+    _, (_, grad) = solver_system(graph, opt._Assembler(graph), graph.states, graph.landmark, 0.0)
+    assert grad.size == graph.node_count * graph.group.tangent_dim  # node 0 moves
+    assert first["grad_inf"] == np.abs(grad).max()
+    assert last["grad_inf"] < first["grad_inf"]
+    # the solve ends on an accepted trial, so the optimum's gradient is the
+    # one assembled at the solution
+    _, (_, grad) = solver_system(graph, opt._Assembler(graph), solved.states, solved.landmark, 0.0)
+    assert np.abs(grad).max() < 1e-6 * first["grad_inf"]
     # away from rounding level the model predicts the decrease of
     # sum r^T W r, so actual over predicted is near one
     for record in stats.per_iteration[:2]:
@@ -492,8 +500,11 @@ def test_gain_ratio_none_without_predicted_decrease():
     assert record["gain_ratio"] is None
 
 
-def test_each_trial_evaluates_the_residuals_once(monkeypatch):
-    graph = simulated_graph(seed=3)
+def evaluation_passes(monkeypatch, graph):
+    """The solve's stats and the number of ``Group.between`` passes it ran,
+    checked against its trials: one odometry and one observation pass at
+    the start and per trial.  Linearizing reuses the accepted trial's
+    residuals, and an iteration that stops before its trial evaluates nothing."""
     between = geom.Group.between
     calls = []
 
@@ -503,14 +514,28 @@ def test_each_trial_evaluates_the_residuals_once(monkeypatch):
 
     monkeypatch.setattr(geom.Group, "between", counted)
     _, stats = opt.optimize(graph)
+    # an iteration ran an accepted trial unless it stopped before it
+    trials = sum(
+        record["rejected"] + (record["gain_ratio"] is not None) for record in stats.per_iteration
+    )
+    assert len(calls) == 2 * (1 + trials)
+    return stats
+
+
+def test_each_trial_evaluates_the_residuals_once(monkeypatch):
+    stats = evaluation_passes(monkeypatch, simulated_graph(seed=3))
+    assert stats.iterations >= 2
+    *_, last = stats.per_iteration
+    assert last["gain_ratio"] is not None  # the last iteration ran its trial
+
+
+def test_stop_before_trial_evaluates_nothing(monkeypatch):
+    noise = sim.dvso_preset()
+    graph = default_sparse_run(noise, 1, noise.dof_mode).raw_graph
+    stats = evaluation_passes(monkeypatch, graph)
     assert stats.iterations >= 2
     *_, last = stats.per_iteration
     assert last["gain_ratio"] is None  # the last iteration stopped before its trial
-    trials = sum(1 + record["rejected"] for record in stats.per_iteration) - 1
-    # one odometry and one observation pass at the start and per trial;
-    # linearizing reuses the accepted trial's residuals, and the iteration
-    # that stops before its trial evaluates nothing
-    assert len(calls) == 2 * (1 + trials)
 
 
 def test_huber_final_cost_is_total_cost():
