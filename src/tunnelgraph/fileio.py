@@ -350,9 +350,10 @@ def read_report_csv(path):
     ]
 
 
-def format_report_table(reports, phase_rows=None, capped=()) -> str:
-    """Human-readable summary table, one row per source; ``capped`` names
-    the sources whose solve stopped at the iteration limit."""
+def format_report_table(reports, phase_rows=None, marks=None) -> str:
+    """Human-readable summary table, one row per source; ``marks`` maps a
+    source to the marks its row ends with, each in parentheses."""
+    marks = marks or {}
     header = (
         f"{'source':<10} {'m/frame':>12} {'deg/frame':>12} {'m/s':>10} "
         f"{'deg/s':>10} {'closure raw m':>14} {'closure opt m':>14}"
@@ -361,7 +362,7 @@ def format_report_table(reports, phase_rows=None, capped=()) -> str:
     lines.append("-" * len(header))
     for r in reports:
         flag = " (unconstrained)" if r.unconstrained else ""
-        flag += " (max-iterations)" if r.source in capped else ""
+        flag += "".join(f" ({mark})" for mark in marks.get(r.source, ()))
         lines.append(
             f"{r.source:<10} {r.trans_per_frame:>12.6f} {r.rot_deg_per_frame:>12.5f} "
             f"{r.trans_per_second:>10.4f} {r.rot_deg_per_second:>10.4f} "
@@ -410,11 +411,17 @@ def write_stats_json(path, stats: SolveStats, report: ErrorReport, stages: dict)
         fh.write("\n")
 
 
+def _is_number(value) -> bool:
+    # bool is an int subclass in Python but not a number in JSON
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def read_stats_json(path) -> dict:
     """Solver stats file in strict JSON (no NaN or Infinity); the keys the report needs
     are checked for presence and type, ``source`` passes ``SOURCE_NAME``,
-    ``solver.reason``, when present, is a string, and ``stages``, when present,
-    maps names to non-negative seconds."""
+    ``solver.reason``, when present, is a string, ``solver.per_iteration``,
+    when present, lists objects whose ``gain_ratio`` is a number or null,
+    and ``stages``, when present, maps names to non-negative seconds."""
 
     def reject(constant):
         raise DataError(f"{path}: malformed JSON: {constant} is not a JSON number")
@@ -446,10 +453,19 @@ def read_stats_json(path) -> dict:
         raise DataError(f"{path}: key 'solver' must be a JSON object, got {solver!r}")
     if not isinstance(solver.get("reason", ""), str):
         raise DataError(f"{path}: key 'solver.reason' must be a str, got {solver['reason']!r}")
+    records = solver.get("per_iteration", [])
+    if not isinstance(records, list) or not all(
+        isinstance(r, dict)
+        and (r.get("gain_ratio") is None or _is_number(r["gain_ratio"]))
+        for r in records
+    ):
+        raise DataError(
+            f"{path}: key 'solver.per_iteration' must list objects whose"
+            " 'gain_ratio' is a number or null"
+        )
     stages = payload.get("stages", {})
     if not isinstance(stages, dict) or not all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) and v >= 0
-        for v in stages.values()
+        _is_number(v) and v >= 0 for v in stages.values()
     ):
         raise DataError(
             f"{path}: key 'stages' must map stage names to non-negative seconds, got {stages!r}"

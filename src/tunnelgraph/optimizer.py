@@ -1,4 +1,4 @@
-"""Levenberg–Marquardt over pose-graph variables, solved by banded Cholesky.
+"""Levenberg–Marquardt over pose-graph variables, solved by block cyclic reduction.
 
 Each iteration linearizes every edge in the tangent space at the current
 states, assembles the damped normal equations over the moving nodes,
@@ -26,10 +26,15 @@ also stops a start whose cost is itself rounding noise.  After an
 accepted trial, a relative decrease of at most ``COST_TOLERANCE`` ends
 it, and so does a step shorter than ``UPDATE_TOLERANCE``.
 
-With the landmark frame held, the node chain gives a block-tridiagonal
-Hessian, factored and solved with one right-hand side by banded Cholesky
-(LAPACK ``pbsv``, which is ``pbtrf`` then ``pbtrs``, through
-``scipy.linalg.solveh_banded``) in time linear in the node count.
+With the landmark frame held, the node chain gives a symmetric positive
+definite block-tridiagonal Hessian with d x d blocks, d = 3 or 6.  Block
+cyclic reduction solves it in numpy alone, in time linear in the node
+count: each of about log2(N) levels eliminates the odd nodes by batched
+block Cholesky and Schur updates on whole component columns, and the
+reduced system that is left small is solved densely (Buzbee, Golub &
+Nielson, SIAM J. Numer. Anal. 7, 1970; Heller, SIAM J. Numer. Anal. 13,
+1976).  A pivot that is not positive, at any level, marks a damped
+matrix that is not positive definite, and the damping rises.
 
 What a solve keeps fixed about its edges is built once, when it starts:
 :class:`tunnelgraph.graph.Edges` holds the inverted measurements, the
@@ -43,7 +48,9 @@ carry the Huber kernel's factors.
 A sighting's node Jacobian is its landmark Jacobian times one adjoint
 per observing node (:func:`_linearize`), so the observation products are
 summed over each node's run of sightings before that adjoint is applied.
-Assembly writes each node's blocks from the chain straight into the band.
+Assembly sums each node's diagonal block and gradient from the chain,
+and the reduction reads those blocks, and each node's coupling to its
+successor, component-major through transposed views.
 """
 
 from __future__ import annotations
@@ -184,7 +191,7 @@ def _products(edges, ev, jacobians):
 
 
 # ---------------------------------------------------------------------------
-# banded assembly from the chain
+# block-tridiagonal assembly and solve
 
 
 class _Assembler:
@@ -195,57 +202,138 @@ class _Assembler:
     A step holds one frame fixed: the landmark frame when it is free and
     observed, so that every node from ``start = 0`` moves, and node 0
     otherwise (``start = 1``).  The landmark is never a variable, and the
-    system is the node-node Hessian ``A`` of the moving nodes alone, held
-    in LAPACK upper band storage, ``band[bw + r - c, c] = A[r, c]`` for
-    ``r <= c`` with the diagonal in the last row, column-major so ``pbsv``
-    needs no layout copy.  The chain couples each node to its successor
-    only, so ``bw = 2d - 1``.
+    system is the node-node Hessian ``A`` of the m moving nodes alone.  The
+    chain couples each node to its successor only, so ``A`` is block
+    tridiagonal with d x d blocks, held component-major: ``diag[:, :, k]``
+    is the block A[k, k] and ``upper[:, :, k]`` the block A[k, k + 1].
     """
 
     def __init__(self, graph):
-        d = graph.group.tangent_dim
-        self.d = d
-        self.bw = 2 * d - 1
+        self.d = graph.group.tangent_dim
         self.node_count = graph.node_count
         self.start = int(graph.landmark_fixed or graph.unconstrained)
         self.edges = gmod.Edges(graph)
 
     def assemble(self, blocks):
-        """Returns (A band, gradient) over the moving nodes."""
+        """Returns ((diag, upper), gradient) over the moving nodes, the
+        gradient flat and node-major."""
         n, d, start = self.node_count, self.d, self.start
-        # per node: the block coupling its predecessor to it, above its diagonal
-        # block; the first moving node couples to no moving predecessor
-        column = np.zeros((n, 2 * d, d))
-        column[start + 1 :, :d] = blocks["oij"][start:]
-        column[:-1, d:] = blocks["oii"]
-        column[1:, d:] += blocks["ojj"]
-        column[self.edges.observed, d:] += blocks["sii"]
-        band = np.zeros((n - start, d, self.bw + 1))
-        for j in range(d):  # entries i <= j + d of column j, in band rows d - 1 + i - j
-            band[:, j, d - 1 - j :] = column[start:, : d + j + 1, j]
+        diag = np.zeros((n, d, d))  # summed node-major, whole blocks at a time
+        diag[:-1] = blocks["oii"]
+        diag[1:] += blocks["ojj"]
+        diag[self.edges.observed] += blocks["sii"]
         grad = np.zeros((n, d))
         grad[:-1] = blocks["oi"]
         grad[1:] += blocks["oj"]
         grad[self.edges.observed] += blocks["si"]
-        return band.reshape(-1, self.bw + 1).T, grad[start:].ravel()
+        matrix = diag[start:].transpose(1, 2, 0), blocks["oij"][start:].transpose(1, 2, 0)
+        return matrix, grad[start:].ravel()
 
-    def solve(self, band, grad, damping):
+    def solve(self, matrix, grad, damping):
         """One damped solve: (flat step of the moving nodes, predicted cost
         decrease), or None when the damped matrix is not positive definite
         or the step is not finite."""
-        from scipy import linalg  # here: commands that never solve never load scipy
-        floor = 1e-12 * max(float(band[-1].max()), 1.0)
-        scale = damping * np.maximum(band[-1], floor)
-        damped = band.copy(order="F")
-        damped[-1] += scale
-        try:
-            step = -linalg.solveh_banded(damped, grad, overwrite_ab=True, check_finite=False)
-        except np.linalg.LinAlgError:
+        diag, upper = matrix
+        d = diag.shape[0]
+        damped = diag.copy()
+        pivots = damped.reshape(d * d, -1)[:: d + 1]  # the diagonal entries, a view
+        floor = 1e-12 * max(float(pivots.max()), 1.0)
+        scale = damping * np.maximum(pivots, floor)
+        pivots += scale
+        with np.errstate(invalid="ignore", divide="ignore"):  # a bad pivot returns None
+            x = _block_cyclic_reduction(damped, upper, -grad.reshape(-1, d).T)
+        if x is None or not np.all(np.isfinite(x)):
             return None
-        if not np.all(np.isfinite(step)):
-            return None
+        step = x.T.ravel()
         # model decrease of sum r^T W r: h^T (mu D h - g) with g = J^T W r
-        return step, float(step @ (scale * step - grad))
+        return step, float(step @ (scale.T.ravel() * step - grad))
+
+
+DENSE_BLOCKS = 8  # a reduced system of at most this many nodes is solved densely
+
+
+def _block_cyclic_reduction(diag, upper, rhs):
+    """x, (d, m), with A x = rhs for the block-tridiagonal A of ``diag``
+    (d, d, m) and ``upper`` (d, d, m - 1); ``rhs`` is (d, m).  Returns None
+    when a pivot is not positive, so A is not positive definite.
+
+    Each level eliminates the odd nodes.  One sweep over the components
+    factors each odd node's block, D = R^T R, and solves
+    R^T [X | Y | z] = [U_prev^T | U_next | b] with it, U_prev and U_next
+    coupling the node to its even neighbours.  Their Schur complement is
+    block tridiagonal over the even nodes: the previous neighbour takes
+    D -= X^T X and b -= X^T z, the next one D -= Y^T Y and b -= Y^T z, and
+    the two are coupled by -X^T Y.  Back-substitution then solves
+    R x = z - X x_prev - Y x_next for each odd node.  The d x d algebra
+    runs on whole component columns, so a level costs a fixed number of
+    numpy calls (Buzbee, Golub & Nielson, SIAM J. Numer. Anal. 7, 1970;
+    Heller, SIAM J. Numer. Anal. 13, 1976).  On a symmetric matrix this is
+    Cholesky in the odd-even order of the nodes, so every pivot of a
+    positive definite one is positive.
+    """
+    d = diag.shape[0]
+    diagonal = np.arange(d)
+    levels = []
+    while diag.shape[-1] > DENSE_BLOCKS:
+        m = diag.shape[-1]
+        p, q = m // 2, m - m // 2  # odd and even nodes; q - 1 odd nodes have a successor
+        w = np.empty((d, 3 * d + 1, p))  # [D | U_prev^T | U_next | b], becomes [R | X | Y | z]
+        w[:, :d] = diag[:, :, 1::2]
+        w[:, d : 2 * d] = upper[:, :, 0::2].transpose(1, 0, 2)
+        w[:, 2 * d : 3 * d, : q - 1] = upper[:, :, 1::2]
+        w[:, 2 * d : 3 * d, q - 1 :] = 0.0  # the last odd node may have no successor
+        w[:, 3 * d] = rhs[:, 1::2]
+        for j in range(d):
+            if j:
+                w[j, j:] -= np.einsum("lk,lik->ik", w[:j, j], w[:j, j:])
+            w[j, j:] /= np.sqrt(w[j, j])
+        if not np.all(w[diagonal, diagonal] > 0.0):
+            return None
+        gx = np.einsum("lik,ljk->ijk", w[:, d : 2 * d], w[:, d:])  # X^T [X | Y | z]
+        gy = np.einsum("lik,ljk->ijk", w[:, 2 * d : 3 * d, : q - 1], w[:, 2 * d :, : q - 1])
+        even_diag = np.empty((d, d, q))
+        np.subtract(diag[:, :, 0 : 2 * p : 2], gx[:, :d], out=even_diag[:, :, :p])
+        even_diag[:, :, p:] = diag[:, :, 2 * p :]
+        even_diag[:, :, 1:] -= gy[:, :d]
+        even_rhs = np.empty((d, q))
+        np.subtract(rhs[:, 0 : 2 * p : 2], gx[:, 2 * d], out=even_rhs[:, :p])
+        even_rhs[:, p:] = rhs[:, 2 * p :]
+        even_rhs[:, 1:] -= gy[:, d]
+        levels.append(w)
+        diag, upper, rhs = even_diag, np.negative(gx[:, d : 2 * d, : q - 1]), even_rhs
+    x = _dense_solve(diag, upper, rhs)
+    if x is None:
+        return None
+    for w in reversed(levels):
+        p, q = w.shape[-1], x.shape[-1]
+        full = np.empty((d, p + q))
+        full[:, 0::2] = x
+        odd = full[:, 1::2]
+        np.subtract(w[:, 3 * d], np.einsum("ljk,jk->lk", w[:, d : 2 * d], x[:, :p]), out=odd)
+        odd[:, : q - 1] -= np.einsum("ljk,jk->lk", w[:, 2 * d : 3 * d, : q - 1], x[:, 1:])
+        for j in reversed(range(d)):
+            if j < d - 1:
+                odd[j] -= np.einsum("lk,lk->k", w[j, j + 1 : d], odd[j + 1 :])
+            odd[j] /= w[j, j]
+        x = full
+    return x
+
+
+def _dense_solve(diag, upper, rhs):
+    """The same system, small enough to solve as one dense matrix by
+    Cholesky; None when it is not positive definite."""
+    d, _, m = diag.shape
+    dense = np.zeros((m, d, m, d))
+    k = np.arange(m)
+    dense[k, :, k] = diag.transpose(2, 0, 1)
+    dense[k[:-1], :, k[1:]] = upper.transpose(2, 0, 1)
+    dense[k[1:], :, k[:-1]] = upper.transpose(2, 1, 0)
+    try:
+        low = np.linalg.cholesky(dense.reshape(m * d, m * d))
+    except np.linalg.LinAlgError:
+        return None
+    x = np.linalg.solve(low.T, np.linalg.solve(low, rhs.T.ravel()))
+    return x.reshape(m, d).T
 
 
 def optimize(graph, settings: SolverSettings = None, progress=None):

@@ -197,6 +197,28 @@ def write_optimization(out_dir, source: str, result: OptimizationResult, written
 # report
 
 
+# a last accepted gain ratio above this marks a solve that stopped short of
+# its optimum: the Huber crawls end near 2, with every step about half as
+# long as the model says it should be, while solves that reach the optimum
+# end near 1
+STOPPED_SHORT_GAIN = 1.5
+
+
+def _solver_marks(solver) -> tuple:
+    """The marks ``report.txt`` puts on a source's row, from the ``solver``
+    record of its stats file: ``max-iterations`` when the solve stopped at
+    the iteration limit, and ``stopped short`` when the last gain ratio it
+    recorded is above ``STOPPED_SHORT_GAIN``."""
+    marks = []
+    if solver.get("reason") == opt.MAX_ITERATIONS:
+        marks.append(opt.MAX_ITERATIONS)
+    records = solver.get("per_iteration", [])
+    gains = [r["gain_ratio"] for r in records if r.get("gain_ratio") is not None]
+    if gains and gains[-1] > STOPPED_SHORT_GAIN:
+        marks.append("stopped short")
+    return tuple(marks)
+
+
 def _discover_sources(run_dir):
     names = []
     for entry in sorted(os.listdir(run_dir)):
@@ -222,13 +244,12 @@ def report_run(run_dir, out_dir=None, written=None):
     # report leaves no output directory behind
     reports = []
     phase_rows = {}
-    capped = set()
+    marks = {}
     tables = []  # (name, graph, raw track or None) of each source with a graph
     for name in sources:
         payload = fileio.read_stats_json(os.path.join(run_dir, f"{name}_stats.json"))
         reports.append(fileio.stats_report(payload))
-        if payload.get("solver", {}).get("reason") == opt.MAX_ITERATIONS:
-            capped.add(payload["source"])
+        marks[payload["source"]] = _solver_marks(payload.get("solver", {}))
 
         graph_path = os.path.join(run_dir, f"{name}_graph.txt")
         if not os.path.exists(graph_path):
@@ -272,7 +293,7 @@ def report_run(run_dir, out_dir=None, written=None):
     txt_path = os.path.join(out_dir, REPORT_TXT)
     written.append(txt_path)
     with open(txt_path, "w", encoding="utf-8") as fh:
-        fh.write(fileio.format_report_table(reports, phase_rows or None, capped))
+        fh.write(fileio.format_report_table(reports, phase_rows or None, marks))
     return reports, written
 
 

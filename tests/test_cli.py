@@ -182,6 +182,47 @@ class TestOptimizeAndReport:
         reason = json.loads((out / "dvso_stats.json").read_text())["solver"]["reason"]
         assert reason == "max-iterations"
 
+    def test_report_marks_a_solve_that_stopped_short(self, tmp_path):
+        out = TestExitCodes.optimized_run(tmp_path)
+        path = out / "dvso_stats.json"
+        payload = json.loads(path.read_text())
+        marks = {}
+        for gain in (None, 1.98):
+            if gain is not None:  # the last gain ratio of a Huber crawl
+                (*_, last) = [
+                    r for r in payload["solver"]["per_iteration"] if r["gain_ratio"] is not None
+                ]
+                last["gain_ratio"] = gain
+                path.write_text(json.dumps(payload))
+            assert cli.main(["report", "--dir", str(out)]) == 0
+            (row,) = [
+                ln for ln in (out / "report.txt").read_text().splitlines()
+                if ln.startswith("dvso ")
+            ]
+            marks[gain] = row.endswith(" (stopped short)")
+        assert marks == {None: False, 1.98: True}
+
+    def test_default_run_is_not_marked(self, tmp_path):
+        # seed 7, default scenario: every solve ends at its optimum
+        out = tmp_path / "run"
+        assert cli.main(["simulate", "--seed", "7", "--out", str(out)]) == 0
+        sources = sorted(p.name[: -len("_raw.txt")] for p in out.glob("*_raw.txt"))
+        assert sources == ["dvso", "wheel"]
+        for source in sources:
+            assert cli.main([
+                "optimize",
+                "--track", str(out / f"{source}_raw.txt"),
+                "--observations", str(out / "observations.txt"),
+                "--out", str(out),
+            ]) == 0
+        assert cli.main(["report", "--dir", str(out)]) == 0
+        rows = [
+            ln for ln in (out / "report.txt").read_text().splitlines()
+            if ln.split(" ")[0] in sources
+        ]
+        assert len(rows) == 2
+        assert not any(row.endswith(")") for row in rows), rows
+
     def test_optimized_track_reingestible(self, tmp_path):
         cfg = write_config(tmp_path, SMALL_CONFIG)
         out = tmp_path / "run"
@@ -410,7 +451,10 @@ class TestExitCodes:
         assert "sources: must name sources, none twice" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "case", ["missing-key", "not-an-object", "text-frames", "numeric-reason", "nan-number"]
+        "case", [
+            "missing-key", "not-an-object", "text-frames", "numeric-reason", "nan-number",
+            "text-gain-ratio",
+        ]
     )
     def test_schema_broken_stats_exits_2(self, tmp_path, capsys, case):
         out = self.optimized_run(tmp_path)
@@ -428,6 +472,9 @@ class TestExitCodes:
         elif case == "numeric-reason":
             payload["solver"]["reason"] = 7
             named = "'solver.reason'"
+        elif case == "text-gain-ratio":
+            payload["solver"]["per_iteration"][0]["gain_ratio"] = "high"
+            named = "'solver.per_iteration'"
         else:
             payload["trans_m_per_frame"] = float("nan")  # json.dumps writes NaN
             named = "malformed JSON: NaN"
@@ -579,8 +626,36 @@ class TestCleanup:
 
 
 def test_importing_the_cli_leaves_scipy_unloaded():
-    # only the solve needs scipy, so simulate and report never load it
+    # the package imports numpy alone
     code = "import sys, tunnelgraph.cli; print('scipy' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False"]
+
+
+def test_a_full_run_leaves_scipy_unloaded(tmp_path):
+    # simulate, optimize and report in one fresh interpreter: no command,
+    # the solve included, loads scipy
+    cfg = write_config(tmp_path, SMALL_CONFIG)
+    out = tmp_path / "run"
+    commands = [
+        ["simulate", "--config", cfg, "--out", str(out)],
+        [
+            "optimize",
+            "--track", str(out / "dvso_raw.txt"),
+            "--observations", str(out / "observations.txt"),
+            "--out", str(out),
+        ],
+        ["report", "--dir", str(out)],
+    ]
+    code = (
+        "import sys\n"
+        "from tunnelgraph.cli import main\n"
+        f"for args in {commands!r}:\n"
+        "    assert main(args) == 0, args\n"
+        "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert (out / "report.txt").exists()
+    assert proc.stdout.splitlines()[-1] == "[]"

@@ -24,7 +24,7 @@ from tunnelgraph.sync import DataError, FULL3D, PLANAR
 
 from planar_oracle import coordinate_descent, oracle_cost, planar_problem
 from test_acceptance import default_sparse_run
-from test_graph import small_problem
+from test_graph import sightings, small_problem, straight_track
 from test_simulate import loop_corrupt_poses
 
 
@@ -336,18 +336,22 @@ def perturbed(graph, seed):
     )
 
 
-def assert_system_close(got, want, bw, rtol):
-    """The solver's (band, gradient) against the reference's (sparse A,
-    gradient), each to ``rtol`` of its largest entry."""
-    a_mat = want[0].tocsr()
-    rows, cols = a_mat.nonzero()
-    assert np.all(np.abs(rows - cols) <= bw)  # nothing outside the band
-    band = np.zeros((bw + 1, a_mat.shape[0]))
-    for k in range(bw + 1):  # k-th superdiagonal
-        band[bw - k, k:] = a_mat.diagonal(k)
-    for mine, ref in zip(got, (band, want[1])):
+def assert_system_close(got, want, rtol):
+    """The solver's ((diag, upper), gradient) against the reference's
+    (sparse A, gradient), each to ``rtol`` of its largest entry."""
+    (diag, upper), grad = got
+    d, _, m = diag.shape
+    a_mat = want[0].tocoo()
+    rows, cols = a_mat.row // d, a_mat.col // d  # block rows and columns
+    assert np.all(np.abs(rows - cols) <= 1)  # nothing outside the block tridiagonal
+    blocks = np.zeros((d, d, m)), np.zeros((d, d, m - 1))
+    for ref, keep in zip(blocks, (rows == cols, cols == rows + 1)):
+        ref[a_mat.row[keep] % d, a_mat.col[keep] % d, rows[keep]] = a_mat.data[keep]
+    matrix_scale = max(float(np.abs(a_mat.data).max(initial=0.0)), 1e-300)
+    grad_scale = max(float(np.abs(want[1]).max(initial=0.0)), 1e-300)
+    for mine, ref, scale in zip((diag, upper, grad), (*blocks, want[1]),
+                                (matrix_scale, matrix_scale, grad_scale)):
         assert mine.shape == ref.shape
-        scale = max(float(np.abs(ref).max(initial=0.0)), 1e-300)
         np.testing.assert_allclose(mine, ref, rtol=0.0, atol=rtol * scale)
 
 
@@ -360,13 +364,12 @@ CASES = [
 def test_products_and_assembly_match_reference(case):
     graph, huber = oracle_case(case)
     assembler = opt._Assembler(graph)
-    # the odometry chain i -> i + 1 couples a node with its successor only
-    assert assembler.bw == 2 * graph.group.tangent_dim - 1
     for seed in (0, 1):  # two iterates of one graph
         states, landmark = perturbed(graph, seed)
         ev, got = solver_system(graph, assembler, states, landmark, huber)
         want = reference_system(graph, states, landmark, ev, huber)
-        assert_system_close(got, want, assembler.bw, 1e-12)
+        # the odometry chain i -> i + 1 couples a node with its successor only
+        assert_system_close(got, want, 1e-12)
 
 
 @pytest.mark.parametrize("source", ["dvso", "wheel"])
@@ -379,7 +382,7 @@ def test_per_node_assembly_matches_reference_on_recovery(source):
     for states, landmark in ((graph.states, graph.landmark), perturbed(graph, 3)):
         ev, got = solver_system(graph, assembler, states, landmark, 0.0)
         want = reference_system(graph, states, landmark, ev, 0.0)
-        assert_system_close(got, want, assembler.bw, 1e-12)
+        assert_system_close(got, want, 1e-12)
 
 
 # iterations, stop reason and final cost of the recovery solves as the
@@ -417,12 +420,11 @@ def test_recovery_solve_matches_per_sighting_reference(source, seed):
         assert ev.cost == gmod.total_cost(graph, states, landmark)
 
 
-@pytest.mark.parametrize("damping", [1e-8, 1e-2])
-@pytest.mark.parametrize("case", CASES)
-def test_band_solve_matches_dense(case, damping):
-    graph, huber = oracle_case(case)
+def assert_solve_matches_dense(graph, huber, damping, seed):
+    """The damped step and its predicted decrease at a perturbed state,
+    against a dense solve of the reference system."""
     assembler = opt._Assembler(graph)
-    states, landmark = perturbed(graph, 2)
+    states, landmark = perturbed(graph, seed)
     ev, system = solver_system(graph, assembler, states, landmark, huber)
     step, predicted = assembler.solve(*system, damping)
 
@@ -439,13 +441,124 @@ def test_band_solve_matches_dense(case, damping):
     assert predicted == pytest.approx(model, rel=1e-9)
 
 
+@pytest.mark.parametrize("damping", [1e-8, 1e-2])
+@pytest.mark.parametrize("case", CASES)
+def test_band_solve_matches_dense(case, damping):
+    graph, huber = oracle_case(case)
+    assert_solve_matches_dense(graph, huber, damping, 2)
+
+
+def chain_graph(mode, moving, start):
+    """A straight drive whose step moves ``moving`` nodes: one sighting at
+    its first frame frees the landmark frame (start 0, every node moves),
+    or the landmark is fixed and node 0 holds (start 1)."""
+    track = straight_track(frames=moving + start)
+    aligned = sync.align(track, sightings((0.0, 0, (2.0, 1.0, 0.0))))
+    layout = sim.LandmarkLayout(count=3, spacing=2.0)
+    graph = gmod.build_graph(aligned, layout, mode, landmark_fixed=start == 1)
+    assert graph.node_count == moving + start
+    return graph
+
+
+@pytest.mark.parametrize("dense_blocks", [opt.DENSE_BLOCKS, 1])
+@pytest.mark.parametrize("start", [0, 1])
+@pytest.mark.parametrize("mode", [PLANAR, FULL3D])
+@pytest.mark.parametrize("moving", [2, 3, 4, 5, 33])
+def test_chain_solve_matches_dense(monkeypatch, moving, mode, start, dense_blocks):
+    # with the dense finish at one node, every chain runs through reduction
+    # levels with odd and even node counts
+    monkeypatch.setattr(opt, "DENSE_BLOCKS", dense_blocks)
+    graph = chain_graph(mode, moving, start)
+    assert opt._Assembler(graph).start == start
+    for damping in (1e-8, 1e-2):
+        assert_solve_matches_dense(graph, 0.0, damping, moving)
+
+
 def test_band_solve_rejects_nan():
     graph, huber = oracle_case("full3d")
     assembler = opt._Assembler(graph)
-    _, (band, grad) = solver_system(graph, assembler, *perturbed(graph, 0), huber)
-    assert assembler.solve(band, grad, 1e-6) is not None
-    band[assembler.bw - 1, 9] = np.nan  # one superdiagonal entry
-    assert assembler.solve(band, grad, 1e-6) is None
+    _, ((diag, upper), grad) = solver_system(graph, assembler, *perturbed(graph, 0), huber)
+    assert assembler.solve((diag, upper), grad, 1e-6) is not None
+    diag[2, 3, 1] = np.nan  # A[8, 9], one superdiagonal entry
+    assert assembler.solve((diag, upper), grad, 1e-6) is None
+
+
+def test_block_solve_rejects_nan_in_coupling_blocks():
+    graph, huber = oracle_case("full3d")
+    assembler = opt._Assembler(graph)
+    _, ((diag, upper), grad) = solver_system(graph, assembler, *perturbed(graph, 0), huber)
+    for k in range(upper.shape[-1]):  # couplings of odd nodes to both neighbours
+        poisoned = upper.copy()
+        poisoned[0, 1, k] = np.nan
+        assert assembler.solve((diag, poisoned), grad, 1e-6) is None, k
+
+
+@pytest.mark.parametrize("dense_blocks", [opt.DENSE_BLOCKS, 1])
+def test_block_solve_rejects_matrices_not_positive_definite(monkeypatch, dense_blocks):
+    monkeypatch.setattr(opt, "DENSE_BLOCKS", dense_blocks)
+    assembler = opt._Assembler(oracle_case("full3d")[0])
+    d = 6
+
+    def system(coupling, m):
+        """Blocks I coupled by cI: the eigenvalues are 1 + 2c cos(k pi / (m + 1))."""
+        eye = np.eye(d)[:, :, None]
+        matrix = np.repeat(eye, m, axis=2), np.repeat(coupling * eye, m - 1, axis=2)
+        dense = np.kron(np.eye(m), np.eye(d)) + np.kron(
+            np.eye(m, k=1) + np.eye(m, k=-1), coupling * np.eye(d)
+        )
+        return matrix, np.ones(m * d), np.linalg.eigvalsh(dense).min()
+
+    # over 33 nodes the first level's odd blocks are I and the second's
+    # 1 - 2 (0.36) = 0.28 times I, both positive definite; the third's are
+    # 0.28 - 2 (0.36^2 / 0.28) < 0 times I, so only that level fails.  Over
+    # 5 nodes the whole system is the dense finish's
+    for m in (33, 5):
+        matrix, grad, lowest = system(0.6, m)
+        assert lowest < 0.0
+        assert assembler.solve(matrix, grad, 1e-8) is None, m
+        matrix, grad, lowest = system(0.4, m)  # 1 - 0.8 cos(pi / (m + 1)) > 0
+        assert lowest > 0.0
+        assert assembler.solve(matrix, grad, 1e-8) is not None, m
+
+
+def block_product(diag, upper, x):
+    """A x for the block-tridiagonal A of (diag, upper), x of shape (d, m)."""
+    out = np.einsum("ijk,jk->ik", diag, x)
+    out[:, :-1] += np.einsum("ijk,jk->ik", upper, x[:, 1:])
+    out[:, 1:] += np.einsum("jik,jk->ik", upper, x[:, :-1])
+    return out
+
+
+@pytest.mark.parametrize("run", ["recovery", "sparse"])
+@pytest.mark.parametrize("source", ["dvso", "wheel"])
+def test_block_solve_backward_error(run, source):
+    """The normwise backward error of the first, Gauss–Newton step,
+    ||b - A x|| / (||A|| ||x|| + ||b||) in the infinity norm, is at
+    rounding level, also where the system is ill-conditioned."""
+    noise = sim.PRESETS[source]()
+    if run == "recovery":
+        graph = pipeline.recovery_run(noise, 7)[0].raw_graph
+    else:
+        graph = default_sparse_run(noise, 7, noise.dof_mode).raw_graph
+    assembler = opt._Assembler(graph)
+    _, ((diag, upper), grad) = solver_system(
+        graph, assembler, graph.states, graph.landmark, 0.0
+    )
+    damping = opt.DAMPING_FLOOR
+    step, _ = assembler.solve((diag, upper), grad, damping)
+    d = diag.shape[0]
+    # the damped matrix the solve factors: the upper triangle of each
+    # diagonal block, mirrored
+    upper_part = np.arange(d)[:, None] <= np.arange(d)
+    damped = np.where(upper_part[:, :, None], diag, diag.transpose(1, 0, 2))
+    pivots = damped[np.arange(d), np.arange(d)]
+    damped[np.arange(d), np.arange(d)] += damping * np.maximum(
+        pivots, 1e-12 * max(float(pivots.max()), 1.0)
+    )
+    x, b = step.reshape(-1, d).T, -grad.reshape(-1, d).T
+    residual = np.abs(b - block_product(damped, upper, x)).max()
+    norm_a = block_product(np.abs(damped), np.abs(upper), np.ones_like(x)).max()
+    assert residual / (norm_a * np.abs(x).max() + np.abs(b).max()) <= 1e-15
 
 
 def test_per_iteration_records(monkeypatch):
