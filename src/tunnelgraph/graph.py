@@ -12,6 +12,11 @@ full-3D mode, ``(N, 3)`` ``[x, y, yaw]`` (:data:`~tunnelgraph.geometry.SE2`)
 in planar mode.  The same packing is used for the landmark frame, the
 template, and every edge measurement, and every residual is the group's
 ``between``, so no code below branches on the mode.
+
+Edge evaluation (:class:`Edges`) forms the sighting residuals in
+node-aligned slabs of at most ``SLAB_NODES`` observing nodes, into one
+(M, d) array, so its temporaries are the size of a slab, not of all M
+sightings; the cost is then summed over whole arrays, once.
 """
 
 from __future__ import annotations
@@ -185,6 +190,8 @@ def build_graph(
 # ---------------------------------------------------------------------------
 # edge evaluation: the one place a residual, weight or cost is computed
 
+SLAB_NODES = 1024  # observing nodes per slab of sightings
+
 
 @dataclass(frozen=True)
 class Evaluation:
@@ -216,10 +223,16 @@ class Edges:
     each sighting's index into ``observed``; and ``pole_adjoint``, the
     adjoint Ad(P^-1) of every template pole P, (P, d, d).
 
+    ``slabs`` cuts the sightings into node-aligned runs: each slab is a
+    pair (nodes, sightings) of slices, up to ``SLAB_NODES`` consecutive
+    observing nodes and the sightings they make, so no node's run of
+    sightings is split.  Per-sighting work goes slab by slab, and its
+    temporaries stay the size of one slab.
+
     Its residual functions, the group's ``between`` of each measurement,
     serve the cost, the analytic Jacobians and their finite-difference
-    check.  An observation residual takes the states of the observing
-    nodes and inverts each once for its whole run of sightings.
+    check.  An observation residual gathers the states of a slab's
+    observing nodes and inverts each once for its whole run of sightings.
     """
 
     def __init__(self, graph: PoseGraph):
@@ -234,28 +247,37 @@ class Edges:
             graph.obs_node, return_index=True, return_inverse=True
         )
         self.pole_adjoint = group.adjoint(group.inverse(graph.template))
+        runs = np.append(self.first, graph.obs_count)  # run starts, then the end
+        cuts = [*range(0, self.observed.size, SLAB_NODES), self.observed.size]
+        self.slabs = [
+            (slice(a, b), slice(int(runs[a]), int(runs[b]))) for a, b in zip(cuts, cuts[1:])
+        ]
 
     def odometry(self, si, sj):
         """Residual r(s_i, s_j) of every odometry edge, with its transform."""
         group = self.graph.group
         return group.between(self.odo_meas_inv, group.inverse(si), sj)
 
-    def observation(self, observing, landmark):
-        """Residual r(s, landmark) of every sighting, from ``observing``, the
-        states of the ``observed`` nodes; its target is its pole placed by
-        the landmark frame."""
+    def observation(self, states, landmark, slab):
+        """Residual r(s, landmark) of every sighting of ``slab``; its target
+        is its pole placed by the landmark frame."""
         graph = self.graph
         group = graph.group
+        nodes, sightings = slab
         # np.take gathers rows several times faster than fancy indexing
-        target = np.take(graph.pole_world_poses(landmark), graph.obs_pole, axis=0)
-        a_inv = np.take(group.inverse(observing), self.node_of, axis=0)
-        return group.between(self.obs_meas_inv, a_inv, target)
+        target = np.take(graph.pole_world_poses(landmark), graph.obs_pole[sightings], axis=0)
+        observing = np.take(states, self.observed[nodes], axis=0)
+        a_inv = np.take(group.inverse(observing), self.node_of[sightings] - nodes.start, axis=0)
+        return group.between(self.obs_meas_inv[sightings], a_inv, target)
 
     def evaluate(self, states, landmark, huber_delta=0.0) -> Evaluation:
-        """Every edge at (states, landmark)."""
+        """Every edge at (states, landmark).  The sighting residuals are
+        formed slab by slab into one array; the cost sums whole arrays."""
         graph = self.graph
         r_odo, rel_odo = self.odometry(states[:-1], states[1:])  # edge e joins e to e + 1
-        r_obs, _ = self.observation(np.take(states, self.observed, axis=0), landmark)
+        r_obs = np.empty((graph.obs_count, graph.group.tangent_dim))
+        for slab in self.slabs:
+            r_obs[slab[1]] = self.observation(states, landmark, slab)[0]
         sq_odo = _weighted_sq(graph, r_odo, graph.odo_w_trans, graph.odo_w_rot)
         sq_obs = _weighted_sq(graph, r_obs, graph.obs_w_trans, graph.obs_w_rot)
         cost_odo, w_odo = _huber(sq_odo, self.w_odo, huber_delta)

@@ -46,17 +46,24 @@ residuals and odometry transforms, and the products its weights, which
 carry the Huber kernel's factors.
 
 A sighting's node Jacobian is its landmark Jacobian times one adjoint
-per observing node (:func:`_linearize`), so the observation products are
-summed over each node's run of sightings before that adjoint is applied.
-Assembly sums each node's diagonal block and gradient from the chain,
-and the reduction reads those blocks, and each node's coupling to its
-successor, component-major through transposed views.
+per observing node (:func:`_sighting_jacobians`), so the observation
+products are summed over each node's run of sightings before that adjoint
+is applied.  The chain is formed per slab (``Edges.slabs``, at most
+``graph.SLAB_NODES`` observing nodes, never splitting a node's run) and
+written straight into the per-node blocks, so no (M, d, d) array over the
+M sightings exists.  An iteration's blocks are released once assembled,
+and its system once the trial is decided, so the next iteration builds
+its own with none of them alive.  Assembly sums each node's diagonal
+block and gradient from the chain, and the reduction reads those blocks,
+and each node's coupling to its successor, component-major through
+transposed views.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -146,48 +153,83 @@ def _numeric_blocks(group, residual, a, b):
     )
 
 
-def _linearize(edges, states, landmark, ev):
-    """Jacobian blocks of every edge at (states, landmark), from ``ev``, the
-    evaluation there, and ``edges``, the graph's per-solve constants.
+def _linearize(edges, ev):
+    """Jacobian blocks of every odometry edge, from ``ev``, the evaluation
+    at the current states: J_j = Jr^-1(r) and J_i = -J_j Ad(rel^-1), with
+    rel = s_i^-1 s_j."""
+    group = edges.graph.group
+    jj_o = group.jr_inv(ev.r_odo)
+    return -(jj_o @ group.adjoint(group.inverse(ev.rel_odo))), jj_o
 
-    Odometry: J_j = Jr^-1(r) and J_i = -J_j Ad(rel^-1), rel = s_i^-1 s_j.
+
+def _products(ev, jacobians):
+    """Normal-equation blocks J_a^T W J_b and gradients J^T W r of every
+    odometry edge, with the residuals and weights of ``ev``."""
+    ji_o, jj_o = jacobians
+    w_odo = ev.w_odo
+    # each block is J_a^T (W J_b), with J_a^T a transposed view, not a copy
+    ti_o, tj_o = np.swapaxes(ji_o, 1, 2), np.swapaxes(jj_o, 1, 2)
+    wjj_o = jj_o * w_odo[:, :, None]
+    wr_odo = w_odo * ev.r_odo
+    return {
+        "oii": ti_o @ (ji_o * w_odo[:, :, None]),
+        "oij": ti_o @ wjj_o,
+        "ojj": tj_o @ wjj_o,
+        "oi": np.einsum("eki,ek->ei", ji_o, wr_odo),
+        "oj": np.einsum("eki,ek->ei", jj_o, wr_odo),
+    }
+
+
+def _sighting_jacobians(edges, states, landmark, ev, slab):
+    """Landmark blocks J_l of the sightings of ``slab``, and the adjoint G
+    of each of its observing nodes.
+
     A sighting of pole P from node s under the landmark frame L measures
     T = s^-1 L P, and Ad(T^-1) = Ad(P^-1) Ad(L^-1 s): its landmark block is
     J_l = Jr^-1(r) Ad(P^-1), and its node block -J_l G, where the adjoint
     G = Ad(L^-1 s) is one per observing node."""
     group = edges.graph.group
-    jj_o = group.jr_inv(ev.r_odo)
-    ji_o = -(jj_o @ group.adjoint(group.inverse(ev.rel_odo)))
+    nodes, sightings = slab
     # landmark * exp(d) * pole = (landmark * pole) * exp(Ad(pole^-1) d)
-    jl_s = group.jr_inv(ev.r_obs) @ np.take(edges.pole_adjoint, edges.graph.obs_pole, axis=0)
-    observing = np.take(states, edges.observed, axis=0)
-    return ji_o, jj_o, jl_s, group.adjoint(group.relative(landmark, observing))
+    poles = np.take(edges.pole_adjoint, edges.graph.obs_pole[sightings], axis=0)
+    jl_s = group.jr_inv(ev.r_obs[sightings]) @ poles
+    observing = np.take(states, edges.observed[nodes], axis=0)
+    return jl_s, group.adjoint(group.relative(landmark, observing))
 
 
-def _products(edges, ev, jacobians):
-    """Normal-equation blocks J_a^T W J_b and gradients J^T W r, with the
-    residuals and weights of ``ev``: per odometry edge, and per observing
-    node, whose run of sightings starts at ``edges.first``.  A sighting
-    adds S = J_l^T W J_l and h = J_l^T W r; over its node's run they sum
-    to the node block G^T S G and the gradient -G^T h."""
-    ji_o, jj_o, jl_s, adj = jacobians
-    w_odo, w_obs = ev.w_odo, ev.w_obs
-    # each block is J_a^T (W J_b), with J_a^T a transposed view, not a copy
-    ti_o, tj_o = np.swapaxes(ji_o, 1, 2), np.swapaxes(jj_o, 1, 2)
-    wjj_o = jj_o * w_odo[:, :, None]
-    wr_odo = w_odo * ev.r_odo
+def _sighting_products(edges, ev, slab, jacobians, sii, si):
+    """Writes the node block G^T S G and the gradient -G^T h of each
+    observing node of ``slab`` into its rows of ``sii`` and ``si``.  A
+    sighting adds S = J_l^T W J_l and h = J_l^T W r, summed over its
+    node's run of sightings before the node's adjoint is applied."""
+    jl_s, adj = jacobians
+    nodes, sightings = slab
+    w_obs = ev.w_obs[sightings]
+    runs = edges.first[nodes] - sightings.start
     s_obs = np.swapaxes(jl_s, 1, 2) @ (jl_s * w_obs[:, :, None])
-    h_obs = np.einsum("mki,mk->mi", jl_s, w_obs * ev.r_obs)
+    h_obs = np.einsum("mki,mk->mi", jl_s, w_obs * ev.r_obs[sightings])
     adj_t = np.swapaxes(adj, 1, 2)
-    return {
-        "oii": ti_o @ (ji_o * w_odo[:, :, None]),
-        "oij": ti_o @ wjj_o,
-        "ojj": tj_o @ wjj_o,
-        "sii": adj_t @ np.add.reduceat(s_obs, edges.first, axis=0) @ adj,
-        "oi": np.einsum("eki,ek->ei", ji_o, wr_odo),
-        "oj": np.einsum("eki,ek->ei", jj_o, wr_odo),
-        "si": -np.einsum("kij,kj->ki", adj_t, np.add.reduceat(h_obs, edges.first, axis=0)),
-    }
+    np.matmul(adj_t @ np.add.reduceat(s_obs, runs, axis=0), adj, out=sii[nodes])
+    np.negative(np.einsum("kij,kj->ki", adj_t, np.add.reduceat(h_obs, runs, axis=0)), out=si[nodes])
+
+
+def _blocks(edges, states, landmark, ev):
+    """Every normal-equation block at (states, landmark), where ``ev`` is
+    the evaluation: per odometry edge, and ``sii``/``si`` per observing
+    node, formed slab by slab (``edges.slabs``) so that no per-sighting
+    array outlives its slab.  Returns (blocks, seconds linearizing,
+    seconds forming products), each summed over the slabs."""
+    jacobians, linearize_s = _timed(_linearize, edges, ev)
+    blocks, products_s = _timed(_products, ev, jacobians)
+    del jacobians
+    k, d = edges.observed.size, edges.graph.group.tangent_dim
+    sii = blocks["sii"] = np.empty((k, d, d))
+    si = blocks["si"] = np.empty((k, d))
+    for slab in edges.slabs:
+        jacobians, seconds = _timed(_sighting_jacobians, edges, states, landmark, ev, slab)
+        linearize_s += seconds
+        products_s += _timed(_sighting_products, edges, ev, slab, jacobians, sii, si)[1]
+    return blocks, linearize_s, products_s
 
 
 # ---------------------------------------------------------------------------
@@ -362,9 +404,9 @@ def optimize(graph, settings: SolverSettings = None, progress=None):
 
     for iteration in range(1, settings.max_iterations + 1):
         record = {"rejected": 0, "solve_s": 0.0, "cost_s": 0.0}
-        jacobians, record["linearize_s"] = _timed(_linearize, edges, states, landmark, ev)
-        blocks, record["products_s"] = _timed(_products, edges, ev, jacobians)
+        blocks, record["linearize_s"], record["products_s"] = _blocks(edges, states, landmark, ev)
         system, record["assemble_s"] = _timed(assembler.assemble, blocks)
+        del blocks  # released before the next iteration builds its own
         record["grad_inf"] = float(np.abs(system[1]).max(initial=0.0))
 
         while True:
@@ -399,6 +441,7 @@ def optimize(graph, settings: SolverSettings = None, progress=None):
                     iteration, "normal equations unsolvable at maximum damping"
                 )
 
+        del system, solution  # the trial is decided
         step_norm = 0.0 if step is None else float(np.linalg.norm(step))
         decrease = ev.cost - cand.cost
         record["step_norm"] = step_norm
@@ -446,14 +489,17 @@ def check_jacobians(graph, probe_count: int = 100):
 
     # the solver's own linearization, with each sighting's node block -J_l G
     # rebuilt, against central differences of the residuals on the probes;
-    # moving every observing node at once moves each sighting by its own node
+    # moving every node at once moves each sighting by its own node
     edges = gmod.Edges(graph)
     ev = edges.evaluate(states, landmark)
-    ji_o, jj_o, jl_s, adj = _linearize(edges, states, landmark, ev)
+    whole = (slice(0, edges.observed.size), slice(0, graph.obs_count))  # one slab of all
+    ji_o, jj_o = _linearize(edges, ev)
+    jl_s, adj = _sighting_jacobians(edges, states, landmark, ev, whole)
     analytic = (ji_o, jj_o, -(jl_s @ adj[edges.node_of]), jl_s)
+    observation = partial(edges.observation, slab=whole)
     numeric = (
         *_numeric_blocks(group, edges.odometry, states[graph.odo_i], states[graph.odo_j]),
-        *_numeric_blocks(group, edges.observation, states[edges.observed], landmark),
+        *_numeric_blocks(group, observation, states, landmark),
     )
     rows = (odo_idx, odo_idx, obs_idx, obs_idx)
     return max(

@@ -7,6 +7,8 @@ bookkeeping, the Jacobians, robust weighting and failure modes.
 """
 
 import dataclasses
+import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -230,8 +232,7 @@ def solver_system(graph, assembler, states, landmark, huber_delta):
     """The evaluation at one state and the system the solver assembles there."""
     edges = assembler.edges
     ev = edges.evaluate(states, landmark, huber_delta)
-    jacobians = opt._linearize(edges, states, landmark, ev)
-    return ev, assembler.assemble(opt._products(edges, ev, jacobians))
+    return ev, assembler.assemble(opt._blocks(edges, states, landmark, ev)[0])
 
 
 def reference_system(graph, states, landmark, ev, huber_delta):
@@ -474,6 +475,50 @@ def test_chain_solve_matches_dense(monkeypatch, moving, mode, start, dense_block
         assert_solve_matches_dense(graph, 0.0, damping, moving)
 
 
+def flat_direction_graph(scale):
+    """A chain whose last odometry edge has no translation weight, every
+    weight times ``scale``.  The last node sees no pole, so its translation
+    directions are flat, zero curvature and zero gradient, at any state:
+    the rotation rows of Jr^-1 have no translation part."""
+    graph = chain_graph(PLANAR, 8, 0)
+    w_trans = graph.odo_w_trans.copy()
+    w_trans[-1] = 0.0
+    return dataclasses.replace(
+        graph, odo_w_trans=scale * w_trans, odo_w_rot=scale * graph.odo_w_rot,
+        obs_w_trans=scale * graph.obs_w_trans, obs_w_rot=scale * graph.obs_w_rot,
+    )
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-3])
+def test_damping_floor_sets_the_step_of_a_flat_direction(scale):
+    graph = flat_direction_graph(scale)
+    assembler = opt._Assembler(graph)
+    _, ((diag, upper), grad) = solver_system(graph, assembler, *perturbed(graph, 6), 0.0)
+    d, k = diag.shape[0], graph.group.trans_dim
+    flat = slice(grad.size - d, grad.size - d + k)  # the last node's translation
+    assert not diag[:k, :, -1].any() and not upper[:, :k, -1].any() and not grad[flat].any()
+    largest = float(diag[np.arange(d), np.arange(d)].max())
+    assert (largest > 1.0) == (scale == 1.0)  # both sides of the floor's max(., 1)
+    floor = 1e-12 * max(largest, 1.0)
+    damping = 1e-2
+    assert_solve_matches_dense(graph, 0.0, damping, 6)  # no step along the flat directions
+    # a gradient there meets the floor's damping alone: the step is -g / (mu floor)
+    push = np.array([1.0, -2.0])
+    pushed = grad.copy()
+    pushed[flat] = push
+    step, _ = assembler.solve((diag, upper), pushed, damping)
+    np.testing.assert_allclose(step[flat], -push / (damping * floor), rtol=1e-12)
+
+
+def test_solve_with_a_flat_direction_converges():
+    graph = flat_direction_graph(1.0)
+    states, landmark = perturbed(graph, 6)
+    moved = dataclasses.replace(graph, states=states, landmark=landmark)
+    solved, stats = opt.optimize(moved)  # the floor keeps every pivot positive
+    assert stats.reason == COST_THRESHOLD
+    assert stats.final_cost < 1e-6 * stats.initial_cost
+
+
 def test_band_solve_rejects_nan():
     graph, huber = oracle_case("full3d")
     assembler = opt._Assembler(graph)
@@ -561,6 +606,78 @@ def test_block_solve_backward_error(run, source):
     assert residual / (norm_a * np.abs(x).max() + np.abs(b).max()) <= 1e-15
 
 
+# ---------------------------------------------------------------------------
+# the sighting chain, slab by slab
+
+
+@functools.lru_cache(maxsize=None)
+def recovery_graph(source, seed):
+    return pipeline.recovery_run(sim.PRESETS[source](), seed)[0].raw_graph
+
+
+def slab_case(case):
+    """(graph, huber delta) of one slab-invariance case."""
+    if case.startswith("recovery"):  # every node sees every pole
+        return recovery_graph(case.split("-")[1], 7), 0.0
+    if case == "unconstrained":
+        return oracle_case("no-observations")
+    source = "dvso" if case == "sparse" else "wheel"  # most nodes see no pole
+    noise = sim.PRESETS[source]()
+    graph = default_sparse_run(noise, 7, noise.dof_mode).raw_graph
+    return graph, 0.05 if case == "huber" else 0.0
+
+
+@pytest.mark.parametrize("case", [
+    "recovery-dvso", "recovery-wheel", "sparse", "huber", "unconstrained",
+])
+def test_slab_size_leaves_blocks_bit_identical(monkeypatch, case):
+    graph, huber = slab_case(case)
+    states, landmark = perturbed(graph, 5)
+    observing = np.unique(graph.obs_node).size
+    got = {}
+    for size in (1, 7, 10, max(observing, 1)):  # 7 or 10 leaves a short last slab
+        monkeypatch.setattr(gmod, "SLAB_NODES", size)
+        edges = gmod.Edges(graph)
+        assert len(edges.slabs) == -(-observing // size)
+        # node-aligned: the slabs tile the sightings, each starting a node's run
+        starts = [sightings.start for _, sightings in edges.slabs]
+        assert starts == [int(edges.first[nodes.start]) for nodes, _ in edges.slabs]
+        bounds = [0] + [sightings.stop for _, sightings in edges.slabs]
+        assert starts == bounds[:-1] and bounds[-1] == graph.obs_count
+        ev = edges.evaluate(states, landmark, huber)
+        blocks = opt._blocks(edges, states, landmark, ev)[0]
+        got[size] = ev.r_obs, blocks["sii"], blocks["si"], ev.cost
+    if huber:
+        assert np.any(ev.w_obs < edges.w_obs)  # the kernel bites
+    if observing:
+        assert observing % 7 or observing % 10
+    whole = got.pop(max(observing, 1))
+    for size, arrays in got.items():
+        for mine, want in zip(arrays, whole):
+            assert np.array_equal(mine, want), size
+
+
+def test_optimize_memory_is_bounded_by_the_graph():
+    """The traced peak of one wheel recovery solve, above what was held at
+    its entry, stays within five times the graph's own arrays: every
+    per-sighting temporary lives for one slab, and an iteration's blocks
+    are released before the next builds its own."""
+    graph = recovery_graph("wheel", 7)
+    graph_bytes = sum(v.nbytes for v in vars(graph).values() if isinstance(v, np.ndarray))
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        entry = tracemalloc.get_traced_memory()[0]
+        opt.optimize(graph)
+        peak = tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak < 5.0 * graph_bytes, (peak, graph_bytes)
+
+
 def test_per_iteration_records(monkeypatch):
     graph = simulated_graph(seed=3)
     solve = opt._Assembler.solve
@@ -615,9 +732,10 @@ def test_gain_ratio_none_without_predicted_decrease():
 
 def evaluation_passes(monkeypatch, graph):
     """The solve's stats and the number of ``Group.between`` passes it ran,
-    checked against its trials: one odometry and one observation pass at
-    the start and per trial.  Linearizing reuses the accepted trial's
-    residuals, and an iteration that stops before its trial evaluates nothing."""
+    checked against its trials: one odometry pass and one observation pass
+    per slab at the start and per trial.  Linearizing reuses the accepted
+    trial's residuals, and an iteration that stops before its trial
+    evaluates nothing."""
     between = geom.Group.between
     calls = []
 
@@ -631,7 +749,7 @@ def evaluation_passes(monkeypatch, graph):
     trials = sum(
         record["rejected"] + (record["gain_ratio"] is not None) for record in stats.per_iteration
     )
-    assert len(calls) == 2 * (1 + trials)
+    assert len(calls) == (1 + len(gmod.Edges(graph).slabs)) * (1 + trials)
     return stats
 
 
