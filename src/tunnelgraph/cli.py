@@ -132,21 +132,23 @@ def _print_iteration(iteration, record):
 def _cmd_optimize(args, written):
     track = fileio.read_track(args.track)
     observations = fileio.read_observations(args.observations)
-    result = pipeline.optimize_track(
+    layout = _settings(sim.LandmarkLayout, args, count="pole_count", spacing="pole_spacing")
+    settings = _settings(
+        SolverSettings, args, max_iterations="max_iterations", huber_delta="huber_delta"
+    )
+    graph, stages = pipeline.build_track_graph(
         track,
         observations,
         mode=args.mode,
-        layout=_settings(
-            sim.LandmarkLayout, args, count="pole_count", spacing="pole_spacing"
-        ),
+        layout=layout,
         odom_weights=(args.weight_trans, args.weight_rot),
-        settings=_settings(
-            SolverSettings, args, max_iterations="max_iterations", huber_delta="huber_delta"
-        ),
         landmark_fixed=args.landmark_fixed,
-        progress=_print_iteration if args.verbose else None,
     )
-    stages = pipeline.write_optimization(args.out, track.source, result, written)
+    del track, observations  # the graph holds what the solve needs of them
+    result = pipeline.solve_graph(
+        graph, stages, settings, progress=_print_iteration if args.verbose else None
+    )
+    stages = pipeline.write_optimization(args.out, graph.source, result, written)
     for path in written:
         print(path)
     if args.verbose:

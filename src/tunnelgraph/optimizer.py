@@ -325,6 +325,10 @@ def _block_cyclic_reduction(diag, upper, rhs):
         w[:, 2 * d : 3 * d, : q - 1] = upper[:, :, 1::2]
         w[:, 2 * d : 3 * d, q - 1 :] = 0.0  # the last odd node may have no successor
         w[:, 3 * d] = rhs[:, 1::2]
+        # the even nodes' rows, which become the reduced system; this level's
+        # system is then released, and so is each Schur product once applied
+        even_diag, even_rhs = diag[:, :, 0::2].copy(), rhs[:, 0::2].copy()
+        del diag, upper, rhs
         for j in range(d):
             if j:
                 w[j, j:] -= np.einsum("lk,lik->ik", w[:j, j], w[:j, j:])
@@ -332,17 +336,16 @@ def _block_cyclic_reduction(diag, upper, rhs):
         if not np.all(w[diagonal, diagonal] > 0.0):
             return None
         gx = np.einsum("lik,ljk->ijk", w[:, d : 2 * d], w[:, d:])  # X^T [X | Y | z]
+        even_diag[:, :, :p] -= gx[:, :d]
+        even_rhs[:, :p] -= gx[:, 2 * d]
+        upper = np.negative(gx[:, d : 2 * d, : q - 1])
+        del gx
         gy = np.einsum("lik,ljk->ijk", w[:, 2 * d : 3 * d, : q - 1], w[:, 2 * d :, : q - 1])
-        even_diag = np.empty((d, d, q))
-        np.subtract(diag[:, :, 0 : 2 * p : 2], gx[:, :d], out=even_diag[:, :, :p])
-        even_diag[:, :, p:] = diag[:, :, 2 * p :]
         even_diag[:, :, 1:] -= gy[:, :d]
-        even_rhs = np.empty((d, q))
-        np.subtract(rhs[:, 0 : 2 * p : 2], gx[:, 2 * d], out=even_rhs[:, :p])
-        even_rhs[:, p:] = rhs[:, 2 * p :]
         even_rhs[:, 1:] -= gy[:, d]
+        del gy
         levels.append(w)
-        diag, upper, rhs = even_diag, np.negative(gx[:, d : 2 * d, : q - 1]), even_rhs
+        diag, rhs = even_diag, even_rhs
     x = _dense_solve(diag, upper, rhs)
     if x is None:
         return None

@@ -3,11 +3,15 @@
 Three stages mirror the subcommands.  ``simulate_scenario`` turns a
 :class:`~tunnelgraph.config.ScenarioConfig` into files on disk: ground
 truth, one corrupted track per source, the landmark observation log and
-the per-source injection record.  ``optimize_track`` runs the whole
-estimation path in memory (alignment, graph construction, solve,
-metrics) and times each of these stages.  ``report_run`` gathers
-per-source solver outputs from a run directory into the summary table,
-CSV and plot data.
+the per-source injection record.  The estimation path runs in memory in
+two calls, each timing its stages: ``build_track_graph`` aligns a track
+with the sightings and builds the problem graph, and ``solve_graph``
+solves it and measures the solution.  Between the two a caller drops the
+track and the sightings, so that only the graph is alive during the
+solve, as the ``optimize`` subcommand and ``recovery_run`` do.
+``optimize_track`` is the two in one call, for callers that keep their
+inputs.  ``report_run`` gathers per-source solver outputs from a
+run directory into the summary table, CSV and plot data.
 
 Every stage that writes appends each path to a caller-supplied list
 before touching the file, so a failed run can be cleaned up completely.
@@ -127,6 +131,52 @@ class OptimizationResult:
     stages: dict
 
 
+def build_track_graph(
+    track: sync.OdometryTrack,
+    observations: sync.ObservationSet,
+    mode: str = None,
+    layout: sim.LandmarkLayout = None,
+    odom_weights=(1.0, 1.0),
+    landmark_fixed: bool = False,
+):
+    """Align one odometry source with the sightings and build its problem
+    graph.  Returns (graph, stages), with the seconds spent in ``align_s``
+    and ``build_graph_s``.  The aligned sequence goes with this call, so a
+    caller that then drops the track and the sightings holds only the
+    graph while :func:`solve_graph` runs.
+    """
+    mode = mode or track.dof_mode
+    layout = layout or sim.LandmarkLayout()
+    start = time.perf_counter()
+    aligned = sync.align(track, observations)
+    aligned_at = time.perf_counter()
+    graph = gmod.build_graph(aligned, layout, mode, odom_weights, landmark_fixed=landmark_fixed)
+    stages = {"align_s": aligned_at - start, "build_graph_s": time.perf_counter() - aligned_at}
+    return graph, stages
+
+
+def solve_graph(
+    graph: gmod.PoseGraph,
+    stages: dict,
+    settings: opt.SolverSettings = None,
+    progress=None,
+) -> OptimizationResult:
+    """Solve and summarize a built graph, adding ``solve_s`` and
+    ``metrics_s`` to the ``stages`` of :func:`build_track_graph`.
+    ``progress`` is handed to :func:`optimizer.optimize`.
+    """
+    start = time.perf_counter()
+    solved, stats = opt.optimize(graph, settings, progress)
+    solved_at = time.perf_counter()
+    report = metrics.per_frame_corrections(graph, solved.states)
+    stages = {
+        **stages,
+        "solve_s": solved_at - start,
+        "metrics_s": time.perf_counter() - solved_at,
+    }
+    return OptimizationResult(solved, stats, report, graph, stages)
+
+
 def optimize_track(
     track: sync.OdometryTrack,
     observations: sync.ObservationSet,
@@ -138,25 +188,14 @@ def optimize_track(
     progress=None,
 ) -> OptimizationResult:
     """Align, build, solve and summarize one odometry source, timing each
-    stage.  ``progress`` is handed to :func:`optimizer.optimize`.
+    stage: :func:`build_track_graph`, then :func:`solve_graph`.  The
+    caller's track and sightings stay alive through the solve; a caller
+    that can drop them calls the two stages itself.
     """
-    mode = mode or track.dof_mode
-    layout = layout or sim.LandmarkLayout()
-    start = time.perf_counter()
-    aligned = sync.align(track, observations)
-    aligned_at = time.perf_counter()
-    graph = gmod.build_graph(aligned, layout, mode, odom_weights, landmark_fixed=landmark_fixed)
-    built_at = time.perf_counter()
-    solved, stats = opt.optimize(graph, settings, progress)
-    solved_at = time.perf_counter()
-    report = metrics.per_frame_corrections(graph, solved.states)
-    stages = {
-        "align_s": aligned_at - start,
-        "build_graph_s": built_at - aligned_at,
-        "solve_s": solved_at - built_at,
-        "metrics_s": time.perf_counter() - solved_at,
-    }
-    return OptimizationResult(solved, stats, report, graph, stages)
+    graph, stages = build_track_graph(
+        track, observations, mode, layout, odom_weights, landmark_fixed
+    )
+    return solve_graph(graph, stages, settings, progress)
 
 
 def node_track(graph: gmod.PoseGraph, source: str, rate: float) -> sync.OdometryTrack:
@@ -197,24 +236,26 @@ def write_optimization(out_dir, source: str, result: OptimizationResult, written
 # report
 
 
-# a last accepted gain ratio above this marks a solve that stopped short of
-# its optimum: the Huber crawls end near 2, with every step about half as
-# long as the model says it should be, while solves that reach the optimum
-# end near 1
-STOPPED_SHORT_GAIN = 1.5
+# a last accepted gain ratio outside these bounds marks a solve that stopped
+# short of its optimum.  Solves that reach the optimum end near 1.  The
+# Huber crawls end near 2, every step about half as long as the model says
+# it should be; the lidar crawls end at 0.01 to 0.15, every step about twice
+# as long as the step to the lowest cost along it.
+STOPPED_SHORT_GAINS = (0.25, 1.5)
 
 
 def _solver_marks(solver) -> tuple:
     """The marks ``report.txt`` puts on a source's row, from the ``solver``
     record of its stats file: ``max-iterations`` when the solve stopped at
     the iteration limit, and ``stopped short`` when the last gain ratio it
-    recorded is above ``STOPPED_SHORT_GAIN``."""
+    recorded lies outside ``STOPPED_SHORT_GAINS``."""
     marks = []
     if solver.get("reason") == opt.MAX_ITERATIONS:
         marks.append(opt.MAX_ITERATIONS)
     records = solver.get("per_iteration", [])
     gains = [r["gain_ratio"] for r in records if r.get("gain_ratio") is not None]
-    if gains and gains[-1] > STOPPED_SHORT_GAIN:
+    low, high = STOPPED_SHORT_GAINS
+    if gains and not low <= gains[-1] <= high:
         marks.append("stopped short")
     return tuple(marks)
 
@@ -310,9 +351,17 @@ def recovery_run(noise: sim.NoiseProfile, seed: int, profile=None):
     injected error to per-frame corrections instead of spreading it
     between pins, and the reported per-frame means can be compared
     against the preset magnitudes.  A per-frame error of magnitude m
-    weighs like a standard deviation of m.
+    weighs like a standard deviation of m.  Returns the
+    :class:`OptimizationResult` and the ``NoiseInjection`` of the track.
     """
-    profile = profile or sim.TrajectoryProfile()
+    graph, stages, injection = _recovery_graph(noise, seed, profile or sim.TrajectoryProfile())
+    # the ground truth, the raw track and the sightings went with the
+    # frame that built the graph, so the solve holds the graph alone
+    return solve_graph(graph, stages), injection
+
+
+def _recovery_graph(noise: sim.NoiseProfile, seed: int, profile: sim.TrajectoryProfile):
+    """(graph, stages, injection) of :func:`recovery_run`'s problem."""
     layout = sim.LandmarkLayout()
     truth = sim.generate_ground_truth(profile, noise.frame_rate)
     track, injection = sim.corrupt(truth, noise, derive_seed(seed, f"corrupt-{noise.source}"))
@@ -333,11 +382,11 @@ def recovery_run(noise: sim.NoiseProfile, seed: int, profile=None):
     m_t, m_r = noise.trans_per_frame, np.radians(noise.rot_deg_per_frame)
     weight = sim.information_weight
     observations = sync.with_weights(observations, weight(m_t / 100.0), weight(m_r / 100.0))
-    result = optimize_track(
+    graph, stages = build_track_graph(
         track,
         observations,
         mode=noise.dof_mode,
         layout=layout,
         odom_weights=(weight(m_t), weight(m_r)),
     )
-    return result, injection
+    return graph, stages, injection

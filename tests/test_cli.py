@@ -187,8 +187,9 @@ class TestOptimizeAndReport:
         path = out / "dvso_stats.json"
         payload = json.loads(path.read_text())
         marks = {}
-        for gain in (None, 1.98):
-            if gain is not None:  # the last gain ratio of a Huber crawl
+        # the last gain ratios of a Huber crawl and of a lidar crawl
+        for gain in (None, 1.98, 0.03):
+            if gain is not None:
                 (*_, last) = [
                     r for r in payload["solver"]["per_iteration"] if r["gain_ratio"] is not None
                 ]
@@ -200,7 +201,7 @@ class TestOptimizeAndReport:
                 if ln.startswith("dvso ")
             ]
             marks[gain] = row.endswith(" (stopped short)")
-        assert marks == {None: False, 1.98: True}
+        assert marks == {None: False, 1.98: True, 0.03: True}
 
     def test_default_run_is_not_marked(self, tmp_path):
         # seed 7, default scenario: every solve ends at its optimum

@@ -9,11 +9,13 @@ bookkeeping, the Jacobians, robust weighting and failure modes.
 import dataclasses
 import functools
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import tunnelgraph.cli as cli
 import tunnelgraph.geometry as geom
 import tunnelgraph.graph as gmod
 import tunnelgraph.metrics as metrics
@@ -657,25 +659,120 @@ def test_slab_size_leaves_blocks_bit_identical(monkeypatch, case):
             assert np.array_equal(mine, want), size
 
 
-def test_optimize_memory_is_bounded_by_the_graph():
-    """The traced peak of one wheel recovery solve, above what was held at
-    its entry, stays within five times the graph's own arrays: every
-    per-sighting temporary lives for one slab, and an iteration's blocks
-    are released before the next builds its own."""
-    graph = recovery_graph("wheel", 7)
-    graph_bytes = sum(v.nbytes for v in vars(graph).values() if isinstance(v, np.ndarray))
+def traced_peak(fn, *args):
+    """(fn(*args), the traced peak of the call above what was held at its
+    entry, in bytes)."""
     tracing = tracemalloc.is_tracing()
     if not tracing:
         tracemalloc.start()
     try:
         tracemalloc.reset_peak()
         entry = tracemalloc.get_traced_memory()[0]
-        opt.optimize(graph)
-        peak = tracemalloc.get_traced_memory()[1] - entry
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1] - entry
     finally:
         if not tracing:
             tracemalloc.stop()
-    assert peak < 5.0 * graph_bytes, (peak, graph_bytes)
+
+
+def graph_bytes(graph):
+    return sum(v.nbytes for v in vars(graph).values() if isinstance(v, np.ndarray))
+
+
+def test_optimize_memory_is_bounded_by_the_graph():
+    """The traced peak of one wheel recovery solve, above what was held at
+    its entry, stays within five times the graph's own arrays: every
+    per-sighting temporary lives for one slab, and an iteration's blocks
+    are released before the next builds its own."""
+    graph = recovery_graph("wheel", 7)
+    _, peak = traced_peak(opt.optimize, graph)
+    assert peak < 5.0 * graph_bytes(graph), (peak, graph_bytes(graph))
+
+
+def test_recovery_run_memory_is_bounded_by_the_graph():
+    """The traced peak of a whole wheel recovery run stays within 5.5 times
+    its graph's arrays (about 4.6 times; 7.0 when the solve ran beside the
+    run's ground truth, raw track and sightings, and the reduction kept
+    each level's Schur products into the next level)."""
+    (result, _), peak = traced_peak(pipeline.recovery_run, sim.wheel_preset(), 7)
+    assert peak < 5.5 * graph_bytes(result.raw_graph), (peak, graph_bytes(result.raw_graph))
+
+
+@pytest.mark.parametrize("caller", ["recovery_run", "cli optimize"])
+def test_solve_starts_with_only_the_graph_alive(monkeypatch, tmp_path, caller):
+    """When the solve starts, the ground truth, the sightings, the raw track
+    and the aligned sequence its graph was built from are gone."""
+    out = tmp_path / "run"
+    if caller == "cli optimize":
+        (tmp_path / "scenario.txt").write_text("sources = dvso\ntrajectory.straight_length = 10\n")
+        assert cli.main(["simulate", "--config", str(tmp_path / "scenario.txt"), "--out", str(out)]) == 0
+    inputs = {}
+
+    def spy(module, name, *kept):
+        """Wraps module.name to keep weak references to its result and to
+        the arguments at the positions ``kept``."""
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            result = real(*args, **kwargs)
+            inputs[name] = weakref.ref(result)
+            inputs.update((f"{name} arg {k}", weakref.ref(args[k])) for k in kept)
+            return result
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    spy(sim, "generate_ground_truth")
+    spy(sim, "simulate_landmark_observations")
+    spy(sync, "align", 0, 1)  # the raw track and the sightings the graph is built from
+    alive = []
+    optimize = opt.optimize
+
+    def entered(graph, *args):
+        alive.extend(key for key, ref in inputs.items() if ref() is not None)
+        return optimize(graph, *args)
+
+    monkeypatch.setattr(opt, "optimize", entered)
+    if caller == "cli optimize":
+        assert cli.main([
+            "optimize",
+            "--track", str(out / "dvso_raw.txt"),
+            "--observations", str(out / "observations.txt"),
+            "--out", str(out),
+        ]) == 0
+    else:
+        pipeline.recovery_run(sim.dvso_preset(), 7)
+    assert {"align", "align arg 0", "align arg 1"} <= set(inputs)
+    assert alive == []
+
+
+def test_build_then_solve_matches_optimize_track(monkeypatch):
+    """recovery_run builds its graph and then solves it; handed the same
+    track and sightings, optimize_track gives the same solve bit for bit."""
+    inputs = []
+    align = sync.align
+    monkeypatch.setattr(sync, "align", lambda *args: inputs.append(args) or align(*args))
+    noise = sim.dvso_preset()
+    split, _ = pipeline.recovery_run(noise, 7)
+    monkeypatch.undo()
+    ((track, observations),) = inputs
+    weight = sim.information_weight
+    whole = pipeline.optimize_track(
+        track,
+        observations,
+        mode=noise.dof_mode,
+        odom_weights=(weight(noise.trans_per_frame), weight(np.radians(noise.rot_deg_per_frame))),
+    )
+    for mine, want in ((split.graph, whole.graph), (split.raw_graph, whole.raw_graph)):
+        assert np.array_equal(mine.states, want.states)
+        assert np.array_equal(mine.landmark, want.landmark)
+
+    def untimed(stats):
+        records = [{k: v for k, v in r.items() if not k.endswith("_s")} for r in stats.per_iteration]
+        return stats.reason, stats.cost_trace, records
+
+    assert untimed(split.stats) == untimed(whole.stats)
+    assert split.report == whole.report
+    assert list(split.stages) == list(whole.stages)
 
 
 def test_per_iteration_records(monkeypatch):
