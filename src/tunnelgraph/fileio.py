@@ -28,7 +28,7 @@ from .metrics import ErrorReport
 from .optimizer import SolveStats
 from .simulate import NoiseInjection
 from .sync import (
-    DOF_MODES, SOURCE_NAME, DataError, FieldError, ObservationSet, OdometryTrack, RowError,
+    DOF_MODES, SOURCE_NAME, DataError, ObservationSet, OdometryTrack, RowError,
 )
 
 FLOAT_FMT = "%.17g"
@@ -130,12 +130,13 @@ def _parse_rows(path, rows, kinds):
 
 
 def _checked(path, rows, build, *args):
-    """``build(*args)``, a :class:`RowError` named by its line and a FieldError by the file."""
+    """``build(*args)``, a :class:`RowError` named by its line and any other
+    :class:`DataError` by the file."""
     try:
         return build(*args)
     except RowError as exc:
         raise DataError(f"{path}:{rows[exc.row][0]}: {exc.reason}") from None
-    except FieldError as exc:
+    except DataError as exc:
         raise DataError(f"{path}: {exc}") from None
 
 
@@ -202,18 +203,23 @@ def write_observations(path, observations: ObservationSet) -> None:
 
 
 def read_observations(path) -> ObservationSet:
-    """Reads either layout: 9 fields with header weights, or 11 with per-line weights."""
+    """Reads one layout per file: 9 fields with header weights, or 11 with
+    per-line weights.  A weight header sets the first; without one, the
+    first row's width sets it, and every row must have that width."""
     headers, rows = _read_table(path)
-    header_weights = [headers.get(key, "1") for key in ("weight_trans", "weight_rot")]
-    try:
-        np.array(header_weights, dtype=float)
-    except ValueError:
-        raise DataError(f"{path}: malformed weight header") from None
-    rows = [(n, fields + header_weights if len(fields) == 9 else fields) for n, fields in rows]
-    floats, ints = _parse_rows(path, rows, "fi" + "f" * 9)
+    keys = ("weight_trans", "weight_rot")
+    per_line = bool(rows) and len(rows[0][1]) == 11 and not any(key in headers for key in keys)
+    floats, ints = _parse_rows(path, rows, "fi" + "f" * (9 if per_line else 7))
+    if per_line:
+        weights = floats[:, 8], floats[:, 9]
+    else:
+        try:
+            weights = [float(headers.get(key, "1")) for key in keys]
+        except ValueError:
+            raise DataError(f"{path}: malformed weight header") from None
     return _checked(
         path, rows, ObservationSet,
-        floats[:, 0], ints[:, 0], floats[:, 1:8][:, FROM_DISK], floats[:, 8], floats[:, 9],
+        floats[:, 0], ints[:, 0], floats[:, 1:8][:, FROM_DISK], *weights,
     )
 
 
@@ -228,8 +234,13 @@ def write_injection(path, record: NoiseInjection) -> None:
 
 
 def read_injection(path) -> NoiseInjection:
+    """Reads the record; its frame ids must be 0..n-1 in file order."""
     _, rows = _read_table(path)
-    floats, _ = _parse_rows(path, rows, "-" + "f" * 9)
+    floats, ints = _parse_rows(path, rows, "i" + "f" * 9)
+    bad = np.flatnonzero(ints[:, 0] != np.arange(len(rows)))
+    if bad.size:
+        k = bad[0]
+        raise DataError(f"{path}:{rows[k][0]}: frame id {ints[k, 0]}, expected {k}")
     return NoiseInjection(floats[:, 0], floats[:, 1], floats[:, 2:][:, FROM_DISK])
 
 

@@ -29,12 +29,12 @@ it, and so does a step shorter than ``UPDATE_TOLERANCE``.
 With the landmark frame held, the node chain gives a symmetric positive
 definite block-tridiagonal Hessian with d x d blocks, d = 3 or 6.  Block
 cyclic reduction solves it in numpy alone, in time linear in the node
-count: each of about log2(N) levels eliminates the odd nodes by batched
-block Cholesky and Schur updates on whole component columns, and the
-reduced system that is left small is solved densely (Buzbee, Golub &
-Nielson, SIAM J. Numer. Anal. 7, 1970; Heller, SIAM J. Numer. Anal. 13,
-1976).  A pivot that is not positive, at any level, marks a damped
-matrix that is not positive definite, and the damping rises.
+count: each of about log2(N) + 1 levels eliminates the even nodes by
+batched block Cholesky and Schur updates on whole component columns,
+down to a level of one node, which leaves none (Buzbee, Golub & Nielson,
+SIAM J. Numer. Anal. 7, 1970; Heller, SIAM J. Numer. Anal. 13, 1976).
+A pivot that is not positive, at any level, marks a damped matrix that
+is not positive definite, and the damping rises.
 
 What a solve keeps fixed about its edges is built once, when it starts:
 :class:`tunnelgraph.graph.Edges` holds the inverted measurements, the
@@ -236,10 +236,9 @@ def _blocks(edges, states, landmark, ev):
 # block-tridiagonal assembly and solve
 
 
-class _Assembler:
-    """The damped normal equations of one graph: assembly and solve.  It is
-    the solve's one per-solve object and holds ``edges``, the graph's
-    constant edge data (:class:`tunnelgraph.graph.Edges`).
+def _assemble(edges, start, blocks):
+    """The damped normal equations' matrix and gradient over the moving
+    nodes: ((diag, upper), gradient), the gradient flat and node-major.
 
     A step holds one frame fixed: the landmark frame when it is free and
     observed, so that every node from ``start = 0`` moves, and node 0
@@ -249,49 +248,37 @@ class _Assembler:
     tridiagonal with d x d blocks, held component-major: ``diag[:, :, k]``
     is the block A[k, k] and ``upper[:, :, k]`` the block A[k, k + 1].
     """
-
-    def __init__(self, graph):
-        self.d = graph.group.tangent_dim
-        self.node_count = graph.node_count
-        self.start = int(graph.landmark_fixed or graph.unconstrained)
-        self.edges = gmod.Edges(graph)
-
-    def assemble(self, blocks):
-        """Returns ((diag, upper), gradient) over the moving nodes, the
-        gradient flat and node-major."""
-        n, d, start = self.node_count, self.d, self.start
-        diag = np.zeros((n, d, d))  # summed node-major, whole blocks at a time
-        diag[:-1] = blocks["oii"]
-        diag[1:] += blocks["ojj"]
-        diag[self.edges.observed] += blocks["sii"]
-        grad = np.zeros((n, d))
-        grad[:-1] = blocks["oi"]
-        grad[1:] += blocks["oj"]
-        grad[self.edges.observed] += blocks["si"]
-        matrix = diag[start:].transpose(1, 2, 0), blocks["oij"][start:].transpose(1, 2, 0)
-        return matrix, grad[start:].ravel()
-
-    def solve(self, matrix, grad, damping):
-        """One damped solve: (flat step of the moving nodes, predicted cost
-        decrease), or None when the damped matrix is not positive definite
-        or the step is not finite."""
-        diag, upper = matrix
-        d = diag.shape[0]
-        damped = diag.copy()
-        pivots = damped.reshape(d * d, -1)[:: d + 1]  # the diagonal entries, a view
-        floor = 1e-12 * max(float(pivots.max()), 1.0)
-        scale = damping * np.maximum(pivots, floor)
-        pivots += scale
-        with np.errstate(invalid="ignore", divide="ignore"):  # a bad pivot returns None
-            x = _block_cyclic_reduction(damped, upper, -grad.reshape(-1, d).T)
-        if x is None or not np.all(np.isfinite(x)):
-            return None
-        step = x.T.ravel()
-        # model decrease of sum r^T W r: h^T (mu D h - g) with g = J^T W r
-        return step, float(step @ (scale.T.ravel() * step - grad))
+    n, d = edges.graph.node_count, edges.graph.group.tangent_dim
+    diag = np.zeros((n, d, d))  # summed node-major, whole blocks at a time
+    diag[:-1] = blocks["oii"]
+    diag[1:] += blocks["ojj"]
+    diag[edges.observed] += blocks["sii"]
+    grad = np.zeros((n, d))
+    grad[:-1] = blocks["oi"]
+    grad[1:] += blocks["oj"]
+    grad[edges.observed] += blocks["si"]
+    matrix = diag[start:].transpose(1, 2, 0), blocks["oij"][start:].transpose(1, 2, 0)
+    return matrix, grad[start:].ravel()
 
 
-DENSE_BLOCKS = 8  # a reduced system of at most this many nodes is solved densely
+def _solve(matrix, grad, damping):
+    """One damped solve: (flat step of the moving nodes, predicted cost
+    decrease), or None when the damped matrix is not positive definite or
+    the step is not finite."""
+    diag, upper = matrix
+    d = diag.shape[0]
+    damped = diag.copy()
+    pivots = damped.reshape(d * d, -1)[:: d + 1]  # the diagonal entries, a view
+    floor = 1e-12 * max(float(pivots.max()), 1.0)
+    scale = damping * np.maximum(pivots, floor)
+    pivots += scale
+    with np.errstate(invalid="ignore", divide="ignore"):  # a bad pivot returns None
+        x = _block_cyclic_reduction(damped, upper, -grad.reshape(-1, d).T)
+    if x is None or not np.all(np.isfinite(x)):
+        return None
+    step = x.T.ravel()
+    # model decrease of sum r^T W r: h^T (mu D h - g) with g = J^T W r
+    return step, float(step @ (scale.T.ravel() * step - grad))
 
 
 def _block_cyclic_reduction(diag, upper, rhs):
@@ -299,35 +286,38 @@ def _block_cyclic_reduction(diag, upper, rhs):
     (d, d, m) and ``upper`` (d, d, m - 1); ``rhs`` is (d, m).  Returns None
     when a pivot is not positive, so A is not positive definite.
 
-    Each level eliminates the odd nodes.  One sweep over the components
-    factors each odd node's block, D = R^T R, and solves
-    R^T [X | Y | z] = [U_prev^T | U_next | b] with it, U_prev and U_next
-    coupling the node to its even neighbours.  Their Schur complement is
-    block tridiagonal over the even nodes: the previous neighbour takes
-    D -= X^T X and b -= X^T z, the next one D -= Y^T Y and b -= Y^T z, and
-    the two are coupled by -X^T Y.  Back-substitution then solves
-    R x = z - X x_prev - Y x_next for each odd node.  The d x d algebra
+    Each level eliminates the even nodes, down to a level of one node,
+    which leaves no node.  One sweep over the components factors each even
+    node's block, D = R^T R, and solves R^T [X | Y | z] = [U_prev^T |
+    U_next | b] with it, U_prev and U_next coupling the node to its odd
+    neighbours (zero where node 0 has none before it, or the last node
+    none after it).  Their Schur complement is block tridiagonal over the
+    odd nodes: the previous neighbour takes D -= X^T X and b -= X^T z, the
+    next one D -= Y^T Y and b -= Y^T z, and the two are coupled by -X^T Y.
+    Back-substitution then starts from the empty solution and solves
+    R x = z - X x_prev - Y x_next for each even node.  The d x d algebra
     runs on whole component columns, so a level costs a fixed number of
     numpy calls (Buzbee, Golub & Nielson, SIAM J. Numer. Anal. 7, 1970;
     Heller, SIAM J. Numer. Anal. 13, 1976).  On a symmetric matrix this is
-    Cholesky in the odd-even order of the nodes, so every pivot of a
+    Cholesky in the even-odd order of the nodes, so every pivot of a
     positive definite one is positive.
     """
     d = diag.shape[0]
     diagonal = np.arange(d)
     levels = []
-    while diag.shape[-1] > DENSE_BLOCKS:
+    while diag.shape[-1]:
         m = diag.shape[-1]
-        p, q = m // 2, m - m // 2  # odd and even nodes; q - 1 odd nodes have a successor
+        p, q = m - m // 2, m // 2  # even and odd nodes; q even nodes have a successor
         w = np.empty((d, 3 * d + 1, p))  # [D | U_prev^T | U_next | b], becomes [R | X | Y | z]
-        w[:, :d] = diag[:, :, 1::2]
-        w[:, d : 2 * d] = upper[:, :, 0::2].transpose(1, 0, 2)
-        w[:, 2 * d : 3 * d, : q - 1] = upper[:, :, 1::2]
-        w[:, 2 * d : 3 * d, q - 1 :] = 0.0  # the last odd node may have no successor
-        w[:, 3 * d] = rhs[:, 1::2]
-        # the even nodes' rows, which become the reduced system; this level's
+        w[:, :d] = diag[:, :, 0::2]
+        w[:, d : 2 * d, 0] = 0.0  # node 0 has no predecessor
+        w[:, d : 2 * d, 1:] = upper[:, :, 1::2].transpose(1, 0, 2)
+        w[:, 2 * d : 3 * d, :q] = upper[:, :, 0::2]
+        w[:, 2 * d : 3 * d, q:] = 0.0  # the last even node may have no successor
+        w[:, 3 * d] = rhs[:, 0::2]
+        # the odd nodes' rows, which become the reduced system; this level's
         # system is then released, and so is each Schur product once applied
-        even_diag, even_rhs = diag[:, :, 0::2].copy(), rhs[:, 0::2].copy()
+        odd_diag, odd_rhs = diag[:, :, 1::2].copy(), rhs[:, 1::2].copy()
         del diag, upper, rhs
         for j in range(d):
             if j:
@@ -335,50 +325,34 @@ def _block_cyclic_reduction(diag, upper, rhs):
             w[j, j:] /= np.sqrt(w[j, j])
         if not np.all(w[diagonal, diagonal] > 0.0):
             return None
+        # the products run over every even node, the zero couplings included:
+        # whole columns are faster than ones sliced off by one node
         gx = np.einsum("lik,ljk->ijk", w[:, d : 2 * d], w[:, d:])  # X^T [X | Y | z]
-        even_diag[:, :, :p] -= gx[:, :d]
-        even_rhs[:, :p] -= gx[:, 2 * d]
-        upper = np.negative(gx[:, d : 2 * d, : q - 1])
+        odd_diag[:, :, : p - 1] -= gx[:, :d, 1:]
+        odd_rhs[:, : p - 1] -= gx[:, 2 * d, 1:]
+        upper = np.negative(gx[:, d : 2 * d, 1:q])
         del gx
-        gy = np.einsum("lik,ljk->ijk", w[:, 2 * d : 3 * d, : q - 1], w[:, 2 * d :, : q - 1])
-        even_diag[:, :, 1:] -= gy[:, :d]
-        even_rhs[:, 1:] -= gy[:, d]
+        gy = np.einsum("lik,ljk->ijk", w[:, 2 * d : 3 * d], w[:, 2 * d :])
+        odd_diag -= gy[:, :d, :q]
+        odd_rhs -= gy[:, d, :q]
         del gy
         levels.append(w)
-        diag, rhs = even_diag, even_rhs
-    x = _dense_solve(diag, upper, rhs)
-    if x is None:
-        return None
+        diag, rhs = odd_diag, odd_rhs
+    x = np.empty((d, 0))
     for w in reversed(levels):
         p, q = w.shape[-1], x.shape[-1]
         full = np.empty((d, p + q))
-        full[:, 0::2] = x
-        odd = full[:, 1::2]
-        np.subtract(w[:, 3 * d], np.einsum("ljk,jk->lk", w[:, d : 2 * d], x[:, :p]), out=odd)
-        odd[:, : q - 1] -= np.einsum("ljk,jk->lk", w[:, 2 * d : 3 * d, : q - 1], x[:, 1:])
+        full[:, 1::2] = x
+        even = full[:, 0::2]
+        even[:] = w[:, 3 * d]
+        even[:, 1:] -= np.einsum("ljk,jk->lk", w[:, d : 2 * d, 1:], x[:, : p - 1])
+        even[:, :q] -= np.einsum("ljk,jk->lk", w[:, 2 * d : 3 * d, :q], x)
         for j in reversed(range(d)):
             if j < d - 1:
-                odd[j] -= np.einsum("lk,lk->k", w[j, j + 1 : d], odd[j + 1 :])
-            odd[j] /= w[j, j]
+                even[j] -= np.einsum("lk,lk->k", w[j, j + 1 : d], even[j + 1 :])
+            even[j] /= w[j, j]
         x = full
     return x
-
-
-def _dense_solve(diag, upper, rhs):
-    """The same system, small enough to solve as one dense matrix by
-    Cholesky; None when it is not positive definite."""
-    d, _, m = diag.shape
-    dense = np.zeros((m, d, m, d))
-    k = np.arange(m)
-    dense[k, :, k] = diag.transpose(2, 0, 1)
-    dense[k[:-1], :, k[1:]] = upper.transpose(2, 0, 1)
-    dense[k[1:], :, k[:-1]] = upper.transpose(2, 1, 0)
-    try:
-        low = np.linalg.cholesky(dense.reshape(m * d, m * d))
-    except np.linalg.LinAlgError:
-        return None
-    x = np.linalg.solve(low.T, np.linalg.solve(low, rhs.T.ravel()))
-    return x.reshape(m, d).T
 
 
 def optimize(graph, settings: SolverSettings = None, progress=None):
@@ -393,8 +367,9 @@ def optimize(graph, settings: SolverSettings = None, progress=None):
     states = graph.states.copy()
     landmark = graph.landmark.copy()
     group = graph.group
-    assembler = _Assembler(graph)
-    edges, start = assembler.edges, assembler.start
+    d = group.tangent_dim
+    edges = gmod.Edges(graph)
+    start = int(graph.landmark_fixed or graph.unconstrained)
 
     ev = edges.evaluate(states, landmark, settings.huber_delta)
     # what residuals one rounding unit in size would cost: a smaller
@@ -408,12 +383,12 @@ def optimize(graph, settings: SolverSettings = None, progress=None):
     for iteration in range(1, settings.max_iterations + 1):
         record = {"rejected": 0, "solve_s": 0.0, "cost_s": 0.0}
         blocks, record["linearize_s"], record["products_s"] = _blocks(edges, states, landmark, ev)
-        system, record["assemble_s"] = _timed(assembler.assemble, blocks)
+        system, record["assemble_s"] = _timed(_assemble, edges, start, blocks)
         del blocks  # released before the next iteration builds its own
         record["grad_inf"] = float(np.abs(system[1]).max(initial=0.0))
 
         while True:
-            solution, seconds = _timed(assembler.solve, *system, damping)
+            solution, seconds = _timed(_solve, *system, damping)
             record["solve_s"] += seconds  # factor and solve, all trials
             if solution is not None:
                 step, predicted = solution
@@ -424,7 +399,7 @@ def optimize(graph, settings: SolverSettings = None, progress=None):
                     record["damping"] = damping
                     break
                 cand_states = states.copy()
-                cand_states[start:] = group.retract(states[start:], step.reshape(-1, assembler.d))
+                cand_states[start:] = group.retract(states[start:], step.reshape(-1, d))
                 cand_lm = landmark
                 if start == 0:  # move everything by the rigid motion that puts node 0 back
                     shift = group.compose(states[0], group.inverse(cand_states[0]))

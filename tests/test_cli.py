@@ -550,6 +550,22 @@ class TestExitCodes:
         assert f"dvso_raw.txt:{row + 1}: timestamp nan is not finite" in capsys.readouterr().err
         assert not (out / "dvso_stats.json").exists()
 
+    @pytest.mark.parametrize("rows", [1, 0])
+    def test_short_track_names_the_file(self, tmp_path, capsys, rows):
+        cfg = write_config(tmp_path, SMALL_CONFIG)
+        out = tmp_path / "run"
+        assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        track = out / "dvso_raw.txt"
+        lines = track.read_text().splitlines()
+        first = next(k for k, ln in enumerate(lines) if not ln.startswith("#"))
+        track.write_text("\n".join(lines[: first + rows]) + "\n")
+        capsys.readouterr()
+        assert cli.main([
+            "optimize", "--track", str(track),
+            "--observations", str(out / "observations.txt"), "--out", str(out),
+        ]) == 2
+        assert f"{track}: track 'dvso': needs at least two frames" in capsys.readouterr().err
+
     def test_non_unit_quaternion_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, SMALL_CONFIG)
         out = tmp_path / "run"

@@ -251,6 +251,21 @@ class TestObservations:
         with pytest.raises(DataError):
             fileio.read_observations(path)
 
+    @pytest.mark.parametrize("headers, rows, message", [
+        # per-line weights: a row cut to 9 fields does not read as weight 1
+        ("", ["0.5 0 1 0 0 0 0 0 1 4 5", "1.0 1 1 0 0 0 0 0 1"],
+         "obs.txt:2: expected 11 fields, got 9"),
+        # header weights: an 11-field row does not override them
+        ("# weight_trans: 4\n# weight_rot: 5\n", ["0.5 0 1 0 0 0 0 0 1", "1.0 1 1 0 0 0 0 0 1 6 7"],
+         "obs.txt:4: expected 9 fields, got 11"),
+        ("", ["0.5 0 1 0 0 0 0 0 1 4"], "obs.txt:1: expected 9 fields, got 10"),
+    ], ids=["per-line-cut-row", "header-weights-long-row", "first-row-width"])
+    def test_one_layout_per_file(self, tmp_path, headers, rows, message):
+        path = tmp_path / "obs.txt"
+        path.write_text(headers + "".join(row + "\n" for row in rows))
+        with pytest.raises(DataError, match=message):
+            fileio.read_observations(path)
+
 
 class TestPropertyRoundTrips:
     """Every write -> read pair gives back what was written, bit for bit."""
@@ -372,6 +387,19 @@ class TestInjection:
             "1 0.001 fast 0.001 0 0 0 0 0 1\n"
         )
         with pytest.raises(DataError, match=r"inj\.txt:3: malformed number"):
+            fileio.read_injection(path)
+
+    @pytest.mark.parametrize("frames, message", [
+        (["banana", "1"], r"inj\.txt:2: malformed number"),
+        (["1", "0"], r"inj\.txt:2: frame id 1, expected 0"),
+        (["0", "2"], r"inj\.txt:3: frame id 2, expected 1"),
+    ], ids=["not-an-integer", "swapped", "skipped"])
+    def test_frame_ids_checked(self, tmp_path, frames, message):
+        path = tmp_path / "inj.txt"
+        path.write_text("# columns: frame trans_m rot_deg tx ty tz qx qy qz qw\n" + "".join(
+            f"{frame} 0.001 0.04 0.001 0 0 0 0 0 1\n" for frame in frames
+        ))
+        with pytest.raises(DataError, match=message):
             fileio.read_injection(path)
 
 

@@ -230,11 +230,14 @@ def reference_jacobians(graph, states, landmark, ev):
     return ji_o, jj_o, ji_s
 
 
-def solver_system(graph, assembler, states, landmark, huber_delta):
-    """The evaluation at one state and the system the solver assembles there."""
-    edges = assembler.edges
+def solver_system(graph, states, landmark, huber_delta):
+    """The evaluation at one state and the system the solver assembles
+    there, over the nodes a step moves: every node when the landmark frame
+    is free and observed, all but node 0 otherwise."""
+    edges = gmod.Edges(graph)
+    start = int(graph.landmark_fixed or graph.unconstrained)
     ev = edges.evaluate(states, landmark, huber_delta)
-    return ev, assembler.assemble(opt._blocks(edges, states, landmark, ev)[0])
+    return ev, opt._assemble(edges, start, opt._blocks(edges, states, landmark, ev)[0])
 
 
 def reference_system(graph, states, landmark, ev, huber_delta):
@@ -366,10 +369,9 @@ CASES = [
 @pytest.mark.parametrize("case", CASES)
 def test_products_and_assembly_match_reference(case):
     graph, huber = oracle_case(case)
-    assembler = opt._Assembler(graph)
     for seed in (0, 1):  # two iterates of one graph
         states, landmark = perturbed(graph, seed)
-        ev, got = solver_system(graph, assembler, states, landmark, huber)
+        ev, got = solver_system(graph, states, landmark, huber)
         want = reference_system(graph, states, landmark, ev, huber)
         # the odometry chain i -> i + 1 couples a node with its successor only
         assert_system_close(got, want, 1e-12)
@@ -381,9 +383,8 @@ def test_per_node_assembly_matches_reference_on_recovery(source):
     result, _ = pipeline.recovery_run(sim.PRESETS[source](), 1001)
     graph = result.raw_graph
     assert graph.obs_count > 3 * np.unique(graph.obs_node).size
-    assembler = opt._Assembler(graph)
     for states, landmark in ((graph.states, graph.landmark), perturbed(graph, 3)):
-        ev, got = solver_system(graph, assembler, states, landmark, 0.0)
+        ev, got = solver_system(graph, states, landmark, 0.0)
         want = reference_system(graph, states, landmark, ev, 0.0)
         assert_system_close(got, want, 1e-12)
 
@@ -426,10 +427,9 @@ def test_recovery_solve_matches_per_sighting_reference(source, seed):
 def assert_solve_matches_dense(graph, huber, damping, seed):
     """The damped step and its predicted decrease at a perturbed state,
     against a dense solve of the reference system."""
-    assembler = opt._Assembler(graph)
     states, landmark = perturbed(graph, seed)
-    ev, system = solver_system(graph, assembler, states, landmark, huber)
-    step, predicted = assembler.solve(*system, damping)
+    ev, system = solver_system(graph, states, landmark, huber)
+    step, predicted = opt._solve(*system, damping)
 
     # the moving-node system, dense, from the reference assembly
     a_mat, gradient = reference_system(graph, states, landmark, ev, huber)
@@ -438,6 +438,7 @@ def assert_solve_matches_dense(graph, huber, damping, seed):
     floor = 1e-12 * max(float(diag.max()), 1.0)
     damped = hessian + np.diag(damping * np.maximum(diag, floor))
     want = np.linalg.solve(damped, -gradient)
+    assert step.shape == want.shape  # the same moving nodes
     assert np.linalg.norm(step - want) <= 1e-9 * np.linalg.norm(want)
     # decrease of sum r^T W r predicted by its quadratic model at the step
     model = -(2.0 * gradient @ want + want @ hessian @ want)
@@ -463,18 +464,21 @@ def chain_graph(mode, moving, start):
     return graph
 
 
-@pytest.mark.parametrize("dense_blocks", [opt.DENSE_BLOCKS, 1])
-@pytest.mark.parametrize("start", [0, 1])
-@pytest.mark.parametrize("mode", [PLANAR, FULL3D])
-@pytest.mark.parametrize("moving", [2, 3, 4, 5, 33])
-def test_chain_solve_matches_dense(monkeypatch, moving, mode, start, dense_blocks):
-    # with the dense finish at one node, every chain runs through reduction
-    # levels with odd and even node counts
-    monkeypatch.setattr(opt, "DENSE_BLOCKS", dense_blocks)
+# every chain the reduction runs down to no node, through levels with odd
+# and even node counts; a track has at least two frames
+CHAINS = [
+    (moving, mode, start)
+    for moving in (1, 2, 3, 4, 5, 33) for mode in (PLANAR, FULL3D) for start in (0, 1)
+    if moving + start >= 2
+]
+
+
+@pytest.mark.parametrize("seed", [1, 8])  # two perturbed iterates of each chain
+@pytest.mark.parametrize("moving, mode, start", CHAINS)
+def test_chain_solve_matches_dense(moving, mode, start, seed):
     graph = chain_graph(mode, moving, start)
-    assert opt._Assembler(graph).start == start
     for damping in (1e-8, 1e-2):
-        assert_solve_matches_dense(graph, 0.0, damping, moving)
+        assert_solve_matches_dense(graph, 0.0, damping, seed)
 
 
 def flat_direction_graph(scale):
@@ -494,8 +498,7 @@ def flat_direction_graph(scale):
 @pytest.mark.parametrize("scale", [1.0, 1e-3])
 def test_damping_floor_sets_the_step_of_a_flat_direction(scale):
     graph = flat_direction_graph(scale)
-    assembler = opt._Assembler(graph)
-    _, ((diag, upper), grad) = solver_system(graph, assembler, *perturbed(graph, 6), 0.0)
+    _, ((diag, upper), grad) = solver_system(graph, *perturbed(graph, 6), 0.0)
     d, k = diag.shape[0], graph.group.trans_dim
     flat = slice(grad.size - d, grad.size - d + k)  # the last node's translation
     assert not diag[:k, :, -1].any() and not upper[:, :k, -1].any() and not grad[flat].any()
@@ -508,7 +511,7 @@ def test_damping_floor_sets_the_step_of_a_flat_direction(scale):
     push = np.array([1.0, -2.0])
     pushed = grad.copy()
     pushed[flat] = push
-    step, _ = assembler.solve((diag, upper), pushed, damping)
+    step, _ = opt._solve((diag, upper), pushed, damping)
     np.testing.assert_allclose(step[flat], -push / (damping * floor), rtol=1e-12)
 
 
@@ -523,49 +526,48 @@ def test_solve_with_a_flat_direction_converges():
 
 def test_band_solve_rejects_nan():
     graph, huber = oracle_case("full3d")
-    assembler = opt._Assembler(graph)
-    _, ((diag, upper), grad) = solver_system(graph, assembler, *perturbed(graph, 0), huber)
-    assert assembler.solve((diag, upper), grad, 1e-6) is not None
+    _, ((diag, upper), grad) = solver_system(graph, *perturbed(graph, 0), huber)
+    assert opt._solve((diag, upper), grad, 1e-6) is not None
     diag[2, 3, 1] = np.nan  # A[8, 9], one superdiagonal entry
-    assert assembler.solve((diag, upper), grad, 1e-6) is None
+    assert opt._solve((diag, upper), grad, 1e-6) is None
 
 
 def test_block_solve_rejects_nan_in_coupling_blocks():
     graph, huber = oracle_case("full3d")
-    assembler = opt._Assembler(graph)
-    _, ((diag, upper), grad) = solver_system(graph, assembler, *perturbed(graph, 0), huber)
-    for k in range(upper.shape[-1]):  # couplings of odd nodes to both neighbours
+    _, ((diag, upper), grad) = solver_system(graph, *perturbed(graph, 0), huber)
+    for k in range(upper.shape[-1]):  # couplings of even nodes to both neighbours
         poisoned = upper.copy()
         poisoned[0, 1, k] = np.nan
-        assert assembler.solve((diag, poisoned), grad, 1e-6) is None, k
+        assert opt._solve((diag, poisoned), grad, 1e-6) is None, k
 
 
-@pytest.mark.parametrize("dense_blocks", [opt.DENSE_BLOCKS, 1])
-def test_block_solve_rejects_matrices_not_positive_definite(monkeypatch, dense_blocks):
-    monkeypatch.setattr(opt, "DENSE_BLOCKS", dense_blocks)
-    assembler = opt._Assembler(oracle_case("full3d")[0])
+# per size, blocks s I coupled by c I that are not positive definite, with
+# (s, c).  Over 33 nodes the first level eliminates blocks I, and the odd
+# nodes left become 1 - 2 (0.36) = 0.28 times I; the second level's pivots
+# are 0.28, and the nodes it leaves at most 0.28 - 0.36^2 / 0.28 < 0 times
+# I, so only the third level fails.  Over 8 and 5 nodes the third level fails
+# as well, over 2 nodes the second (1 - 1.2^2 < 0), and over 1 node the
+# first
+NOT_DEFINITE = {33: (1.0, 0.6), 8: (1.0, 0.6), 5: (1.0, 0.6), 2: (1.0, 1.2), 1: (-1.0, 0.0)}
+
+
+@pytest.mark.parametrize("m", list(NOT_DEFINITE))
+def test_block_solve_rejects_matrices_not_positive_definite(m):
     d = 6
 
-    def system(coupling, m):
-        """Blocks I coupled by cI: the eigenvalues are 1 + 2c cos(k pi / (m + 1))."""
+    def system(scale, coupling):
+        """Blocks sI coupled by cI: the eigenvalues are s + 2c cos(k pi / (m + 1))."""
         eye = np.eye(d)[:, :, None]
-        matrix = np.repeat(eye, m, axis=2), np.repeat(coupling * eye, m - 1, axis=2)
-        dense = np.kron(np.eye(m), np.eye(d)) + np.kron(
-            np.eye(m, k=1) + np.eye(m, k=-1), coupling * np.eye(d)
-        )
-        return matrix, np.ones(m * d), np.linalg.eigvalsh(dense).min()
+        matrix = np.repeat(scale * eye, m, axis=2), np.repeat(coupling * eye, m - 1, axis=2)
+        band = scale * np.eye(m) + coupling * (np.eye(m, k=1) + np.eye(m, k=-1))
+        return matrix, np.ones(m * d), np.linalg.eigvalsh(np.kron(band, np.eye(d))).min()
 
-    # over 33 nodes the first level's odd blocks are I and the second's
-    # 1 - 2 (0.36) = 0.28 times I, both positive definite; the third's are
-    # 0.28 - 2 (0.36^2 / 0.28) < 0 times I, so only that level fails.  Over
-    # 5 nodes the whole system is the dense finish's
-    for m in (33, 5):
-        matrix, grad, lowest = system(0.6, m)
-        assert lowest < 0.0
-        assert assembler.solve(matrix, grad, 1e-8) is None, m
-        matrix, grad, lowest = system(0.4, m)  # 1 - 0.8 cos(pi / (m + 1)) > 0
-        assert lowest > 0.0
-        assert assembler.solve(matrix, grad, 1e-8) is not None, m
+    matrix, grad, lowest = system(*NOT_DEFINITE[m])
+    assert lowest < 0.0
+    assert opt._solve(matrix, grad, 1e-8) is None
+    matrix, grad, lowest = system(1.0, 0.4)  # 1 - 0.8 cos(pi / (m + 1)) > 0
+    assert lowest > 0.0
+    assert opt._solve(matrix, grad, 1e-8) is not None
 
 
 def block_product(diag, upper, x):
@@ -587,12 +589,9 @@ def test_block_solve_backward_error(run, source):
         graph = pipeline.recovery_run(noise, 7)[0].raw_graph
     else:
         graph = default_sparse_run(noise, 7, noise.dof_mode).raw_graph
-    assembler = opt._Assembler(graph)
-    _, ((diag, upper), grad) = solver_system(
-        graph, assembler, graph.states, graph.landmark, 0.0
-    )
+    _, ((diag, upper), grad) = solver_system(graph, graph.states, graph.landmark, 0.0)
     damping = opt.DAMPING_FLOOR
-    step, _ = assembler.solve((diag, upper), grad, damping)
+    step, _ = opt._solve((diag, upper), grad, damping)
     d = diag.shape[0]
     # the damped matrix the solve factors: the upper triangle of each
     # diagonal block, mirrored
@@ -777,14 +776,14 @@ def test_build_then_solve_matches_optimize_track(monkeypatch):
 
 def test_per_iteration_records(monkeypatch):
     graph = simulated_graph(seed=3)
-    solve = opt._Assembler.solve
+    solve = opt._solve
     dampings = []  # damping of every trial, in order
 
-    def first_trial_fails(self, *system):
+    def first_trial_fails(*system):
         dampings.append(system[-1])
-        return None if len(dampings) == 1 else solve(self, *system)
+        return None if len(dampings) == 1 else solve(*system)
 
-    monkeypatch.setattr(opt._Assembler, "solve", first_trial_fails)
+    monkeypatch.setattr(opt, "_solve", first_trial_fails)
     _, stats = opt.optimize(graph)
     records = stats.per_iteration
     assert len(records) == stats.iterations
@@ -805,13 +804,13 @@ def test_gradient_and_gain_ratio_records():
     first, *_, last = stats.per_iteration
     # the first record's gradient is the one assembled at the start, over
     # the moving nodes
-    _, (_, grad) = solver_system(graph, opt._Assembler(graph), graph.states, graph.landmark, 0.0)
+    _, (_, grad) = solver_system(graph, graph.states, graph.landmark, 0.0)
     assert grad.size == graph.node_count * graph.group.tangent_dim  # node 0 moves
     assert first["grad_inf"] == np.abs(grad).max()
     assert last["grad_inf"] < first["grad_inf"]
     # the solve ends on an accepted trial, so the optimum's gradient is the
     # one assembled at the solution
-    _, (_, grad) = solver_system(graph, opt._Assembler(graph), solved.states, solved.landmark, 0.0)
+    _, (_, grad) = solver_system(graph, solved.states, solved.landmark, 0.0)
     assert np.abs(grad).max() < 1e-6 * first["grad_inf"]
     # away from rounding level the model predicts the decrease of
     # sum r^T W r, so actual over predicted is near one
