@@ -97,11 +97,7 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_simulate(args, written):
-    if args.config is not None:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            cfg = parse_config(fh.read())
-    else:
-        cfg = parse_config("")
+    cfg = parse_config(fileio.read_text(args.config) if args.config is not None else "")
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
     artifacts = pipeline.simulate_scenario(cfg, args.out, written)

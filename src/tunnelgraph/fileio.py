@@ -9,17 +9,22 @@ the timestamp; a graph row starts with its record tag (``NODE``, ...).
 One codec reads and writes them all.  ``_format_rows`` renders
 side-by-side columns in one format pass, integers as integers and floats
 with 17 significant digits, so a write/read cycle is bit-faithful.
-``_parse_rows`` checks each row's field count and parses the whole block
-at once; only when that fails does it look for the first bad line, so an
-error names ``path:lineno``.  Quaternions are scalar-first in memory and
-scalar-last on disk, as trajectory tooling expects; ``TO_DISK`` and
-``FROM_DISK`` are that one reordering.
+``_read_table`` decodes a file once into its headers and data lines, and
+``_parse_rows`` parses a block of them (a graph's records of one tag) in
+one pass of numpy's reader.  Only if numpy refuses the block does a line
+scan run, to name ``path:lineno`` of the first row with the wrong field
+count, else of the first row numpy refuses.  Quaternions are scalar-first
+in memory and scalar-last on disk, as trajectory tooling expects;
+``TO_DISK`` and ``FROM_DISK`` are that one reordering.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
+import itertools
 import json
+import warnings
 
 import numpy as np
 
@@ -73,69 +78,75 @@ def _write(path, *parts, newline=None) -> None:
         fh.write("".join(parts))
 
 
-def _read_table(path, sep=None):
-    """Header comments (``# key: value``, first wins) and the data rows as
-    (line number, fields) pairs, the fields split at ``sep`` (default:
-    whitespace)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    headers = {}
-    rows = []
-    for lineno, line in enumerate(lines, start=1):
+def read_text(path) -> str:
+    """The file at ``path`` decoded as UTF-8; a byte that is not is a data error."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc.reason} at offset {exc.start}") from None
+
+
+def _read_table(path):
+    """The header comments (``# key: value``, first wins) and the data
+    lines, stripped, with their line numbers: (headers, linenos, lines)."""
+    headers, linenos, lines = {}, [], []
+    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         stripped = line.strip()
-        if not stripped:
-            continue
         if stripped.startswith("#"):
             body = stripped.lstrip("#").strip()
             if ":" in body:
                 key, _, value = body.partition(":")
                 headers.setdefault(key.strip(), value.strip())
-            continue
-        rows.append((lineno, stripped.split(sep)))
-    return headers, rows
+        elif stripped:
+            linenos.append(lineno)
+            lines.append(stripped)
+    return headers, linenos, lines
 
 
-def _columns(flat, kinds):
-    """(floats, ints): the ``f`` and the ``i`` fields of the rows whose
-    fields ``flat`` lists row by row, each a (rows, fields) array."""
-    width = len(kinds)
-    return tuple(
-        np.array([flat[c::width] for c, k in enumerate(kinds) if k == kind], dtype)
-        .reshape(kinds.count(kind), len(flat) // width).T
-        for kind, dtype in (("f", float), ("i", int))
-    )
-
-
-def _parse_rows(path, rows, kinds):
-    """The float and the integer columns of ``rows``, which must each have
-    one field per letter of ``kinds``: ``f`` a float, ``i`` an integer
-    (parsed as ``int`` parses, so ``1.5`` is malformed), ``-`` skipped.
-
-    The block is parsed at once; a row is looked at alone only after that
-    failed, to name the first malformed line.
+def _parse_rows(path, linenos, lines, kinds, sep=None):
+    """The float and the integer columns of ``lines``, each a (rows, fields)
+    array: a row has one field per letter of ``kinds``, ``f`` a float, ``i``
+    an integer (as numpy's reader parses it, so ``1.5`` is malformed), ``-``
+    skipped.  numpy reads the block in one pass into records that hold the
+    ``f`` fields first and the ``i`` fields after them; a ``-`` field is a
+    zero-width string, which still counts towards the row's width.
     """
-    width = len(kinds)
-    for lineno, fields in rows:
-        if len(fields) != width:
-            raise DataError(f"{path}:{lineno}: expected {width} fields, got {len(fields)}")
-    try:
-        return _columns([f for _, fields in rows for f in fields], kinds)
-    except (ValueError, OverflowError):
-        for lineno, fields in rows:
-            try:
-                _columns(fields, kinds)
-            except (ValueError, OverflowError):
-                raise DataError(f"{path}:{lineno}: malformed number") from None
-        raise
+    nf, ni = kinds.count("f"), kinds.count("i")
+    at = {"f": itertools.count(0, 8), "i": itertools.count(8 * nf, 8), "-": itertools.repeat(0)}
+    record = np.dtype({
+        "names": [f"c{c}" for c in range(len(kinds))],
+        "formats": [{"f": "f8", "i": "i8", "-": "U0"}[k] for k in kinds],
+        "offsets": [next(at[k]) for k in kinds], "itemsize": 8 * (nf + ni),
+    })
+    load = functools.partial(np.loadtxt, dtype=record, comments=None, delimiter=sep, ndmin=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)  # older numpy reads "1.0" as an int
+        try:
+            table = load(lines) if lines else np.zeros(0, record)
+        except ValueError:
+            for lineno, line in zip(linenos, lines):
+                got = len(line.split(sep))
+                if got != len(kinds):
+                    error = f"expected {len(kinds)} fields, got {got}"
+                    raise DataError(f"{path}:{lineno}: {error}") from None
+            for lineno, line in zip(linenos, lines):
+                try:
+                    load([line])
+                except ValueError:
+                    raise DataError(f"{path}:{lineno}: malformed number") from None
+            raise
+    split = table.view([("f", "f8", nf), ("i", "i8", ni)])
+    return split["f"], split["i"]
 
 
-def _checked(path, rows, build, *args):
+def _checked(path, linenos, build, *args):
     """``build(*args)``, a :class:`RowError` named by its line and any other
     :class:`DataError` by the file."""
     try:
         return build(*args)
     except RowError as exc:
-        raise DataError(f"{path}:{rows[exc.row][0]}: {exc.reason}") from None
+        raise DataError(f"{path}:{linenos[exc.row]}: {exc.reason}") from None
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from None
 
@@ -176,11 +187,11 @@ def write_track(path, track: OdometryTrack) -> None:
 
 
 def read_track(path) -> OdometryTrack:
-    headers, rows = _read_table(path)
+    headers, linenos, lines = _read_table(path)
     dof, rate = _source_headers(headers, path)
-    floats, _ = _parse_rows(path, rows, "f" * 8)
+    floats, _ = _parse_rows(path, linenos, lines, "f" * 8)
     return _checked(
-        path, rows, OdometryTrack,
+        path, linenos, OdometryTrack,
         headers["source"], rate, dof, floats[:, 0], floats[:, 1:][:, FROM_DISK],
     )
 
@@ -206,10 +217,10 @@ def read_observations(path) -> ObservationSet:
     """Reads one layout per file: 9 fields with header weights, or 11 with
     per-line weights.  A weight header sets the first; without one, the
     first row's width sets it, and every row must have that width."""
-    headers, rows = _read_table(path)
+    headers, linenos, lines = _read_table(path)
     keys = ("weight_trans", "weight_rot")
-    per_line = bool(rows) and len(rows[0][1]) == 11 and not any(key in headers for key in keys)
-    floats, ints = _parse_rows(path, rows, "fi" + "f" * (9 if per_line else 7))
+    per_line = bool(lines) and len(lines[0].split()) == 11 and not any(k in headers for k in keys)
+    floats, ints = _parse_rows(path, linenos, lines, "fi" + "f" * (9 if per_line else 7))
     if per_line:
         weights = floats[:, 8], floats[:, 9]
     else:
@@ -218,7 +229,7 @@ def read_observations(path) -> ObservationSet:
         except ValueError:
             raise DataError(f"{path}: malformed weight header") from None
     return _checked(
-        path, rows, ObservationSet,
+        path, linenos, ObservationSet,
         floats[:, 0], ints[:, 0], floats[:, 1:8][:, FROM_DISK], *weights,
     )
 
@@ -235,13 +246,15 @@ def write_injection(path, record: NoiseInjection) -> None:
 
 def read_injection(path) -> NoiseInjection:
     """Reads the record; its frame ids must be 0..n-1 in file order."""
-    _, rows = _read_table(path)
-    floats, ints = _parse_rows(path, rows, "i" + "f" * 9)
-    bad = np.flatnonzero(ints[:, 0] != np.arange(len(rows)))
+    _, linenos, lines = _read_table(path)
+    floats, ints = _parse_rows(path, linenos, lines, "i" + "f" * 9)
+    bad = np.flatnonzero(ints[:, 0] != np.arange(len(lines)))
     if bad.size:
         k = bad[0]
-        raise DataError(f"{path}:{rows[k][0]}: frame id {ints[k, 0]}, expected {k}")
-    return NoiseInjection(floats[:, 0], floats[:, 1], floats[:, 2:][:, FROM_DISK])
+        raise DataError(f"{path}:{linenos[k]}: frame id {ints[k, 0]}, expected {k}")
+    return _checked(
+        path, linenos, NoiseInjection, floats[:, 0], floats[:, 1], floats[:, 2:][:, FROM_DISK]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +295,7 @@ def read_graph(path) -> PoseGraph:
     each once, NODE is_frame is 0 or 1, and there is one LANDMARK_FRAME and
     at most one GAUGE record, which names node 0.  :class:`PoseGraph` checks
     the node count and the edges."""
-    headers, rows = _read_table(path)
+    headers, linenos, lines = _read_table(path)
     dof, rate = _source_headers(headers, path)
     fixed = headers.get("landmark_fixed", "false")
     if fixed not in ("true", "false"):
@@ -297,17 +310,22 @@ def read_graph(path) -> PoseGraph:
         "EDGE_ODOM": "-ii" + state + "ff",
         "EDGE_OBS": "-ii" + state + "ff",
     }
-    groups = {tag: [] for tag in kinds}
-    for lineno, fields in rows:
-        if fields[0] not in groups:
-            raise DataError(f"{path}:{lineno}: unknown record {fields[0]!r}")
-        groups[fields[0]].append((lineno, fields))
-    table = {tag: _parse_rows(path, groups[tag], kinds[tag]) for tag in kinds}
+    groups = {tag: ([], []) for tag in kinds}
+    for lineno, line in zip(linenos, lines):
+        tag = line.split(None, 1)[0]
+        if tag not in groups:
+            raise DataError(f"{path}:{lineno}: unknown record {tag!r}")
+        groups[tag][0].append(lineno)
+        groups[tag][1].append(line)
+    del linenos, lines  # held by the groups from here on
+    table = {tag: _parse_rows(path, *groups[tag], kinds[tag]) for tag in kinds}
     node_f, node_i = table["NODE"]
     bad = np.flatnonzero((node_i[:, 1] < 0) | (node_i[:, 1] > 1))
     if bad.size:
-        lineno, fields = groups["NODE"][bad[0]]
-        raise DataError(f"{path}:{lineno}: is_frame must be 0 or 1, got {fields[3]}")
+        k = bad[0]
+        linenos, lines = groups["NODE"]
+        raise DataError(f"{path}:{linenos[k]}: is_frame must be 0 or 1, got {lines[k].split()[3]}")
+    del groups  # the tables hold every value from here on
 
     (_, gauge), (landmark, _) = table["GAUGE"], table["LANDMARK_FRAME"]
     if len(gauge) > 1 or len(landmark) != 1:
@@ -349,15 +367,15 @@ def write_report_csv(path, reports) -> None:
 
 
 def read_report_csv(path):
-    _, rows = _read_table(path, sep=",")
-    if not rows or rows[0][1] != REPORT_COLUMNS:
+    _, linenos, lines = _read_table(path)
+    if not lines or lines[0].split(",") != REPORT_COLUMNS:
         raise DataError(f"{path}: unexpected report schema")
-    rows = rows[1:]
+    linenos, lines = linenos[1:], lines[1:]
     # the per-second columns are derived, so they are not read back
-    floats, ints = _parse_rows(path, rows, "-fiff--ff")
+    floats, ints = _parse_rows(path, linenos, lines, "-fiff--ff", sep=",")
     return [
-        ErrorReport(fields[0], f[0], i[0], f[1], f[2], f[3], f[4])
-        for (_, fields), f, i in zip(rows, floats.tolist(), ints.tolist())
+        ErrorReport(line.split(",", 1)[0], f[0], i[0], f[1], f[2], f[3], f[4])
+        for line, f, i in zip(lines, floats.tolist(), ints.tolist())
     ]
 
 
@@ -437,11 +455,10 @@ def read_stats_json(path) -> dict:
     def reject(constant):
         raise DataError(f"{path}: malformed JSON: {constant} is not a JSON number")
 
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh, parse_constant=reject)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{path}:{exc.lineno}: malformed JSON: {exc.msg}") from None
+    try:
+        payload = json.loads(read_text(path), parse_constant=reject)
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{path}:{exc.lineno}: malformed JSON: {exc.msg}") from None
     if not isinstance(payload, dict):
         raise DataError(f"{path}: expected a JSON object, got {type(payload).__name__}")
     fields = {f.name: f for f in dataclasses.fields(ErrorReport)}

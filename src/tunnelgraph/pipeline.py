@@ -279,8 +279,7 @@ def report_run(run_dir, out_dir=None, written=None):
     cfg = None
     config_path = os.path.join(run_dir, CONFIG_FILE)
     if os.path.exists(config_path):
-        with open(config_path, "r", encoding="utf-8") as fh:
-            cfg = parse_config(fh.read())
+        cfg = parse_config(fileio.read_text(config_path))
     # every input is read and checked before the first write, so a failed
     # report leaves no output directory behind
     reports = []

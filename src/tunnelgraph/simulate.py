@@ -31,7 +31,7 @@ import numpy as np
 from . import geometry as geom
 from .sync import (
     DOF_MODES, FULL3D, NON_NEGATIVE, PLANAR, POSITIVE, DataError, ObservationSet,
-    OdometryTrack, check_fields, one_of,
+    OdometryTrack, _check_unit_quaternions, _check_weights, check_fields, one_of,
 )
 
 GROUND_TRUTH_SOURCE = "ground_truth"
@@ -191,12 +191,22 @@ class NoiseInjection:
     """Bookkeeping of what corrupt() actually injected, frame by frame.
 
     ``error_poses`` composes on the right of each true increment:
-    measured[k] = true_rel[k] * error_poses[k].
+    measured[k] = true_rel[k] * error_poses[k].  The columns hold one value
+    per frame; a magnitude that is negative or not finite, or a quaternion
+    off unit norm by more than ``QUAT_NORM_TOLERANCE``, raises a
+    :class:`RowError`.
     """
 
     trans_magnitudes: np.ndarray  # (N-1,) meters, actual injected norms
     rot_magnitudes_deg: np.ndarray  # (N-1,) degrees
     error_poses: np.ndarray  # (N-1, 7)
+
+    def __post_init__(self):
+        count = len(self.trans_magnitudes)
+        if len(self.rot_magnitudes_deg) != count or np.shape(self.error_poses) != (count, 7):
+            raise DataError("injection columns must hold one value per frame")
+        _check_weights(self.trans_magnitudes, self.rot_magnitudes_deg, "injected magnitudes")
+        _check_unit_quaternions(self.error_poses)
 
     @property
     def mean_trans(self) -> float:

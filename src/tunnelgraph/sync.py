@@ -85,14 +85,12 @@ def _check_times(times) -> None:
         raise RowError(row, f"timestamp {times[row]} {reason}")
 
 
-def _check_weights(w_trans, w_rot) -> None:
-    """Every row's information weights finite and non-negative."""
+def _check_weights(w_trans, w_rot, what="information weights") -> None:
+    """Every row's pair of weights (or of other ``what``) finite and non-negative."""
     weights = np.stack([w_trans, w_rot])
     invalid = ~np.all(np.isfinite(weights) & (weights >= 0.0), axis=0)
     if np.any(invalid):
-        raise RowError(
-            int(np.argmax(invalid)), "information weights must be finite and non-negative"
-        )
+        raise RowError(int(np.argmax(invalid)), f"{what} must be finite and non-negative")
 
 
 # range rules for check_fields: (accepts, reason), stated positively so NaN fails

@@ -326,6 +326,28 @@ class TestExitCodes:
         assert "data error" in err
         assert f"{name}:{row + 1}:" in err
 
+    @pytest.mark.parametrize("command, name", [
+        ("simulate", "scenario.txt"),
+        ("optimize", "dvso_raw.txt"),
+        ("report", "dvso_stats.json"),
+        ("report", "config_effective.txt"),
+    ])
+    def test_undecodable_input_exits_2(self, tmp_path, capsys, command, name):
+        # a byte that is not UTF-8 is a data error that names the file
+        out = self.optimized_run(tmp_path)
+        path = (tmp_path if command == "simulate" else out) / name
+        path.write_bytes(path.read_bytes() + b"\xff\n")
+        argv = {
+            "simulate": ["--config", str(path), "--out", str(tmp_path / "again")],
+            "optimize": ["--track", str(path), "--observations", str(out / "observations.txt"),
+                         "--out", str(out)],
+            "report": ["--dir", str(out)],
+        }[command]
+        capsys.readouterr()
+        assert cli.main([command, *argv]) == 2
+        err = capsys.readouterr().err
+        assert f"data error: {path}: not UTF-8 text: invalid start byte at offset" in err
+
     @pytest.mark.parametrize("rate", ["-5", "nan"])
     def test_bad_graph_rate_exits_2(self, tmp_path, capsys, rate):
         out = self.optimized_run(tmp_path)
