@@ -97,7 +97,7 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_simulate(args, written):
-    cfg = parse_config(fileio.read_text(args.config) if args.config is not None else "")
+    cfg = pipeline.read_config(args.config) if args.config is not None else parse_config("")
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
     artifacts = pipeline.simulate_scenario(cfg, args.out, written)

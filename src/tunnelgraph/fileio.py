@@ -158,6 +158,17 @@ def _source_lines(item) -> str:
     )
 
 
+def _header_number(path, headers, key, default=None):
+    """The number in header ``key`` (``default`` when there is none), read
+    by the rule numpy's reader applies to a data field."""
+    fields = headers.get(key, default).split()
+    try:
+        (value,) = np.loadtxt(fields, comments=None, ndmin=1) if fields else ()
+    except ValueError:
+        raise DataError(f"{path}: malformed {key} header") from None
+    return float(value)
+
+
 def _source_headers(headers, path):
     """(dof_mode, rate) from the headers every track and graph file carries."""
     for required in ("source", "rate_hz", "dof_mode"):
@@ -166,10 +177,7 @@ def _source_headers(headers, path):
     dof = headers["dof_mode"]
     if dof not in DOF_MODES:
         raise DataError(f"{path}: unknown dof_mode {dof!r}")
-    try:
-        rate = float(headers["rate_hz"])
-    except ValueError:
-        raise DataError(f"{path}: malformed rate_hz header") from None
+    rate = _header_number(path, headers, "rate_hz")
     if not (rate > 0.0 and np.isfinite(rate)):
         raise DataError(f"{path}: rate_hz must be finite and positive (got {rate})")
     return dof, rate
@@ -224,10 +232,7 @@ def read_observations(path) -> ObservationSet:
     if per_line:
         weights = floats[:, 8], floats[:, 9]
     else:
-        try:
-            weights = [float(headers.get(key, "1")) for key in keys]
-        except ValueError:
-            raise DataError(f"{path}: malformed weight header") from None
+        weights = [_header_number(path, headers, key, "1") for key in keys]
     return _checked(
         path, linenos, ObservationSet,
         floats[:, 0], ints[:, 0], floats[:, 1:8][:, FROM_DISK], *weights,

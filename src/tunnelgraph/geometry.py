@@ -22,18 +22,26 @@ input components (``x * x + y * y + z * z``, not ``np.linalg.norm``;
 cross products written out), and matrices are filled entry by entry.  No
 reduction, cross product or einsum runs along a pose axis, because numpy
 runs such a pass as a three- or four-long inner loop once per row,
-several times slower than the column expression over all rows.  The one
-batched matrix product left, in :func:`se3_right_jacobian_inv`,
-multiplies 3 x 3 blocks.
+several times slower than the column expression over all rows.  The
+batched matrix products and einsums left are in the SE(3) entries: the
+3 x 3 blocks of :func:`se3_right_jacobian_inv`, and the 6 x 6
+normal-equation products.
 
 The two pose families are :data:`SE2` and :data:`SE3`, instances of one
-:class:`Group` table carrying compose, inverse, exp, log, adjoint, the
-inverse right Jacobian (in closed form, no matrix inversion) and the
-conversions to and from packed SE(3), plus
-the derived ``relative``, ``retract`` and ``between`` (the one edge
-residual).  Code that serves both families takes a group and never
-branches on which one it has.  :class:`Pose3` is the small immutable
-value type used for single placements.
+:class:`Group` table carrying compose, inverse, exp, log, the conversions
+to and from packed SE(3), and the solver's Jacobian algebra: the adjoint
+and the inverse right Jacobian (in closed form, no matrix inversion) as
+factors, their products, and the normal-equation products J_a^T W J_b and
+J^T W r formed from them; plus the derived ``relative``, ``retract`` and
+``between`` (the one edge residual).  Every planar Jacobian block the
+solver forms is M(a, b, e, f) = [[a, -b, e], [b, a, f], [0, 0, 1]]:
+Jr^-1 and Ad are, and so is a product of two (Sola, Deray & Atchuthan,
+arXiv:1812.01537, the SE(2) Jacobians).  SE2 carries such a block as its
+factor (a, b, e, f) and forms the products as column expressions over
+the four; SE3 carries the 6 x 6 matrices themselves and forms them by
+batched matrix products.  Code that serves both families takes a group
+and never branches on which one it has.  :class:`Pose3` is the small
+immutable value type used for single placements.
 """
 
 from __future__ import annotations
@@ -378,6 +386,39 @@ def se3_right_jacobian_inv(xi):
     return out
 
 
+def _se3_weights(w_trans, w_rot):
+    """The diagonal of W, (..., 6), from the per-edge weights."""
+    return np.stack([w_trans] * 3 + [w_rot] * 3, axis=-1)
+
+
+def _se3_edge_normals(neg_left, right, w_trans, w_rot, r):
+    """As :func:`_se2_edge_normals`, by batched matrix products: each block
+    is J_a^T (W J_b), with J_a^T a transposed view, not a copy."""
+    w = _se3_weights(w_trans, w_rot)
+    t_left, t_right = np.swapaxes(neg_left, 1, 2), np.swapaxes(right, 1, 2)
+    w_right, wr = right * w[:, :, None], w * r
+    ij = t_left @ w_right
+    i = np.einsum("eki,ek->ei", neg_left, wr)
+    return (
+        t_left @ (neg_left * w[:, :, None]), np.negative(ij, out=ij), t_right @ w_right,
+        np.negative(i, out=i), np.einsum("eki,ek->ei", right, wr),
+    )
+
+
+def _se3_take(matrices, index):
+    return np.take(matrices, index, axis=0)
+
+
+def _se3_run_normals(jacobian, w_trans, w_rot, r, runs, adjoint):
+    """(G^T S G, -G^T h) per run of rows, as :func:`_se2_run_normals`
+    forms them, by batched matrix products."""
+    w = _se3_weights(w_trans, w_rot)
+    s = np.add.reduceat(np.swapaxes(jacobian, 1, 2) @ (jacobian * w[:, :, None]), runs, axis=0)
+    h = np.add.reduceat(np.einsum("mki,mk->mi", jacobian, w * r), runs, axis=0)
+    adj_t = np.swapaxes(adjoint, 1, 2)
+    return adj_t @ s @ adjoint, np.negative(np.einsum("kij,kj->ki", adj_t, h))
+
+
 # ---------------------------------------------------------------------------
 # packed SE(2) poses: [x, y, yaw]
 
@@ -428,16 +469,30 @@ def se2_log(p):
     return np.stack([x, y, gamma], axis=-1)
 
 
-def se2_adjoint(p):
+def _se2_adjoint_factor(p):
+    """Ad(p) as its factor: (cos yaw, sin yaw, y, -x)."""
     p = np.asarray(p, dtype=float)
-    c, s = np.cos(p[..., 2]), np.sin(p[..., 2])
-    out = np.zeros(p.shape[:-1] + (3, 3))
-    out[..., 0, 0] = c
-    out[..., 0, 1] = -s
-    out[..., 1, 0] = s
-    out[..., 1, 1] = c
-    out[..., 0, 2] = p[..., 1]
-    out[..., 1, 2] = -p[..., 0]
+    return np.cos(p[..., 2]), np.sin(p[..., 2]), p[..., 1], -p[..., 0]
+
+
+def _se2_jr_inv_factor(xi):
+    """Jr^-1(xi) as its factor (see :func:`se2_right_jacobian_inv`)."""
+    xi = np.asarray(xi, dtype=float)
+    x, y, gamma = xi[..., 0], xi[..., 1], xi[..., 2]
+    cg = _half_cot_coeff(np.abs(gamma)) * gamma
+    return 1.0 - cg * gamma, 0.5 * gamma, cg * x + 0.5 * y, cg * y - 0.5 * x
+
+
+def _se2_expand(factor):
+    """The matrices M(a, b, e, f) = [[a, -b, e], [b, a, f], [0, 0, 1]] of a
+    factor (a, b, e, f)."""
+    a, b, e, f = factor
+    out = np.zeros(np.shape(a) + (3, 3))
+    out[..., 0, 0] = out[..., 1, 1] = a
+    out[..., 0, 1] = -b
+    out[..., 1, 0] = b
+    out[..., 0, 2] = e
+    out[..., 1, 2] = f
     out[..., 2, 2] = 1.0
     return out
 
@@ -448,17 +503,89 @@ def se2_right_jacobian_inv(xi):
     With c = (1 - (g/2) cot(g/2)) / g^2 and p = (g/2) cot(g/2) = 1 - c g^2,
     Jr^-1 = [[p, -g/2, c g x + y/2], [g/2, p, c g y - x/2], [0, 0, 1]].
     """
-    xi = np.asarray(xi, dtype=float)
-    x, y, gamma = xi[..., 0], xi[..., 1], xi[..., 2]
-    cg = _half_cot_coeff(np.abs(gamma)) * gamma
-    out = np.zeros(xi.shape[:-1] + (3, 3))
-    out[..., 0, 0] = out[..., 1, 1] = 1.0 - cg * gamma
-    out[..., 0, 1] = -0.5 * gamma
-    out[..., 1, 0] = 0.5 * gamma
-    out[..., 0, 2] = cg * x + 0.5 * y
-    out[..., 1, 2] = cg * y - 0.5 * x
-    out[..., 2, 2] = 1.0
+    return _se2_expand(_se2_jr_inv_factor(xi))
+
+
+def _se2_factor_product(left, right):
+    """The factor of M(left) M(right): M is closed under products."""
+    a1, b1, e1, f1 = left
+    a2, b2, e2, f2 = right
+    return (
+        a1 * a2 - b1 * b2, a1 * b2 + b1 * a2,
+        a1 * e2 - b1 * f2 + e1, b1 * e2 + a1 * f2 + f1,
+    )
+
+
+def _se2_factor_take(factor, index):
+    return tuple(np.take(c, index) for c in factor)
+
+
+def _se2_gram(left, right, w_trans, w_rot):
+    """J_a^T W J_b of the factors of J_a and J_b, W = diag(w_t, w_t, w_r):
+    [[P, -Q, .], [Q, P, .], [., ., w_t (e1 e2 + f1 f2) + w_r]] with
+    P = w_t (a1 a2 + b1 b2) and Q = w_t (a1 b2 - b1 a2)."""
+    a1, b1, e1, f1 = left
+    a2, b2, e2, f2 = right
+    out = np.empty(np.shape(a1) + (3, 3))
+    out[..., 0, 0] = out[..., 1, 1] = w_trans * (a1 * a2 + b1 * b2)
+    out[..., 1, 0] = w_trans * (a1 * b2 - b1 * a2)
+    out[..., 0, 1] = -out[..., 1, 0]
+    out[..., 0, 2] = w_trans * (a1 * e2 + b1 * f2)
+    out[..., 1, 2] = w_trans * (a1 * f2 - b1 * e2)
+    out[..., 2, 0] = w_trans * (a2 * e1 + b2 * f1)
+    out[..., 2, 1] = w_trans * (a2 * f1 - b2 * e1)
+    out[..., 2, 2] = w_trans * (e1 * e2 + f1 * f2) + w_rot
     return out
+
+
+def _se2_project(factor, w_trans, w_rot, r):
+    """J^T W r of the factor of J."""
+    a, b, e, f = factor
+    u, v = w_trans * r[..., 0], w_trans * r[..., 1]
+    return np.stack([a * u + b * v, a * v - b * u, e * u + f * v + w_rot * r[..., 2]], axis=-1)
+
+
+def _se2_edge_normals(neg_left, right, w_trans, w_rot, r):
+    """(J_i^T W J_i, J_i^T W J_j, J_j^T W J_j, J_i^T W r, J_j^T W r) of
+    edges whose residuals r take the Jacobians J_i = -M(neg_left) and
+    J_j = M(right), factors both."""
+    ij = _se2_gram(neg_left, right, w_trans, w_rot)
+    i = _se2_project(neg_left, w_trans, w_rot, r)
+    return (
+        _se2_gram(neg_left, neg_left, w_trans, w_rot), np.negative(ij, out=ij),
+        _se2_gram(right, right, w_trans, w_rot),
+        np.negative(i, out=i), _se2_project(right, w_trans, w_rot, r),
+    )
+
+
+def _se2_run_normals(factor, w_trans, w_rot, r, runs, adjoint):
+    """(G^T S G, -G^T h) per run of rows, ``runs`` holding their starts:
+    S and h sum J^T W J and J^T W r over the run, and G = M(adjoint) is
+    the run's own.  J^T W J = [[p, 0, x], [0, p, y], [x, y, z]] has four
+    distinct entries, so the run sums reduce one table of seven rows, and
+    the congruence is closed form."""
+    a, b, e, f = factor
+    u, v = w_trans * r[..., 0], w_trans * r[..., 1]
+    table = np.empty((7, np.size(a)))
+    table[0] = w_trans * (a * a + b * b)
+    table[1] = w_trans * (a * e + b * f)
+    table[2] = w_trans * (a * f - b * e)
+    table[3] = w_trans * (e * e + f * f) + w_rot
+    table[4] = a * u + b * v
+    table[5] = a * v - b * u
+    table[6] = e * u + f * v + w_rot * r[..., 2]
+    p, x, y, z, h0, h1, h2 = np.add.reduceat(table, runs, axis=1)
+    del table
+    ga, gb, ge, gf = adjoint
+    s, t = p * ge + x, p * gf + y  # the top of S G's last column
+    out = np.empty(p.shape + (3, 3))
+    out[..., 0, 0] = out[..., 1, 1] = p * (ga * ga + gb * gb)
+    out[..., 0, 1] = out[..., 1, 0] = 0.0
+    out[..., 0, 2] = out[..., 2, 0] = ga * s + gb * t
+    out[..., 1, 2] = out[..., 2, 1] = ga * t - gb * s
+    out[..., 2, 2] = ge * s + gf * t + (x * ge + y * gf) + z
+    grad = np.stack([-(ga * h0 + gb * h1), gb * h0 - ga * h1, -(ge * h0 + gf * h1 + h2)], axis=-1)
+    return out, grad
 
 
 def pose2_to_pose3_packed(p2):
@@ -508,6 +635,16 @@ class Group:
     ``from_pose3``/``to_pose3`` convert to and from packed SE(3) poses,
     the layout every track and observation is stored in.  Tangent
     vectors put the ``trans_dim`` translation components first.
+
+    The Jacobian blocks of the solver are carried as factors: the
+    ``adjoint_factor`` and ``jr_inv_factor`` of poses and twists, their
+    ``factor_product``, ``factor_take`` to gather them by row, and
+    ``expand`` to the (..., d, d) matrices.  On them, with W the diagonal
+    of per-edge weights (``w_trans`` on the translation components,
+    ``w_rot`` on the rest), ``edge_normals`` forms the blocks J_a^T W J_b
+    and gradients J^T W r of edges between two states, and
+    ``run_normals`` forms G^T S G and -G^T h per run of rows, S and h
+    summing J^T W J and J^T W r over the run.
     """
 
     packed_dim: int
@@ -518,8 +655,13 @@ class Group:
     inverse: Callable
     exp: Callable
     log: Callable
-    adjoint: Callable
-    jr_inv: Callable
+    adjoint_factor: Callable
+    jr_inv_factor: Callable
+    factor_product: Callable
+    factor_take: Callable
+    expand: Callable
+    edge_normals: Callable
+    run_normals: Callable
     from_pose3: Callable
     to_pose3: Callable
 
@@ -542,13 +684,17 @@ class Group:
 
 SE2 = Group(
     3, 3, 2, POSE2_IDENTITY,
-    pose2_compose, pose2_inverse, se2_exp, se2_log, se2_adjoint,
-    se2_right_jacobian_inv, pose3_to_pose2_packed, pose2_to_pose3_packed,
+    pose2_compose, pose2_inverse, se2_exp, se2_log,
+    _se2_adjoint_factor, _se2_jr_inv_factor, _se2_factor_product, _se2_factor_take, _se2_expand,
+    _se2_edge_normals, _se2_run_normals,
+    pose3_to_pose2_packed, pose2_to_pose3_packed,
 )
 SE3 = Group(
     7, 6, 3, POSE3_IDENTITY,
-    pose3_compose, pose3_inverse, se3_exp, se3_log, se3_adjoint,
-    se3_right_jacobian_inv, _copy, _copy,
+    pose3_compose, pose3_inverse, se3_exp, se3_log,
+    se3_adjoint, se3_right_jacobian_inv, np.matmul, _se3_take, np.asarray,
+    _se3_edge_normals, _se3_run_normals,
+    _copy, _copy,
 )
 pose2_relative = SE2.relative
 pose3_relative = SE3.relative

@@ -196,18 +196,18 @@ SLAB_NODES = 1024  # observing nodes per slab of sightings
 @dataclass(frozen=True)
 class Evaluation:
     """Every edge at one state.  Per odometry (E) and observation (M) edge:
-    the tangent residual ``r_*`` and the weight ``w_*`` of each of its
-    components, (E, d) and (M, d), which is the edge's weight times the
-    IRLS factor the Huber kernel puts on it (the edge's weight alone
-    without Huber).  ``rel_odo`` is each odometry edge's transform
-    s_i^-1 * s_j.  ``cost``, the sum of the Huber-composed edge costs, is
-    the objective the solver minimizes."""
+    the tangent residual ``r_*``, (E, d) and (M, d), and the weights
+    ``w_*``, a pair (translation, rotation) of (E,) or (M,) arrays, which
+    are the edge's weights times the IRLS factor the Huber kernel puts on
+    it (the graph's own weight columns without Huber).  ``rel_odo`` is
+    each odometry edge's transform s_i^-1 * s_j.  ``cost``, the sum of the
+    Huber-composed edge costs, is the objective the solver minimizes."""
 
     rel_odo: np.ndarray
     r_odo: np.ndarray
     r_obs: np.ndarray
-    w_odo: np.ndarray
-    w_obs: np.ndarray
+    w_odo: tuple
+    w_obs: tuple
     cost: float
 
 
@@ -216,12 +216,10 @@ class Edges:
 
     A solve moves the states and the landmark frame only, so this holds:
     the inverted measurements ``odo_meas_inv`` and ``obs_meas_inv``; the
-    per-component weights ``w_odo`` (E, d) and ``w_obs`` (M, d), whose
-    first ``trans_dim`` columns take the edge's translation weight and the
-    rest its rotation weight; the observing nodes ``observed``, with
-    ``first``, where each one's run of sightings starts, and ``node_of``,
-    each sighting's index into ``observed``; and ``pole_adjoint``, the
-    adjoint Ad(P^-1) of every template pole P, (P, d, d).
+    observing nodes ``observed``, with ``first``, where each one's run of
+    sightings starts; and ``pole_adjoint``, the adjoint Ad(P^-1) of every
+    template pole P, as the group's factor.  The sightings are ordered by
+    node, so the runs are where the node changes.
 
     ``slabs`` cuts the sightings into node-aligned runs: each slab is a
     pair (nodes, sightings) of slices, up to ``SLAB_NODES`` consecutive
@@ -237,21 +235,24 @@ class Edges:
 
     def __init__(self, graph: PoseGraph):
         group = graph.group
-        k, d = group.trans_dim, group.tangent_dim
         self.graph = graph
         self.odo_meas_inv = group.inverse(graph.odo_meas)
         self.obs_meas_inv = group.inverse(graph.obs_meas)
-        self.w_odo = np.column_stack([graph.odo_w_trans] * k + [graph.odo_w_rot] * (d - k))
-        self.w_obs = np.column_stack([graph.obs_w_trans] * k + [graph.obs_w_rot] * (d - k))
-        self.observed, self.first, self.node_of = np.unique(
-            graph.obs_node, return_index=True, return_inverse=True
-        )
-        self.pole_adjoint = group.adjoint(group.inverse(graph.template))
+        node = graph.obs_node
+        self.first = np.flatnonzero(np.diff(node, prepend=-1))
+        self.observed = node[self.first]
+        self.pole_adjoint = group.adjoint_factor(group.inverse(graph.template))
         runs = np.append(self.first, graph.obs_count)  # run starts, then the end
         cuts = [*range(0, self.observed.size, SLAB_NODES), self.observed.size]
         self.slabs = [
             (slice(a, b), slice(int(runs[a]), int(runs[b]))) for a, b in zip(cuts, cuts[1:])
         ]
+
+    def node_index(self, slab):
+        """Each sighting of ``slab``'s index among the slab's observing nodes."""
+        nodes, sightings = slab
+        lengths = np.diff(self.first[nodes], append=sightings.stop)
+        return np.repeat(np.arange(lengths.size), lengths)
 
     def odometry(self, si, sj):
         """Residual r(s_i, s_j) of every odometry edge, with its transform."""
@@ -267,7 +268,7 @@ class Edges:
         # np.take gathers rows several times faster than fancy indexing
         target = np.take(graph.pole_world_poses(landmark), graph.obs_pole[sightings], axis=0)
         observing = np.take(states, self.observed[nodes], axis=0)
-        a_inv = np.take(group.inverse(observing), self.node_of[sightings] - nodes.start, axis=0)
+        a_inv = np.take(group.inverse(observing), self.node_index(slab), axis=0)
         return group.between(self.obs_meas_inv[sightings], a_inv, target)
 
     def evaluate(self, states, landmark, huber_delta=0.0) -> Evaluation:
@@ -278,10 +279,10 @@ class Edges:
         r_obs = np.empty((graph.obs_count, graph.group.tangent_dim))
         for slab in self.slabs:
             r_obs[slab[1]] = self.observation(states, landmark, slab)[0]
-        sq_odo = _weighted_sq(graph, r_odo, graph.odo_w_trans, graph.odo_w_rot)
-        sq_obs = _weighted_sq(graph, r_obs, graph.obs_w_trans, graph.obs_w_rot)
-        cost_odo, w_odo = _huber(sq_odo, self.w_odo, huber_delta)
-        cost_obs, w_obs = _huber(sq_obs, self.w_obs, huber_delta)
+        w_odo = graph.odo_w_trans, graph.odo_w_rot
+        w_obs = graph.obs_w_trans, graph.obs_w_rot
+        cost_odo, w_odo = _huber(_weighted_sq(graph, r_odo, *w_odo), w_odo, huber_delta)
+        cost_obs, w_obs = _huber(_weighted_sq(graph, r_obs, *w_obs), w_obs, huber_delta)
         cost = float(np.sum(cost_odo)) + float(np.sum(cost_obs))
         return Evaluation(rel_odo, r_odo, r_obs, w_odo, w_obs, cost)
 
@@ -294,16 +295,17 @@ def _weighted_sq(graph: PoseGraph, r, w_trans, w_rot):
     return w_trans * sum(squares[:k]) + w_rot * sum(squares[k:])
 
 
-def _huber(sq, w, delta):
-    """Huber-composed edge costs, and the component weights ``w`` times
-    each edge's IRLS factor (plain, and ``w`` itself, at delta 0)."""
+def _huber(sq, weights, delta):
+    """Huber-composed edge costs, and the (translation, rotation) weights
+    times each edge's IRLS factor (plain, and the weights themselves, at
+    delta 0)."""
     if delta <= 0.0:
-        return sq, w
+        return sq, weights
     cut = delta * delta
     root = np.sqrt(np.maximum(sq, 1e-300))
     cost = np.where(sq <= cut, sq, 2.0 * delta * root - cut)
     factor = np.where(sq <= cut, 1.0, delta / root)
-    return cost, w * factor[:, None]
+    return cost, tuple(w * factor for w in weights)
 
 
 def evaluate(graph: PoseGraph, states=None, landmark=None, huber_delta=0.0) -> Evaluation:

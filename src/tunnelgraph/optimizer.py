@@ -38,25 +38,32 @@ is not positive definite, and the damping rises.
 
 What a solve keeps fixed about its edges is built once, when it starts:
 :class:`tunnelgraph.graph.Edges` holds the inverted measurements, the
-per-component weights, the observing nodes and the adjoint Ad(P^-1) of
-every template pole.  Edges are evaluated on it once per trial; its cost
-is ``graph.total_cost(graph, states, landmark, huber_delta)``.  The
-accepted trial's evaluation is kept: the next linearization takes its
-residuals and odometry transforms, and the products its weights, which
+observing nodes and the adjoint Ad(P^-1) of every template pole.  Edges
+are evaluated on it once per trial; its cost is
+``graph.total_cost(graph, states, landmark, huber_delta)``.  The accepted
+trial's evaluation is kept: the next linearization takes its residuals
+and odometry transforms, and the products its per-edge weights, which
 carry the Huber kernel's factors.
 
-A sighting's node Jacobian is its landmark Jacobian times one adjoint
-per observing node (:func:`_sighting_jacobians`), so the observation
-products are summed over each node's run of sightings before that adjoint
-is applied.  The chain is formed per slab (``Edges.slabs``, at most
-``graph.SLAB_NODES`` observing nodes, never splitting a node's run) and
-written straight into the per-node blocks, so no (M, d, d) array over the
-M sightings exists.  An iteration's blocks are released once assembled,
-and its system once the trial is decided, so the next iteration builds
-its own with none of them alive.  Assembly sums each node's diagonal
-block and gradient from the chain, and the reduction reads those blocks,
-and each node's coupling to its successor, component-major through
-transposed views.
+Linearizing forms the Jacobian blocks as the group's factors, and the
+products are formed from the factors by the group's ``edge_normals``
+and ``run_normals`` (:class:`tunnelgraph.geometry.Group`).
+A planar block is M(a, b, e, f) = [[a, -b, e], [b, a, f], [0, 0, 1]],
+carried as its four columns, so SE2 forms every product in closed form
+without a 3 x 3 matrix; SE3 forms them by batched 6 x 6 matrix products.
+Nothing here branches on the group.  A sighting's node Jacobian is its
+landmark Jacobian times one adjoint per observing node
+(:func:`_sighting_jacobians`), so the observation products are summed
+over each node's run of sightings before that adjoint is applied.  The
+chain is formed per slab (``Edges.slabs``, at most ``graph.SLAB_NODES``
+observing nodes, never splitting a node's run) and written straight into
+the per-node blocks, so no (M, d, d) array over the M sightings exists.
+An iteration's blocks are released once assembled, and its system once
+the trial is decided, so the next iteration builds its own with none of
+them alive.  Assembly sums each node's diagonal block and gradient from
+the chain, and the reduction reads those blocks, and each node's
+coupling to its successor, component-major through transposed views; it
+adds the damping as its first level copies them.
 """
 
 from __future__ import annotations
@@ -154,35 +161,24 @@ def _numeric_blocks(group, residual, a, b):
 
 
 def _linearize(edges, ev):
-    """Jacobian blocks of every odometry edge, from ``ev``, the evaluation
-    at the current states: J_j = Jr^-1(r) and J_i = -J_j Ad(rel^-1), with
-    rel = s_i^-1 s_j."""
+    """Factors of the Jacobian blocks of every odometry edge, from ``ev``,
+    the evaluation at the current states: J_j = Jr^-1(r), and -J_i =
+    J_j Ad(rel^-1), with rel = s_i^-1 s_j.  Returns (-J_i, J_j)."""
     group = edges.graph.group
-    jj_o = group.jr_inv(ev.r_odo)
-    return -(jj_o @ group.adjoint(group.inverse(ev.rel_odo))), jj_o
+    jj_o = group.jr_inv_factor(ev.r_odo)
+    return group.factor_product(jj_o, group.adjoint_factor(group.inverse(ev.rel_odo))), jj_o
 
 
-def _products(ev, jacobians):
+def _products(edges, ev, jacobians):
     """Normal-equation blocks J_a^T W J_b and gradients J^T W r of every
     odometry edge, with the residuals and weights of ``ev``."""
-    ji_o, jj_o = jacobians
-    w_odo = ev.w_odo
-    # each block is J_a^T (W J_b), with J_a^T a transposed view, not a copy
-    ti_o, tj_o = np.swapaxes(ji_o, 1, 2), np.swapaxes(jj_o, 1, 2)
-    wjj_o = jj_o * w_odo[:, :, None]
-    wr_odo = w_odo * ev.r_odo
-    return {
-        "oii": ti_o @ (ji_o * w_odo[:, :, None]),
-        "oij": ti_o @ wjj_o,
-        "ojj": tj_o @ wjj_o,
-        "oi": np.einsum("eki,ek->ei", ji_o, wr_odo),
-        "oj": np.einsum("eki,ek->ei", jj_o, wr_odo),
-    }
+    blocks = edges.graph.group.edge_normals(*jacobians, *ev.w_odo, ev.r_odo)
+    return dict(zip(("oii", "oij", "ojj", "oi", "oj"), blocks))
 
 
 def _sighting_jacobians(edges, states, landmark, ev, slab):
-    """Landmark blocks J_l of the sightings of ``slab``, and the adjoint G
-    of each of its observing nodes.
+    """Factors of the landmark blocks J_l of the sightings of ``slab``, and
+    of the adjoint G of each of its observing nodes.
 
     A sighting of pole P from node s under the landmark frame L measures
     T = s^-1 L P, and Ad(T^-1) = Ad(P^-1) Ad(L^-1 s): its landmark block is
@@ -191,10 +187,10 @@ def _sighting_jacobians(edges, states, landmark, ev, slab):
     group = edges.graph.group
     nodes, sightings = slab
     # landmark * exp(d) * pole = (landmark * pole) * exp(Ad(pole^-1) d)
-    poles = np.take(edges.pole_adjoint, edges.graph.obs_pole[sightings], axis=0)
-    jl_s = group.jr_inv(ev.r_obs[sightings]) @ poles
+    poles = group.factor_take(edges.pole_adjoint, edges.graph.obs_pole[sightings])
+    jl_s = group.factor_product(group.jr_inv_factor(ev.r_obs[sightings]), poles)
     observing = np.take(states, edges.observed[nodes], axis=0)
-    return jl_s, group.adjoint(group.relative(landmark, observing))
+    return jl_s, group.adjoint_factor(group.relative(landmark, observing))
 
 
 def _sighting_products(edges, ev, slab, jacobians, sii, si):
@@ -204,23 +200,22 @@ def _sighting_products(edges, ev, slab, jacobians, sii, si):
     node's run of sightings before the node's adjoint is applied."""
     jl_s, adj = jacobians
     nodes, sightings = slab
-    w_obs = ev.w_obs[sightings]
+    w_obs = [w[sightings] for w in ev.w_obs]
     runs = edges.first[nodes] - sightings.start
-    s_obs = np.swapaxes(jl_s, 1, 2) @ (jl_s * w_obs[:, :, None])
-    h_obs = np.einsum("mki,mk->mi", jl_s, w_obs * ev.r_obs[sightings])
-    adj_t = np.swapaxes(adj, 1, 2)
-    np.matmul(adj_t @ np.add.reduceat(s_obs, runs, axis=0), adj, out=sii[nodes])
-    np.negative(np.einsum("kij,kj->ki", adj_t, np.add.reduceat(h_obs, runs, axis=0)), out=si[nodes])
+    sii[nodes], si[nodes] = edges.graph.group.run_normals(
+        jl_s, *w_obs, ev.r_obs[sightings], runs, adj
+    )
 
 
 def _blocks(edges, states, landmark, ev):
     """Every normal-equation block at (states, landmark), where ``ev`` is
     the evaluation: per odometry edge, and ``sii``/``si`` per observing
     node, formed slab by slab (``edges.slabs``) so that no per-sighting
-    array outlives its slab.  Returns (blocks, seconds linearizing,
-    seconds forming products), each summed over the slabs."""
+    array outlives its slab.  Returns (blocks, seconds forming the
+    Jacobian factors, seconds forming the products), each summed over the
+    slabs."""
     jacobians, linearize_s = _timed(_linearize, edges, ev)
-    blocks, products_s = _timed(_products, ev, jacobians)
+    blocks, products_s = _timed(_products, edges, ev, jacobians)
     del jacobians
     k, d = edges.observed.size, edges.graph.group.tangent_dim
     sii = blocks["sii"] = np.empty((k, d, d))
@@ -264,16 +259,15 @@ def _assemble(edges, start, blocks):
 def _solve(matrix, grad, damping):
     """One damped solve: (flat step of the moving nodes, predicted cost
     decrease), or None when the damped matrix is not positive definite or
-    the step is not finite."""
+    the step is not finite.  The damping is added to the diagonal as the
+    reduction copies it, so ``matrix`` is only read."""
     diag, upper = matrix
     d = diag.shape[0]
-    damped = diag.copy()
-    pivots = damped.reshape(d * d, -1)[:: d + 1]  # the diagonal entries, a view
+    pivots = diag[np.arange(d), np.arange(d)]  # (d, m), the diagonal entries
     floor = 1e-12 * max(float(pivots.max()), 1.0)
     scale = damping * np.maximum(pivots, floor)
-    pivots += scale
     with np.errstate(invalid="ignore", divide="ignore"):  # a bad pivot returns None
-        x = _block_cyclic_reduction(damped, upper, -grad.reshape(-1, d).T)
+        x = _block_cyclic_reduction(diag, upper, -grad.reshape(-1, d).T, scale)
     if x is None or not np.all(np.isfinite(x)):
         return None
     step = x.T.ravel()
@@ -281,10 +275,12 @@ def _solve(matrix, grad, damping):
     return step, float(step @ (scale.T.ravel() * step - grad))
 
 
-def _block_cyclic_reduction(diag, upper, rhs):
+def _block_cyclic_reduction(diag, upper, rhs, shift):
     """x, (d, m), with A x = rhs for the block-tridiagonal A of ``diag``
-    (d, d, m) and ``upper`` (d, d, m - 1); ``rhs`` is (d, m).  Returns None
-    when a pivot is not positive, so A is not positive definite.
+    (d, d, m) and ``upper`` (d, d, m - 1), with ``shift`` (d, m) added to
+    the diagonal of each block; ``rhs`` is (d, m).  Returns None when a
+    pivot is not positive, so A is not positive definite.  The first level
+    adds the shift as it copies the blocks, so ``diag`` is only read.
 
     Each level eliminates the even nodes, down to a level of one node,
     which leaves no node.  One sweep over the components factors each even
@@ -318,6 +314,10 @@ def _block_cyclic_reduction(diag, upper, rhs):
         # the odd nodes' rows, which become the reduced system; this level's
         # system is then released, and so is each Schur product once applied
         odd_diag, odd_rhs = diag[:, :, 1::2].copy(), rhs[:, 1::2].copy()
+        if shift is not None:
+            w[diagonal, diagonal] += shift[:, 0::2]
+            odd_diag[diagonal, diagonal] += shift[:, 1::2]
+            shift = None
         del diag, upper, rhs
         for j in range(d):
             if j:
@@ -374,7 +374,11 @@ def optimize(graph, settings: SolverSettings = None, progress=None):
     ev = edges.evaluate(states, landmark, settings.huber_delta)
     # what residuals one rounding unit in size would cost: a smaller
     # predicted decrease is rounding noise, even where the cost itself is
-    noise_cost = EPS**2 * (edges.w_odo.sum() + edges.w_obs.sum())
+    k = group.trans_dim
+    noise_cost = EPS**2 * (
+        k * (graph.odo_w_trans.sum() + graph.obs_w_trans.sum())
+        + (d - k) * (graph.odo_w_rot.sum() + graph.obs_w_rot.sum())
+    )
     trace = [ev.cost]
     per_iteration = []
     damping = DAMPING_FLOOR
@@ -471,9 +475,9 @@ def check_jacobians(graph, probe_count: int = 100):
     edges = gmod.Edges(graph)
     ev = edges.evaluate(states, landmark)
     whole = (slice(0, edges.observed.size), slice(0, graph.obs_count))  # one slab of all
-    ji_o, jj_o = _linearize(edges, ev)
-    jl_s, adj = _sighting_jacobians(edges, states, landmark, ev, whole)
-    analytic = (ji_o, jj_o, -(jl_s @ adj[edges.node_of]), jl_s)
+    neg_ji_o, jj_o = map(group.expand, _linearize(edges, ev))
+    jl_s, adj = map(group.expand, _sighting_jacobians(edges, states, landmark, ev, whole))
+    analytic = (-neg_ji_o, jj_o, -(jl_s @ adj[edges.node_index(whole)]), jl_s)
     observation = partial(edges.observation, slab=whole)
     numeric = (
         *_numeric_blocks(group, edges.odometry, states[graph.odo_i], states[graph.odo_j]),
@@ -483,4 +487,3 @@ def check_jacobians(graph, probe_count: int = 100):
     return max(
         float(np.abs(a[k] - n[k]).max(initial=0.0)) for a, n, k in zip(analytic, numeric, rows)
     )
-

@@ -268,6 +268,16 @@ def _discover_sources(run_dir):
     return names
 
 
+def read_config(path) -> ScenarioConfig:
+    """The scenario configuration in the file at ``path``; an error in it
+    names the file."""
+    text = fileio.read_text(path)
+    try:
+        return parse_config(text)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
+
+
 def report_run(run_dir, out_dir=None, written=None):
     """Assemble report.csv / report.txt and plot data from a run dir."""
     out_dir = out_dir or run_dir
@@ -279,7 +289,7 @@ def report_run(run_dir, out_dir=None, written=None):
     cfg = None
     config_path = os.path.join(run_dir, CONFIG_FILE)
     if os.path.exists(config_path):
-        cfg = parse_config(fileio.read_text(config_path))
+        cfg = read_config(config_path)
     # every input is read and checked before the first write, so a failed
     # report leaves no output directory behind
     reports = []

@@ -348,6 +348,22 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"data error: {path}: not UTF-8 text: invalid start byte at offset" in err
 
+    @pytest.mark.parametrize("command", ["simulate", "report"])
+    def test_config_error_names_the_file(self, tmp_path, capsys, command):
+        # the --config file, or the run directory's config_effective.txt
+        out = self.optimized_run(tmp_path)
+        path = tmp_path / "scenario.txt" if command == "simulate" else out / pipeline.CONFIG_FILE
+        path.write_text("landmark.spacing = -1\n")
+        argv = {
+            "simulate": ["--config", str(path), "--out", str(tmp_path / "again")],
+            "report": ["--dir", str(out), "--out", str(tmp_path / "again")],
+        }[command]
+        capsys.readouterr()
+        assert cli.main([command, *argv]) == 2
+        err = capsys.readouterr().err
+        assert f"data error: {path}: landmark.spacing: must be positive (got -1)" in err
+        assert not (tmp_path / "again").exists()
+
     @pytest.mark.parametrize("rate", ["-5", "nan"])
     def test_bad_graph_rate_exits_2(self, tmp_path, capsys, rate):
         out = self.optimized_run(tmp_path)

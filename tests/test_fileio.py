@@ -177,6 +177,17 @@ class TestTracks:
         with pytest.raises(DataError, match=r"bad\.txt: rate_hz must be finite and positive"):
             fileio.read_track(path)
 
+    @pytest.mark.parametrize("rate", ["2_0", "\u0662\u0660", "0x10", "20 30", ""])
+    def test_malformed_rate_header_names_the_file(self, tmp_path, rate):
+        # the header number follows the rule of a data field: 2_0 is not 20
+        path = tmp_path / "bad.txt"
+        path.write_text(
+            f"# source: x\n# rate_hz: {rate}\n# dof_mode: full3d\n0.0 0 0 0 0 0 0 1\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(DataError, match=r"bad\.txt: malformed rate_hz header"):
+            fileio.read_track(path)
+
     def test_source_that_leaves_the_directory_names_the_file(self, tmp_path):
         # the source name becomes part of the output file names
         path = tmp_path / "bad.txt"
@@ -245,6 +256,14 @@ class TestObservations:
         (back,) = fileio.read_observations(path)
         assert back.pole_id == 2 and back.timestamp == 3.5
         np.testing.assert_array_equal(back.rel, [1.0, -0.5, 0, 1, 0, 0, 0])
+
+    @pytest.mark.parametrize("key", ["weight_trans", "weight_rot"])
+    @pytest.mark.parametrize("value", ["5_0", "0x10", "1 2", ""])
+    def test_malformed_weight_header_names_the_file(self, tmp_path, key, value):
+        path = tmp_path / "obs.txt"
+        path.write_text(f"# {key}: {value}\n3.5 2 1.0 -0.5 0.0 0.0 0.0 0.0 1.0\n")
+        with pytest.raises(DataError, match=rf"obs\.txt: malformed {key} header"):
+            fileio.read_observations(path)
 
     def test_negative_pole_id_rejected(self, tmp_path):
         path = tmp_path / "obs.txt"

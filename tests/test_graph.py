@@ -243,8 +243,8 @@ class TestResiduals:
         # is 2 * 0.1 * 0.2 - 0.1^2 and its weight is scaled by 0.1 / 0.2
         robust = gmod.evaluate(graph, huber_delta=0.1)
         assert robust.cost == pytest.approx(0.03)
-        np.testing.assert_allclose(robust.w_odo, 0.5 * ev.w_odo, rtol=1e-12)
-        assert ev.w_odo.tolist() == [[4.0, 4.0, 4.0, 1.0, 1.0, 1.0]]
+        np.testing.assert_allclose(robust.w_odo, 0.5 * np.array(ev.w_odo), rtol=1e-12)
+        assert np.array(ev.w_odo).tolist() == [[4.0], [1.0]]  # (translation, rotation)
         assert gmod.total_cost(graph, huber_delta=0.1) == robust.cost
 
     def test_residual_matches_direct_log(self):

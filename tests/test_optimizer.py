@@ -221,8 +221,8 @@ def reference_jacobians(graph, states, landmark, ev):
     group = graph.group
 
     def blocks(r, a, b):
-        jb = group.jr_inv(r)
-        return -(jb @ group.adjoint(group.relative(b, a))), jb
+        jb = group.expand(group.jr_inv_factor(r))
+        return -(jb @ group.expand(group.adjoint_factor(group.relative(b, a)))), jb
 
     ji_o, jj_o = blocks(ev.r_odo, states[graph.odo_i], states[graph.odo_j])
     target = graph.pole_world_poses(landmark)[graph.obs_pole]
@@ -452,6 +452,20 @@ def test_band_solve_matches_dense(case, damping):
     assert_solve_matches_dense(graph, huber, damping, 2)
 
 
+@pytest.mark.parametrize("case", ["planar", "full3d"])
+def test_solve_only_reads_the_system(case):
+    # a rejected trial solves the same system again at a higher damping
+    graph, huber = oracle_case(case)
+    _, system = solver_system(graph, *perturbed(graph, 2), huber)
+    (diag, upper), grad = system
+    before = diag.copy(), upper.copy(), grad.copy()
+    first = opt._solve(*system, 1e-2)
+    for kept, now in zip(before, (diag, upper, grad)):
+        assert np.array_equal(kept, now)
+    again = opt._solve(*system, 1e-2)
+    assert np.array_equal(first[0], again[0]) and first[1] == again[1]
+
+
 def chain_graph(mode, moving, start):
     """A straight drive whose step moves ``moving`` nodes: one sighting at
     its first frame frees the landmark frame (start 0, every node moves),
@@ -649,13 +663,101 @@ def test_slab_size_leaves_blocks_bit_identical(monkeypatch, case):
         blocks = opt._blocks(edges, states, landmark, ev)[0]
         got[size] = ev.r_obs, blocks["sii"], blocks["si"], ev.cost
     if huber:
-        assert np.any(ev.w_obs < edges.w_obs)  # the kernel bites
+        assert np.any(ev.w_obs[0] < graph.obs_w_trans)  # the kernel bites
     if observing:
         assert observing % 7 or observing % 10
     whole = got.pop(max(observing, 1))
     for size, arrays in got.items():
         for mine, want in zip(arrays, whole):
             assert np.array_equal(mine, want), size
+
+
+# ---------------------------------------------------------------------------
+# the planar products in closed form, against dense products of the same factors
+
+
+@functools.lru_cache(maxsize=None)
+def sparse_graph(source, seed, mode):
+    return default_sparse_run(sim.PRESETS[source](), seed, mode).raw_graph
+
+
+def closed_form_case(case):
+    """(graph, huber delta) of one closed-form case."""
+    if case == "recovery-wheel":  # every node sees every pole
+        return recovery_graph("wheel", 7), 0.0
+    if case == "landmark-fixed":
+        return small_problem(PLANAR, landmark_fixed=True)[0], 0.0
+    if case in ("unconstrained", "full3d"):
+        graph = small_problem(FULL3D if case == "full3d" else PLANAR)[0]
+        if case == "unconstrained":
+            graph = dataclasses.replace(
+                graph, obs_node=graph.obs_node[:0], obs_pole=graph.obs_pole[:0],
+                obs_meas=graph.obs_meas[:0], obs_w_trans=graph.obs_w_trans[:0],
+                obs_w_rot=graph.obs_w_rot[:0],
+            )
+        return graph, 0.0
+    if case == "huber":
+        return sparse_graph("wheel", 0, PLANAR), 0.05
+    source, seed = case.split("-")  # a sparse default-scenario run, solved planar
+    return sparse_graph(source, int(seed), PLANAR), 0.0
+
+
+def dense_blocks(edges, states, landmark, ev):
+    """The blocks of ``opt._blocks`` as dense products J_a^T W J_b and
+    J^T W r of the solver's own Jacobian factors, each expanded to its
+    matrices: per odometry edge, and per observing node, summed over its
+    run of sightings, for the node block -J_l G of each sighting."""
+    graph, group = edges.graph, edges.graph.group
+    d = group.tangent_dim
+    rotation = np.arange(d) >= group.trans_dim
+
+    def weights(w_trans, w_rot):
+        return np.where(rotation, w_rot[:, None], w_trans[:, None])
+
+    def wjtj(ja, w, jb):
+        return np.einsum("eki,ek,ekj->eij", ja, w, jb)
+
+    def wjtr(ja, w, r):
+        return np.einsum("eki,ek,ek->ei", ja, w, r)
+
+    neg_ji, jj = map(group.expand, opt._linearize(edges, ev))
+    ji = -neg_ji
+    whole = (slice(0, edges.observed.size), slice(0, graph.obs_count))
+    jl, adj = map(group.expand, opt._sighting_jacobians(edges, states, landmark, ev, whole))
+    node = edges.node_index(whole)
+    jn = -(jl @ adj[node])
+    w_odo, w_obs = weights(*ev.w_odo), weights(*ev.w_obs)
+    sii, si = np.zeros((edges.observed.size, d, d)), np.zeros((edges.observed.size, d))
+    np.add.at(sii, node, wjtj(jn, w_obs, jn))
+    np.add.at(si, node, wjtr(jn, w_obs, ev.r_obs))
+    return {
+        "oii": wjtj(ji, w_odo, ji), "oij": wjtj(ji, w_odo, jj), "ojj": wjtj(jj, w_odo, jj),
+        "oi": wjtr(ji, w_odo, ev.r_odo), "oj": wjtr(jj, w_odo, ev.r_odo),
+        "sii": sii, "si": si,
+    }
+
+
+@pytest.mark.parametrize("case", [
+    "recovery-wheel", "wheel-0", "wheel-1", "wheel-2", "lidar-0", "lidar-1", "lidar-2",
+    "dvso-0", "huber", "landmark-fixed", "unconstrained", "full3d",
+])
+def test_blocks_match_dense_products_of_their_factors(case):
+    graph, huber = closed_form_case(case)
+    states, landmark = perturbed(graph, 6)
+    edges = gmod.Edges(graph)
+    ev = edges.evaluate(states, landmark, huber)
+    if huber:
+        assert np.any(ev.w_obs[0] < graph.obs_w_trans)  # the kernel bites
+    got = opt._blocks(edges, states, landmark, ev)[0]
+    want = dense_blocks(edges, states, landmark, ev)
+    assert set(got) == set(want)
+    for name, ref in want.items():
+        assert got[name].shape == ref.shape, name
+        # each block to 1e-12 of its own largest entry
+        per_block = tuple(range(1, ref.ndim))
+        scale = np.abs(ref).max(axis=per_block, initial=0.0)
+        error = np.abs(got[name] - ref).max(axis=per_block, initial=0.0)
+        assert np.all(error <= 1e-12 * scale), name
 
 
 def traced_peak(fn, *args):
@@ -870,8 +972,8 @@ def test_huber_final_cost_is_total_cost():
     delta = 0.02
     solved, stats = opt.optimize(graph, SolverSettings(huber_delta=delta))
     ev = gmod.evaluate(solved, huber_delta=delta)
-    edges = gmod.Edges(solved)
-    assert np.any(ev.w_odo < edges.w_odo) or np.any(ev.w_obs < edges.w_obs)  # the kernel bites
+    # the kernel bites
+    assert np.any(ev.w_odo[0] < solved.odo_w_trans) or np.any(ev.w_obs[0] < solved.obs_w_trans)
     assert gmod.total_cost(solved, huber_delta=delta) == stats.final_cost
 
 
