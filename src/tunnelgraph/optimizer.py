@@ -2,21 +2,22 @@
 
 Each iteration linearizes every edge in the tangent space at the current
 states, assembles the damped normal equations over the moving nodes,
-solves them, and retracts with the exponential map.  The cost does not
-change when every pose, landmark frame included, moves by one rigid
-motion, so a step holds one frame fixed: the landmark frame when it is
-free and observed, and node 0 otherwise.  Holding the landmark, the step
-moves every node, and the trial then moves all poses and the landmark
-by the rigid motion that puts node 0 back, so node 0, the gauge of the
-solution, keeps its state bit for bit (Triggs et al., "Bundle Adjustment
-— A Modern Synthesis", 2000, §9, on gauge freedom).
-
-Damping is multiplicative on the (clamped) diagonal.  The solve starts
-as Gauss–Newton, at a damping of machine epsilon: below it ``mu * D``
-cannot change the damped diagonal.  A trial that fails to lower the cost
-raises the damping tenfold; an accepted one lowers it tenfold, down to
-epsilon again (Madsen, Nielsen & Tingleff, *Methods for Non-Linear Least
-Squares Problems*, 2004, §3.2).
+solves them for a step, and tries it.  The cost does not change when
+every pose, landmark frame included, moves by one rigid motion, so a
+step holds one frame fixed: the landmark frame when it is free and
+observed, and node 0 otherwise.  A trial (:func:`_trial`) retracts the
+moving nodes with the exponential map; if node 0 moved, it moves all
+poses and the landmark by the rigid motion that puts node 0 back, so
+node 0, the gauge, keeps its state bit for bit (Triggs et al., "Bundle
+Adjustment — A Modern Synthesis", 2000, §9).  It then evaluates the
+edges, and it is accepted if the cost did not rise.  Damping is
+multiplicative on the (clamped) diagonal, and :func:`_damping` alone
+moves it: tenfold up after a rejected trial or a damped matrix that is
+not positive definite, to a ceiling, and tenfold down after an accepted
+one, to a floor of machine epsilon, below which ``mu * D`` cannot change
+the damped diagonal.  The solve starts at the floor, as Gauss–Newton
+(Madsen, Nielsen & Tingleff, *Methods for Non-Linear Least Squares
+Problems*, 2004, §3.2).
 
 Two tests stop the solve at the optimum.  Before a trial, a damped solve
 whose model predicts a decrease at rounding level ends it, with no
@@ -71,6 +72,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, replace
 from functools import partial
+from numbers import Integral
 
 import numpy as np
 
@@ -108,7 +110,9 @@ class SolverSettings:
     def __post_init__(self):
         check_fields(
             self,
-            max_iterations=(lambda v: v >= 1, "must be at least 1"),
+            max_iterations=(
+                lambda v: isinstance(v, Integral) and v >= 1, "must be an integer of at least 1"
+            ),
             huber_delta=NON_NEGATIVE,
         )
 
@@ -120,7 +124,7 @@ class SolveStats:
     # per iteration: accepted damping, rejected trials, step norm and gradient
     # inf-norm over the moving nodes, gain ratio (None when the solve stopped
     # before the trial), and seconds in linearize, products, assemble,
-    # factor + solve and cost (all trials)
+    # factor + solve and cost (all trials: retraction and evaluation)
     per_iteration: list
 
     @property
@@ -355,6 +359,33 @@ def _block_cyclic_reduction(diag, upper, rhs, shift):
     return x
 
 
+def _trial(edges, start, states, landmark, step, huber_delta):
+    """(states, landmark, evaluation) after ``step``, the flat step of the
+    nodes from ``start`` on.  With ``start = 0`` every pose and the
+    landmark then move by the rigid motion that puts node 0 back, so node
+    0 keeps its state bit for bit.  ``states`` is not changed."""
+    group = edges.graph.group
+    moved = states.copy()
+    moved[start:] = group.retract(states[start:], step.reshape(-1, group.tangent_dim))
+    if start == 0:
+        shift = group.compose(states[0], group.inverse(moved[0]))
+        moved = group.compose(shift, moved)
+        moved[0] = states[0]  # the gauge, bit for bit
+        landmark = group.compose(shift, landmark)
+    return moved, landmark, edges.evaluate(moved, landmark, huber_delta)
+
+
+def _damping(damping, accepted, iteration):
+    """The damping after a trial: a tenth after an accepted one, down to
+    the floor, and tenfold after a rejected one.  Raises ConditioningError
+    at ``iteration`` past the ceiling."""
+    if accepted:
+        return max(damping * DAMPING_DECREASE, DAMPING_FLOOR)
+    if damping * DAMPING_INCREASE > DAMPING_CEILING:
+        raise ConditioningError(iteration, "normal equations unsolvable at maximum damping")
+    return damping * DAMPING_INCREASE
+
+
 def optimize(graph, settings: SolverSettings = None, progress=None):
     """Run damped least squares; returns (solved graph copy, SolveStats).
 
@@ -366,15 +397,14 @@ def optimize(graph, settings: SolverSettings = None, progress=None):
     settings = settings or SolverSettings()
     states = graph.states.copy()
     landmark = graph.landmark.copy()
-    group = graph.group
-    d = group.tangent_dim
+    huber_delta = settings.huber_delta
     edges = gmod.Edges(graph)
     start = int(graph.landmark_fixed or graph.unconstrained)
 
-    ev = edges.evaluate(states, landmark, settings.huber_delta)
+    ev = edges.evaluate(states, landmark, huber_delta)
     # what residuals one rounding unit in size would cost: a smaller
     # predicted decrease is rounding noise, even where the cost itself is
-    k = group.trans_dim
+    k, d = graph.group.trans_dim, graph.group.tangent_dim
     noise_cost = EPS**2 * (
         k * (graph.odo_w_trans.sum() + graph.obs_w_trans.sum())
         + (d - k) * (graph.odo_w_rot.sum() + graph.obs_w_rot.sum())
@@ -392,6 +422,7 @@ def optimize(graph, settings: SolverSettings = None, progress=None):
         record["grad_inf"] = float(np.abs(system[1]).max(initial=0.0))
 
         while True:
+            trial = states, landmark, ev  # where the iteration ends unless a trial is accepted
             solution, seconds = _timed(_solve, *system, damping)
             record["solve_s"] += seconds  # factor and solve, all trials
             if solution is not None:
@@ -399,33 +430,21 @@ def optimize(graph, settings: SolverSettings = None, progress=None):
                 if predicted <= ROUNDING_DECREASE * ev.cost + noise_cost:
                     # no decrease a trial could show: stop where the solve stands,
                     # at a relative decrease of zero
-                    step, cand_states, cand_lm, cand = None, states, landmark, ev
-                    record["damping"] = damping
+                    step = None
                     break
-                cand_states = states.copy()
-                cand_states[start:] = group.retract(states[start:], step.reshape(-1, d))
-                cand_lm = landmark
-                if start == 0:  # move everything by the rigid motion that puts node 0 back
-                    shift = group.compose(states[0], group.inverse(cand_states[0]))
-                    cand_states = group.compose(shift, cand_states)
-                    cand_states[0] = states[0]  # the gauge, bit for bit
-                    cand_lm = group.compose(shift, landmark)
-                cand, seconds = _timed(edges.evaluate, cand_states, cand_lm, settings.huber_delta)
+                trial, seconds = _timed(_trial, edges, start, states, landmark, step, huber_delta)
                 record["cost_s"] += seconds
-                if cand.cost <= ev.cost:
-                    record["damping"] = damping
-                    damping = max(damping * DAMPING_DECREASE, DAMPING_FLOOR)
+                if trial[2].cost <= ev.cost:
                     break
             record["rejected"] += 1
-            damping *= DAMPING_INCREASE
-            if damping > DAMPING_CEILING:
-                raise ConditioningError(
-                    iteration, "normal equations unsolvable at maximum damping"
-                )
+            damping = _damping(damping, False, iteration)
 
         del system, solution  # the trial is decided
+        record["damping"] = damping
+        if step is not None:
+            damping = _damping(damping, True, iteration)
         step_norm = 0.0 if step is None else float(np.linalg.norm(step))
-        decrease = ev.cost - cand.cost
+        decrease = ev.cost - trial[2].cost
         record["step_norm"] = step_norm
         # None without a trial, not NaN: json.dump would write NaN, which is not JSON
         record["gain_ratio"] = None if step is None else decrease / predicted
@@ -433,7 +452,7 @@ def optimize(graph, settings: SolverSettings = None, progress=None):
         if progress is not None:
             progress(iteration, record)
         relative = decrease / ev.cost if ev.cost > 0.0 else 0.0
-        states, landmark, ev = cand_states, cand_lm, cand
+        states, landmark, ev = trial
         trace.append(ev.cost)
         if relative <= COST_TOLERANCE:
             reason = COST_THRESHOLD

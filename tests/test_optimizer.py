@@ -24,7 +24,7 @@ import tunnelgraph.pipeline as pipeline
 import tunnelgraph.simulate as sim
 import tunnelgraph.sync as sync
 from tunnelgraph.optimizer import COST_THRESHOLD, ConditioningError, SolverSettings
-from tunnelgraph.sync import DataError, FULL3D, PLANAR
+from tunnelgraph.sync import DataError, FieldError, FULL3D, PLANAR
 
 from planar_oracle import coordinate_descent, oracle_cost, planar_problem
 from test_acceptance import default_sparse_run
@@ -193,12 +193,23 @@ class TestRobustness:
         pull_robust = np.linalg.norm(robust.states[:, :2] - clean.states[:, :2])
         assert pull_robust < 0.2 * pull_plain
 
-    def test_conditioning_error_on_poisoned_data(self):
+    def test_conditioning_error_on_poisoned_data(self, monkeypatch):
         graph = simulated_graph(seed=8)
         graph.odo_meas[5, 0] = np.nan
+        solve = opt._solve
+        dampings = []
+
+        def recording(*system):
+            dampings.append(system[-1])
+            return solve(*system)
+
+        monkeypatch.setattr(opt, "_solve", recording)
         with pytest.raises(ConditioningError) as err:
             opt.optimize(graph)
-        assert err.value.iteration >= 1
+        # every solve fails, and the damping climbs tenfold from the floor
+        # through the ceiling before the solve gives up
+        assert dampings == pytest.approx([opt.EPS * 10.0**k for k in range(24)], rel=1e-12)
+        assert err.value.iteration == 1
 
 
 class TestSettings:
@@ -207,6 +218,65 @@ class TestSettings:
             SolverSettings(max_iterations=0)
         with pytest.raises(DataError):
             SolverSettings(huber_delta=-1.0)
+        with pytest.raises(FieldError) as err:
+            SolverSettings(max_iterations=2.5)  # range() would reject it mid-solve
+        assert err.value.field == "max_iterations"
+        assert SolverSettings(max_iterations=np.int64(3)).max_iterations == 3
+
+
+class TestDamping:
+    def test_accepted_trial_lowers_it_to_the_floor(self):
+        assert opt._damping(1e-3, True, 1) == 1e-3 * 0.1
+        assert opt._damping(5.0 * opt.EPS, True, 1) == opt.DAMPING_FLOOR
+        assert opt._damping(opt.DAMPING_FLOOR, True, 1) == opt.DAMPING_FLOOR
+
+    def test_rejected_trial_raises_it_to_the_ceiling(self):
+        assert opt._damping(1e-3, False, 1) == 1e-3 * 10.0
+        assert opt._damping(1e7, False, 4) == 1e8 == opt.DAMPING_CEILING
+        with pytest.raises(ConditioningError) as err:
+            opt._damping(1e8, False, 4)
+        assert err.value.iteration == 4
+
+
+class TestTrial:
+    def start(self, graph):
+        """A state off the identity, where node 0's round trip through the
+        gauge shift is not exact, and a step of every node."""
+        states, landmark = perturbed(graph, 5)
+        step = np.random.default_rng(3).normal(0.0, 0.1, graph.node_count * graph.group.tangent_dim)
+        return states, landmark, step
+
+    @pytest.mark.parametrize("mode", [PLANAR, FULL3D])
+    def test_node_0_stays_and_the_rest_moves_rigidly(self, mode):
+        graph = small_problem(mode)[0]  # landmark free and observed: every node moves
+        group, edges = graph.group, gmod.Edges(graph)
+        states, landmark, step = self.start(graph)
+        states_before = states.copy()
+        moved, moved_lm, ev = opt._trial(edges, 0, states, landmark, step, 0.0)
+        assert np.array_equal(states, states_before)
+        assert np.array_equal(moved[0], states[0])  # the gauge, bit for bit
+        assert not np.allclose(moved_lm, landmark)
+        # seen from the landmark frame, every node is where the step put it
+        retracted = group.retract(states, step.reshape(-1, group.tangent_dim))
+        want = group.relative(landmark, retracted)
+        drift = group.log(group.relative(want, group.relative(moved_lm, moved)))
+        assert np.abs(drift).max() < 1e-12
+        assert ev.cost == edges.evaluate(moved, moved_lm, 0.0).cost
+
+    @pytest.mark.parametrize("mode", [PLANAR, FULL3D])
+    def test_held_node_0_and_landmark_are_returned_unchanged(self, mode):
+        graph = small_problem(mode, landmark_fixed=True)[0]
+        group, edges = graph.group, gmod.Edges(graph)
+        states, landmark, step = self.start(graph)
+        step = step[group.tangent_dim :]  # node 0 is not a variable
+        states_before = states.copy()
+        moved, moved_lm, ev = opt._trial(edges, 1, states, landmark, step, 0.05)
+        assert np.array_equal(states, states_before)
+        assert np.array_equal(moved[0], states[0])
+        assert np.array_equal(moved_lm, landmark)
+        want = group.retract(states[1:], step.reshape(-1, group.tangent_dim))
+        assert np.array_equal(moved[1:], want)
+        assert ev.cost == edges.evaluate(moved, moved_lm, 0.05).cost
 
 
 # ---------------------------------------------------------------------------
