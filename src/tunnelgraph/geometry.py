@@ -27,6 +27,14 @@ batched matrix products and einsums left are in the SE(3) entries: the
 3 x 3 blocks of :func:`se3_right_jacobian_inv`, and the 6 x 6
 normal-equation products.
 
+The row contract: operands may have any strides (views such as ``p[1:]``
+or ``p[::2]``, broadcast shapes, single poses).  A kernel copies each
+operand once into contiguous component rows (``_rows``; a kernel that
+reads each component once takes views instead) and writes each column of
+its new C-order packed result once (``_packed``).  The SE(3) kernels keep
+their arithmetic and its order, so they give the same bits on any layout.
+A direct form above the series cutoff runs only when some angle needs it.
+
 The two pose families are :data:`SE2` and :data:`SE3`, instances of one
 :class:`Group` table carrying compose, inverse, exp, log, the conversions
 to and from packed SE(3), and the solver's Jacobian algebra: the adjoint
@@ -39,9 +47,12 @@ Jr^-1 and Ad are, and so is a product of two (Sola, Deray & Atchuthan,
 arXiv:1812.01537, the SE(2) Jacobians).  SE2 carries such a block as its
 factor (a, b, e, f) and forms the products as column expressions over
 the four; SE3 carries the 6 x 6 matrices themselves and forms them by
-batched matrix products.  Code that serves both families takes a group
-and never branches on which one it has.  :class:`Pose3` is the small
-immutable value type used for single placements.
+batched matrix products.  A planar compose takes the cos and sin of its
+left operand's yaw, which ``prepare`` takes once for a pose that composes
+many times, and SE(2) exp and log take half angles.  Code that serves both
+families takes a group and never branches on which one it has.
+:class:`Pose3` is the small immutable value type used for single
+placements.
 """
 
 from __future__ import annotations
@@ -56,112 +67,136 @@ _TAYLOR_CUTOFF = 1e-4
 
 def wrap_angle(theta):
     """Wrap an angle (radians) to (-pi, pi]."""
-    theta = np.asarray(theta, dtype=float)
-    wrapped = np.fmod(theta + np.pi, 2.0 * np.pi)
-    wrapped = np.where(wrapped <= 0.0, wrapped + 2.0 * np.pi, wrapped)
-    out = wrapped - np.pi
+    out = np.add(theta, np.pi, out=np.empty(np.shape(theta)))
+    np.fmod(out, 2.0 * np.pi, out=out)
+    np.add(out, 2.0 * np.pi, out=out, where=out <= 0.0)
+    out -= np.pi
     return float(out) if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------
-# quaternions
+# component rows and quaternions
+
+
+def _components(p):
+    """The components of packed arrays (..., k) as k views (k, ...)."""
+    p = np.asarray(p, dtype=float)
+    return p.transpose(-1, *range(p.ndim - 1))
+
+
+def _rows(p):
+    """The components of packed arrays (..., k) as contiguous rows (k, ...),
+    read in one copy whatever the operand's strides."""
+    return _components(p).copy()
+
+
+def _packed(*columns):
+    """A new C-order (..., k) array of k columns, each written once; the
+    columns broadcast against each other."""
+    out = np.empty(np.broadcast(*columns).shape + (len(columns),))
+    for k, column in enumerate(columns):
+        out[..., k] = column
+    return out
+
+
+def _norm(v):
+    """Euclidean norm of a triple of rows."""
+    x, y, z = v
+    return np.sqrt(x * x + y * y + z * z)
+
+
+def _canonical(q):
+    """Quaternion rows (4, ...) made canonical in place, and returned."""
+    w = q[0]
+    flip = w < 0.0
+    at_half_turn = w == 0.0
+    if np.any(at_half_turn):
+        v = q[1:]
+        lead = np.take_along_axis(v, np.argmax(np.abs(v), axis=0)[None], axis=0)[0]
+        flip = flip | (at_half_turn & (lead < 0.0))
+    return np.negative(q, out=q, where=flip)
 
 
 def quat_canonical(q):
     """Fix the sign ambiguity: w >= 0, ties at w == 0 broken deterministically."""
-    q = np.asarray(q, dtype=float)
-    w = q[..., 0]
-    flip = w < 0.0
-    at_half_turn = w == 0.0
-    if np.any(at_half_turn):
-        v = q[..., 1:]
-        lead = np.take_along_axis(
-            v, np.argmax(np.abs(v), axis=-1)[..., None], axis=-1
-        )[..., 0]
-        flip = flip | (at_half_turn & (lead < 0.0))
-    return np.where(flip[..., None], -q, q)
-
-
-def _dot(a, b):
-    """Row-wise dot product of (..., 3) vectors."""
-    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
+    return _packed(*_canonical(_rows(q)))
 
 
 def norm3(v):
     """Row-wise Euclidean norm of (..., 3) vectors."""
-    return np.sqrt(_dot(v, v))
+    return _norm(_components(v))
 
 
 def quat_norm(q):
     """Row-wise norm of (..., 4) quaternions."""
-    w, x, y, z = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
+    w, x, y, z = _components(q)
     return np.sqrt(w * w + x * x + y * y + z * z)
 
 
 def quat_normalize(q):
-    q = np.asarray(q, dtype=float)
-    return quat_canonical(q / quat_norm(q)[..., None])
+    q = _rows(q)
+    w, x, y, z = q
+    q /= np.sqrt(w * w + x * x + y * y + z * z)
+    return _packed(*_canonical(q))
+
+
+def _quat_mul(a, b):
+    """Hamilton product of quaternion rows."""
+    aw, ax, ay, az = a
+    bw, bx, by, bz = b
+    return (
+        aw * bw - ax * bx - ay * by - az * bz,
+        aw * bx + ax * bw + ay * bz - az * by,
+        aw * by - ax * bz + ay * bw + az * bx,
+        aw * bz + ax * by - ay * bx + az * bw,
+    )
 
 
 def quat_mul(a, b):
     """Hamilton product of (w, x, y, z) quaternions."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    aw, ax, ay, az = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
-    bw, bx, by, bz = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
-    return np.stack(
-        [
-            aw * bw - ax * bx - ay * by - az * bz,
-            aw * bx + ax * bw + ay * bz - az * by,
-            aw * by - ax * bz + ay * bw + az * bx,
-            aw * bz + ax * by - ay * bx + az * bw,
-        ],
-        axis=-1,
-    )
+    return _packed(*_quat_mul(_rows(a), _rows(b)))
 
 
-def quat_conj(q):
-    q = np.asarray(q, dtype=float)
-    return np.concatenate([q[..., :1], -q[..., 1:]], axis=-1)
-
-
-def quat_rotate(q, v):
-    """Rotate vector(s) v by quaternion(s) q: v + w u + q_v x u with
+def _quat_rotate(q, v):
+    """Vector rows v rotated by quaternion rows q: v + w u + q_v x u with
     u = 2 q_v x v, the cross products written out."""
-    q = np.asarray(q, dtype=float)
-    v = np.asarray(v, dtype=float)
-    w, x, y, z = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
-    vx, vy, vz = v[..., 0], v[..., 1], v[..., 2]
+    w, x, y, z = q
+    vx, vy, vz = v
     ux = 2.0 * (y * vz - z * vy)
     uy = 2.0 * (z * vx - x * vz)
     uz = 2.0 * (x * vy - y * vx)
-    return np.stack(
-        [
-            vx + w * ux + (y * uz - z * uy),
-            vy + w * uy + (z * ux - x * uz),
-            vz + w * uz + (x * uy - y * ux),
-        ],
-        axis=-1,
+    return (
+        vx + w * ux + (y * uz - z * uy),
+        vy + w * uy + (z * ux - x * uz),
+        vz + w * uz + (x * uy - y * ux),
     )
+
+
+def quat_rotate(q, v):
+    """Rotate vector(s) v by quaternion(s) q."""
+    return _packed(*_quat_rotate(_rows(q), _rows(v)))
+
+
+def _quat_from_rotvec(r, angle):
+    """Canonical quaternion rows of rotation-vector rows r, |r| = angle."""
+    half = 0.5 * angle
+    # sin(half)/angle written through sinc: smooth at zero, no branch
+    scale = 0.5 * np.sinc(half / np.pi)
+    x, y, z = r
+    return _canonical(np.array([np.cos(half), scale * x, scale * y, scale * z]))
 
 
 def quat_from_rotvec(r):
     """Exponential of a rotation vector as a quaternion."""
-    r = np.asarray(r, dtype=float)
-    half = 0.5 * norm3(r)
-    # sin(half)/angle written through sinc: smooth at zero, no branch
-    scale = 0.5 * np.sinc(half / np.pi)
-    return quat_canonical(
-        np.stack([np.cos(half), scale * r[..., 0], scale * r[..., 1], scale * r[..., 2]], axis=-1)
-    )
+    r = _rows(r)
+    return _packed(*_quat_from_rotvec(r, _norm(r)))
 
 
-def quat_to_rotvec(q):
-    """Principal-branch logarithm of a unit quaternion (angle <= pi)."""
-    q = quat_canonical(np.asarray(q, dtype=float))
-    w = q[..., 0]
-    v = q[..., 1:]
-    s = norm3(v)
+def _quat_to_rotvec(q):
+    """Principal-branch logarithm of unit quaternion rows (angle <= pi),
+    as rows; ``q`` is made canonical in place."""
+    w, x, y, z = _canonical(q)
+    s = np.sqrt(x * x + y * y + z * z)
     small = s < _TAYLOR_CUTOFF
     s_safe = np.where(small, 1.0, s)
     angle = 2.0 * np.arctan2(s, w)
@@ -172,65 +207,89 @@ def quat_to_rotvec(q):
         2.0 / w_safe - 2.0 * s * s / (3.0 * w_safe**3),
         angle / s_safe,
     )
-    return np.stack([scale * v[..., 0], scale * v[..., 1], scale * v[..., 2]], axis=-1)
+    return scale * x, scale * y, scale * z
+
+
+def quat_to_rotvec(q):
+    """Principal-branch logarithm of a unit quaternion (angle <= pi)."""
+    return _packed(*_quat_to_rotvec(_rows(q)))
+
+
+def _quat_matrix(q):
+    """The rotation matrix of quaternion rows, as rows of its entries."""
+    w, x, y, z = q
+    return (
+        (1.0 - 2.0 * (y * y + z * z), 2.0 * (x * y - w * z), 2.0 * (x * z + w * y)),
+        (2.0 * (x * y + w * z), 1.0 - 2.0 * (x * x + z * z), 2.0 * (y * z - w * x)),
+        (2.0 * (x * z - w * y), 2.0 * (y * z + w * x), 1.0 - 2.0 * (x * x + y * y)),
+    )
+
+
+def _matrix(entries):
+    """A new (..., 3, 3) array of 3 x 3 rows of entries."""
+    out = np.empty(np.broadcast(*(e for row in entries for e in row)).shape + (3, 3))
+    for i, row in enumerate(entries):
+        for j, entry in enumerate(row):
+            out[..., i, j] = entry
+    return out
 
 
 def quat_to_matrix(q):
-    q = np.asarray(q, dtype=float)
-    w, x, y, z = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
-    out = np.empty(q.shape[:-1] + (3, 3))
-    out[..., 0, 0] = 1.0 - 2.0 * (y * y + z * z)
-    out[..., 0, 1] = 2.0 * (x * y - w * z)
-    out[..., 0, 2] = 2.0 * (x * z + w * y)
-    out[..., 1, 0] = 2.0 * (x * y + w * z)
-    out[..., 1, 1] = 1.0 - 2.0 * (x * x + z * z)
-    out[..., 1, 2] = 2.0 * (y * z - w * x)
-    out[..., 2, 0] = 2.0 * (x * z - w * y)
-    out[..., 2, 1] = 2.0 * (y * z + w * x)
-    out[..., 2, 2] = 1.0 - 2.0 * (x * x + y * y)
-    return out
+    return _matrix(_quat_matrix(_rows(q)))
 
 
 def quat_yaw(q):
     """Heading about the vertical axis, ZYX convention."""
-    q = np.asarray(q, dtype=float)
-    w, x, y, z = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
+    w, x, y, z = _rows(q)
     out = np.arctan2(2.0 * (w * z + x * y), 1.0 - 2.0 * (y * y + z * z))
-    return float(out) if out.ndim == 0 else out
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def rotation_angle(q):
     """Rotation angle in radians, in [0, pi]."""
-    q = quat_canonical(np.asarray(q, dtype=float))
-    out = 2.0 * np.arctan2(norm3(q[..., 1:]), q[..., 0])
-    return float(out) if out.ndim == 0 else out
+    w, x, y, z = _canonical(_rows(q))
+    out = 2.0 * np.arctan2(np.sqrt(x * x + y * y + z * z), w)
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def _skew_plus_symmetric(w, diagonal, off_diagonal):
     """hat(w) plus the symmetric matrix with the given diagonal and
-    (xy, xz, yz) entries, filled entry by entry; each argument is a triple
-    of columns."""
-    (wx, wy, wz), (sxy, sxz, syz) = w, off_diagonal
-    out = np.empty(np.shape(diagonal[0]) + (3, 3))
-    out[..., 0, 0], out[..., 1, 1], out[..., 2, 2] = diagonal
-    out[..., 0, 1] = sxy - wz
-    out[..., 1, 0] = sxy + wz
-    out[..., 0, 2] = sxz + wy
-    out[..., 2, 0] = sxz - wy
-    out[..., 1, 2] = syz - wx
-    out[..., 2, 1] = syz + wx
-    return out
+    (xy, xz, yz) entries, as rows of entries; each argument is a triple
+    of rows."""
+    (wx, wy, wz), (d0, d1, d2), (sxy, sxz, syz) = w, diagonal, off_diagonal
+    return (
+        (d0, sxy - wz, sxz + wy),
+        (sxy + wz, d1, syz - wx),
+        (sxz - wy, syz + wx, d2),
+    )
+
+
+def _mat_vec(m, v):
+    """The product of rows of 3 x 3 entries and a triple of vector rows."""
+    v0, v1, v2 = v
+    return tuple(m0 * v0 + m1 * v1 + m2 * v2 for m0, m1, m2 in m)
 
 
 def _so3_series(r, a, b):
-    """I + a hat(r) + b hat(r)^2, with hat(r)^2 = r r^T - |r|^2 I: off the
-    diagonal r_i r_j, on it -(r_j^2 + r_k^2), free of cancellation."""
-    x, y, z = r[..., 0], r[..., 1], r[..., 2]
+    """I + a hat(r) + b hat(r)^2 of rows r, as entries, with hat(r)^2 =
+    r r^T - |r|^2 I: off the diagonal r_i r_j, on it -(r_j^2 + r_k^2),
+    free of cancellation."""
+    x, y, z = r
     return _skew_plus_symmetric(
         (a * x, a * y, a * z),
         (1.0 - b * (y * y + z * z), 1.0 - b * (x * x + z * z), 1.0 - b * (x * x + y * y)),
         (b * x * y, b * x * z, b * y * z),
     )
+
+
+def _series_or_direct(angle, series, direct):
+    """``series`` where the angle is below 1e-2, and elsewhere ``direct(t)``
+    at t = the angle (1 where the series holds, so that no form divides by
+    zero).  The direct form runs only when some angle needs it."""
+    small = angle < 1e-2
+    if np.all(small):
+        return series
+    return np.where(small, series, direct(np.where(small, 1.0, angle)))
 
 
 def _so3_coeffs(angle):
@@ -239,38 +298,34 @@ def _so3_coeffs(angle):
     # (1-cos t)/t^2 = 2 sin^2(t/2)/t^2 = 0.5 sinc^2(t/(2 pi))
     half_sinc = np.sinc(angle / (2.0 * np.pi))
     a = 0.5 * half_sinc * half_sinc
-    small = angle < 1e-2
-    safe = np.where(small, 1.0, angle)
-    b = np.where(
-        small,
-        1.0 / 6.0 - t2 / 120.0 + t2 * t2 / 5040.0,
-        (safe - np.sin(safe)) / (safe**3),
+    b = _series_or_direct(
+        angle, 1.0 / 6.0 - t2 / 120.0 + t2 * t2 / 5040.0, lambda t: (t - np.sin(t)) / (t**3)
     )
     return a, b
 
 
 def so3_left_jacobian(r):
     """V matrix: integrates a rotation along the geodesic (also SO(3) J_l)."""
-    r = np.asarray(r, dtype=float)
-    a, b = _so3_coeffs(norm3(r))
-    return _so3_series(r, a, b)
+    r = _rows(r)
+    return _matrix(_so3_series(r, *_so3_coeffs(_norm(r))))
 
 
 def _half_cot_coeff(angle):
     """(1 - (t/2) cot(t/2)) / t^2 for t >= 0, by its series below 1e-2."""
     t2 = angle * angle
-    small = angle < 1e-2
-    safe = np.where(small, 1.0, angle)
-    return np.where(
-        small,
+    return _series_or_direct(
+        angle,
         1.0 / 12.0 + t2 / 720.0 + t2 * t2 / 30240.0,
-        (1.0 - 0.5 * safe / np.tan(0.5 * safe)) / (safe * safe),
+        lambda t: (1.0 - 0.5 * t / np.tan(0.5 * t)) / (t * t),
     )
 
 
+def _so3_left_jacobian_inv(r):
+    return _so3_series(r, -0.5, _half_cot_coeff(_norm(r)))
+
+
 def so3_left_jacobian_inv(r):
-    r = np.asarray(r, dtype=float)
-    return _so3_series(r, -0.5, _half_cot_coeff(norm3(r)))
+    return _matrix(_so3_left_jacobian_inv(_rows(r)))
 
 
 # ---------------------------------------------------------------------------
@@ -280,47 +335,43 @@ POSE3_IDENTITY = np.array([0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0])
 
 
 def pose3_compose(a, b):
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    t = a[..., :3] + quat_rotate(a[..., 3:], b[..., :3])
-    return np.concatenate([t, quat_mul(a[..., 3:], b[..., 3:])], axis=-1)
+    a, b = _rows(a), _rows(b)
+    t0, t1, t2 = _quat_rotate(a[3:], b[:3])
+    return _packed(a[0] + t0, a[1] + t1, a[2] + t2, *_quat_mul(a[3:], b[3:]))
 
 
 def pose3_inverse(p):
-    p = np.asarray(p, dtype=float)
-    qc = quat_conj(p[..., 3:])
-    return np.concatenate([-quat_rotate(qc, p[..., :3]), qc], axis=-1)
-
-
-def _mat_vec(m, v):
-    """Row-wise product of (..., 3, 3) matrices and (..., 3) vectors."""
-    return np.stack([_dot(m[..., i, :], v) for i in range(3)], axis=-1)
+    tx, ty, tz, w, x, y, z = _rows(p)
+    qc = w, -x, -y, -z
+    t0, t1, t2 = _quat_rotate(qc, (tx, ty, tz))
+    return _packed(-t0, -t1, -t2, *qc)
 
 
 def se3_exp(xi):
-    xi = np.asarray(xi, dtype=float)
-    rho, theta = xi[..., :3], xi[..., 3:]
-    t = _mat_vec(so3_left_jacobian(theta), rho)
-    return np.concatenate([t, quat_from_rotvec(theta)], axis=-1)
+    xi = _rows(xi)
+    rho, theta = xi[:3], xi[3:]
+    angle = _norm(theta)
+    t = _mat_vec(_so3_series(theta, *_so3_coeffs(angle)), rho)
+    return _packed(*t, *_quat_from_rotvec(theta, angle))
 
 
 def se3_log(p):
-    p = np.asarray(p, dtype=float)
-    theta = quat_to_rotvec(p[..., 3:])
-    rho = _mat_vec(so3_left_jacobian_inv(theta), p[..., :3])
-    return np.concatenate([rho, theta], axis=-1)
+    p = _rows(p)
+    theta = _quat_to_rotvec(p[3:])
+    return _packed(*_mat_vec(_so3_left_jacobian_inv(theta), p[:3]), *theta)
 
 
 def se3_adjoint(p):
     """[[R, hat(t) R], [0, R]]; column j of hat(t) R is t x R[:, j]."""
-    p = np.asarray(p, dtype=float)
-    rot = quat_to_matrix(p[..., 3:])
-    out = np.zeros(p.shape[:-1] + (6, 6))
-    out[..., :3, :3] = rot
-    out[..., 3:, 3:] = rot
-    tx, ty, tz = p[..., 0], p[..., 1], p[..., 2]
+    p = _rows(p)
+    rot = _quat_matrix(p[3:])
+    out = np.zeros(np.shape(p[0]) + (6, 6))
+    for i in range(3):
+        for j in range(3):
+            out[..., i, j] = out[..., 3 + i, 3 + j] = rot[i][j]
+    tx, ty, tz = p[:3]
     for j in range(3):
-        r0, r1, r2 = rot[..., 0, j], rot[..., 1, j], rot[..., 2, j]
+        r0, r1, r2 = rot[0][j], rot[1][j], rot[2][j]
         out[..., 0, 3 + j] = ty * r2 - tz * r1
         out[..., 1, 3 + j] = tz * r0 - tx * r2
         out[..., 2, 3 + j] = tx * r1 - ty * r0
@@ -337,25 +388,29 @@ def _se3_q_matrix(rho, theta):
     - 2 c4 (theta.rho) pp, with a = (1/2 - c3 t^2) rho + (2 c3 - c2)
     (theta.rho) theta and pp = theta theta^T - t^2 I, filled entry by entry.
     """
-    angle = norm3(theta)
+    tx, ty, tz = theta = _rows(theta)
+    rx, ry, rz = _rows(rho)
+    angle = _norm(theta)
     t2 = angle * angle
-    small = angle < 1e-2
-    safe = np.where(small, 1.0, angle)
-    sin_t, cos_t = np.sin(safe), np.cos(safe)
-    c2 = np.where(small, 1.0 / 6.0 - t2 / 120.0, (safe - sin_t) / safe**3)
-    c3 = -np.where(
-        small, -1.0 / 24.0 + t2 / 720.0, (1.0 - t2 / 2.0 - cos_t) / safe**4
-    )
-    c4part = np.where(
-        small, -1.0 / 120.0 + t2 / 2520.0, (safe - sin_t - safe**3 / 6.0) / safe**5
-    )
+
+    def direct(t):  # c2, -c3 and the c4 part, at angles of 1e-2 and more
+        sin_t, cos_t = np.sin(t), np.cos(t)
+        return np.array([
+            (t - sin_t) / t**3,
+            (1.0 - t * t / 2.0 - cos_t) / t**4,
+            (t - sin_t - t**3 / 6.0) / t**5,
+        ])
+
+    series = np.array([
+        1.0 / 6.0 - t2 / 120.0, -1.0 / 24.0 + t2 / 720.0, -1.0 / 120.0 + t2 / 2520.0
+    ])
+    c2, neg_c3, c4part = _series_or_direct(angle, series, direct)
+    c3 = -neg_c3
     c4 = 0.5 * (c3 + 3.0 * c4part)
-    tx, ty, tz = theta[..., 0], theta[..., 1], theta[..., 2]
-    rx, ry, rz = rho[..., 0], rho[..., 1], rho[..., 2]
-    dot = _dot(theta, rho)
+    dot = tx * rx + ty * ry + tz * rz
     e = 2.0 * c4 * dot
     on_rho, on_theta = 0.5 - c3 * t2, (2.0 * c3 - c2) * dot
-    return _skew_plus_symmetric(
+    return _matrix(_skew_plus_symmetric(
         (on_rho * rx + on_theta * tx, on_rho * ry + on_theta * ty, on_rho * rz + on_theta * tz),
         (
             e * (ty * ty + tz * tz) - 2.0 * c2 * (ry * ty + rz * tz),
@@ -367,7 +422,7 @@ def _se3_q_matrix(rho, theta):
             c2 * (rx * tz + tx * rz) - e * tx * tz,
             c2 * (ry * tz + ty * rz) - e * ty * tz,
         ),
-    )
+    ))
 
 
 def se3_right_jacobian_inv(xi):
@@ -405,8 +460,8 @@ def _se3_edge_normals(neg_left, right, w_trans, w_rot, r):
     )
 
 
-def _se3_take(matrices, index):
-    return np.take(matrices, index, axis=0)
+def _se3_take(arrays, index):
+    return np.take(arrays, index, axis=0)
 
 
 def _se3_run_normals(jacobian, w_trans, w_rot, r, runs, adjoint):
@@ -425,60 +480,58 @@ def _se3_run_normals(jacobian, w_trans, w_rot, r, runs, adjoint):
 POSE2_IDENTITY = np.array([0.0, 0.0, 0.0])
 
 
+def _se2_prepare(p):
+    """Planar poses as the left operand of a compose: the rows (x, y, yaw,
+    cos yaw, sin yaw).  Poses already prepared are returned as they are."""
+    if isinstance(p, tuple):
+        return p
+    x, y, yaw = _rows(p)
+    return x, y, yaw, np.cos(yaw), np.sin(yaw)
+
+
 def pose2_compose(a, b):
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    c, s = np.cos(a[..., 2]), np.sin(a[..., 2])
-    x = a[..., 0] + (c * b[..., 0] - s * b[..., 1])
-    y = a[..., 1] + (s * b[..., 0] + c * b[..., 1])
-    return np.stack([x, y, wrap_angle(a[..., 2] + b[..., 2])], axis=-1)
+    """a * b, with ``a`` packed or prepared (:func:`_se2_prepare`)."""
+    ax, ay, ayaw, c, s = _se2_prepare(a)
+    bx, by, byaw = _rows(b)
+    return _packed(ax + (c * bx - s * by), ay + (s * bx + c * by), wrap_angle(ayaw + byaw))
 
 
 def pose2_inverse(p):
-    p = np.asarray(p, dtype=float)
-    c, s = np.cos(p[..., 2]), np.sin(p[..., 2])
-    x = -(c * p[..., 0] + s * p[..., 1])
-    y = -(-s * p[..., 0] + c * p[..., 1])
-    return np.stack([x, y, wrap_angle(-p[..., 2])], axis=-1)
-
-
-def _se2_v_coeffs(gamma):
-    # sin g / g and (1 - cos g)/g through sinc: smooth, cancellation-free
-    alpha = np.sinc(gamma / np.pi)
-    beta = np.sin(0.5 * gamma) * np.sinc(gamma / (2.0 * np.pi))
-    return alpha, beta
+    x, y, yaw = _rows(p)
+    c, s = np.cos(yaw), np.sin(yaw)
+    return _packed(-(c * x + s * y), -(-s * x + c * y), wrap_angle(-yaw))
 
 
 def se2_exp(xi):
-    xi = np.asarray(xi, dtype=float)
-    rho, gamma = xi[..., :2], xi[..., 2]
-    alpha, beta = _se2_v_coeffs(gamma)
-    x = alpha * rho[..., 0] - beta * rho[..., 1]
-    y = beta * rho[..., 0] + alpha * rho[..., 1]
-    yaw = wrap_angle(gamma)
-    return np.stack([x, y, np.asarray(yaw)], axis=-1)
+    """V(gamma) rho and gamma, with V = [[a, -b], [b, a]], a = sin g / g and
+    b = (1 - cos g) / g written through half angles: sin(g/2) / (g/2) times
+    cos(g/2) and sin(g/2)."""
+    x, y, gamma = _rows(xi)
+    half = 0.5 * gamma
+    sin_half = np.sin(half)
+    ratio = np.divide(sin_half, half, out=np.ones_like(half), where=half != 0.0)
+    a, b = ratio * np.cos(half), ratio * sin_half
+    return _packed(a * x - b * y, b * x + a * y, wrap_angle(gamma))
 
 
 def se2_log(p):
-    p = np.asarray(p, dtype=float)
-    gamma = p[..., 2]
-    alpha, beta = _se2_v_coeffs(gamma)
-    denom = alpha * alpha + beta * beta
-    x = (alpha * p[..., 0] + beta * p[..., 1]) / denom
-    y = (-beta * p[..., 0] + alpha * p[..., 1]) / denom
-    return np.stack([x, y, gamma], axis=-1)
+    """V(gamma)^-1 t and gamma: V^-1 = [[q, g/2], [-g/2, q]] with
+    q = (g/2) cot(g/2) = 1 - c g^2, the q and c of Jr^-1: one tan a row."""
+    x, y, gamma = _rows(p)
+    q = 1.0 - _half_cot_coeff(np.abs(gamma)) * gamma * gamma
+    half = 0.5 * gamma
+    return _packed(q * x + half * y, q * y - half * x, gamma)
 
 
 def _se2_adjoint_factor(p):
     """Ad(p) as its factor: (cos yaw, sin yaw, y, -x)."""
-    p = np.asarray(p, dtype=float)
-    return np.cos(p[..., 2]), np.sin(p[..., 2]), p[..., 1], -p[..., 0]
+    x, y, yaw = _rows(p)
+    return np.cos(yaw), np.sin(yaw), y, -x
 
 
 def _se2_jr_inv_factor(xi):
     """Jr^-1(xi) as its factor (see :func:`se2_right_jacobian_inv`)."""
-    xi = np.asarray(xi, dtype=float)
-    x, y, gamma = xi[..., 0], xi[..., 1], xi[..., 2]
+    x, y, gamma = _rows(xi)
     cg = _half_cot_coeff(np.abs(gamma)) * gamma
     return 1.0 - cg * gamma, 0.5 * gamma, cg * x + 0.5 * y, cg * y - 0.5 * x
 
@@ -516,8 +569,14 @@ def _se2_factor_product(left, right):
     )
 
 
-def _se2_factor_take(factor, index):
-    return tuple(np.take(c, index) for c in factor)
+def _se2_take(rows, index):
+    return tuple(np.take(c, index) for c in rows)
+
+
+def _se2_blocks(shape):
+    """A new (..., 3, 3) array held component-major, so that each entry's
+    column over the batch is contiguous and is written in one pass."""
+    return np.moveaxis(np.empty((3, 3) + shape), (0, 1), (-2, -1))
 
 
 def _se2_gram(left, right, w_trans, w_rot):
@@ -526,7 +585,7 @@ def _se2_gram(left, right, w_trans, w_rot):
     P = w_t (a1 a2 + b1 b2) and Q = w_t (a1 b2 - b1 a2)."""
     a1, b1, e1, f1 = left
     a2, b2, e2, f2 = right
-    out = np.empty(np.shape(a1) + (3, 3))
+    out = _se2_blocks(np.shape(a1))
     out[..., 0, 0] = out[..., 1, 1] = w_trans * (a1 * a2 + b1 * b2)
     out[..., 1, 0] = w_trans * (a1 * b2 - b1 * a2)
     out[..., 0, 1] = -out[..., 1, 0]
@@ -578,7 +637,7 @@ def _se2_run_normals(factor, w_trans, w_rot, r, runs, adjoint):
     del table
     ga, gb, ge, gf = adjoint
     s, t = p * ge + x, p * gf + y  # the top of S G's last column
-    out = np.empty(p.shape + (3, 3))
+    out = _se2_blocks(p.shape)
     out[..., 0, 0] = out[..., 1, 1] = p * (ga * ga + gb * gb)
     out[..., 0, 1] = out[..., 1, 0] = 0.0
     out[..., 0, 2] = out[..., 2, 0] = ga * s + gb * t
@@ -590,24 +649,15 @@ def _se2_run_normals(factor, w_trans, w_rot, r, runs, adjoint):
 
 def pose2_to_pose3_packed(p2):
     """Embed packed planar poses (..., 3) in 3D (..., 7): z = 0, yaw-only rotation."""
-    p2 = np.asarray(p2, dtype=float)
-    half = 0.5 * p2[..., 2]
-    zeros = np.zeros_like(half)
-    return np.concatenate(
-        [
-            p2[..., :2],
-            zeros[..., None],
-            np.stack([np.cos(half), zeros, zeros, np.sin(half)], axis=-1),
-        ],
-        axis=-1,
-    )
+    x, y, yaw = _components(p2)
+    half = 0.5 * yaw
+    return _packed(x, y, 0.0, np.cos(half), 0.0, 0.0, np.sin(half))
 
 
 def pose3_to_pose2_packed(p3):
     """Drop packed 3D poses (..., 7) to the plane (..., 3): xy and heading."""
-    p3 = np.asarray(p3, dtype=float)
-    yaw = quat_yaw(p3[..., 3:])
-    return np.concatenate([p3[..., :2], np.asarray(yaw)[..., None]], axis=-1)
+    tx, ty, _, w, x, y, z = _components(p3)
+    return _packed(tx, ty, np.arctan2(2.0 * (w * z + x * y), 1.0 - 2.0 * (y * y + z * z)))
 
 
 def pose3_interpolate(a, b, alpha):
@@ -636,10 +686,15 @@ class Group:
     the layout every track and observation is stored in.  Tangent
     vectors put the ``trans_dim`` translation components first.
 
+    ``compose`` takes its left operand packed, or ``prepare``d: in the
+    form that carries what composing on its left needs (for SE2, the cos
+    and sin of its yaw; SE3 needs nothing more), so that a pose composed
+    many times pays for that once.  ``take`` gathers rows of a prepared
+    pose or of a factor.
+
     The Jacobian blocks of the solver are carried as factors: the
     ``adjoint_factor`` and ``jr_inv_factor`` of poses and twists, their
-    ``factor_product``, ``factor_take`` to gather them by row, and
-    ``expand`` to the (..., d, d) matrices.  On them, with W the diagonal
+    ``factor_product``, and ``expand`` to the (..., d, d) matrices.  On them, with W the diagonal
     of per-edge weights (``w_trans`` on the translation components,
     ``w_rot`` on the rest), ``edge_normals`` forms the blocks J_a^T W J_b
     and gradients J^T W r of edges between two states, and
@@ -655,10 +710,11 @@ class Group:
     inverse: Callable
     exp: Callable
     log: Callable
+    prepare: Callable
+    take: Callable
     adjoint_factor: Callable
     jr_inv_factor: Callable
     factor_product: Callable
-    factor_take: Callable
     expand: Callable
     edge_normals: Callable
     run_normals: Callable
@@ -673,26 +729,30 @@ class Group:
         """Right-multiplicative update x * exp(delta)."""
         return self.compose(x, self.exp(delta))
 
-    def between(self, meas_inv, a_inv, b):
+    def between(self, meas_inv, a_inv, b, index=None):
         """Tangent residual of a measured a -> b transform, log(meas^-1 * rel),
         and the transform it measures, rel = a^-1 * b.  It takes the inverted
         measurement and the inverted a, so that a caller can invert each
-        constant measurement once and each state once for all its edges."""
+        constant measurement once and each state once for all its edges.
+        With ``index``, row k of b is measured from row ``index[k]`` of
+        ``a_inv``, which is prepared once for all the rows that take it."""
+        if index is not None:
+            a_inv = self.take(self.prepare(a_inv), index)
         rel = self.compose(a_inv, b)
         return self.log(self.compose(meas_inv, rel)), rel
 
 
 SE2 = Group(
     3, 3, 2, POSE2_IDENTITY,
-    pose2_compose, pose2_inverse, se2_exp, se2_log,
-    _se2_adjoint_factor, _se2_jr_inv_factor, _se2_factor_product, _se2_factor_take, _se2_expand,
+    pose2_compose, pose2_inverse, se2_exp, se2_log, _se2_prepare, _se2_take,
+    _se2_adjoint_factor, _se2_jr_inv_factor, _se2_factor_product, _se2_expand,
     _se2_edge_normals, _se2_run_normals,
     pose3_to_pose2_packed, pose2_to_pose3_packed,
 )
 SE3 = Group(
     7, 6, 3, POSE3_IDENTITY,
-    pose3_compose, pose3_inverse, se3_exp, se3_log,
-    se3_adjoint, se3_right_jacobian_inv, np.matmul, _se3_take, np.asarray,
+    pose3_compose, pose3_inverse, se3_exp, se3_log, np.asarray, _se3_take,
+    se3_adjoint, se3_right_jacobian_inv, np.matmul, np.asarray,
     _se3_edge_normals, _se3_run_normals,
     _copy, _copy,
 )

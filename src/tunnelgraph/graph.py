@@ -156,7 +156,8 @@ def build_graph(
     order = aligned.obs_order
     obs_node = aligned.obs_node
     obs_pole = obs.pole_ids[order]
-    obs_meas = group.from_pose3(obs.rel[order])
+    # converted, then ordered: a planar graph makes no ordered (M, 7) copy
+    obs_meas = np.take(group.from_pose3(obs.rel), order, axis=0)
 
     graph = PoseGraph(
         source=aligned.track.source,
@@ -230,7 +231,8 @@ class Edges:
     Its residual functions, the group's ``between`` of each measurement,
     serve the cost, the analytic Jacobians and their finite-difference
     check.  An observation residual gathers the states of a slab's
-    observing nodes and inverts each once for its whole run of sightings.
+    observing nodes, and inverts and prepares each once for its whole run
+    of sightings.
     """
 
     def __init__(self, graph: PoseGraph):
@@ -268,8 +270,9 @@ class Edges:
         # np.take gathers rows several times faster than fancy indexing
         target = np.take(graph.pole_world_poses(landmark), graph.obs_pole[sightings], axis=0)
         observing = np.take(states, self.observed[nodes], axis=0)
-        a_inv = np.take(group.inverse(observing), self.node_index(slab), axis=0)
-        return group.between(self.obs_meas_inv[sightings], a_inv, target)
+        return group.between(
+            self.obs_meas_inv[sightings], group.inverse(observing), target, self.node_index(slab)
+        )
 
     def evaluate(self, states, landmark, huber_delta=0.0) -> Evaluation:
         """Every edge at (states, landmark).  The sighting residuals are
@@ -289,10 +292,21 @@ class Edges:
 
 def _weighted_sq(graph: PoseGraph, r, w_trans, w_rot):
     """Weighted squared norm of every residual row: the first ``trans_dim``
-    components take the translation weight and the rest the rotation weight."""
-    squares = [r[:, c] * r[:, c] for c in range(r.shape[1])]
+    components take the translation weight and the rest the rotation weight.
+    The sums accumulate in place, so few (M,) temporaries are alive at once."""
+
+    def squares(first, stop):
+        out = r[:, first] * r[:, first]
+        for c in range(first + 1, stop):
+            out += r[:, c] * r[:, c]
+        return out
+
     k = graph.group.trans_dim
-    return w_trans * sum(squares[:k]) + w_rot * sum(squares[k:])
+    out, rot = squares(0, k), squares(k, r.shape[1])
+    out *= w_trans
+    rot *= w_rot
+    out += rot
+    return out
 
 
 def _huber(sq, weights, delta):

@@ -61,10 +61,12 @@ observing nodes, never splitting a node's run) and written straight into
 the per-node blocks, so no (M, d, d) array over the M sightings exists.
 An iteration's blocks are released once assembled, and its system once
 the trial is decided, so the next iteration builds its own with none of
-them alive.  Assembly sums each node's diagonal block and gradient from
-the chain, and the reduction reads those blocks, and each node's
-coupling to its successor, component-major through transposed views; it
-adds the damping as its first level copies them.
+them alive.  The planar blocks are written component-major (each entry's
+column over the edges or nodes contiguous), assembly sums each node's
+diagonal block into a component-major array and its gradient from the
+chain, and the reduction reads the blocks and each node's coupling to its
+successor component-major; it adds the damping as its first level copies
+them.
 """
 
 from __future__ import annotations
@@ -191,7 +193,7 @@ def _sighting_jacobians(edges, states, landmark, ev, slab):
     group = edges.graph.group
     nodes, sightings = slab
     # landmark * exp(d) * pole = (landmark * pole) * exp(Ad(pole^-1) d)
-    poles = group.factor_take(edges.pole_adjoint, edges.graph.obs_pole[sightings])
+    poles = group.take(edges.pole_adjoint, edges.graph.obs_pole[sightings])
     jl_s = group.factor_product(group.jr_inv_factor(ev.r_obs[sightings]), poles)
     observing = np.take(states, edges.observed[nodes], axis=0)
     return jl_s, group.adjoint_factor(group.relative(landmark, observing))
@@ -222,7 +224,7 @@ def _blocks(edges, states, landmark, ev):
     blocks, products_s = _timed(_products, edges, ev, jacobians)
     del jacobians
     k, d = edges.observed.size, edges.graph.group.tangent_dim
-    sii = blocks["sii"] = np.empty((k, d, d))
+    sii = blocks["sii"] = np.moveaxis(np.empty((d, d, k)), -1, 0)  # stored as _assemble reads it
     si = blocks["si"] = np.empty((k, d))
     for slab in edges.slabs:
         jacobians, seconds = _timed(_sighting_jacobians, edges, states, landmark, ev, slab)
@@ -238,6 +240,7 @@ def _blocks(edges, states, landmark, ev):
 def _assemble(edges, start, blocks):
     """The damped normal equations' matrix and gradient over the moving
     nodes: ((diag, upper), gradient), the gradient flat and node-major.
+    It empties ``blocks``, releasing each block once it is summed.
 
     A step holds one frame fixed: the landmark frame when it is free and
     observed, so that every node from ``start = 0`` moves, and node 0
@@ -248,15 +251,21 @@ def _assemble(edges, start, blocks):
     is the block A[k, k] and ``upper[:, :, k]`` the block A[k, k + 1].
     """
     n, d = edges.graph.node_count, edges.graph.group.tangent_dim
-    diag = np.zeros((n, d, d))  # summed node-major, whole blocks at a time
-    diag[:-1] = blocks["oii"]
-    diag[1:] += blocks["ojj"]
-    diag[edges.observed] += blocks["sii"]
+
+    def component_major(name):  # a (k, d, d) block array as (d, d, k)
+        return np.moveaxis(blocks.pop(name), 0, -1)
+
+    diag = np.zeros((d, d, n))
+    diag[:, :, :-1] = component_major("oii")
+    diag[:, :, 1:] += component_major("ojj")
+    # entry by entry: a scatter along the last axis of a (d, d, n) array is slower
+    for entry, summed in zip(diag.reshape(d * d, n), component_major("sii").reshape(d * d, -1)):
+        entry[edges.observed] += summed
     grad = np.zeros((n, d))
-    grad[:-1] = blocks["oi"]
-    grad[1:] += blocks["oj"]
-    grad[edges.observed] += blocks["si"]
-    matrix = diag[start:].transpose(1, 2, 0), blocks["oij"][start:].transpose(1, 2, 0)
+    grad[:-1] = blocks.pop("oi")
+    grad[1:] += blocks.pop("oj")
+    grad[edges.observed] += blocks.pop("si")
+    matrix = diag[:, :, start:], component_major("oij")[:, :, start:]
     return matrix, grad[start:].ravel()
 
 
@@ -269,7 +278,8 @@ def _solve(matrix, grad, damping):
     d = diag.shape[0]
     pivots = diag[np.arange(d), np.arange(d)]  # (d, m), the diagonal entries
     floor = 1e-12 * max(float(pivots.max()), 1.0)
-    scale = damping * np.maximum(pivots, floor)
+    scale = np.maximum(pivots, floor, out=pivots)
+    scale *= damping
     with np.errstate(invalid="ignore", divide="ignore"):  # a bad pivot returns None
         x = _block_cyclic_reduction(diag, upper, -grad.reshape(-1, d).T, scale)
     if x is None or not np.all(np.isfinite(x)):

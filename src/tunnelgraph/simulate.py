@@ -25,6 +25,7 @@ gives the same scenario.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -87,7 +88,11 @@ class LandmarkLayout:
 
     def __post_init__(self):
         check_fields(
-            self, count=(lambda v: v >= 1, "needs at least one pole"), spacing=POSITIVE
+            self,
+            count=(
+                lambda v: isinstance(v, Integral) and v >= 1, "must be an integer of at least 1"
+            ),
+            spacing=POSITIVE,
         )
 
     def template(self) -> np.ndarray:
@@ -393,6 +398,7 @@ def simulate_landmark_observations(
     visible = (dist <= model.max_range) & (bearing <= np.radians(model.max_bearing_deg))
     tick_index, pole_ids = np.nonzero(visible)
     measured = rel[tick_index, pole_ids]
+    del rel, dist, bearing, visible  # the sweep's arrays go before the sightings are built
 
     sigma_rot = np.radians(model.sigma_rot_deg)
     sigmas = [sigma for sigma in (model.sigma_trans, sigma_rot) if sigma > 0.0]

@@ -255,6 +255,12 @@ def se3_right_jacobian(xi):
     return out
 
 
+def sinc_v_coeffs(gamma):
+    """sin g / g and (1 - cos g) / g through sinc: the V matrix of SE(2)
+    is [[a, -b], [b, a]]."""
+    return np.sinc(gamma / np.pi), np.sin(0.5 * gamma) * np.sinc(gamma / (2.0 * np.pi))
+
+
 def se2_right_jacobian(xi):
     """Jr = [[M, c], [0, 1]], M the V matrix of -gamma."""
     xi = np.asarray(xi, dtype=float)
@@ -270,7 +276,7 @@ def se2_right_jacobian(xi):
         (safe - np.sin(safe)) / (safe * safe),
     )
     out = np.zeros(xi.shape[:-1] + (3, 3))
-    alpha, beta = g._se2_v_coeffs(-gamma)
+    alpha, beta = sinc_v_coeffs(-gamma)
     out[..., 0, 0] = alpha
     out[..., 0, 1] = -beta
     out[..., 1, 0] = beta
@@ -538,3 +544,225 @@ def test_group_identities(group, data):
     back = group.from_pose3(group.to_pose3(a))
     assert back.shape == (group.packed_dim,)
     assert np.abs(group.log(group.relative(a, back))).max() < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the row kernels against the packed column formulas they replaced: the
+# same arithmetic in the same order, so equal bit for bit on any operand
+
+
+def ref_quat_canonical(q):
+    w = q[..., 0]
+    flip = w < 0.0
+    at_half_turn = w == 0.0
+    if np.any(at_half_turn):
+        v = q[..., 1:]
+        lead = np.take_along_axis(v, np.argmax(np.abs(v), axis=-1)[..., None], axis=-1)[..., 0]
+        flip = flip | (at_half_turn & (lead < 0.0))
+    return np.where(flip[..., None], -q, q)
+
+
+def ref_norm3(v):
+    return np.sqrt(v[..., 0] * v[..., 0] + v[..., 1] * v[..., 1] + v[..., 2] * v[..., 2])
+
+
+def ref_quat_mul(a, b):
+    aw, ax, ay, az = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
+    bw, bx, by, bz = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
+    return np.stack([
+        aw * bw - ax * bx - ay * by - az * bz,
+        aw * bx + ax * bw + ay * bz - az * by,
+        aw * by - ax * bz + ay * bw + az * bx,
+        aw * bz + ax * by - ay * bx + az * bw,
+    ], axis=-1)
+
+
+def ref_quat_rotate(q, v):
+    w, x, y, z = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
+    vx, vy, vz = v[..., 0], v[..., 1], v[..., 2]
+    ux = 2.0 * (y * vz - z * vy)
+    uy = 2.0 * (z * vx - x * vz)
+    uz = 2.0 * (x * vy - y * vx)
+    return np.stack([
+        vx + w * ux + (y * uz - z * uy),
+        vy + w * uy + (z * ux - x * uz),
+        vz + w * uz + (x * uy - y * ux),
+    ], axis=-1)
+
+
+def ref_pose3_compose(a, b):
+    t = a[..., :3] + ref_quat_rotate(a[..., 3:], b[..., :3])
+    return np.concatenate([t, ref_quat_mul(a[..., 3:], b[..., 3:])], axis=-1)
+
+
+def ref_pose3_inverse(p):
+    qc = np.concatenate([p[..., 3:4], -p[..., 4:]], axis=-1)
+    return np.concatenate([-ref_quat_rotate(qc, p[..., :3]), qc], axis=-1)
+
+
+def ref_quat_normalize(q):
+    n = np.sqrt(q[..., 0] ** 2 + q[..., 1] ** 2 + q[..., 2] ** 2 + q[..., 3] ** 2)
+    return ref_quat_canonical(q / n[..., None])
+
+
+def ref_quat_from_rotvec(r):
+    half = 0.5 * ref_norm3(r)
+    scale = 0.5 * np.sinc(half / np.pi)
+    return ref_quat_canonical(np.stack(
+        [np.cos(half), scale * r[..., 0], scale * r[..., 1], scale * r[..., 2]], axis=-1
+    ))
+
+
+def ref_quat_to_rotvec(q):
+    q = ref_quat_canonical(q)
+    w, v = q[..., 0], q[..., 1:]
+    s = ref_norm3(v)
+    small = s < 1e-4
+    w_safe = np.where(w == 0.0, 1.0, w)
+    scale = np.where(
+        small, 2.0 / w_safe - 2.0 * s * s / (3.0 * w_safe**3),
+        2.0 * np.arctan2(s, w) / np.where(small, 1.0, s),
+    )
+    return scale[..., None] * v
+
+
+def ref_so3_series(r, a, b):
+    x, y, z = r[..., 0], r[..., 1], r[..., 2]
+    wx, wy, wz = a * x, a * y, a * z
+    sxy, sxz, syz = b * x * y, b * x * z, b * y * z
+    return np.stack([
+        np.stack([1.0 - b * (y * y + z * z), sxy - wz, sxz + wy], axis=-1),
+        np.stack([sxy + wz, 1.0 - b * (x * x + z * z), syz - wx], axis=-1),
+        np.stack([sxz - wy, syz + wx, 1.0 - b * (x * x + y * y)], axis=-1),
+    ], axis=-2)
+
+
+def ref_mat_vec(m, v):
+    return np.stack([
+        m[..., i, 0] * v[..., 0] + m[..., i, 1] * v[..., 1] + m[..., i, 2] * v[..., 2]
+        for i in range(3)
+    ], axis=-1)
+
+
+def ref_se3_exp(xi):
+    rho, theta = xi[..., :3], xi[..., 3:]
+    jl = ref_so3_series(theta, *g._so3_coeffs(ref_norm3(theta)))
+    return np.concatenate([ref_mat_vec(jl, rho), ref_quat_from_rotvec(theta)], axis=-1)
+
+
+def ref_se3_log(p):
+    theta = ref_quat_to_rotvec(p[..., 3:])
+    jl_inv = ref_so3_series(theta, -0.5, g._half_cot_coeff(ref_norm3(theta)))
+    return np.concatenate([ref_mat_vec(jl_inv, p[..., :3]), theta], axis=-1)
+
+
+def ref_pose3_to_pose2(p):
+    w, x, y, z = p[..., 3], p[..., 4], p[..., 5], p[..., 6]
+    yaw = np.arctan2(2.0 * (w * z + x * y), 1.0 - 2.0 * (y * y + z * z))
+    return np.concatenate([p[..., :2], yaw[..., None]], axis=-1)
+
+
+def poses_and_twists(count=61):
+    """C-order (count, 7) poses, with a few half turns and negative w, and
+    (count, 6) twists up to angle 3 with some below the series cutoffs."""
+    rng = np.random.default_rng(29)
+    twists = rng.normal(size=(count, 6))
+    angles = rng.uniform(0.0, 3.0, count)
+    angles[:5] = [0.0, 1e-9, 5e-5, 5e-3, np.pi]
+    twists[:, 3:] *= (angles / np.linalg.norm(twists[:, 3:], axis=1))[:, None]
+    poses = g.se3_exp(twists)
+    poses[5:10, 3:] *= -1.0  # negative w: canonical form flips them back
+    poses[10, 3:] = [0.0, -0.6, 0.0, 0.8]  # w == 0, leading component negative
+    return poses, twists
+
+
+def operand_cases(p):
+    """Pairs of operands: C-order, views, a broadcast grid, single poses."""
+    q = p[::-1].copy()
+    return {
+        "c-order": (p, q),
+        "views": (p[:-1], p[1:]),
+        "stride-2": (p[::2], q[::2]),
+        "broadcast": (p[None, :9], q[:4, None]),
+        "single": (p[0], q[1]),
+    }
+
+
+def quat_part(kernel):
+    return lambda p: kernel(p[..., 3:])
+
+
+BINARY_KERNELS = {
+    "pose3_compose": (g.pose3_compose, ref_pose3_compose),
+    "quat_mul": (
+        lambda a, b: g.quat_mul(a[..., 3:], b[..., 3:]),
+        lambda a, b: ref_quat_mul(a[..., 3:], b[..., 3:]),
+    ),
+    "quat_rotate": (
+        lambda a, b: g.quat_rotate(a[..., 3:], b[..., :3]),
+        lambda a, b: ref_quat_rotate(a[..., 3:], b[..., :3]),
+    ),
+}
+
+UNARY_KERNELS = {  # se3_exp takes twists, the rest poses
+    "pose3_inverse": (g.pose3_inverse, ref_pose3_inverse),
+    "quat_canonical": (quat_part(g.quat_canonical), quat_part(ref_quat_canonical)),
+    "quat_normalize": (
+        lambda p: g.quat_normalize(1.5 * p[..., 3:]),
+        lambda p: ref_quat_normalize(1.5 * p[..., 3:]),
+    ),
+    "quat_to_rotvec": (quat_part(g.quat_to_rotvec), quat_part(ref_quat_to_rotvec)),
+    "quat_from_rotvec": (lambda p: g.quat_from_rotvec(p[..., :3]), ref_quat_from_rotvec),
+    "norm3": (lambda p: g.norm3(p[..., :3]), ref_norm3),
+    "se3_log": (g.se3_log, ref_se3_log),
+    "se3_exp": (g.se3_exp, ref_se3_exp),
+    "pose3_to_pose2": (g.pose3_to_pose2_packed, ref_pose3_to_pose2),
+}
+CASES = ["c-order", "views", "stride-2", "broadcast", "single"]
+
+
+@pytest.mark.parametrize("case", CASES)
+@pytest.mark.parametrize("name", list(BINARY_KERNELS))
+def test_binary_row_kernels_equal_packed_formulas(name, case):
+    kernel, reference = BINARY_KERNELS[name]
+    a, b = operand_cases(poses_and_twists()[0])[case]
+    got = kernel(a, b)
+    assert got.flags.c_contiguous
+    assert np.array_equal(got, reference(a, b))
+
+
+@pytest.mark.parametrize("case", CASES)
+@pytest.mark.parametrize("name", list(UNARY_KERNELS))
+def test_unary_row_kernels_equal_packed_formulas(name, case):
+    kernel, reference = UNARY_KERNELS[name]
+    poses, twists = poses_and_twists()
+    operand = operand_cases(twists if name == "se3_exp" else poses)[case][0]
+    got = kernel(operand)
+    assert np.shape(got) == np.shape(reference(operand))
+    assert np.array_equal(got, reference(operand))
+
+
+# ---------------------------------------------------------------------------
+# SE(2) exp and log by half angles, against the sinc forms
+
+
+SE2_ANGLES = [0.0, 1e-12, -1e-12, 1e-2 - 1e-9, 1e-2 + 1e-9, -1e-2 - 1e-9, np.pi - 1e-9, -2.5, 1.0]
+
+
+@pytest.mark.parametrize("translation", [(0.7, -1.3), (3.0, 5.0), (-20.0, 7.0)])
+def test_se2_half_angle_exp_log_match_sinc_forms(translation):
+    gamma = np.array(SE2_ANGLES)
+    p = np.column_stack([np.outer(np.ones_like(gamma), translation), gamma])
+    a, b = sinc_v_coeffs(gamma)
+    x, y = p[:, 0], p[:, 1]
+    det = a * a + b * b
+    sinc_log = np.column_stack([(a * x + b * y) / det, (a * y - b * x) / det, gamma])
+    sinc_exp = np.column_stack([a * x - b * y, b * x + a * y, g.wrap_angle(gamma)])
+    log, exp = g.se2_log(p), g.se2_exp(p)
+    for got, want in ((log, sinc_log), (exp, sinc_exp)):
+        scale = np.abs(want[:, :2]).max(axis=1)
+        assert np.all(np.abs(got[:, :2] - want[:, :2]).max(axis=1) <= 1e-15 * scale)
+    assert np.array_equal(log[:, 2], gamma)  # the log returns the angle as it is
+    assert np.array_equal(exp[:, 2], sinc_exp[:, 2])
+    back = g.se2_exp(log)
+    assert np.abs(back - p).max() <= 1e-15 * np.abs(p).max()

@@ -468,6 +468,14 @@ RECOVERY_REFERENCE = {
     ("wheel", 7): (3, COST_THRESHOLD, 40597.23558857116),
     ("wheel", 1001): (2, COST_THRESHOLD, 40597.20568880992),
 }
+# the dvso (SE3) solve for seed 7, bit for bit: its pose kernels keep their
+# arithmetic and its order, whatever the layout they read their operands in
+DVSO_SEED_7_FINAL_COST = 4059.6101639680082
+
+
+def test_dvso_recovery_final_cost_pinned_exactly():
+    result, _ = pipeline.recovery_run(sim.dvso_preset(), 7)
+    assert result.stats.final_cost == DVSO_SEED_7_FINAL_COST
 
 
 @pytest.mark.parametrize("source, seed", list(RECOVERY_REFERENCE))

@@ -12,7 +12,7 @@ import pytest
 
 from tunnelgraph import geometry as geom
 from tunnelgraph import simulate as sim
-from tunnelgraph.sync import FULL3D, PLANAR, DataError
+from tunnelgraph.sync import FULL3D, PLANAR, DataError, FieldError
 
 
 def reference_pose(profile, t):
@@ -392,6 +392,12 @@ class TestValidation:
         assert template.shape == (4, 7)
         assert np.allclose(template[:, 0], [0.0, 18.0, 36.0, 54.0])
         assert np.all(template[:, 1:3] == 0.0)
+
+    def test_pole_count_is_an_integer(self):
+        with pytest.raises(FieldError) as err:
+            sim.LandmarkLayout(count=2.5)  # np.tile would reject it in template()
+        assert err.value.field == "count"
+        assert sim.LandmarkLayout(count=np.int64(3)).template().shape == (3, 7)
 
     def test_bad_inputs_raise(self):
         with pytest.raises(DataError):
