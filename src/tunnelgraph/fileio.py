@@ -78,6 +78,11 @@ def _write(path, *parts, newline=None) -> None:
         fh.write("".join(parts))
 
 
+def _write_csv(path, header, columns) -> None:
+    """The ``columns`` side by side under a ``header`` line, CRLF-terminated."""
+    _write(path, header + "\n", _format_rows(columns, sep=","), newline="\r\n")
+
+
 def read_text(path) -> str:
     """The file at ``path`` decoded as UTF-8; a byte that is not is a data error."""
     try:
@@ -364,11 +369,9 @@ def read_graph(path) -> PoseGraph:
 
 
 def write_report_csv(path, reports) -> None:
-    """One row per report under a ``REPORT_COLUMNS`` header, CRLF-terminated."""
+    """One row per report under a ``REPORT_COLUMNS`` header."""
     columns = [np.array([getattr(r, name) for r in reports]) for name in REPORT_FIELDS.values()]
-    _write(
-        path, ",".join(REPORT_COLUMNS) + "\n", _format_rows(columns, sep=","), newline="\r\n"
-    )
+    _write_csv(path, ",".join(REPORT_COLUMNS), columns)
 
 
 def read_report_csv(path):
@@ -514,10 +517,7 @@ def stats_report(payload) -> ErrorReport:
 
 def write_xy_csv(path, times, raw_xy, opt_xy) -> None:
     """Raw-versus-optimized trajectory plot data; ``raw_xy`` and ``opt_xy`` are (N, 2)."""
-    _write(
-        path, "t,raw_x,raw_y,opt_x,opt_y\n", _format_rows([times, raw_xy, opt_xy], sep=","),
-        newline="\r\n",
-    )
+    _write_csv(path, "t,raw_x,raw_y,opt_x,opt_y", [times, raw_xy, opt_xy])
 
 
 def write_poles_csv(path, true_xy, est_xy) -> None:
@@ -525,7 +525,4 @@ def write_poles_csv(path, true_xy, est_xy) -> None:
     stay empty without ``true_xy``."""
     if true_xy is None:
         true_xy = np.full((len(est_xy), 2), "")
-    _write(
-        path, "pole_id,true_x,true_y,est_x,est_y\n",
-        _format_rows([np.arange(len(est_xy)), true_xy, est_xy], sep=","), newline="\r\n",
-    )
+    _write_csv(path, "pole_id,true_x,true_y,est_x,est_y", [np.arange(len(est_xy)), true_xy, est_xy])

@@ -172,11 +172,6 @@ def _quat_rotate(q, v):
     )
 
 
-def quat_rotate(q, v):
-    """Rotate vector(s) v by quaternion(s) q."""
-    return _packed(*_quat_rotate(_rows(q), _rows(v)))
-
-
 def _quat_from_rotvec(r, angle):
     """Canonical quaternion rows of rotation-vector rows r, |r| = angle."""
     half = 0.5 * angle
@@ -210,11 +205,6 @@ def _quat_to_rotvec(q):
     return scale * x, scale * y, scale * z
 
 
-def quat_to_rotvec(q):
-    """Principal-branch logarithm of a unit quaternion (angle <= pi)."""
-    return _packed(*_quat_to_rotvec(_rows(q)))
-
-
 def _quat_matrix(q):
     """The rotation matrix of quaternion rows, as rows of its entries."""
     w, x, y, z = q
@@ -232,17 +222,6 @@ def _matrix(entries):
         for j, entry in enumerate(row):
             out[..., i, j] = entry
     return out
-
-
-def quat_to_matrix(q):
-    return _matrix(_quat_matrix(_rows(q)))
-
-
-def quat_yaw(q):
-    """Heading about the vertical axis, ZYX convention."""
-    w, x, y, z = _rows(q)
-    out = np.arctan2(2.0 * (w * z + x * y), 1.0 - 2.0 * (y * y + z * z))
-    return float(out) if np.ndim(out) == 0 else out
 
 
 def rotation_angle(q):
@@ -320,12 +299,9 @@ def _half_cot_coeff(angle):
     )
 
 
-def _so3_left_jacobian_inv(r):
-    return _so3_series(r, -0.5, _half_cot_coeff(_norm(r)))
-
-
-def so3_left_jacobian_inv(r):
-    return _matrix(_so3_left_jacobian_inv(_rows(r)))
+def _so3_left_jacobian_inv(r, angle):
+    """J_l^-1 of rows r, |r| = angle, as entries."""
+    return _so3_series(r, -0.5, _half_cot_coeff(angle))
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +334,7 @@ def se3_exp(xi):
 def se3_log(p):
     p = _rows(p)
     theta = _quat_to_rotvec(p[3:])
-    return _packed(*_mat_vec(_so3_left_jacobian_inv(theta), p[:3]), *theta)
+    return _packed(*_mat_vec(_so3_left_jacobian_inv(theta, _norm(theta)), p[:3]), *theta)
 
 
 def se3_adjoint(p):
@@ -378,8 +354,9 @@ def se3_adjoint(p):
     return out
 
 
-def _se3_q_matrix(rho, theta):
-    """Translation-rotation coupling block of the SE(3) left Jacobian.
+def _se3_q_matrix(rho, theta, angle):
+    """Translation-rotation coupling block of the SE(3) left Jacobian, of
+    rows rho and theta, |theta| = angle.
 
     With p = hat(theta) and r = hat(rho) (Barfoot & Furgale, T-RO 2014),
     Q = r/2 + c2 (pr + rp + prp) + c3 (ppr + rpp - 3 prp) + c4 (prpp + pprp).
@@ -388,9 +365,8 @@ def _se3_q_matrix(rho, theta):
     - 2 c4 (theta.rho) pp, with a = (1/2 - c3 t^2) rho + (2 c3 - c2)
     (theta.rho) theta and pp = theta theta^T - t^2 I, filled entry by entry.
     """
-    tx, ty, tz = theta = _rows(theta)
-    rx, ry, rz = _rows(rho)
-    angle = _norm(theta)
+    tx, ty, tz = theta
+    rx, ry, rz = rho
     t2 = angle * angle
 
     def direct(t):  # c2, -c3 and the c4 part, at angles of 1e-2 and more
@@ -431,13 +407,14 @@ def se3_right_jacobian_inv(xi):
     Jl = [[J, Q], [0, J]] (Sola et al., arXiv:1812.01537), so
     Jl^-1 = [[J^-1, -J^-1 Q J^-1], [0, J^-1]] with J^-1 in closed form.
     """
-    xi = np.asarray(xi, dtype=float)
-    rho, theta = -xi[..., :3], -xi[..., 3:]
-    j_inv = so3_left_jacobian_inv(theta)
-    out = np.zeros(xi.shape[:-1] + (6, 6))
+    xi = _rows(xi)
+    rho, theta = np.negative(xi, out=xi)[:3], xi[3:]
+    angle = _norm(theta)
+    j_inv = _matrix(_so3_left_jacobian_inv(theta, angle))
+    out = np.zeros(np.shape(angle) + (6, 6))
     out[..., :3, :3] = j_inv
     out[..., 3:, 3:] = j_inv
-    out[..., :3, 3:] = -(j_inv @ _se3_q_matrix(rho, theta) @ j_inv)
+    out[..., :3, 3:] = -(j_inv @ _se3_q_matrix(rho, theta, angle) @ j_inv)
     return out
 
 
@@ -598,10 +575,10 @@ def _se2_gram(left, right, w_trans, w_rot):
 
 
 def _se2_project(factor, w_trans, w_rot, r):
-    """J^T W r of the factor of J."""
+    """J^T W r of the factor of J, as three rows."""
     a, b, e, f = factor
     u, v = w_trans * r[..., 0], w_trans * r[..., 1]
-    return np.stack([a * u + b * v, a * v - b * u, e * u + f * v + w_rot * r[..., 2]], axis=-1)
+    return a * u + b * v, a * v - b * u, e * u + f * v + w_rot * r[..., 2]
 
 
 def _se2_edge_normals(neg_left, right, w_trans, w_rot, r):
@@ -609,11 +586,10 @@ def _se2_edge_normals(neg_left, right, w_trans, w_rot, r):
     edges whose residuals r take the Jacobians J_i = -M(neg_left) and
     J_j = M(right), factors both."""
     ij = _se2_gram(neg_left, right, w_trans, w_rot)
-    i = _se2_project(neg_left, w_trans, w_rot, r)
+    i, j = (np.stack(_se2_project(m, w_trans, w_rot, r), axis=-1) for m in (neg_left, right))
     return (
         _se2_gram(neg_left, neg_left, w_trans, w_rot), np.negative(ij, out=ij),
-        _se2_gram(right, right, w_trans, w_rot),
-        np.negative(i, out=i), _se2_project(right, w_trans, w_rot, r),
+        _se2_gram(right, right, w_trans, w_rot), np.negative(i, out=i), j,
     )
 
 
@@ -624,15 +600,12 @@ def _se2_run_normals(factor, w_trans, w_rot, r, runs, adjoint):
     distinct entries, so the run sums reduce one table of seven rows, and
     the congruence is closed form."""
     a, b, e, f = factor
-    u, v = w_trans * r[..., 0], w_trans * r[..., 1]
     table = np.empty((7, np.size(a)))
     table[0] = w_trans * (a * a + b * b)
     table[1] = w_trans * (a * e + b * f)
     table[2] = w_trans * (a * f - b * e)
     table[3] = w_trans * (e * e + f * f) + w_rot
-    table[4] = a * u + b * v
-    table[5] = a * v - b * u
-    table[6] = e * u + f * v + w_rot * r[..., 2]
+    table[4], table[5], table[6] = _se2_project(factor, w_trans, w_rot, r)
     p, x, y, z, h0, h1, h2 = np.add.reduceat(table, runs, axis=1)
     del table
     ga, gb, ge, gf = adjoint
@@ -655,19 +628,9 @@ def pose2_to_pose3_packed(p2):
 
 
 def pose3_to_pose2_packed(p3):
-    """Drop packed 3D poses (..., 7) to the plane (..., 3): xy and heading."""
+    """Drop packed 3D poses (..., 7) to the plane (..., 3): xy and ZYX yaw."""
     tx, ty, _, w, x, y, z = _components(p3)
     return _packed(tx, ty, np.arctan2(2.0 * (w * z + x * y), 1.0 - 2.0 * (y * y + z * z)))
-
-
-def pose3_interpolate(a, b, alpha):
-    """Point(s) at fraction alpha along the single geodesic from a to b.
-
-    ``alpha`` broadcasts against the leading axes of the packed poses.
-    """
-    step = se3_log(pose3_relative(a, b))
-    alpha = np.asarray(alpha, dtype=float)
-    return pose3_compose(a, se3_exp(alpha[..., None] * step))
 
 
 # ---------------------------------------------------------------------------
@@ -758,6 +721,14 @@ SE3 = Group(
 )
 pose2_relative = SE2.relative
 pose3_relative = SE3.relative
+
+
+def pose3_interpolate(a, b, alpha):
+    """Point(s) at fraction alpha along the single geodesic from a to b.
+
+    ``alpha`` broadcasts against the leading axes of the packed poses.
+    """
+    return SE3.retract(a, np.asarray(alpha, dtype=float)[..., None] * SE3.log(SE3.relative(a, b)))
 
 
 # ---------------------------------------------------------------------------

@@ -261,11 +261,14 @@ def _solver_marks(solver) -> tuple:
 
 
 def _discover_sources(run_dir):
-    names = []
-    for entry in sorted(os.listdir(run_dir)):
-        if entry.endswith("_stats.json"):
-            names.append(entry[: -len("_stats.json")])
-    return names
+    suffix = "_stats.json"
+    return [entry[: -len(suffix)] for entry in sorted(os.listdir(run_dir)) if entry.endswith(suffix)]
+
+
+def _check_source(path, source, name):
+    """``report`` pairs a source's files by ``name``, so each must carry it."""
+    if source != name:
+        raise DataError(f"{path}: source {source!r} does not match the file name's {name!r}")
 
 
 def read_config(path) -> ScenarioConfig:
@@ -286,10 +289,8 @@ def report_run(run_dir, out_dir=None, written=None):
     if not sources:
         raise DataError(f"{run_dir}: no *_stats.json solver outputs found")
 
-    cfg = None
     config_path = os.path.join(run_dir, CONFIG_FILE)
-    if os.path.exists(config_path):
-        cfg = read_config(config_path)
+    cfg = read_config(config_path) if os.path.exists(config_path) else None
     # every input is read and checked before the first write, so a failed
     # report leaves no output directory behind
     reports = []
@@ -297,14 +298,17 @@ def report_run(run_dir, out_dir=None, written=None):
     marks = {}
     tables = []  # (name, graph, raw track or None) of each source with a graph
     for name in sources:
-        payload = fileio.read_stats_json(os.path.join(run_dir, f"{name}_stats.json"))
+        stats_path = os.path.join(run_dir, f"{name}_stats.json")
+        payload = fileio.read_stats_json(stats_path)
+        _check_source(stats_path, payload["source"], name)
         reports.append(fileio.stats_report(payload))
-        marks[payload["source"]] = _solver_marks(payload.get("solver", {}))
+        marks[name] = _solver_marks(payload.get("solver", {}))
 
         graph_path = os.path.join(run_dir, f"{name}_graph.txt")
         if not os.path.exists(graph_path):
             continue
         graph = fileio.read_graph(graph_path)
+        _check_source(graph_path, graph.source, name)
         if cfg is not None:
             if graph.pole_count != cfg.layout.count:
                 raise DataError(f"{graph_path}: pole count does not match {config_path}")
@@ -313,8 +317,10 @@ def report_run(run_dir, out_dir=None, written=None):
             )
         raw_path = os.path.join(run_dir, f"{name}_raw.txt")
         raw = fileio.read_track(raw_path) if os.path.exists(raw_path) else None
-        if raw is not None and not np.array_equal(raw.times, graph.times[graph.is_frame]):
-            raise DataError(f"{graph_path}: frame times do not match {raw_path}")
+        if raw is not None:
+            _check_source(raw_path, raw.source, name)
+            if not np.array_equal(raw.times, graph.times[graph.is_frame]):
+                raise DataError(f"{graph_path}: frame times do not match {raw_path}")
         tables.append((name, graph, raw))
 
     os.makedirs(out_dir, exist_ok=True)

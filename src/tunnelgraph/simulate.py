@@ -126,14 +126,6 @@ class NoiseProfile:
             ),
         )
 
-    @property
-    def trans_per_second(self) -> float:
-        return self.trans_per_frame * self.frame_rate
-
-    @property
-    def rot_deg_per_second(self) -> float:
-        return self.rot_deg_per_frame * self.frame_rate
-
 
 def dvso_preset() -> NoiseProfile:
     """Stereo visual odometry: 5 Hz, full 3D drift."""

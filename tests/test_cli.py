@@ -539,6 +539,22 @@ class TestExitCodes:
         assert "dvso_stats.json: key 'source' must be one word" in err
         assert not (tmp_path / "report").exists()
 
+    @pytest.mark.parametrize("kind", ["stats", "graph", "raw"])
+    def test_file_naming_another_source_exits_2(self, tmp_path, capsys, kind):
+        # report pairs a source's files by name, so each must carry that source
+        out = self.optimized_run(tmp_path)
+        if kind == "stats":
+            (out / "other_stats.json").write_text((out / "dvso_stats.json").read_text())
+            named = "other_stats.json: source 'dvso' does not match the file name's 'other'"
+        else:
+            path = out / f"dvso_{kind}.txt"
+            path.write_text(path.read_text().replace("# source: dvso", "# source: wheel"))
+            named = f"dvso_{kind}.txt: source 'wheel' does not match the file name's 'dvso'"
+        capsys.readouterr()
+        assert cli.main(["report", "--dir", str(out), "--out", str(tmp_path / "new")]) == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "new").exists()
+
     # a bad numeric option is a data error naming what it sets, not a
     # numerical failure; the odometry weight cases keep their original ids
     @pytest.mark.parametrize(

@@ -28,6 +28,42 @@ def random_pose(rng, trans_scale=5.0, max_angle=3.0):
     return Pose3(g.quat_from_rotvec(axis * angle), rng.normal(size=3) * trans_scale)
 
 
+def rotation_pose(q):
+    """Packed poses of quaternions q with no translation."""
+    q = np.asarray(q, dtype=float)
+    return np.concatenate([np.zeros(q.shape[:-1] + (3,)), q], axis=-1)
+
+
+def rotvec(q):
+    """The rotation vector of quaternions q: the rotation part of their log."""
+    return g.se3_log(rotation_pose(q))[..., 3:]
+
+
+def rotation_matrix(q):
+    """The rotation matrix of quaternions q: a diagonal block of their adjoint."""
+    return g.se3_adjoint(rotation_pose(q))[..., :3, :3]
+
+
+def rotate(q, v):
+    """Vectors v rotated by quaternions q: the translation of q * (v, 1)."""
+    v = np.asarray(v, dtype=float)
+    unit = np.broadcast_to([1.0, 0.0, 0.0, 0.0], v.shape[:-1] + (4,))
+    return g.pose3_compose(rotation_pose(q), np.concatenate([v, unit], axis=-1))[..., :3]
+
+
+def so3_left_jacobian_inv(theta):
+    """J_l^-1(theta): the rotation block of Jr^-1 at the twist (0, -theta)."""
+    theta = np.asarray(theta, dtype=float)
+    return g.se3_right_jacobian_inv(
+        np.concatenate([np.zeros_like(theta), -theta], axis=-1)
+    )[..., 3:, 3:]
+
+
+def q_matrix(rho, theta):
+    """The coupling block Q of the SE(3) left Jacobian at packed rho and theta."""
+    return g._se3_q_matrix(g._rows(rho), g._rows(theta), g.norm3(theta))
+
+
 def random_pose2(rng, count, trans_scale=5.0):
     return np.column_stack(
         [rng.normal(size=(count, 2)) * trans_scale, rng.uniform(-np.pi, np.pi, count)]
@@ -108,14 +144,14 @@ def test_log_at_pi_deterministic_branch():
     # both q and -q describe the same half-turn; log must pick the branch
     # whose dominant axis component is positive
     q = np.array([0.0, 0.0, 0.0, 1.0])
-    r1 = g.quat_to_rotvec(q)
-    r2 = g.quat_to_rotvec(-q)
+    r1 = rotvec(q)
+    r2 = rotvec(-q)
     assert np.allclose(r1, r2)
     assert np.allclose(r1, [0.0, 0.0, np.pi], atol=1e-12)
     axis = np.array([2.0, -3.0, 1.0])
     axis /= np.linalg.norm(axis)
     q = np.concatenate([[0.0], axis])
-    r = g.quat_to_rotvec(-q)
+    r = rotvec(-q)
     assert r[1] > 0.0  # dominant component forced positive
     assert abs(np.linalg.norm(r) - np.pi) < 1e-12
 
@@ -137,7 +173,7 @@ def test_rotation_matrix_matches_rodrigues():
         axis = rng.normal(size=3)
         angle = rng.uniform(0.0, np.pi)
         q = g.quat_from_rotvec(axis / np.linalg.norm(axis) * angle)
-        assert np.allclose(g.quat_to_matrix(q), rodrigues(axis, angle), atol=1e-12)
+        assert np.allclose(rotation_matrix(q), rodrigues(axis, angle), atol=1e-12)
 
 
 def test_interpolate_endpoints_bit_exact():
@@ -182,7 +218,7 @@ def test_yaw_projection_matches_euler_oracle():
     rng = np.random.default_rng(9)
     for _ in range(100):
         p = random_pose(rng)
-        R = g.quat_to_matrix(p.q)
+        R = rotation_matrix(p.q)
         oracle = np.arctan2(R[1, 0], R[0, 0])
         assert SE2.from_pose3(p.packed)[2] == pytest.approx(oracle, abs=1e-12)
     roll5_yaw30 = g.pose3_compose(
@@ -251,7 +287,7 @@ def se3_right_jacobian(xi):
     out = np.zeros(xi.shape[:-1] + (6, 6))
     out[..., :3, :3] = jl
     out[..., 3:, 3:] = jl
-    out[..., :3, 3:] = g._se3_q_matrix(rho, theta)
+    out[..., :3, 3:] = q_matrix(rho, theta)
     return out
 
 
@@ -382,10 +418,10 @@ def test_batched_ops_match_scalar_loop():
     theta, rho = (m.reshape(-1, 3) for m in kernel_cases())
     xi = np.concatenate([rho, theta], axis=-1)
     for kernel, args in (
-        (g.quat_rotate, (a[:, 3:], b[:, :3])), (g.quat_normalize, (1.5 * a[:, 3:],)),
-        (g.quat_to_rotvec, (a[:, 3:],)), (g.quat_from_rotvec, (theta,)),
-        (g.quat_to_matrix, (a[:, 3:],)), (g.so3_left_jacobian, (theta,)),
-        (g.so3_left_jacobian_inv, (theta,)), (g._se3_q_matrix, (rho, theta)),
+        (rotate, (a[:, 3:], b[:, :3])), (g.quat_normalize, (1.5 * a[:, 3:],)),
+        (rotvec, (a[:, 3:],)), (g.quat_from_rotvec, (theta,)),
+        (rotation_matrix, (a[:, 3:],)), (g.so3_left_jacobian, (theta,)),
+        (so3_left_jacobian_inv, (theta,)), (q_matrix, (rho, theta)),
         (g.se3_adjoint, (a,)), (g.se3_right_jacobian_inv, (xi,)),
     ):
         batched = kernel(*args)
@@ -459,20 +495,20 @@ def test_rotation_kernels_match_textbook_forms():
     )
     q = g.quat_from_rotvec(theta)
     assert_rows_close(q, textbook_quat)
-    assert_rows_close(g.quat_to_rotvec(q), 2.0 * np.arctan2(
+    assert_rows_close(rotvec(q), 2.0 * np.arctan2(
         np.linalg.norm(q[..., 1:], axis=-1, keepdims=True), q[..., :1]
     ) * q[..., 1:] / np.maximum(np.linalg.norm(q[..., 1:], axis=-1, keepdims=True), 1e-300))
     # Rodrigues through two cross products, to the last bit
     qv, w = q[..., 1:], q[..., :1]
     u = 2.0 * np.cross(qv, vec)
-    assert np.array_equal(g.quat_rotate(q, vec), vec + w * u + np.cross(qv, u))
+    assert np.array_equal(rotate(q, vec), vec + w * u + np.cross(qv, u))
     scaled = 1.7 * q
     assert np.array_equal(
         g.quat_normalize(scaled),
         g.quat_canonical(scaled / np.linalg.norm(scaled, axis=-1, keepdims=True)),
     )
-    rot = g.quat_to_matrix(q)
-    assert_rows_close(rot @ vec[..., None], g.quat_rotate(q, vec)[..., None])
+    rot = rotation_matrix(q)
+    assert_rows_close(rot @ vec[..., None], rotate(q, vec)[..., None])
     assert_rows_close(rot @ np.swapaxes(rot, -1, -2), np.broadcast_to(np.eye(3), rot.shape))
     assert_rows_close(g.rotation_angle(q)[..., None], angle)
 
@@ -485,8 +521,8 @@ def test_half_turn_at_w_zero():
     q = g.quat_canonical(np.concatenate([np.zeros((50, 1)), v], axis=-1))
     lead = np.take_along_axis(q[:, 1:], np.argmax(np.abs(q[:, 1:]), axis=-1)[:, None], axis=-1)
     assert np.all(q[:, 0] == 0.0) and np.all(lead > 0.0)
-    assert_rows_close(g.quat_to_rotvec(q), np.pi * q[:, 1:])
-    assert_rows_close(g.quat_to_matrix(q), 2.0 * q[:, 1:, None] * q[:, None, 1:] - np.eye(3))
+    assert_rows_close(rotvec(q), np.pi * q[:, 1:])
+    assert_rows_close(rotation_matrix(q), 2.0 * q[:, 1:, None] * q[:, None, 1:] - np.eye(3))
     assert_rows_close(g.quat_normalize(-2.0 * q), q)
     assert_rows_close(g.rotation_angle(q)[:, None], np.full((50, 1), np.pi))
 
@@ -500,11 +536,11 @@ def test_jacobian_kernels_match_textbook_forms():
     eye = np.eye(3)
     a, b, c = a[..., None, None], b[..., None, None], c[..., None, None]
     assert_rows_close(g.so3_left_jacobian(theta), eye + a * hat + b * (hat @ hat))
-    assert_rows_close(g.so3_left_jacobian_inv(theta), eye - 0.5 * hat + c * (hat @ hat))
-    assert_rows_close(g._se3_q_matrix(rho, theta), textbook_q(rho, theta))
+    assert_rows_close(so3_left_jacobian_inv(theta), eye - 0.5 * hat + c * (hat @ hat))
+    assert_rows_close(q_matrix(rho, theta), textbook_q(rho, theta))
     pose = np.concatenate([rho, g.quat_from_rotvec(theta)], axis=-1)
     adjoint = g.se3_adjoint(pose)
-    assert_rows_close(adjoint[..., :3, 3:], textbook_hat(rho) @ g.quat_to_matrix(pose[..., 3:]))
+    assert_rows_close(adjoint[..., :3, 3:], textbook_hat(rho) @ rotation_matrix(pose[..., 3:]))
     xi = np.concatenate([rho, theta], axis=-1)
     assert_rows_close(g.se3_exp(xi)[..., :3], (g.so3_left_jacobian(theta) @ rho[..., None])[..., 0])
 
@@ -656,6 +692,36 @@ def ref_se3_log(p):
     return np.concatenate([ref_mat_vec(jl_inv, p[..., :3]), theta], axis=-1)
 
 
+def ref_se3_right_jacobian_inv(xi):
+    rho, theta = -xi[..., :3], -xi[..., 3:]
+    j_inv = ref_so3_series(theta, -0.5, g._half_cot_coeff(ref_norm3(theta)))
+    out = np.zeros(xi.shape[:-1] + (6, 6))
+    out[..., :3, :3] = j_inv
+    out[..., 3:, 3:] = j_inv
+    out[..., :3, 3:] = -(j_inv @ q_matrix(rho, theta) @ j_inv)
+    return out
+
+
+def ref_quat_matrix(q):
+    w, x, y, z = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
+    return np.stack([
+        np.stack([1.0 - 2.0 * (y * y + z * z), 2.0 * (x * y - w * z), 2.0 * (x * z + w * y)], -1),
+        np.stack([2.0 * (x * y + w * z), 1.0 - 2.0 * (x * x + z * z), 2.0 * (y * z - w * x)], -1),
+        np.stack([2.0 * (x * z - w * y), 2.0 * (y * z + w * x), 1.0 - 2.0 * (x * x + y * y)], -1),
+    ], axis=-2)
+
+
+def ref_se3_adjoint(p):
+    """[[R, hat(t) R], [0, R]], column j of hat(t) R by np.cross(t, R[:, j])."""
+    rot = ref_quat_matrix(p[..., 3:])
+    out = np.zeros(p.shape[:-1] + (6, 6))
+    out[..., :3, :3] = rot
+    out[..., 3:, 3:] = rot
+    columns = np.cross(p[..., None, :3], np.swapaxes(rot, -1, -2))
+    out[..., :3, 3:] = np.swapaxes(columns, -1, -2)
+    return out
+
+
 def ref_pose3_to_pose2(p):
     w, x, y, z = p[..., 3], p[..., 4], p[..., 5], p[..., 6]
     yaw = np.arctan2(2.0 * (w * z + x * y), 1.0 - 2.0 * (y * y + z * z))
@@ -692,6 +758,12 @@ def quat_part(kernel):
     return lambda p: kernel(p[..., 3:])
 
 
+def row_kernel(kernel, *parts):
+    """A row kernel of ``geometry`` on component slices of packed operands:
+    each slice read into rows, the result packed."""
+    return lambda *ops: g._packed(*kernel(*(g._rows(op[part]) for op, part in zip(ops, parts))))
+
+
 BINARY_KERNELS = {
     "pose3_compose": (g.pose3_compose, ref_pose3_compose),
     "quat_mul": (
@@ -699,23 +771,28 @@ BINARY_KERNELS = {
         lambda a, b: ref_quat_mul(a[..., 3:], b[..., 3:]),
     ),
     "quat_rotate": (
-        lambda a, b: g.quat_rotate(a[..., 3:], b[..., :3]),
+        row_kernel(g._quat_rotate, np.s_[..., 3:], np.s_[..., :3]),
         lambda a, b: ref_quat_rotate(a[..., 3:], b[..., :3]),
     ),
 }
 
-UNARY_KERNELS = {  # se3_exp takes twists, the rest poses
+TWIST_KERNELS = {"se3_exp", "se3_right_jacobian_inv"}  # the rest take poses
+UNARY_KERNELS = {
     "pose3_inverse": (g.pose3_inverse, ref_pose3_inverse),
     "quat_canonical": (quat_part(g.quat_canonical), quat_part(ref_quat_canonical)),
     "quat_normalize": (
         lambda p: g.quat_normalize(1.5 * p[..., 3:]),
         lambda p: ref_quat_normalize(1.5 * p[..., 3:]),
     ),
-    "quat_to_rotvec": (quat_part(g.quat_to_rotvec), quat_part(ref_quat_to_rotvec)),
+    "quat_to_rotvec": (
+        row_kernel(g._quat_to_rotvec, np.s_[..., 3:]), quat_part(ref_quat_to_rotvec)
+    ),
     "quat_from_rotvec": (lambda p: g.quat_from_rotvec(p[..., :3]), ref_quat_from_rotvec),
     "norm3": (lambda p: g.norm3(p[..., :3]), ref_norm3),
     "se3_log": (g.se3_log, ref_se3_log),
     "se3_exp": (g.se3_exp, ref_se3_exp),
+    "se3_right_jacobian_inv": (g.se3_right_jacobian_inv, ref_se3_right_jacobian_inv),
+    "se3_adjoint": (g.se3_adjoint, ref_se3_adjoint),
     "pose3_to_pose2": (g.pose3_to_pose2_packed, ref_pose3_to_pose2),
 }
 CASES = ["c-order", "views", "stride-2", "broadcast", "single"]
@@ -736,7 +813,7 @@ def test_binary_row_kernels_equal_packed_formulas(name, case):
 def test_unary_row_kernels_equal_packed_formulas(name, case):
     kernel, reference = UNARY_KERNELS[name]
     poses, twists = poses_and_twists()
-    operand = operand_cases(twists if name == "se3_exp" else poses)[case][0]
+    operand = operand_cases(twists if name in TWIST_KERNELS else poses)[case][0]
     got = kernel(operand)
     assert np.shape(got) == np.shape(reference(operand))
     assert np.array_equal(got, reference(operand))

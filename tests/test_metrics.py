@@ -185,8 +185,9 @@ class TestAte:
         rng = np.random.default_rng(2)
         times = np.arange(50.0)
         ref = rng.standard_normal((50, 3))
-        q = geom.quat_from_rotvec(np.array([0.3, -0.2, 0.9]))
-        est = geom.quat_rotate(q, ref) + np.array([5.0, -2.0, 1.0])
+        pose = np.concatenate([[5.0, -2.0, 1.0], geom.quat_from_rotvec([0.3, -0.2, 0.9])])
+        points = np.column_stack([ref, np.tile([1.0, 0.0, 0.0, 0.0], (50, 1))])
+        est = geom.pose3_compose(pose, points)[:, :3]
         assert metrics.ate_rmse(times, est, times, ref) < 1e-9
 
     def test_timestamp_mismatch_rejected(self):

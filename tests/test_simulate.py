@@ -112,7 +112,7 @@ class TestGroundTruth:
                 p = track.poses[i]
                 assert abs(p[0] - x) < 1e-9
                 assert abs(p[1] - y) < 1e-9
-                assert abs(geom.wrap_angle(geom.quat_yaw(p[3:]) - yaw)) < 1e-9
+                assert abs(geom.wrap_angle(geom.SE2.from_pose3(p)[2] - yaw)) < 1e-9
                 assert p[2] == 0.0 and p[4] == 0.0 and p[5] == 0.0
 
     def test_no_return_leg(self):
@@ -120,7 +120,7 @@ class TestGroundTruth:
         assert prof.total_duration == 206.0
         track = sim.generate_ground_truth(prof, 5.0)
         assert abs(track.poses[-1, 0] - 100.0) < 1e-9
-        assert abs(abs(geom.quat_yaw(track.poses[-1, 3:])) - math.pi) < 1e-9
+        assert abs(abs(geom.SE2.from_pose3(track.poses[-1])[2]) - math.pi) < 1e-9
 
     def test_negative_turn(self):
         prof = sim.TrajectoryProfile(turn_angle_deg=-90.0)
@@ -146,14 +146,6 @@ class TestPresets:
         lidar = sim.degenerate_lidar_preset()
         assert lidar.dof_mode == PLANAR
         assert lidar.axis_scale[0] > 10.0 * lidar.axis_scale[1]
-
-    def test_per_second_rates(self):
-        d = sim.dvso_preset()
-        assert abs(d.trans_per_second - 0.0074) < 1e-12
-        assert abs(d.rot_deg_per_second - 0.215) < 1e-12
-        w = sim.wheel_preset()
-        assert abs(w.trans_per_second - 0.009) < 1e-12
-        assert abs(w.rot_deg_per_second - 0.1) < 1e-12
 
 
 class TestCorrupt:
@@ -316,7 +308,7 @@ class TestDetection:
             assert abs(o.rel[1] - left) < 1e-9
             assert abs(o.rel[2]) < 1e-12
             # pole frame is axis-aligned with the world: yaw of rel == -yaw
-            assert abs(geom.wrap_angle(geom.quat_yaw(o.rel[3:]) + yaw)) < 1e-9
+            assert abs(geom.wrap_angle(geom.SE2.from_pose3(o.rel)[2] + yaw)) < 1e-9
 
     def test_noise_perturbs_but_stays_bounded(self):
         gt = sim.generate_ground_truth(sim.TrajectoryProfile(), 5.0)
